@@ -100,9 +100,9 @@ class SatCounter
  * form: one byte per counter plus a single shared width, instead of
  * a vector<SatCounter> that stores the (identical) maxVal alongside
  * every value. Halves the table footprint — the difference between
- * fitting a 8K-entry pattern table in L1 or not — and gives the
- * batched engine contiguous byte arrays to prefetch. Semantics per
- * counter are exactly SatCounter's.
+ * fitting a 8K-entry pattern table in L1 or not — and keeps each
+ * table one contiguous byte array. Semantics per counter are exactly
+ * SatCounter's.
  */
 class SatCounterTable
 {

@@ -222,89 +222,18 @@ forkLadderSpec(const BenchContext &ctx)
 }
 
 std::uint64_t
-forkLadderBody(const BenchContext &ctx, bool fork, bool batch = false)
+forkLadderBody(const BenchContext &ctx, bool fork)
 {
     const SweepSpec spec = forkLadderSpec(ctx);
     ResultStore store; // in-memory: each repetition recomputes
     SweepRunOptions opt;
     opt.jobs = 1;
     opt.fork = fork;
-    opt.batch = batch;
     runSweep(spec, store, opt);
     std::uint64_t branches = 0;
     for (const SweepCell &cell : spec.cells())
         branches += cell.warmupBranches + cell.measureBranches;
     return branches;
-}
-
-/**
- * The lane pool of the engine.lanes_* pair: a representative
- * grid-column mix of prophet-alone and hybrid cells, all on one
- * workload. Both benches run exactly these cells with identical
- * budgets, so their throughput ratio is the pure win of multiplexing
- * the cells through one shared-stream lockstep pass (DESIGN.md §12)
- * over running them back-to-back.
- */
-std::vector<HybridSpec>
-lanePoolSpecs()
-{
-    std::vector<HybridSpec> specs;
-    specs.push_back(prophetAlone(ProphetKind::Gshare, Budget::B8KB));
-    specs.push_back(
-        prophetAlone(ProphetKind::Perceptron, Budget::B8KB));
-    specs.push_back(prophetAlone(ProphetKind::Bimodal, Budget::B8KB));
-    specs.push_back(prophetAlone(ProphetKind::Tage, Budget::B8KB));
-    specs.push_back(hybridSpec(ProphetKind::Gshare, Budget::B8KB,
-                               CriticKind::TaggedGshare, Budget::B8KB,
-                               8));
-    specs.push_back(hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
-                               CriticKind::TaggedGshare, Budget::B8KB,
-                               8));
-    specs.push_back(hybridSpec(ProphetKind::Gshare, Budget::B8KB,
-                               CriticKind::FilteredPerceptron,
-                               Budget::B8KB, 8));
-    specs.push_back(hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
-                               CriticKind::UnfilteredGshare,
-                               Budget::B8KB, 8));
-    return specs;
-}
-
-EngineConfig
-laneConfig(const BenchContext &ctx)
-{
-    EngineConfig cfg;
-    cfg.warmupBranches = static_cast<std::uint64_t>(
-        (ctx.quick ? 2000.0 : 20000.0) * benchScale());
-    cfg.measureBranches = static_cast<std::uint64_t>(
-        (ctx.quick ? 20000.0 : 300000.0) * benchScale());
-    cfg.warmupBranches =
-        std::max<std::uint64_t>(cfg.warmupBranches, 100);
-    cfg.measureBranches =
-        std::max<std::uint64_t>(cfg.measureBranches, 1000);
-    return cfg;
-}
-
-std::uint64_t
-laneSerialBody(const BenchContext &ctx)
-{
-    const Workload &w = benchWorkload(ctx);
-    const EngineConfig cfg = laneConfig(ctx);
-    const std::vector<HybridSpec> specs = lanePoolSpecs();
-    for (const HybridSpec &spec : specs)
-        (void)runAccuracy(w, spec, cfg);
-    return specs.size() * (cfg.warmupBranches + cfg.measureBranches);
-}
-
-std::uint64_t
-laneBatchBody(const BenchContext &ctx)
-{
-    const Workload &w = benchWorkload(ctx);
-    const EngineConfig cfg = laneConfig(ctx);
-    const std::vector<HybridSpec> specs = lanePoolSpecs();
-    const std::vector<std::vector<EngineConfig>> groups(specs.size(),
-                                                        {cfg});
-    (void)runAccuracyBatch(w, specs, groups);
-    return specs.size() * (cfg.warmupBranches + cfg.measureBranches);
 }
 
 /** One quick-scale repro-figure repetition: sweeps + render. */
@@ -427,29 +356,6 @@ buildRegistry()
                     "branch", [](const BenchContext &ctx) {
                         return forkLadderBody(ctx, true);
                     }});
-    defs.push_back({"sweep.batch_grid", "sweep",
-                    "the same ladder grid as one lockstep batched "
-                    "pass (DESIGN.md §12): shared committed stream, "
-                    "fork groups peeling inside it; items match "
-                    "replay_grid, so the throughput ratio is the "
-                    "wall-clock ratio",
-                    "branch", [](const BenchContext &ctx) {
-                        return forkLadderBody(ctx, true, true);
-                    }});
-
-    defs.push_back(
-        {"engine.lanes_serial", "engine",
-         "8-cell grid-column mix (prophet-alone + hybrids, one "
-         "workload) run back-to-back, each cell walking its own "
-         "committed stream",
-         "branch", laneSerialBody});
-    defs.push_back(
-        {"engine.lanes_batch", "engine",
-         "the same 8 cells multiplexed through one cache-resident "
-         "pass over a shared committed stream (DESIGN.md §12); items "
-         "match lanes_serial, so the throughput ratio is the "
-         "wall-clock ratio",
-         "branch", laneBatchBody});
     defs.push_back({"repro.fig5", "repro",
                     "wall-clock of the fig5 reproduction at quick "
                     "scale: sweeps + render (jobs=1, in-memory store)",

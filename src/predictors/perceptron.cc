@@ -89,39 +89,6 @@ Perceptron::update(Addr pc, const HistoryRegister &hist, bool taken)
 }
 
 void
-Perceptron::predictBatch(const PredictQuery *queries, std::size_t n,
-                         bool *out)
-{
-    // Same arithmetic as n predict() calls; the win is issuing the
-    // row prefetch a few queries ahead so the dot products don't
-    // serialize on table misses.
-    constexpr std::size_t kAhead = 4;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kAhead < n) {
-            const std::size_t r = select(queries[i + kAhead].pc);
-            __builtin_prefetch(&weights[r * rowStride]);
-        }
-        out[i] = predict(queries[i].pc, queries[i].hist);
-    }
-}
-
-void
-Perceptron::trainBatch(const TrainItem *items, std::size_t n)
-{
-    // Training is order-sensitive (item i sees the weights left by
-    // 0..i-1), so this stays a sequential loop; prefetching the
-    // upcoming rows is safe because it has no architectural effect.
-    constexpr std::size_t kAhead = 4;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kAhead < n) {
-            const std::size_t r = select(items[i + kAhead].pc);
-            __builtin_prefetch(&weights[r * rowStride], 1);
-        }
-        update(items[i].pc, items[i].hist, items[i].taken);
-    }
-}
-
-void
 Perceptron::reset()
 {
     std::fill(weights.begin(), weights.end(), 0);

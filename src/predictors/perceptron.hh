@@ -42,9 +42,6 @@ class Perceptron final : public DirectionPredictor
 
     bool predict(Addr pc, const HistoryRegister &hist) override;
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
-    void predictBatch(const PredictQuery *queries, std::size_t n,
-                      bool *out) override;
-    void trainBatch(const TrainItem *items, std::size_t n) override;
     void reset() override;
 
     DirectionPredictorPtr clone() const override

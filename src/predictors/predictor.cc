@@ -5,21 +5,6 @@
 namespace pcbp
 {
 
-void
-DirectionPredictor::predictBatch(const PredictQuery *queries,
-                                 std::size_t n, bool *out)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = predict(queries[i].pc, queries[i].hist);
-}
-
-void
-DirectionPredictor::trainBatch(const TrainItem *items, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        update(items[i].pc, items[i].hist, items[i].taken);
-}
-
 // Geometry is config-derived and identical every run; setMax keeps
 // it stable when per-cell registries covering different configs are
 // merged into one run-wide dump (the largest config wins).

@@ -50,21 +50,6 @@ class FilteredPredictor;
 using DirectionPredictorPtr = std::unique_ptr<DirectionPredictor>;
 using FilteredPredictorPtr = std::unique_ptr<FilteredPredictor>;
 
-/** One prediction request of a batched lookup. */
-struct PredictQuery
-{
-    Addr pc = 0;
-    HistoryRegister hist;
-};
-
-/** One training item of a batched update. */
-struct TrainItem
-{
-    Addr pc = 0;
-    HistoryRegister hist;
-    bool taken = false;
-};
-
 /**
  * Interface for conventional direction predictors (prophets and
  * unfiltered critics).
@@ -91,28 +76,6 @@ class DirectionPredictor
      */
     virtual void update(Addr pc, const HistoryRegister &hist,
                         bool taken) = 0;
-
-    /**
-     * Batched lookup: fill @p out[i] with predict(queries[i]) for
-     * every i < n. Semantically identical to calling predict() n
-     * times in order — the base implementation does exactly that, so
-     * every registry kind keeps working — but predictors with SIMD
-     * kernels (the perceptron family) override it to amortize
-     * dispatch and pipeline their table accesses. Like predict(),
-     * this may touch speculative-state-free internals only; the
-     * determinism contract applies unchanged.
-     */
-    virtual void predictBatch(const PredictQuery *queries,
-                              std::size_t n, bool *out);
-
-    /**
-     * Batched training: apply update(items[i]) for every i < n, in
-     * order. Training is stateful, so overrides must preserve the
-     * sequential semantics exactly (item i trains against the state
-     * left by items 0..i-1); the base implementation is the
-     * sequential loop itself.
-     */
-    virtual void trainBatch(const TrainItem *items, std::size_t n);
 
     /** Clear all prediction state. */
     virtual void reset() = 0;

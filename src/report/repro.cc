@@ -1,13 +1,13 @@
 #include "report/repro.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/progress.hh"
@@ -222,7 +222,6 @@ runRepro(const ReproOptions &opts)
             run.stats = opts.stats;
             run.tracer = opts.tracer;
             run.fork = opts.fork;
-            run.batch = opts.batch;
             run.onCellDone = [&](const SweepCell &cell,
                                  const CellResult &result) {
                 log(f->id + ": " + cell.key());
@@ -309,9 +308,9 @@ figureMain(const std::string &figure_id, int argc, char **argv)
                 if (!item.empty())
                     fo.workloads.push_back(item);
         } else if (a == "--branches") {
-            fo.branches = std::strtoull(next().c_str(), nullptr, 10);
+            fo.branches = parseCountArg<std::uint64_t>(a, next());
         } else if (a == "--jobs") {
-            jobs = unsigned(std::atoi(next().c_str()));
+            jobs = parseCountArg<unsigned>(a, next());
         } else if (a == "--quick") {
             quick = true;
         } else {

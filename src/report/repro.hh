@@ -99,15 +99,6 @@ struct ReproOptions
      * per cell.
      */
     bool fork = true;
-
-    /**
-     * Batched sweep execution (DESIGN.md §12): all pending cells of
-     * one (workload, mode) pair run as one lockstep pass over a
-     * shared committed stream, fork groups peeling inside it. Every
-     * artifact is byte-identical with this on or off
-     * (pcbp_repro --batch).
-     */
-    bool batch = false;
 };
 
 /** The fixed per-cell budget of --quick runs. */

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "sim/stream_fanout.hh"
 
 namespace pcbp
 {
@@ -213,241 +212,7 @@ chainImpl(const Workload &w, const HybridSpec &spec,
     return results;
 }
 
-/**
- * Commits each lane advances per lockstep round. Bounds the spread
- * between the leading and lagging lanes — and with it the resident
- * shared window (spread + pipeline lookahead records) — while
- * keeping per-lane bursts long enough that a lane's tables stay hot
- * across a burst. Interleaving cannot affect results (lanes interact
- * only through shared record production), so this is a locality
- * knob, not a semantics knob.
- */
-constexpr std::uint64_t kBatchChunk = 8192;
-
-/**
- * Shared batch body (DESIGN.md §12): every lane consumes its own
- * fanout view of one shared committed stream, driven round-robin in
- * kBatchChunk bursts. Each multi-member group starts as a single
- * canonical lane; at a pending member's snapshot target the lane
- * peels a fork — chainImpl's clone, minus the program copy: all
- * lanes share the one program, since simulators only read the const
- * CFG and only the shared source's walk mutates behavior state —
- * and the fork joins the lockstep as a lane of its own.
- */
-template <typename Sim, typename Config, typename Stats>
-std::vector<std::vector<Stats>>
-batchImpl(const Workload &w, const std::vector<HybridSpec> &specs,
-          const std::vector<std::vector<Config>> &groups,
-          std::uint64_t (*snapshot_target)(const Config &),
-          BatchObs *obs)
-{
-    pcbp_assert(!groups.empty() && specs.size() == groups.size());
-
-    Program program = buildProgram(w);
-
-    std::size_t total_members = 0;
-    std::uint64_t longest = 0;
-    for (const std::vector<Config> &g : groups) {
-        pcbp_assert(!g.empty());
-        total_members += g.size();
-        for (const Config &c : g) {
-            longest = std::max(longest,
-                               c.warmupBranches + c.measureBranches);
-        }
-    }
-
-    std::unique_ptr<CommittedStream> source;
-    if (!w.tracePath.empty())
-        source = openTraceStream(w.tracePath);
-    else
-        source = std::make_unique<ProgramWalkStream>(program, longest);
-    StreamFanout fan(*source);
-
-    struct Lane
-    {
-        Sim *sim = nullptr;
-        ProphetCriticHybrid *hybrid = nullptr;
-        StreamFanout::View *view = nullptr;
-        std::size_t group = 0;
-        std::size_t member = 0;
-        /** Group members still to peel, oldest snapshot first
-         *  (canonical lanes only). */
-        std::vector<std::size_t> pendingForks;
-        std::size_t nextFork = 0;
-        bool running = true;
-    };
-
-    // Reserve the exact lane count up front: forks append lanes
-    // mid-drive, and reallocation would invalidate the owning
-    // pointers the drive loop is standing on.
-    std::vector<std::unique_ptr<ProphetCriticHybrid>> hybrids;
-    std::vector<std::unique_ptr<Sim>> sims;
-    std::vector<Lane> lanes;
-    hybrids.reserve(total_members);
-    sims.reserve(total_members);
-    lanes.reserve(total_members);
-
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        // Same ordering as chainImpl: snapshots are visited
-        // oldest-first and the canonical is the lexicographic-max
-        // (warmup, measure) member.
-        std::vector<std::size_t> order(groups[g].size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (groups[g][a].warmupBranches !=
-                          groups[g][b].warmupBranches) {
-                          return groups[g][a].warmupBranches <
-                                 groups[g][b].warmupBranches;
-                      }
-                      return groups[g][a].measureBranches <
-                             groups[g][b].measureBranches;
-                  });
-
-        Lane lane;
-        lane.group = g;
-        lane.member = order.back();
-        lane.pendingForks.assign(order.begin(), order.end() - 1);
-        hybrids.push_back(specs[g].build());
-        lane.hybrid = hybrids.back().get();
-        sims.push_back(std::make_unique<Sim>(program, *lane.hybrid,
-                                             groups[g][lane.member]));
-        lane.sim = sims.back().get();
-        lane.view = &fan.addView();
-        lane.sim->beginRun(*lane.view);
-        lanes.push_back(std::move(lane));
-    }
-    if (obs) {
-        obs->groups += groups.size();
-        obs->members += total_members;
-    }
-
-    const auto forkTarget = [&](const Lane &ln) {
-        return snapshot_target(
-            groups[ln.group][ln.pendingForks[ln.nextFork]]);
-    };
-
-    const auto peelFork = [&](std::size_t i) {
-        const std::size_t m =
-            lanes[i].pendingForks[lanes[i].nextFork++];
-        const Config &cfg = groups[lanes[i].group][m];
-        hybrids.push_back(lanes[i].hybrid->clone());
-        sims.push_back(std::make_unique<Sim>(
-            *lanes[i].sim, program, *hybrids.back(), cfg));
-        Lane fork;
-        fork.sim = sims.back().get();
-        fork.hybrid = hybrids.back().get();
-        fork.view = &fan.forkView(*lanes[i].view);
-        fork.group = lanes[i].group;
-        fork.member = m;
-        fork.sim->armResume(*fork.view);
-        if (obs) {
-            ++obs->snapshots;
-            obs->warmupBranchesSaved += lanes[i].sim->committedSoFar();
-        }
-        lanes.push_back(std::move(fork));
-    };
-
-    std::uint64_t target = 0;
-    for (bool any = true; any;) {
-        any = false;
-        target += kBatchChunk;
-        // Index loop: peeled forks append to `lanes` and run in the
-        // same round (their cursor is at the snapshot, behind the
-        // chunk target).
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            while (lanes[i].running) {
-                Lane &ln = lanes[i];
-                const bool snap =
-                    ln.nextFork < ln.pendingForks.size();
-                const std::uint64_t stop =
-                    snap ? std::min(target, forkTarget(ln)) : target;
-                const bool more = ln.sim->stepUntil(stop, *ln.view);
-                // Bounding every burst by the next snapshot target
-                // keeps the peel boundary exactly where chainImpl's
-                // single stepUntil(snapshot) would stop, so forked
-                // state — and every downstream stat — is identical
-                // to the chain path.
-                if (snap && (!more || ln.sim->committedSoFar() >=
-                                          forkTarget(ln))) {
-                    peelFork(i);
-                    continue;
-                }
-                if (!more) {
-                    ln.running = false;
-                    ln.view->retire();
-                }
-                break;
-            }
-            any = any || lanes[i].running;
-        }
-    }
-
-    std::vector<std::vector<Stats>> results(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g)
-        results[g].resize(groups[g].size());
-    std::uint64_t member_demand = 0;
-    for (Lane &ln : lanes) {
-        results[ln.group][ln.member] = ln.sim->finishRun(*ln.view);
-        member_demand += ln.view->produced();
-    }
-    if (obs) {
-        obs->sourceProduced += fan.sharedProduced();
-        obs->memberDemand += member_demand;
-        obs->sourceWindowPeak = std::max<std::uint64_t>(
-            obs->sourceWindowPeak, fan.sharedWindowPeak());
-    }
-    return results;
-}
-
 } // namespace
-
-std::vector<std::vector<EngineStats>>
-runAccuracyBatch(const Workload &w, const std::vector<HybridSpec> &specs,
-                 const std::vector<std::vector<EngineConfig>> &groups,
-                 BatchObs *obs)
-{
-    for (const std::vector<EngineConfig> &g : groups) {
-        if (g.size() < 2)
-            continue; // singleton lanes never fork: no restrictions
-        for (const EngineConfig &c : g) {
-            pcbp_assert(c.commitSink == nullptr && !c.oracleFutureBits &&
-                            c.warmupBranches >= 1,
-                        "multi-member batch groups fork; sink/oracle/"
-                        "no-warmup cells must batch as singletons");
-        }
-    }
-    return batchImpl<Engine, EngineConfig, EngineStats>(
-        w, specs, groups,
-        [](const EngineConfig &c) { return c.warmupBranches - 1; },
-        obs);
-}
-
-std::vector<std::vector<TimingStats>>
-runTimingBatch(const Workload &w, const std::vector<HybridSpec> &specs,
-               const std::vector<std::vector<TimingConfig>> &groups,
-               BatchObs *obs)
-{
-    for (const std::vector<TimingConfig> &g : groups) {
-        if (g.size() < 2)
-            continue;
-        for (const TimingConfig &c : g) {
-            pcbp_assert(c.commitSink == nullptr &&
-                            c.warmupBranches >= 1 && timingForkable(c),
-                        "multi-member timing batch groups fork; sink/"
-                        "short-measure cells must batch as singletons");
-        }
-    }
-    return batchImpl<TimingSim, TimingConfig, TimingStats>(
-        w, specs, groups,
-        [](const TimingConfig &c) {
-            return c.warmupBranches > c.retireWidth
-                       ? c.warmupBranches - c.retireWidth
-                       : 0;
-        },
-        obs);
-}
 
 std::vector<EngineStats>
 runAccuracyChain(const Workload &w, const HybridSpec &spec,

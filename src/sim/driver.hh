@@ -132,70 +132,6 @@ std::vector<TimingStats> runTimingChain(
     const Workload &w, const HybridSpec &spec,
     const std::vector<TimingConfig> &configs, ChainObs *obs = nullptr);
 
-/** Per-batch observability (the sweep.batch.* host stats). */
-struct BatchObs
-{
-    /** Fork groups multiplexed through the shared pass. */
-    std::uint64_t groups = 0;
-
-    /** Cells executed by the batch (peeled forks included). */
-    std::uint64_t members = 0;
-
-    /** Mid-run clones peeled into lockstep lanes. */
-    std::uint64_t snapshots = 0;
-
-    /** Warmup branches the peeled forks did not re-simulate. */
-    std::uint64_t warmupBranchesSaved = 0;
-
-    /** Committed records the shared source produced — paid once for
-     *  the whole batch. */
-    std::uint64_t sourceProduced = 0;
-
-    /** Sum of per-member stream reads; memberDemand - sourceProduced
-     *  is the productions (CFG walk / trace decode) the fanout
-     *  amortized away. */
-    std::uint64_t memberDemand = 0;
-
-    /** Peak resident shared window — the cache-residency bound of
-     *  the lockstep pass. */
-    std::uint64_t sourceWindowPeak = 0;
-};
-
-/**
- * Batched execution (DESIGN.md §12): run many cells of the *same
- * workload* as one lockstep pass over a shared committed stream.
- * @p groups partitions the cells into fork groups — the members of a
- * group must share @p specs[g] (its predictor recipe) and differ only
- * in run lengths; a group of two or more is executed as a fork chain
- * (canonical member runs as a lane, shorter members peel off as new
- * lanes at their snapshot points — the PR 7 seam), so such groups
- * carry the chain restrictions (no commit sink, no oracle bits,
- * warmup >= 1). Singleton groups have no restrictions: oracle and
- * commit-sink cells batch fine, each lane reads its own stream view.
- *
- * Every member's stats — the returned struct and its statsOut dump,
- * stream counters included — are bit-identical to an independent
- * runAccuracy/runAccuracyChain of that cell: members interact only
- * through the shared record production, which yields the records a
- * private stream would. Wall clock pays the stream's CFG walk or
- * trace decode once for the whole batch, and the lockstep keeps the
- * shared window cache-resident while every member crosses it.
- * Results come back indexed [group][member in @p groups order].
- */
-std::vector<std::vector<EngineStats>> runAccuracyBatch(
-    const Workload &w, const std::vector<HybridSpec> &specs,
-    const std::vector<std::vector<EngineConfig>> &groups,
-    BatchObs *obs = nullptr);
-
-/**
- * runAccuracyBatch for the timing model. Multi-member groups must
- * satisfy timingForkable() (see runTimingChain).
- */
-std::vector<std::vector<TimingStats>> runTimingBatch(
-    const Workload &w, const std::vector<HybridSpec> &specs,
-    const std::vector<std::vector<TimingConfig>> &groups,
-    BatchObs *obs = nullptr);
-
 /**
  * Run a workload set under one spec, in parallel across workloads,
  * and return per-workload stats in set order.

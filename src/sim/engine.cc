@@ -218,8 +218,8 @@ Engine::stepUntil(std::uint64_t commit_target,
     return commitIdx < totalBranches;
 }
 
-void
-Engine::armResume(CommittedStream &committed)
+EngineStats
+Engine::resumeRun(CommittedStream &committed)
 {
     totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
                              committed.length());
@@ -232,12 +232,6 @@ Engine::armResume(CommittedStream &committed)
                 "fork past the start of its measured window");
     pcbp_assert(committed.produced() <= totalBranches,
                 "forked stream ahead of this fork's budget");
-}
-
-EngineStats
-Engine::resumeRun(CommittedStream &committed)
-{
-    armResume(committed);
     return finishRun(committed);
 }
 

@@ -239,14 +239,6 @@ class Engine
      */
     EngineStats resumeRun(CommittedStream &committed);
 
-    /**
-     * The validation/arming half of resumeRun() without the
-     * run-to-completion: after this, a forked engine can be driven
-     * with stepUntil()/finishRun() like any other — how the batch
-     * runner keeps peeled forks in its lockstep (DESIGN.md §12).
-     */
-    void armResume(CommittedStream &committed);
-
     /** Committed branches so far (the fork/snapshot cursor). */
     std::uint64_t committedSoFar() const { return commitIdx; }
     /// @}

@@ -290,8 +290,8 @@ TimingSim::stepUntil(std::uint64_t commit_target,
     return commitIdx < totalBranches;
 }
 
-void
-TimingSim::armResume(CommittedStream &committed)
+TimingStats
+TimingSim::resumeRun(CommittedStream &committed)
 {
     totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
                              committed.length());
@@ -305,12 +305,6 @@ TimingSim::armResume(CommittedStream &committed)
                 "forked a cell whose budget does not cover the window");
     pcbp_assert(committed.produced() <= totalBranches,
                 "forked stream ahead of this fork's budget");
-}
-
-TimingStats
-TimingSim::resumeRun(CommittedStream &committed)
-{
-    armResume(committed);
     return finishRun(committed);
 }
 

@@ -184,14 +184,6 @@ class TimingSim
      */
     TimingStats resumeRun(CommittedStream &committed);
 
-    /**
-     * The validation/arming half of resumeRun() without the
-     * run-to-completion: after this, a forked simulator can be driven
-     * with stepUntil()/finishRun() like any other — how the batch
-     * runner keeps peeled forks in its lockstep (DESIGN.md §12).
-     */
-    void armResume(CommittedStream &committed);
-
     /** Committed branches so far (the fork/snapshot cursor). */
     std::uint64_t committedSoFar() const { return commitIdx; }
     /// @}

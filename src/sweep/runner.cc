@@ -1,6 +1,5 @@
 #include "sweep/runner.hh"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -25,14 +24,6 @@ struct SweepUnit
 {
     std::vector<std::size_t> members; //!< indices into `pending`
     bool chain = false;
-
-    /**
-     * Batch mode: the members partitioned into fork groups, each a
-     * list of indices into `members` (multi-member groups fork
-     * inside the batch; the rest are singleton lanes). Non-empty
-     * exactly when this unit is a batched (workload, mode) pass.
-     */
-    std::vector<std::vector<std::size_t>> batchGroups;
 };
 
 /** Whether a whole fork group may take the chain path. */
@@ -83,64 +74,11 @@ planUnits(const std::vector<const SweepCell *> &pending, bool fork)
         for (const std::size_t i : members)
             cells.push_back(pending[i]);
         if (chainable(cells)) {
-            units.push_back({members, true, {}});
+            units.push_back({members, true});
         } else {
             for (const std::size_t i : members)
-                units.push_back({{i}, false, {}});
+                units.push_back({{i}, false});
         }
-    }
-    return units;
-}
-
-/**
- * Batch-mode planning: one unit per (workload, mode) pair — a single
- * lockstep pass over that workload's shared stream — with the unit's
- * members partitioned into fork groups by forkGroupKey(). Chainable
- * groups stay together (they fork inside the batch); everything else
- * splits into unrestricted singleton lanes.
- */
-std::vector<SweepUnit>
-planBatchUnits(const std::vector<const SweepCell *> &pending)
-{
-    std::vector<std::string> unit_order;
-    std::map<std::string, std::vector<std::size_t>> parts;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const std::string key = pending[i]->workload->name +
-                                (pending[i]->timing ? "|t" : "|a");
-        auto [it, inserted] = parts.try_emplace(key);
-        if (inserted)
-            unit_order.push_back(key);
-        it->second.push_back(i);
-    }
-
-    std::vector<SweepUnit> units;
-    for (const std::string &ukey : unit_order) {
-        SweepUnit unit;
-        unit.members = parts[ukey];
-
-        std::vector<std::string> group_order;
-        std::map<std::string, std::vector<std::size_t>> groups;
-        for (std::size_t j = 0; j < unit.members.size(); ++j) {
-            const std::string key =
-                pending[unit.members[j]]->forkGroupKey();
-            auto [it, inserted] = groups.try_emplace(key);
-            if (inserted)
-                group_order.push_back(key);
-            it->second.push_back(j);
-        }
-        for (const std::string &key : group_order) {
-            const std::vector<std::size_t> &g = groups[key];
-            std::vector<const SweepCell *> cells;
-            for (const std::size_t j : g)
-                cells.push_back(pending[unit.members[j]]);
-            if (chainable(cells)) {
-                unit.batchGroups.push_back(g);
-            } else {
-                for (const std::size_t j : g)
-                    unit.batchGroups.push_back({j});
-            }
-        }
-        units.push_back(std::move(unit));
     }
     return units;
 }
@@ -174,15 +112,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     std::uint64_t fork_cells_forked = 0;
     std::uint64_t fork_warmup_saved = 0;
 
-    // Batch-execution host counters (populated only in batch mode).
-    std::uint64_t batch_units = 0;
-    std::uint64_t batch_groups = 0;
-    std::uint64_t batch_members = 0;
-    std::uint64_t batch_snapshots = 0;
-    std::uint64_t batch_warmup_saved = 0;
-    std::uint64_t batch_stream_saved = 0;
-    std::uint64_t batch_window_peak = 0;
-
     // add (not set): a repro run funnels many sweeps into one
     // registry. The caller owns store.exportStats (a store can back
     // several sweeps; exporting it here would double-count).
@@ -200,22 +129,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                            fork_cells_forked);
         opt.stats->addHost("sweep.fork.warmup_branches_saved",
                            fork_warmup_saved);
-        if (opt.batch) {
-            opt.stats->addHost("sweep.batch.units", batch_units);
-            opt.stats->addHost("sweep.batch.groups", batch_groups);
-            opt.stats->addHost("sweep.batch.members", batch_members);
-            opt.stats->addHost("sweep.batch.snapshots",
-                               batch_snapshots);
-            opt.stats->addHost("sweep.batch.warmup_branches_saved",
-                               batch_warmup_saved);
-            // Committed records members consumed minus records the
-            // shared source actually produced: the CFG walks / trace
-            // decodes the fanout amortized away.
-            opt.stats->addHost("sweep.batch.stream_records_saved",
-                               batch_stream_saved);
-            opt.stats->setHostMax("sweep.batch.source_window_peak",
-                                  batch_window_peak);
-        }
         if (pool)
             pool->exportStats(*opt.stats);
     };
@@ -234,9 +147,7 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     std::mutex flushMutex;
 
     const bool collect = opt.stats != nullptr || opt.cellStats;
-    const std::vector<SweepUnit> units =
-        opt.batch ? planBatchUnits(pending)
-                  : planUnits(pending, opt.fork);
+    const std::vector<SweepUnit> units = planUnits(pending, opt.fork);
 
     ThreadPool pool(opt.jobs);
     if (opt.tracer) {
@@ -256,71 +167,8 @@ runSweep(const SweepSpec &spec, ResultStore &store,
         std::vector<StatRegistry> regs(unit.members.size());
         std::vector<CellResult> unitResults(unit.members.size());
         ChainObs chainObs;
-        BatchObs batchObs;
 
-        if (!unit.batchGroups.empty()) {
-            // One lockstep pass over this (workload, mode)'s shared
-            // stream; multi-member groups fork inside it. Results are
-            // bit-identical to the chain and replay paths, cell by
-            // cell (the batched differential tests pin this).
-            if (first.timing) {
-                std::vector<HybridSpec> specs;
-                std::vector<std::vector<TimingConfig>> groups;
-                for (const std::vector<std::size_t> &bg :
-                     unit.batchGroups) {
-                    specs.push_back(pending[unit.members[bg[0]]]->spec);
-                    std::vector<TimingConfig> cfgs;
-                    for (const std::size_t j : bg) {
-                        TimingConfig tc =
-                            pending[unit.members[j]]->timingConfig();
-                        if (collect)
-                            tc.statsOut = &regs[j];
-                        cfgs.push_back(tc);
-                    }
-                    groups.push_back(std::move(cfgs));
-                }
-                const auto stats = runTimingBatch(
-                    *first.workload, specs, groups, &batchObs);
-                for (std::size_t g = 0; g < unit.batchGroups.size();
-                     ++g) {
-                    const std::vector<std::size_t> &bg =
-                        unit.batchGroups[g];
-                    for (std::size_t j = 0; j < bg.size(); ++j) {
-                        unitResults[bg[j]] = CellResult::fromTimingRun(
-                            *pending[unit.members[bg[j]]],
-                            stats[g][j]);
-                    }
-                }
-            } else {
-                std::vector<HybridSpec> specs;
-                std::vector<std::vector<EngineConfig>> groups;
-                for (const std::vector<std::size_t> &bg :
-                     unit.batchGroups) {
-                    specs.push_back(pending[unit.members[bg[0]]]->spec);
-                    std::vector<EngineConfig> cfgs;
-                    for (const std::size_t j : bg) {
-                        EngineConfig ec =
-                            pending[unit.members[j]]->engineConfig();
-                        if (collect)
-                            ec.statsOut = &regs[j];
-                        cfgs.push_back(ec);
-                    }
-                    groups.push_back(std::move(cfgs));
-                }
-                const auto stats = runAccuracyBatch(
-                    *first.workload, specs, groups, &batchObs);
-                for (std::size_t g = 0; g < unit.batchGroups.size();
-                     ++g) {
-                    const std::vector<std::size_t> &bg =
-                        unit.batchGroups[g];
-                    for (std::size_t j = 0; j < bg.size(); ++j) {
-                        unitResults[bg[j]] = CellResult::fromRun(
-                            *pending[unit.members[bg[j]]],
-                            stats[g][j]);
-                    }
-                }
-            }
-        } else if (unit.chain) {
+        if (unit.chain) {
             // One canonical simulation; every other member is a
             // mid-warmup fork of it (DESIGN.md §11). Bit-identical
             // to the replay path below, cell by cell.
@@ -377,17 +225,10 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                 unitResults[j].stats = regs[j].simScalars();
         }
         if (opt.tracer) {
-            const bool batched = !unit.batchGroups.empty();
-            const std::string name =
-                batched ? first.workload->name +
-                              (first.timing ? "|timing" : "|accuracy")
-                : unit.chain ? first.forkGroupKey()
-                             : first.key();
-            opt.tracer->record(name,
-                               batched      ? "batch"
-                               : unit.chain ? "chain"
-                                            : "cell",
-                               worker, spanStart, opt.tracer->now());
+            opt.tracer->record(unit.chain ? first.forkGroupKey()
+                                          : first.key(),
+                               unit.chain ? "chain" : "cell", worker,
+                               spanStart, opt.tracer->now());
         }
 
         std::lock_guard<std::mutex> lk(flushMutex);
@@ -400,17 +241,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
             fork_snapshots += chainObs.snapshots;
             fork_cells_forked += unit.members.size() - 1;
             fork_warmup_saved += chainObs.warmupBranchesSaved;
-        }
-        if (!unit.batchGroups.empty()) {
-            ++batch_units;
-            batch_groups += batchObs.groups;
-            batch_members += batchObs.members;
-            batch_snapshots += batchObs.snapshots;
-            batch_warmup_saved += batchObs.warmupBranchesSaved;
-            batch_stream_saved +=
-                batchObs.memberDemand - batchObs.sourceProduced;
-            batch_window_peak = std::max<std::uint64_t>(
-                batch_window_peak, batchObs.sourceWindowPeak);
         }
         for (std::size_t j = 0; j < unit.members.size(); ++j) {
             results[unit.members[j]] = std::move(unitResults[j]);

@@ -80,22 +80,6 @@ struct SweepRunOptions
      * off forces the one-full-simulation-per-cell replay path.
      */
     bool fork = true;
-
-    /**
-     * Batched execution (DESIGN.md §12): all pending cells of one
-     * (workload, mode) pair run as a single lockstep pass over a
-     * shared committed stream — the workload's CFG walk or trace
-     * decode is paid once for the whole pass, and the shared record
-     * window stays cache-resident while every cell crosses it. Fork
-     * groups still fork inside the pass (each shorter member peels
-     * off its group's canonical lane at its snapshot point, exactly
-     * the `fork` seam), and cells the chain path must exclude
-     * (oracle, zero-warmup, short-measure timing) ride as
-     * independent single lanes instead of being excluded. Stores,
-     * exports, and per-cell stats stay bit-identical with batching
-     * on or off. Supersedes `fork` unit planning when set.
-     */
-    bool batch = false;
 };
 
 struct SweepRunSummary

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/bit_utils.hh"
+#include "common/cli_parse.hh"
 #include "common/history_register.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
@@ -410,6 +411,51 @@ TEST(Format, FmtDoubleAndPercent)
 {
     EXPECT_EQ(fmtDouble(1.23456, 2), "1.23");
     EXPECT_EQ(fmtPercent(0.1234, 1), "12.3%");
+}
+
+// ------------------------------------------------------------ CLI parse
+
+TEST(CliParse, CountAcceptsDigitsWithinTheTargetType)
+{
+    EXPECT_EQ(parseCountArg<unsigned>("--jobs", "0"), 0u);
+    EXPECT_EQ(parseCountArg<unsigned>("--jobs", "4"), 4u);
+    EXPECT_EQ(parseCountArg<unsigned>("--jobs", "4294967295"),
+              4294967295u);
+    EXPECT_EQ(parseCountArg<std::uint64_t>("--branches",
+                                           "18446744073709551615"),
+              ~std::uint64_t(0));
+}
+
+TEST(CliParse, CountRejectsSignsGarbageAndOverflowNamingTheFlag)
+{
+    // "-1" used to wrap to 4294967295 workers, "12x" to truncate to
+    // 12, "" to read as 0; each now stops with the flag and value.
+    for (const char *bad : {"-1", "", "12x", "x1", " 4", "+4"}) {
+        SCOPED_TRACE(std::string("'") + bad + "'");
+        EXPECT_EXIT(parseCountArg<unsigned>("--jobs", bad),
+                    testing::ExitedWithCode(1),
+                    "--jobs wants a non-negative integer");
+    }
+    EXPECT_EXIT(parseCountArg<unsigned>("--jobs", "4294967296"),
+                testing::ExitedWithCode(1),
+                "--jobs value '4294967296' is out of range");
+    EXPECT_EXIT(parseCountArg<std::uint64_t>("--branches",
+                                             "18446744073709551616"),
+                testing::ExitedWithCode(1), "out of range");
+}
+
+TEST(CliParse, ThresholdIsFiniteAndNonNegative)
+{
+    EXPECT_EQ(parseNonNegativeArg("--threshold", "0.25"), 0.25);
+    EXPECT_EQ(parseNonNegativeArg("--threshold", "0"), 0.0);
+    EXPECT_EQ(parseNonNegativeArg("--threshold", ".5"), 0.5);
+    for (const char *bad : {"abc", "", "-0.1", "0.2x", "inf", "nan",
+                            "1e999"}) {
+        SCOPED_TRACE(std::string("'") + bad + "'");
+        EXPECT_EXIT(parseNonNegativeArg("--threshold", bad),
+                    testing::ExitedWithCode(1),
+                    "--threshold wants a finite non-negative number");
+    }
 }
 
 } // namespace

@@ -27,7 +27,6 @@
 
 #include <cstdio>
 
-#include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "workload/generator.hh"
 #include "workload/trace.hh"
@@ -288,323 +287,6 @@ TEST(Differential, RepeatedRunsAreBitIdentical)
     }
 }
 
-// --------------------------------------- batched-vs-scalar layer
-
-/**
- * The batched execution mode (DESIGN.md §12) claims full
- * equivalence: a cell run as a lane of runAccuracyBatch produces the
- * same commit-order event stream AND the same --stats-out dump —
- * stream counters included — as a standalone runAccuracy of that
- * cell. The tests below pin this for every registry predictor kind,
- * at batch widths 1/4/8, over both the CFG-walk and trace-file
- * backends, with mixed run lengths, oracle members, and fork groups
- * riding inside the batch.
- */
-
-/** An ad-hoc workload over a randomized CFG (not registry-bound). */
-Workload
-localWorkload(std::uint64_t seed)
-{
-    Workload w;
-    w.name = "diff-batch-" + std::to_string(seed);
-    w.suite = "TEST";
-    w.recipe = randomRecipe(seed);
-    w.simBranches = 5000;
-    w.warmupBranches = 500;
-    return w;
-}
-
-struct ScalarRef
-{
-    std::vector<CommitEvent> events;
-    std::string statsJson;
-};
-
-/** Standalone (scalar-path) run: the reference a lane must match. */
-ScalarRef
-scalarEngineRef(const Workload &w, const HybridSpec &spec,
-                EngineConfig cfg)
-{
-    RecordingSink sink;
-    StatRegistry reg;
-    cfg.commitSink = &sink;
-    cfg.statsOut = &reg;
-    runAccuracy(w, spec, cfg);
-    return {std::move(sink.events), reg.toJson()};
-}
-
-/**
- * Run @p specs/@p cfgs as singleton lanes of runAccuracyBatch in
- * width-sized calls and require every member's events and stats dump
- * to be byte-identical to its scalar reference.
- */
-void
-expectBatchMatchesScalar(const Workload &w,
-                         const std::vector<HybridSpec> &specs,
-                         const std::vector<EngineConfig> &cfgs,
-                         const std::vector<ScalarRef> &refs,
-                         std::size_t width)
-{
-    for (std::size_t start = 0; start < specs.size(); start += width) {
-        const std::size_t n = std::min(width, specs.size() - start);
-        std::vector<RecordingSink> sinks(n);
-        std::vector<StatRegistry> regs(n);
-        std::vector<HybridSpec> bspecs;
-        std::vector<std::vector<EngineConfig>> groups;
-        for (std::size_t j = 0; j < n; ++j) {
-            EngineConfig c = cfgs[start + j];
-            c.commitSink = &sinks[j];
-            c.statsOut = &regs[j];
-            bspecs.push_back(specs[start + j]);
-            groups.push_back({c});
-        }
-        runAccuracyBatch(w, bspecs, groups);
-        for (std::size_t j = 0; j < n; ++j) {
-            SCOPED_TRACE("member " + std::to_string(start + j) +
-                         " of width-" + std::to_string(width) +
-                         " batch");
-            expectSameEvents(sinks[j].events, refs[start + j].events);
-            EXPECT_EQ(regs[j].toJson(), refs[start + j].statsJson)
-                << "stats dump diverged from the scalar run";
-        }
-    }
-}
-
-/**
- * Every registry prophet and every critic kind, multiplexed through
- * shared-stream batches at widths 1, 4, and 8: commit events and
- * stats dumps byte-identical to the scalar path.
- */
-TEST(BatchedDifferential, EveryRegistryKindMatchesScalarAtWidths148)
-{
-    const Workload w = localWorkload(101);
-
-    std::vector<HybridSpec> specs;
-    for (const ProphetKind kind : allProphetKinds())
-        specs.push_back(prophetAlone(kind, Budget::B2KB));
-    for (const CriticKind critic : allCriticKinds())
-        specs.push_back(hybridSpec(ProphetKind::Gshare, Budget::B2KB,
-                                   critic, Budget::B2KB, 8));
-
-    EngineConfig base;
-    base.measureBranches = 4500;
-    base.warmupBranches = 500;
-    const std::vector<EngineConfig> cfgs(specs.size(), base);
-
-    std::vector<ScalarRef> refs;
-    for (const HybridSpec &s : specs)
-        refs.push_back(scalarEngineRef(w, s, base));
-
-    for (const std::size_t width : {1u, 4u, 8u}) {
-        SCOPED_TRACE("width " + std::to_string(width));
-        expectBatchMatchesScalar(w, specs, cfgs, refs, width);
-    }
-}
-
-/**
- * Lanes with different budgets (leader/laggard fanout paths) and an
- * oracle-future-bits member: each still matches its scalar run.
- */
-TEST(BatchedDifferential, MixedRunLengthsAndOracleMatchScalar)
-{
-    const Workload w = localWorkload(59);
-
-    std::vector<HybridSpec> specs;
-    std::vector<EngineConfig> cfgs;
-
-    const auto add = [&](const HybridSpec &s, std::uint64_t warm,
-                         std::uint64_t meas, bool oracle) {
-        EngineConfig c;
-        c.warmupBranches = warm;
-        c.measureBranches = meas;
-        c.oracleFutureBits = oracle;
-        specs.push_back(s);
-        cfgs.push_back(c);
-    };
-
-    const HybridSpec hybrid =
-        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8);
-    add(hybrid, 200, 1700, false);
-    add(hybrid, 500, 4500, false);
-    add(hybrid, 500, 4500, true); // oracle ablation lane
-    add(prophetAlone(ProphetKind::Tage, Budget::B2KB), 350, 3000,
-        false);
-    add(hybridSpec(ProphetKind::Gshare, Budget::B2KB,
-                   CriticKind::FilteredPerceptron, Budget::B2KB, 12),
-        100, 900, false);
-
-    std::vector<ScalarRef> refs;
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        refs.push_back(scalarEngineRef(w, specs[i], cfgs[i]));
-
-    expectBatchMatchesScalar(w, specs, cfgs, refs, specs.size());
-}
-
-/**
- * Fork groups riding inside a batch (the PR 7 seam composed with the
- * shared stream): a warmup-axis group peels its shorter members off
- * the canonical lane mid-flight, and every member's stats dump must
- * equal both its standalone run and the chain path.
- */
-TEST(BatchedDifferential, ForkGroupsInsideBatchMatchChainAndScalar)
-{
-    const Workload w = localWorkload(57);
-    const HybridSpec grouped =
-        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8);
-
-    std::vector<EngineConfig> group;
-    for (const std::uint64_t warm : {300ull, 900ull, 1500ull}) {
-        EngineConfig c;
-        c.warmupBranches = warm;
-        c.measureBranches = 3600;
-        group.push_back(c);
-    }
-    const HybridSpec loner =
-        prophetAlone(ProphetKind::GSkew, Budget::B2KB);
-    EngineConfig loner_cfg;
-    loner_cfg.warmupBranches = 400;
-    loner_cfg.measureBranches = 4000;
-
-    // Scalar references (no sinks: a multi-member group forks).
-    std::vector<std::string> ref_json;
-    for (const EngineConfig &c : group) {
-        StatRegistry reg;
-        EngineConfig rc = c;
-        rc.statsOut = &reg;
-        runAccuracy(w, grouped, rc);
-        ref_json.push_back(reg.toJson());
-    }
-    StatRegistry loner_ref_reg;
-    {
-        EngineConfig rc = loner_cfg;
-        rc.statsOut = &loner_ref_reg;
-        runAccuracy(w, loner, rc);
-    }
-
-    // Chain path.
-    {
-        std::vector<StatRegistry> regs(group.size());
-        std::vector<EngineConfig> cfgs = group;
-        for (std::size_t j = 0; j < cfgs.size(); ++j)
-            cfgs[j].statsOut = &regs[j];
-        runAccuracyChain(w, grouped, cfgs);
-        for (std::size_t j = 0; j < regs.size(); ++j)
-            EXPECT_EQ(regs[j].toJson(), ref_json[j])
-                << "chain member " << j;
-    }
-
-    // Batch path: the fork group plus an unrelated singleton lane.
-    {
-        std::vector<StatRegistry> regs(group.size());
-        StatRegistry loner_reg;
-        std::vector<EngineConfig> cfgs = group;
-        for (std::size_t j = 0; j < cfgs.size(); ++j)
-            cfgs[j].statsOut = &regs[j];
-        EngineConfig lc = loner_cfg;
-        lc.statsOut = &loner_reg;
-        BatchObs obs;
-        runAccuracyBatch(w, {grouped, loner}, {cfgs, {lc}}, &obs);
-        for (std::size_t j = 0; j < regs.size(); ++j)
-            EXPECT_EQ(regs[j].toJson(), ref_json[j])
-                << "batched member " << j;
-        EXPECT_EQ(loner_reg.toJson(), loner_ref_reg.toJson());
-        EXPECT_EQ(obs.groups, 2u);
-        EXPECT_EQ(obs.members, 4u);
-        EXPECT_EQ(obs.snapshots, 2u)
-            << "two shorter members peel off the canonical lane";
-        EXPECT_GT(obs.memberDemand, obs.sourceProduced)
-            << "the shared source must be produced once, read many";
-    }
-}
-
-/** The timing model honors the batch contract too. */
-TEST(BatchedDifferential, TimingLanesMatchScalar)
-{
-    const Workload w = localWorkload(23);
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8);
-    const HybridSpec alone =
-        prophetAlone(ProphetKind::Perceptron, Budget::B2KB);
-
-    std::vector<TimingConfig> group;
-    for (const std::uint64_t warm : {300ull, 700ull}) {
-        TimingConfig c;
-        c.warmupBranches = warm;
-        c.measureBranches = 3500;
-        group.push_back(c);
-    }
-    TimingConfig loner_cfg;
-    loner_cfg.warmupBranches = 250;
-    loner_cfg.measureBranches = 2500;
-
-    std::vector<std::string> ref_json;
-    for (const TimingConfig &c : group) {
-        StatRegistry reg;
-        TimingConfig rc = c;
-        rc.statsOut = &reg;
-        runTiming(w, spec, rc);
-        ref_json.push_back(reg.toJson());
-    }
-    StatRegistry loner_ref;
-    {
-        TimingConfig rc = loner_cfg;
-        rc.statsOut = &loner_ref;
-        runTiming(w, alone, rc);
-    }
-
-    std::vector<StatRegistry> regs(group.size());
-    StatRegistry loner_reg;
-    std::vector<TimingConfig> cfgs = group;
-    for (std::size_t j = 0; j < cfgs.size(); ++j)
-        cfgs[j].statsOut = &regs[j];
-    TimingConfig lc = loner_cfg;
-    lc.statsOut = &loner_reg;
-    runTimingBatch(w, {spec, alone}, {cfgs, {lc}});
-    for (std::size_t j = 0; j < regs.size(); ++j)
-        EXPECT_EQ(regs[j].toJson(), ref_json[j])
-            << "timing batch member " << j;
-    EXPECT_EQ(loner_reg.toJson(), loner_ref.toJson());
-}
-
-/** The trace-file backend: batch lanes replaying one shared trace
- *  decode match standalone trace replays byte for byte. */
-TEST(BatchedDifferential, TraceBackendMatchesScalar)
-{
-    const Workload w = localWorkload(83);
-    Program p = buildProgram(w);
-    const std::string path =
-        testing::TempDir() + "diff_batch.pcbptrc";
-    saveTrace(path, walkProgram(p, 8000));
-
-    const Workload &tw = workloadByName("trace:" + path);
-
-    std::vector<HybridSpec> specs = {
-        prophetAlone(ProphetKind::Gshare, Budget::B2KB),
-        prophetAlone(ProphetKind::Perceptron, Budget::B2KB),
-        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8),
-        hybridSpec(ProphetKind::Tage, Budget::B2KB,
-                   CriticKind::FilteredPerceptron, Budget::B2KB, 8),
-    };
-    EngineConfig base;
-    base.warmupBranches = 800;
-    base.measureBranches = 7200;
-    const std::vector<EngineConfig> cfgs(specs.size(), base);
-
-    std::vector<ScalarRef> refs;
-    for (const HybridSpec &s : specs)
-        refs.push_back(scalarEngineRef(tw, s, base));
-
-    for (const std::size_t width : {1u, 4u}) {
-        SCOPED_TRACE("width " + std::to_string(width));
-        expectBatchMatchesScalar(tw, specs, cfgs, refs, width);
-    }
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------- trace-format equivalence
 
 /**
@@ -725,33 +407,6 @@ TEST(Trace2Differential, TimingAgreesAcrossTraceFormats)
     EXPECT_EQ(a.ftqEntriesFlushedByCritic, b.ftqEntriesFlushedByCritic);
     EXPECT_EQ(a.partialCritiques, b.partialCritiques);
     EXPECT_EQ(a.ftqEmptyCycles, b.ftqEmptyCycles);
-}
-
-/** The batched engine on a `trace:` workload backed by a v2 store
- *  matches scalar replays of the same store — compression composes
- *  with SIMD lanes, not just the scalar path. */
-TEST(Trace2Differential, BatchedTraceBackendMatchesScalarOnV2)
-{
-    const TraceFormatPair t(181, 8000);
-    const Workload &tw = workloadByName("trace:" + t.v2);
-
-    std::vector<HybridSpec> specs = {
-        prophetAlone(ProphetKind::Gshare, Budget::B2KB),
-        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8),
-    };
-    EngineConfig base;
-    base.warmupBranches = 800;
-    base.measureBranches = 7200;
-    const std::vector<EngineConfig> cfgs(specs.size(), base);
-
-    std::vector<ScalarRef> refs;
-    for (const HybridSpec &s : specs)
-        refs.push_back(scalarEngineRef(tw, s, base));
-    for (const std::size_t width : {1u, 4u}) {
-        SCOPED_TRACE("width " + std::to_string(width));
-        expectBatchMatchesScalar(tw, specs, cfgs, refs, width);
-    }
 }
 
 } // namespace

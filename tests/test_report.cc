@@ -183,28 +183,6 @@ TEST(Repro, QuickRunMatchesGoldens)
     std::filesystem::remove_all(opts.outDir);
 }
 
-TEST(Repro, QuickRunWithBatchingMatchesGoldens)
-{
-    // The committed repro_quick goldens were produced by the default
-    // (unbatched) pipeline; a --batch run must land on the same
-    // bytes — REPRO.md and the per-figure artifacts alike. This is
-    // the end-to-end byte-diff of batching on vs off: the goldens
-    // ARE the batching-off reference.
-    ReproOptions opts;
-    opts.quick = true;
-    opts.batch = true;
-    opts.outDir = tempOut("pcbp_repro_quick_batch");
-    const ReproSummary s = runRepro(opts);
-    ASSERT_TRUE(s.complete);
-    expectMatchesGolden(slurp(opts.outDir + "/REPRO.md"),
-                        "repro_quick/REPRO.md");
-    for (const char *stem :
-         {"fig5.csv", "fig5.json", "table4.csv", "table4.json"})
-        expectMatchesGolden(slurp(opts.outDir + "/" + stem),
-                            std::string("repro_quick/") + stem);
-    std::filesystem::remove_all(opts.outDir);
-}
-
 TEST(Repro, JobsDoNotAffectAnyArtifact)
 {
     auto run = [&](unsigned jobs, const char *name) {

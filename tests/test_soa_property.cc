@@ -2,25 +2,19 @@
  * @file
  * Property/fuzz tests for the SoA + SIMD prediction layer.
  *
- * The batched engine's equivalence argument (DESIGN.md §12) rests on
- * three claims, each pinned here by randomized differential testing
- * against a scalar reference:
+ * The equivalence argument for SoA tables and SIMD kernels
+ * (DESIGN.md §12) rests on these claims, each pinned here by
+ * randomized differential testing against a scalar reference:
  *
  * - the dispatched SIMD kernels (dot product, train) are
  *   bit-identical to the scalar reference on every input, pad lanes
  *   included — integer-only arithmetic makes the reduction
  *   order-independent;
- * - predictBatch/trainBatch on every registry predictor reproduce
- *   the sequential predict/update loop exactly, under random
- *   interleavings of batch widths;
+ * - clone() deep-copies SoA predictor state, so a fork never
+ *   aliases the table it was copied from;
  * - the SoA containers (SatCounterTable) and hot-path bit helpers
  *   (foldBitsFixed, bitReverse64) match their element-wise
  *   references.
- *
- * The final tests push recovery-heavy and slab-growth schedules
- * through the batched engine path (the test_fork.cc harness shapes),
- * exercising checkpoint-slab growth and fork-ring copies inside a
- * batch.
  */
 
 #include <gtest/gtest.h>
@@ -30,11 +24,8 @@
 
 #include "common/bit_utils.hh"
 #include "common/sat_counter.hh"
-#include "obs/stat_registry.hh"
 #include "predictors/factory.hh"
 #include "predictors/simd.hh"
-#include "sim/driver.hh"
-#include "workload/generator.hh"
 
 namespace pcbp
 {
@@ -124,7 +115,7 @@ TEST(SimdKernels, TrainMatchesScalarIncludingSaturation)
     }
 }
 
-// -------------------------------------- batch-API scalar equivalence
+// --------------------------------------------- SoA container + bits
 
 HistoryRegister
 randomHistory(std::mt19937_64 &rng)
@@ -137,75 +128,11 @@ randomHistory(std::mt19937_64 &rng)
 }
 
 /**
- * For every registry prophet: a random interleaving of predictBatch
- * and trainBatch calls (widths 1..16) must behave exactly as the
- * sequential predict/update loop on an identically-constructed twin.
- * This is the contract that lets the engine swap in batched lookups
- * without perturbing a single prediction.
- */
-TEST(BatchApi, EveryRegistryProphetMatchesSequentialLoops)
-{
-    for (const ProphetKind kind : allProphetKinds()) {
-        SCOPED_TRACE(prophetKindName(kind));
-        std::mt19937_64 rng(777);
-        const DirectionPredictorPtr batched =
-            makeProphet(kind, Budget::B2KB);
-        const DirectionPredictorPtr scalar =
-            makeProphet(kind, Budget::B2KB);
-
-        for (int round = 0; round < 200; ++round) {
-            const std::size_t width = 1 + rng() % 16;
-            if (rng() % 2) {
-                std::vector<PredictQuery> qs(width);
-                for (auto &q : qs) {
-                    q.pc = (rng() % 4096) * 4;
-                    q.hist = randomHistory(rng);
-                }
-                std::vector<std::uint8_t> got(width);
-                batched->predictBatch(
-                    qs.data(), width,
-                    reinterpret_cast<bool *>(got.data()));
-                for (std::size_t i = 0; i < width; ++i) {
-                    ASSERT_EQ(bool(got[i]),
-                              scalar->predict(qs[i].pc, qs[i].hist))
-                        << "round " << round << " lane " << i;
-                }
-            } else {
-                std::vector<TrainItem> items(width);
-                for (auto &it : items) {
-                    it.pc = (rng() % 4096) * 4;
-                    it.hist = randomHistory(rng);
-                    it.taken = rng() & 1;
-                }
-                batched->trainBatch(items.data(), width);
-                for (const TrainItem &it : items)
-                    scalar->update(it.pc, it.hist, it.taken);
-            }
-        }
-
-        // Final state must agree too: probe with fresh queries.
-        std::vector<PredictQuery> probe(64);
-        for (auto &q : probe) {
-            q.pc = (rng() % 4096) * 4;
-            q.hist = randomHistory(rng);
-        }
-        std::vector<std::uint8_t> got(probe.size());
-        batched->predictBatch(probe.data(), probe.size(),
-                              reinterpret_cast<bool *>(got.data()));
-        for (std::size_t i = 0; i < probe.size(); ++i) {
-            ASSERT_EQ(bool(got[i]),
-                      scalar->predict(probe[i].pc, probe[i].hist))
-                << "final probe lane " << i;
-        }
-    }
-}
-
-/**
  * Clones taken mid-schedule stay equivalent: the SoA layouts must
- * deep-copy (no aliasing), since clone() is the fork seam the
- * batched runner peels lanes with.
+ * deep-copy (no aliasing), since clone() is the seam fork-based
+ * sweeps snapshot predictors with (DESIGN.md §11).
  */
-TEST(BatchApi, CloneOfSoAStateIsIndependent)
+TEST(SoAContainers, CloneOfSoAStateIsIndependent)
 {
     std::mt19937_64 rng(31);
     for (const ProphetKind kind : allProphetKinds()) {
@@ -226,8 +153,6 @@ TEST(BatchApi, CloneOfSoAStateIsIndependent)
             << "clone aliased trained state";
     }
 }
-
-// --------------------------------------------- SoA container + bits
 
 /** SatCounterTable vs vector<SatCounter> under a random op stream. */
 TEST(SoAContainers, SatCounterTableMatchesElementWise)
@@ -297,111 +222,6 @@ TEST(BitUtils, BitReverse64Properties)
     for (unsigned i = 0; i < 64; ++i)
         ASSERT_EQ(bitReverse64(std::uint64_t(1) << i),
                   std::uint64_t(1) << (63 - i));
-}
-
-// ------------------------------- stress schedules through the batch
-
-WorkloadRecipe
-stressRecipe(std::uint64_t seed, unsigned phase_chains)
-{
-    WorkloadRecipe r;
-    r.name = "soa-stress-" + std::to_string(seed);
-    r.seed = seed;
-    r.targetBlocks = 150;
-    r.numChains = 4;
-    r.numPhaseChains = phase_chains;
-    return r;
-}
-
-Workload
-stressWorkload(std::uint64_t seed, unsigned phase_chains)
-{
-    Workload w;
-    w.name = "soa-stress-" + std::to_string(seed);
-    w.suite = "TEST";
-    w.recipe = stressRecipe(seed, phase_chains);
-    w.simBranches = 6000;
-    w.warmupBranches = 600;
-    return w;
-}
-
-std::string
-scalarStatsJson(const Workload &w, const HybridSpec &spec,
-                EngineConfig cfg)
-{
-    StatRegistry reg;
-    cfg.statsOut = &reg;
-    runAccuracy(w, spec, cfg);
-    return reg.toJson();
-}
-
-/**
- * Recovery-heavy schedule (phase-changing workload, the test_fork.cc
- * SurvivesRecoveryHeavyWorkload shape) through a batched fork group:
- * frequent mispredict recoveries exercise checkpoint restore and
- * history repair on SoA state inside the lockstep pass.
- */
-TEST(BatchStress, RecoveryHeavyScheduleMatchesScalar)
-{
-    const Workload w = stressWorkload(11, 6);
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
-                   CriticKind::FilteredPerceptron, Budget::B2KB, 12);
-
-    std::vector<EngineConfig> group;
-    for (const std::uint64_t warm : {200ull, 600ull}) {
-        EngineConfig c;
-        c.warmupBranches = warm;
-        c.measureBranches = 5400;
-        group.push_back(c);
-    }
-
-    std::vector<std::string> ref;
-    for (const EngineConfig &c : group)
-        ref.push_back(scalarStatsJson(w, spec, c));
-
-    std::vector<StatRegistry> regs(group.size());
-    std::vector<EngineConfig> cfgs = group;
-    for (std::size_t j = 0; j < cfgs.size(); ++j)
-        cfgs[j].statsOut = &regs[j];
-    runAccuracyBatch(w, {spec}, {cfgs});
-    for (std::size_t j = 0; j < regs.size(); ++j)
-        EXPECT_EQ(regs[j].toJson(), ref[j]) << "member " << j;
-}
-
-/**
- * Slab-growth schedule (deep pipeline, the test_fork.cc
- * SurvivesCheckpointSlabGrowth shape) through a batched fork group:
- * the checkpoint slab grows mid-run, forcing hit-bit-ring rebuilds
- * and slab copies on the peeled lanes.
- */
-TEST(BatchStress, CheckpointSlabGrowthMatchesScalar)
-{
-    const Workload w = stressWorkload(29, 2);
-    const HybridSpec spec =
-        hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
-                   CriticKind::TaggedGshare, Budget::B2KB, 8);
-
-    std::vector<EngineConfig> group;
-    for (const std::uint64_t warm : {150ull, 450ull, 900ull}) {
-        EngineConfig c;
-        c.pipelineDepth = 96;
-        c.warmupBranches = warm;
-        c.measureBranches = 5100;
-        group.push_back(c);
-    }
-
-    std::vector<std::string> ref;
-    for (const EngineConfig &c : group)
-        ref.push_back(scalarStatsJson(w, spec, c));
-
-    std::vector<StatRegistry> regs(group.size());
-    std::vector<EngineConfig> cfgs = group;
-    for (std::size_t j = 0; j < cfgs.size(); ++j)
-        cfgs[j].statsOut = &regs[j];
-    runAccuracyBatch(w, {spec}, {cfgs});
-    for (std::size_t j = 0; j < regs.size(); ++j)
-        EXPECT_EQ(regs[j].toJson(), ref[j]) << "member " << j;
 }
 
 } // namespace

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "obs/stat_registry.hh"
 #include "sweep/runner.hh"
 
 namespace pcbp
@@ -645,112 +644,26 @@ TEST(Runner, KilledMidGridThenResumedIsByteIdentical)
     std::remove(path.c_str());
 }
 
-SweepSpec
-timingGridForBatch()
+TEST(Runner, ForkAndReplayStoresMatchCommittedGolden)
 {
-    SweepSpec spec;
-    spec.name = "timing-batch-grid";
-    spec.timing = true;
-    spec.axes.prophets = {ProphetKind::Gshare};
-    spec.axes.critics = {std::nullopt, CriticKind::TaggedGshare};
-    spec.axes.criticBudgets = {Budget::B2KB};
-    spec.axes.futureBits = {4};
-    spec.branches = 2000;
-    spec.warmups = {300, 800};
-    spec.workloads = {"mm.mpeg"};
-    return spec;
-}
-
-TEST(Runner, BatchModeIsByteIdenticalToReplayAndFork)
-{
-    // A grid exercising every batch-lane shape: a warmup axis (fork
-    // groups that peel inside the lockstep pass), an oracle axis
-    // (forced singleton lanes), and two workloads (two batch units).
-    // The store — and every export — must be byte-identical across
-    // replay (--no-fork), chain (fork), and batch execution.
+    // Both execution paths are pinned by a committed artifact, not
+    // only by agreement with each other: a grid with a warmup axis
+    // (fork chains) and an oracle axis (cells that must replay) has
+    // to reproduce the golden store byte for byte with forking on
+    // and with it off.
     SweepSpec spec = smallGrid();
     spec.warmups = {400, 1200};
     spec.axes.oracleFutureBits = {false, true};
 
-    const auto runWith = [&](const std::string &stem, bool fork,
-                             bool batch) {
-        const std::string path = testing::TempDir() + stem;
-        std::remove(path.c_str());
-        ResultStore store(path);
-        SweepRunOptions opt;
-        opt.jobs = 2;
-        opt.fork = fork;
-        opt.batch = batch;
-        runSweep(spec, store, opt);
-        const std::string bytes = slurp(path);
-        std::remove(path.c_str());
-        return bytes;
-    };
-
-    const std::string replay =
-        runWith("pcbp_batch_replay.jsonl", false, false);
-    ASSERT_FALSE(replay.empty());
-    EXPECT_EQ(runWith("pcbp_batch_chain.jsonl", true, false), replay);
-    EXPECT_EQ(runWith("pcbp_batch_on.jsonl", true, true), replay);
-
-    // Timing mode through the batch path too.
-    spec = timingGridForBatch();
-    const std::string treplay =
-        runWith("pcbp_batch_treplay.jsonl", false, false);
-    ASSERT_FALSE(treplay.empty());
-    EXPECT_EQ(runWith("pcbp_batch_ton.jsonl", true, true), treplay);
-}
-
-TEST(Runner, BatchModeReportsAmortizationCounters)
-{
-    SweepSpec spec = smallGrid();
-    spec.warmups = {400, 1200};
-
-    StatRegistry reg;
-    ResultStore store;
-    SweepRunOptions opt;
-    opt.jobs = 1;
-    opt.batch = true;
-    opt.stats = &reg;
-    runSweep(spec, store, opt);
-
-    const std::string json = reg.toJson();
-    // Two workloads -> two batch units; the warmup axis gives every
-    // (spec, workload) a two-member fork group, so snapshots fired
-    // and both amortizations (warmup re-simulation, shared stream
-    // production) must be visible.
-    EXPECT_NE(json.find("\"sweep.batch.units\":2"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("sweep.batch.snapshots"), std::string::npos);
-    EXPECT_NE(json.find("sweep.batch.warmup_branches_saved"),
-              std::string::npos);
-    EXPECT_NE(json.find("sweep.batch.stream_records_saved"),
-              std::string::npos);
-    EXPECT_NE(json.find("sweep.batch.source_window_peak"),
-              std::string::npos);
-}
-
-TEST(Runner, BatchedStoreMatchesCommittedGolden)
-{
-    // The batch path is pinned by a committed artifact, not only by
-    // in-process agreement with the replay path: this golden store
-    // was generated with batching ON, and the batching-OFF run must
-    // reproduce the same bytes. Drift in either path — or any
-    // divergence between them — fails against the same file.
-    SweepSpec spec = smallGrid();
-    spec.warmups = {400, 1200};
-    spec.axes.oracleFutureBits = {false, true};
-
-    const auto storeBytes = [&](bool batch) {
+    const auto storeBytes = [&](bool fork) {
         const std::string path =
-            testing::TempDir() + "pcbp_batch_golden.jsonl";
+            testing::TempDir() + "pcbp_fork_golden.jsonl";
         std::remove(path.c_str());
         {
             ResultStore store(path);
             SweepRunOptions opt;
             opt.jobs = 2;
-            opt.batch = batch;
+            opt.fork = fork;
             runSweep(spec, store, opt);
         }
         const std::string bytes = slurp(path);
@@ -758,11 +671,8 @@ TEST(Runner, BatchedStoreMatchesCommittedGolden)
         return bytes;
     };
 
-    const std::string batched = storeBytes(true);
-    ASSERT_FALSE(batched.empty());
-    EXPECT_EQ(storeBytes(false), batched)
-        << "batched and unbatched stores diverge";
-    expectMatchesGolden(batched, "sweep_batch_store.jsonl");
+    expectMatchesGolden(storeBytes(true), "sweep_fork_store.jsonl");
+    expectMatchesGolden(storeBytes(false), "sweep_fork_store.jsonl");
 }
 
 TEST(Runner, InMemoryStoreServesPortedBenches)

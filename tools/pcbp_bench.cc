@@ -46,6 +46,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "obs/span_trace.hh"
 #include "obs/stat_registry.hh"
@@ -119,9 +120,9 @@ parseArgs(int argc, char **argv)
         else if (arg == "--json-out")
             a.jsonOut = next();
         else if (arg == "--threshold")
-            a.threshold = std::atof(next().c_str());
+            a.threshold = parseNonNegativeArg(arg, next());
         else if (arg == "--repeats")
-            a.repeats = static_cast<unsigned>(std::atoi(next().c_str()));
+            a.repeats = parseCountArg<unsigned>(arg, next());
         else if (arg == "--quick")
             a.quick = true;
         else if (arg == "--warn-only")

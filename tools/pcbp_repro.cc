@@ -10,7 +10,7 @@
  *                  [--quick] [--branches N] [--workloads LIST]
  *                  [--suite LIST] [--max-cells N] [--quiet]
  *                  [--progress] [--stats-out FILE] [--trace-out FILE]
- *                  [--no-fork] [--batch]
+ *                  [--no-fork]
  *       Run the selected figures' sweep grids against per-figure
  *       stores under DIR/store/ and render DIR/REPRO.md plus
  *       per-figure CSV/JSON artifacts. Cells already in a store are
@@ -24,10 +24,8 @@
  *       stderr heartbeat; --stats-out dumps the run-wide stats
  *       registry (JSON + .md); --trace-out writes a Perfetto-
  *       loadable span trace; --no-fork disables fork-based execution
- *       of shared-warmup cells (DESIGN.md §11); --batch multiplexes
- *       each (workload, mode) pair's cells through one lockstep pass
- *       over a shared committed stream (DESIGN.md §12). None of
- *       these changes any store or report byte.
+ *       of shared-warmup cells (DESIGN.md §11). None of these changes
+ *       any store or report byte.
  *
  *   pcbp_repro render [--figures LIST|all] [--out DIR] [--quick]
  *                     [--branches N] [--workloads LIST] [--suite LIST]
@@ -42,6 +40,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli_parse.hh"
 #include "obs/span_trace.hh"
 #include "obs/stat_registry.hh"
 #include "report/repro.hh"
@@ -62,7 +61,7 @@ usage(const char *argv0)
         << "         [--branches N] [--workloads LIST] [--suite LIST]\n"
         << "         [--max-cells N] [--quiet] [--progress]\n"
         << "         [--stats-out FILE] [--trace-out FILE]"
-           " [--no-fork] [--batch]\n"
+           " [--no-fork]\n"
         << "  render [--figures LIST|all] [--out DIR] [--quick]"
            " [--branches N]\n"
         << "         [--workloads LIST] [--suite LIST]\n";
@@ -104,13 +103,11 @@ parseArgs(int argc, char **argv)
             a.opts.outDir = next();
         else if (arg == "--branches")
             a.opts.figure.branches =
-                std::strtoull(next().c_str(), nullptr, 10);
+                parseCountArg<std::uint64_t>(arg, next());
         else if (arg == "--jobs")
-            a.opts.jobs =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            a.opts.jobs = parseCountArg<unsigned>(arg, next());
         else if (arg == "--max-cells")
-            a.opts.maxCells =
-                std::strtoull(next().c_str(), nullptr, 10);
+            a.opts.maxCells = parseCountArg<std::size_t>(arg, next());
         else if (arg == "--quick")
             a.opts.quick = true;
         else if (arg == "--quiet")
@@ -119,8 +116,6 @@ parseArgs(int argc, char **argv)
             a.opts.progress = true;
         else if (arg == "--no-fork")
             a.opts.fork = false;
-        else if (arg == "--batch")
-            a.opts.batch = true;
         else if (arg == "--stats-out")
             a.statsOut = next();
         else if (arg == "--trace-out")

@@ -5,7 +5,7 @@
  *   pcbp_sweep run --spec FILE --store FILE [--jobs N]
  *                  [--max-cells N] [--quiet] [--progress]
  *                  [--stats-out FILE] [--trace-out FILE]
- *                  [--cell-stats] [--no-fork] [--batch]
+ *                  [--cell-stats] [--no-fork]
  *       Execute the grid. Cells already in the store are skipped, so
  *       an interrupted run resumes where it left off. Output is
  *       bit-identical for any --jobs value. `mode = timing` grids
@@ -17,11 +17,7 @@
  *       counters in its stored result (off by default — stores stay
  *       byte-identical to earlier versions); --no-fork disables
  *       fork-based execution of shared-warmup cells (DESIGN.md §11
- *       — results are bit-identical either way, just slower);
- *       --batch multiplexes all cells of each (workload, mode) pair
- *       through one lockstep pass over a shared committed stream
- *       (DESIGN.md §12 — again bit-identical, the stream is
- *       produced once per workload instead of once per cell).
+ *       — results are bit-identical either way, just slower).
  *
  *   pcbp_sweep status --spec FILE --store FILE [--watch SEC]
  *       Completed / remaining cell counts for the grid. --watch
@@ -44,6 +40,7 @@
 #include <string>
 #include <thread>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/progress.hh"
@@ -64,8 +61,7 @@ usage(const char *argv0)
         << "  run    --spec FILE --store FILE [--jobs N]"
            " [--max-cells N] [--quiet]\n"
         << "         [--progress] [--stats-out FILE]"
-           " [--trace-out FILE] [--cell-stats] [--no-fork]"
-           " [--batch]\n"
+           " [--trace-out FILE] [--cell-stats] [--no-fork]\n"
         << "  status --spec FILE --store FILE [--watch SEC]\n"
         << "  cells  --spec FILE\n"
         << "  export --store FILE [--format csv|json] [--out FILE]\n";
@@ -87,7 +83,6 @@ struct Args
     bool progress = false;
     bool cellStats = false;
     bool fork = true;
-    bool batch = false;
 };
 
 Args
@@ -110,16 +105,15 @@ parseArgs(int argc, char **argv)
         else if (arg == "--out")
             a.out = next();
         else if (arg == "--jobs")
-            a.jobs = static_cast<unsigned>(std::atoi(next().c_str()));
+            a.jobs = parseCountArg<unsigned>(arg, next());
         else if (arg == "--max-cells")
-            a.maxCells = std::strtoull(next().c_str(), nullptr, 10);
+            a.maxCells = parseCountArg<std::size_t>(arg, next());
         else if (arg == "--stats-out")
             a.statsOut = next();
         else if (arg == "--trace-out")
             a.traceOut = next();
         else if (arg == "--watch")
-            a.watchSec =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            a.watchSec = parseCountArg<unsigned>(arg, next());
         else if (arg == "--quiet")
             a.quiet = true;
         else if (arg == "--progress")
@@ -128,8 +122,6 @@ parseArgs(int argc, char **argv)
             a.cellStats = true;
         else if (arg == "--no-fork")
             a.fork = false;
-        else if (arg == "--batch")
-            a.batch = true;
         else
             usage(argv[0]);
     }
@@ -151,7 +143,6 @@ cmdRun(const Args &a, const char *argv0)
     opt.maxCells = a.maxCells;
     opt.cellStats = a.cellStats;
     opt.fork = a.fork;
-    opt.batch = a.batch;
     if (!a.statsOut.empty())
         opt.stats = &reg;
     if (!a.traceOut.empty())

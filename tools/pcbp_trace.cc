@@ -59,6 +59,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/cli_parse.hh"
 #include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
@@ -91,16 +92,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-std::uint64_t
-parseCount(const char *s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0')
-        pcbp_fatal("bad count '", s, "'");
-    return v;
-}
-
 /** "v1" -> false, "v2" -> true; anything else is a usage error. */
 bool
 parseFormatV2(const char *s)
@@ -127,11 +118,11 @@ cmdRecord(int argc, char **argv)
         else if (a == "--out" && i + 1 < argc)
             out = argv[++i];
         else if (a == "--branches" && i + 1 < argc)
-            branchesOpt = parseCount(argv[++i]);
+            branchesOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
         else if (a == "--format" && i + 1 < argc)
             toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = std::uint32_t(parseCount(argv[++i]));
+            blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
         else
             usage("pcbp_trace");
     }
@@ -180,7 +171,7 @@ cmdConvert(const std::string &in, const std::string &out, int argc,
         if (a == "--to" && i + 1 < argc)
             toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = std::uint32_t(parseCount(argv[++i]));
+            blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
         else
             usage("pcbp_trace");
     }
@@ -215,7 +206,7 @@ cmdImportAscii(const std::string &in, const std::string &out, int argc,
         if (a == "--format" && i + 1 < argc)
             toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = std::uint32_t(parseCount(argv[++i]));
+            blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
         else
             usage("pcbp_trace");
     }
@@ -332,16 +323,16 @@ parseReplayOptions(int argc, char **argv)
         } else if (a == "--critic-budget" && i + 1 < argc)
             o.spec.criticBudget = parseBudget(argv[++i]);
         else if (a == "--future-bits" && i + 1 < argc)
-            o.spec.futureBits = unsigned(parseCount(argv[++i]));
+            o.spec.futureBits = parseCountArg<unsigned>(a, argv[++i]);
         else if (a == "--warmup" && i + 1 < argc)
-            o.warmupOpt = parseCount(argv[++i]);
+            o.warmupOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
         else if (a == "--measure" && i + 1 < argc)
-            o.measureOpt = parseCount(argv[++i]);
+            o.measureOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
         else if (a == "--timing")
             o.timing = true;
         else if (a == "--top" && i + 1 < argc) {
             o.sawTop = true;
-            o.top = parseCount(argv[++i]);
+            o.top = parseCountArg<std::size_t>(a, argv[++i]);
         } else if (a == "--stats-out" && i + 1 < argc)
             o.statsOut = argv[++i];
         else
