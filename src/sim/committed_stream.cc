@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "obs/stat_registry.hh"
-#include "workload/trace.hh"
 
 namespace pcbp
 {
@@ -77,94 +76,9 @@ ProgramWalkStream::produceNext(CommittedBranch &out)
     return true;
 }
 
-TraceFileStream::TraceFileStream(const std::string &path_,
-                                 std::size_t chunk_records)
-    : path(path_)
-{
-    pcbp_assert(chunk_records >= 1);
-    // One open: the header read validates the magic and leaves the
-    // file positioned at the first record.
-    file = openTraceFile(path, count);
-    buf.resize(chunk_records * tracefmt::recordBytes);
-}
-
-TraceFileStream::TraceFileStream(const std::string &path_,
-                                 std::uint64_t start_ordinal,
-                                 std::size_t chunk_records)
-    : TraceFileStream(path_, chunk_records)
-{
-    pcbp_assert(start_ordinal <= count,
-                "trace seek past the end of the file");
-    if (std::fseek(file,
-                   static_cast<long>(start_ordinal *
-                                     tracefmt::recordBytes),
-                   SEEK_CUR) != 0)
-        pcbp_fatal("cannot seek '", path, "' to a start ordinal");
-    decoded = start_ordinal;
-    seekBase(start_ordinal);
-}
-
-TraceFileStream::TraceFileStream(const TraceFileStream &other)
-    : TraceStream(other), path(other.path), count(other.count),
-      decoded(other.decoded), buf(other.buf), bufPos(other.bufPos),
-      bufLen(other.bufLen)
-{
-    std::uint64_t header_count = 0;
-    file = openTraceFile(path, header_count);
-    pcbp_assert(header_count == count,
-                "trace file changed under a stream fork");
-    // openTraceFile left us after the header; skip what the original
-    // already pulled off the file (decoded records plus the unread
-    // tail of its buffered chunk).
-    const std::uint64_t consumed =
-        decoded * tracefmt::recordBytes + (bufLen - bufPos);
-    if (std::fseek(file, static_cast<long>(consumed), SEEK_CUR) != 0)
-        pcbp_fatal("cannot seek '", path, "' for a stream fork");
-}
-
-TraceFileStream::~TraceFileStream()
-{
-    if (file)
-        std::fclose(file);
-}
-
-bool
-TraceFileStream::produceNext(CommittedBranch &out)
-{
-    if (decoded >= count)
-        return false;
-    if (bufPos >= bufLen) {
-        const std::uint64_t remaining = count - decoded;
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining,
-                                    buf.size() / tracefmt::recordBytes));
-        if (std::fread(buf.data(), tracefmt::recordBytes, want, file) !=
-            want) {
-            pcbp_fatal("trace file truncated");
-        }
-        bufPos = 0;
-        bufLen = want * tracefmt::recordBytes;
-    }
-    out = tracefmt::decodeRecord(buf.data() + bufPos);
-    bufPos += tracefmt::recordBytes;
-    ++decoded;
-    return true;
-}
-
 CompressedTraceStream::CompressedTraceStream(const std::string &path)
     : reader(Trace2Reader::open(path))
 {
-}
-
-CompressedTraceStream::CompressedTraceStream(const std::string &path,
-                                             std::uint64_t start_ordinal)
-    : reader(Trace2Reader::open(path))
-{
-    pcbp_assert(start_ordinal <= reader->recordCount(),
-                "trace seek past the end of the file");
-    decoded = start_ordinal;
-    seekBase(start_ordinal);
-    ++seekCount;
 }
 
 bool
@@ -188,24 +102,13 @@ void
 CompressedTraceStream::exportHostStats(StatRegistry &reg) const
 {
     reg.addHost("trace.store.blocks_decoded", blockDecodes);
-    reg.addHost("trace.store.seeks", seekCount);
     reg.setHostMax("trace.store.bytes_mapped", reader->mappedBytes());
 }
 
-std::unique_ptr<TraceStream>
+std::unique_ptr<CompressedTraceStream>
 openTraceStream(const std::string &path)
 {
-    if (isTrace2File(path))
-        return std::make_unique<CompressedTraceStream>(path);
-    return std::make_unique<TraceFileStream>(path);
-}
-
-std::unique_ptr<TraceStream>
-openTraceStreamAt(const std::string &path, std::uint64_t ordinal)
-{
-    if (isTrace2File(path))
-        return std::make_unique<CompressedTraceStream>(path, ordinal);
-    return std::make_unique<TraceFileStream>(path, ordinal, 4096);
+    return std::make_unique<CompressedTraceStream>(path);
 }
 
 bool

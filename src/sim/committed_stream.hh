@@ -16,20 +16,12 @@
  * Backends:
  *  - ProgramWalkStream: walks a Program's CFG architecturally on the
  *    fly (the default path; replaces walkProgram's eager vector).
- *  - TraceFileStream: chunked replay of a PCBPTRC1 binary trace file
- *    (see workload/trace.hh), making externally recorded committed
- *    streams a workload class of their own.
  *  - CompressedTraceStream: block-decoded replay of a PCBPTRC2
  *    compressed indexed trace (workload/trace2.hh), sharing one
- *    mmap-backed reader across forks and seeking to any ordinal by
- *    decoding at most one block.
- *  - PrecomputedStream: wraps an in-memory vector; used by the
- *    equivalence tests that pin the streaming path to the historical
- *    precomputed-vector behavior.
- *
- * Trace-file consumers should construct through openTraceStream(),
- * which sniffs the magic and picks the backend; both trace backends
- * share the TraceStream fork seam.
+ *    mmap-backed reader across forks — the one replayable trace
+ *    format; PCBPTRC1 files convert to it with `pcbp_trace convert`.
+ *  - PrecomputedStream: wraps an in-memory vector; the reference the
+ *    equivalence tests pin the streaming backends against.
  *
  * See DESIGN.md §4 for how the streams plug into the spec core.
  */
@@ -37,7 +29,6 @@
 #ifndef PCBP_SIM_COMMITTED_STREAM_HH
 #define PCBP_SIM_COMMITTED_STREAM_HH
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,21 +132,6 @@ class CommittedStream
     /** Produce the next record; false once the stream is done. */
     virtual bool produceNext(CommittedBranch &out) = 0;
 
-    /**
-     * Pre-position an empty window at absolute index @p idx: the
-     * stream's first produced record becomes ordinal @p idx, and
-     * indices below it are treated as already released. For
-     * seek-seeded trace streams (openTraceStreamAt); only valid
-     * before any production.
-     */
-    void
-    seekBase(std::uint64_t idx)
-    {
-        pcbp_assert(base == 0 && count == 0 && refillCount == 0,
-                    "seekBase on a stream that already produced");
-        base = idx;
-    }
-
   private:
     static constexpr std::size_t kInitialWindow = 64;
 
@@ -215,95 +191,19 @@ class ProgramWalkStream : public CommittedStream
 };
 
 /**
- * A committed stream replaying a trace file of either format, with a
- * uniform fork seam: forkStream() yields an independent stream at the
- * same mid-trace position, exactly like the backend's copy
- * constructor (DESIGN.md §11) but without the caller naming the
- * concrete type. Construct through openTraceStream(), which sniffs
- * the magic.
- */
-class TraceStream : public CommittedStream
-{
-  public:
-    /** Independent fork at the same mid-trace position. */
-    virtual std::unique_ptr<TraceStream> forkStream() const = 0;
-
-  protected:
-    TraceStream() = default;
-    TraceStream(const TraceStream &) = default;
-};
-
-/**
- * Chunked replayer of a PCBPTRC1 trace file (workload/trace.hh):
- * reads @p chunk_records records worth of bytes per fread, so replay
- * of a billion-branch trace touches O(chunk) memory. Fatal on
- * malformed or truncated files.
- */
-class TraceFileStream : public TraceStream
-{
-  public:
-    explicit TraceFileStream(const std::string &path,
-                             std::size_t chunk_records = 4096);
-
-    /**
-     * Open pre-positioned at branch ordinal @p start_ordinal (an
-     * fseek past the earlier records): at(start_ordinal) is the
-     * first readable index.
-     */
-    TraceFileStream(const std::string &path, std::uint64_t start_ordinal,
-                    std::size_t chunk_records);
-
-    ~TraceFileStream() override;
-
-    /**
-     * Fork: an independent stream at the same mid-trace position —
-     * its own file handle seeked past the records @p other already
-     * consumed, buffered chunk copied. Fatal if the file shrank
-     * underneath the original.
-     */
-    TraceFileStream(const TraceFileStream &other);
-    TraceFileStream &operator=(const TraceFileStream &) = delete;
-
-    std::uint64_t length() const override { return count; }
-    const char *backendName() const override { return "trace_file"; }
-
-    std::unique_ptr<TraceStream>
-    forkStream() const override
-    {
-        return std::unique_ptr<TraceStream>(new TraceFileStream(*this));
-    }
-
-  protected:
-    bool produceNext(CommittedBranch &out) override;
-
-  private:
-    std::string path;
-    std::FILE *file = nullptr;
-    std::uint64_t count = 0;
-    std::uint64_t decoded = 0;
-    std::vector<unsigned char> buf;
-    std::size_t bufPos = 0;
-    std::size_t bufLen = 0;
-};
-
-/**
  * Block-decoded replayer of a PCBPTRC2 compressed trace
  * (workload/trace2.hh). The mmap-backed Trace2Reader is immutable
- * and shared: forks copy the shared_ptr (and the decoded-block
- * cache), so a ladder of N forks maps the file once. Seek-seeded
- * construction positions the stream at any ordinal by index lookup —
- * at most one block decode to produce the first record, the property
- * pinned by blocksDecoded() assertions in tests.
+ * and shared: the copy constructor is the fork (DESIGN.md §11), and
+ * copies share the reader and duplicate the decoded-block cache, so a
+ * ladder of N forks maps the file once. Decoding is lazy and
+ * sequential: a full replay decodes each block exactly once.
  */
-class CompressedTraceStream : public TraceStream
+class CompressedTraceStream : public CommittedStream
 {
   public:
+    /** Fatal on a malformed file, and on a PCBPTRC1 file with the
+     *  command that converts it (Trace2Reader::open). */
     explicit CompressedTraceStream(const std::string &path);
-
-    /** Open pre-positioned at branch ordinal @p start_ordinal via
-     *  the footer index (counted as one seek). */
-    CompressedTraceStream(const std::string &path,
-                          std::uint64_t start_ordinal);
 
     /** Fork: same position, shared reader, own decode state. */
     CompressedTraceStream(const CompressedTraceStream &) = default;
@@ -313,20 +213,10 @@ class CompressedTraceStream : public TraceStream
     std::uint64_t length() const override { return reader->recordCount(); }
     const char *backendName() const override { return "trace2"; }
 
-    std::unique_ptr<TraceStream>
-    forkStream() const override
-    {
-        return std::unique_ptr<TraceStream>(
-            new CompressedTraceStream(*this));
-    }
-
     void exportHostStats(StatRegistry &reg) const override;
 
     /** Blocks this stream (not its forks) decoded so far. */
     std::uint64_t blocksDecoded() const { return blockDecodes; }
-
-    /** Index seeks (seek-seeded constructions) performed. */
-    std::uint64_t seeks() const { return seekCount; }
 
   protected:
     bool produceNext(CommittedBranch &out) override;
@@ -337,23 +227,12 @@ class CompressedTraceStream : public TraceStream
     std::uint64_t blockIdx = ~std::uint64_t(0); //!< cached block
     std::uint64_t decoded = 0; //!< next ordinal to produce
     std::uint64_t blockDecodes = 0;
-    std::uint64_t seekCount = 0;
 };
 
-/**
- * Open a trace file of either format as a replay stream, sniffing
- * the magic: CompressedTraceStream for PCBPTRC2, TraceFileStream for
- * PCBPTRC1. Fatal on malformed files.
- */
-std::unique_ptr<TraceStream> openTraceStream(const std::string &path);
-
-/**
- * openTraceStream() pre-positioned at branch ordinal @p ordinal —
- * an index seek (at most one block decode) on PCBPTRC2, an fseek on
- * PCBPTRC1. at(ordinal) is the stream's first readable index.
- */
-std::unique_ptr<TraceStream> openTraceStreamAt(const std::string &path,
-                                               std::uint64_t ordinal);
+/** Open a PCBPTRC2 trace as a replay stream (fatal as the
+ *  CompressedTraceStream constructor is). */
+std::unique_ptr<CompressedTraceStream>
+openTraceStream(const std::string &path);
 
 /** In-memory stream over an already-materialized trace. Copyable:
  *  a copy is a mid-stream fork (DESIGN.md §11). */

@@ -199,7 +199,7 @@ chainImpl(const Workload &w, const HybridSpec &spec,
     if (!w.tracePath.empty()) {
         auto stream = openTraceStream(w.tracePath);
         drive(*stream, [&](Program &, std::uint64_t) {
-            return stream->forkStream();
+            return std::make_unique<CompressedTraceStream>(*stream);
         });
     } else {
         ProgramWalkStream stream(

@@ -19,7 +19,7 @@
  * selectors resolve, in order: AVG (the 14-workload basket), ALL
  * (every registered workload), a suite name (INT00, ..., FIG5, GCC),
  * or an individual workload name — including trace:<path>, which
- * sweeps over a recorded PCBPTRC1 committed stream (suites.hh).
+ * sweeps over a recorded PCBPTRC2 committed stream (suites.hh).
  *
  * A grid runs on the accuracy engine by default; `mode = timing`
  * runs every cell through the cycle-level timing model instead

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -396,7 +397,10 @@ traceWorkload(const std::string &name)
             return w;
 
     const std::string path = name.substr(std::string("trace:").size());
-    const std::uint64_t count = traceFileCount(path);
+    // Replay reads PCBPTRC2 only: opening the reader here rejects
+    // any other file (a PCBPTRC1 one with the command that converts
+    // it) before a cell runs or a store file appears.
+    const std::uint64_t count = Trace2Reader::open(path)->recordCount();
     if (count == 0)
         pcbp_fatal("trace workload '", path, "' has no records");
 

@@ -13,9 +13,9 @@
  * Beyond the synthetic registry, `trace:<path>` names a recorded
  * committed-branch trace as a workload (suite "TRACE"): the CFG is
  * reconstructed from the file and the committed stream is replayed
- * from it. The path may hold a flat PCBPTRC1 file or the compressed
- * indexed PCBPTRC2 store — consumers sniff the magic — see
- * DESIGN.md §5/§13 and tools/pcbp_trace.cc.
+ * from it. The path must hold the compressed indexed PCBPTRC2 store;
+ * a PCBPTRC1 file fails registration with the command that converts
+ * it in place — see DESIGN.md §5/§13 and tools/pcbp_trace.cc.
  */
 
 #ifndef PCBP_WORKLOAD_SUITES_HH
@@ -41,9 +41,8 @@ struct Workload
     /** Committed branches of warmup before stats collection. */
     std::uint64_t warmupBranches = 25000;
     /**
-     * Non-empty for trace workloads: path of the trace file
-     * (either format) that provides the committed stream (the
-     * recipe is unused then).
+     * Non-empty for trace workloads: path of the PCBPTRC2 file that
+     * provides the committed stream (the recipe is unused then).
      */
     std::string tracePath;
 };
@@ -54,7 +53,8 @@ const std::vector<Workload> &allWorkloads();
 /**
  * Find by name (fatal if unknown, listing the known names).
  * `trace:<path>` registers (and caches) a trace-file workload whose
- * run length defaults to the file's record count.
+ * run length defaults to the file's record count; fatal unless the
+ * file is a non-empty PCBPTRC2 trace.
  */
 const Workload &workloadByName(const std::string &name);
 

@@ -12,9 +12,6 @@
 namespace pcbp
 {
 
-namespace tracefmt
-{
-
 namespace
 {
 
@@ -34,8 +31,7 @@ getLe(const unsigned char *in, int bytes)
     return v;
 }
 
-} // namespace
-
+/** Encode one record into @p out (recordBytes bytes). */
 void
 encodeRecord(const CommittedBranch &r, unsigned char *out)
 {
@@ -45,6 +41,7 @@ encodeRecord(const CommittedBranch &r, unsigned char *out)
     putLe(out + 13, r.numUops, 4);
 }
 
+/** Decode one record from @p in (recordBytes bytes). */
 CommittedBranch
 decodeRecord(const unsigned char *in)
 {
@@ -56,8 +53,15 @@ decodeRecord(const unsigned char *in)
     return r;
 }
 
-} // namespace tracefmt
-
+/**
+ * Open a PCBPTRC1 file positioned at its first record, with the
+ * header's record count in @p count; the caller closes the handle.
+ * nullptr on an unreadable, short, or wrong-magic file, with a
+ * description in @p error. The header's record count is checked
+ * against the file's actual size, so a corrupted count (bit flip,
+ * torn write) is rejected here instead of surfacing as a read error
+ * mid-scan.
+ */
 std::FILE *
 tryOpenTraceFile(const std::string &path, std::uint64_t &count,
                  std::string &error)
@@ -102,15 +106,7 @@ tryOpenTraceFile(const std::string &path, std::uint64_t &count,
     return f;
 }
 
-std::FILE *
-openTraceFile(const std::string &path, std::uint64_t &count)
-{
-    std::string error;
-    std::FILE *f = tryOpenTraceFile(path, count, error);
-    if (!f)
-        pcbp_fatal(error);
-    return f;
-}
+} // namespace
 
 bool
 tryScanTraceFile(const std::string &path,
@@ -138,7 +134,7 @@ tryScanTraceFile(const std::string &path,
             return false;
         }
         for (std::size_t i = 0; i < want; ++i) {
-            fn(tracefmt::decodeRecord(buf.data() +
+            fn(decodeRecord(buf.data() +
                                       i * tracefmt::recordBytes));
         }
         remaining -= want;
@@ -178,7 +174,7 @@ TraceWriter::append(const CommittedBranch &r)
 {
     pcbp_assert(file != nullptr, "appending to a finished TraceWriter");
     unsigned char rec[tracefmt::recordBytes];
-    tracefmt::encodeRecord(r, rec);
+    encodeRecord(r, rec);
     if (std::fwrite(rec, 1, sizeof(rec), file) != sizeof(rec))
         pcbp_fatal("write error on '", path, "'");
     ++count;
@@ -227,7 +223,10 @@ traceFileCount(const std::string &path)
     if (isTrace2File(path))
         return Trace2Reader::open(path)->recordCount();
     std::uint64_t n = 0;
-    std::FILE *f = openTraceFile(path, n);
+    std::string error;
+    std::FILE *f = tryOpenTraceFile(path, n, error);
+    if (!f)
+        pcbp_fatal(error);
     std::fclose(f);
     return n;
 }

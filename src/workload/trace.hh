@@ -1,10 +1,11 @@
 /**
  * @file
- * Committed-branch trace record/replay (the PCBPTRC1 format).
+ * Committed-branch traces: the PCBPTRC1 interchange format, and the
+ * format-generic scan, summary and CFG-reconstruction entry points.
  *
  * A trace is the committed (correct-path) branch stream of a program
  * walk. Traces are useful for conventional predictor evaluation, for
- * regression tests, and — replayed through a TraceFileStream
+ * regression tests, and — replayed through a CompressedTraceStream
  * (sim/committed_stream.hh) against a CFG reconstructed with
  * reconstructProgramFromTrace() — as a workload class of their own
  * (`trace:<path>` in the registry). Note, exactly as §6 of the paper
@@ -18,12 +19,13 @@
  * record count), then one 17-byte record per branch: u32 block,
  * u64 pc, u8 taken, u32 uops, all little-endian.
  *
- * PCBPTRC1 is the flat *interchange* format; workload/trace2.hh adds
- * PCBPTRC2, the block-compressed indexed store. The generic entry
- * points below (tryScanTraceFile, scanTraceFile, traceFileCount, and
- * everything built on them) sniff the magic and handle either format
- * transparently, so `trace:<path>` consumers never care which one
- * they were given.
+ * PCBPTRC1 is the flat *interchange* format; replay reads only
+ * PCBPTRC2, the block-compressed indexed store (workload/trace2.hh),
+ * and `pcbp_trace convert F F` turns one into the other in place.
+ * The scan entry points below (tryScanTraceFile, scanTraceFile,
+ * traceFileCount, and everything built on them: loadTrace,
+ * summaries, reconstruction, conversion) sniff the magic and read
+ * either format, so a file can be inspected before it is converted.
  */
 
 #ifndef PCBP_WORKLOAD_TRACE_HH
@@ -39,7 +41,8 @@
 namespace pcbp
 {
 
-/** @name PCBPTRC1 wire format, shared by writer, loader, streams. */
+/** @name PCBPTRC1 wire format: the magic PCBPTRC2 readers reject,
+ *  and the sizes `pcbp_trace info` compares against. */
 /// @{
 namespace tracefmt
 {
@@ -48,32 +51,8 @@ constexpr char magic[8] = {'P', 'C', 'B', 'P', 'T', 'R', 'C', '1'};
 constexpr std::size_t headerBytes = 16;
 constexpr std::size_t recordBytes = 17;
 
-/** Encode one record into @p out (recordBytes bytes). */
-void encodeRecord(const CommittedBranch &r, unsigned char *out);
-
-/** Decode one record from @p in (recordBytes bytes). */
-CommittedBranch decodeRecord(const unsigned char *in);
-
 } // namespace tracefmt
 /// @}
-
-/**
- * Open a trace file, validate the magic, and leave the handle
- * positioned at the first record; @p count receives the header's
- * record count. Fatal on unreadable or non-trace files; the caller
- * owns (and closes) the handle.
- */
-std::FILE *openTraceFile(const std::string &path, std::uint64_t &count);
-
-/**
- * Non-fatal openTraceFile: nullptr on an unreadable, short, or
- * wrong-magic file, with a description in @p error. The header's
- * record count is additionally checked against the file's actual
- * size, so a corrupted count (bit flip, torn write) is rejected here
- * instead of surfacing as a read error mid-scan.
- */
-std::FILE *tryOpenTraceFile(const std::string &path,
-                            std::uint64_t &count, std::string &error);
 
 /**
  * One chunked pass over every record of a trace file of either

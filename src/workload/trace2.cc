@@ -5,9 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 #include "common/logging.hh"
 #include "workload/trace.hh"
@@ -249,6 +252,17 @@ Trace2Reader::tryOpen(const std::string &path, std::string &error)
         ::close(fd);
         return fail("is not statable");
     }
+    // PCBPTRC1 is checked first: an empty v1 file (16 bytes) is
+    // below the v2 size floor, and every v1 file deserves the command
+    // that converts it rather than a size or magic complaint.
+    char head[8] = {};
+    if (::pread(fd, head, sizeof(head), 0) == ssize_t(sizeof(head)) &&
+        std::memcmp(head, tracefmt::magic, sizeof(head)) == 0) {
+        ::close(fd);
+        return fail("is a PCBPTRC1 interchange trace; convert it for "
+                    "replay with pcbp_trace convert " +
+                    path + " " + path);
+    }
     const std::uint64_t size = std::uint64_t(st.st_size);
     if (size < trace2fmt::headerBytes + trace2fmt::footerMinBytes) {
         ::close(fd);
@@ -483,23 +497,149 @@ tryScanTrace2File(const std::string &path,
     return true;
 }
 
+namespace
+{
+
+using RecordSink = std::function<void(const CommittedBranch &)>;
+
+/**
+ * Write the records @p produce feeds its sink to a temporary file
+ * beside @p out, in PCBPTRC2 (@p to_v2) or PCBPTRC1, and rename it
+ * over @p out once complete. OUT changes only after the input has
+ * been read in full, so OUT may be the input itself (or a link to
+ * it), and input that @p produce rejects — false, with @p error set —
+ * leaves OUT as it was. Returns the records written; fatal on error.
+ */
+std::uint64_t
+replaceTraceFile(
+    const std::string &out, bool to_v2, std::uint32_t records_per_block,
+    const std::function<bool(const RecordSink &, std::string &)> &produce)
+{
+    const std::string tmp = out + ".tmp" + std::to_string(::getpid());
+    std::string error;
+    bool ok = false;
+    std::uint64_t written = 0;
+    const auto fill = [&](auto &writer) {
+        ok = produce([&](const CommittedBranch &r) { writer.append(r); },
+                     error);
+        writer.finish();
+        written = writer.written();
+    };
+    if (to_v2) {
+        Trace2Writer w(tmp, records_per_block);
+        fill(w);
+    } else {
+        TraceWriter w(tmp);
+        fill(w);
+    }
+    if (!ok) {
+        std::remove(tmp.c_str());
+        pcbp_fatal(error);
+    }
+    if (std::rename(tmp.c_str(), out.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        pcbp_fatal("cannot replace '", out, "'");
+    }
+    return written;
+}
+
+/** Skip spaces and tabs. */
+const char *
+skipBlanks(const char *p)
+{
+    while (*p == ' ' || *p == '\t')
+        ++p;
+    return p;
+}
+
+/**
+ * strtoull that refuses what it would otherwise wrap or clamp: a
+ * leading '-' and values past 64 bits. False when no digits parse.
+ */
+bool
+parseU64(const char *p, int base, const char *&end, std::uint64_t &out)
+{
+    if (*p == '-')
+        return false;
+    char *e = nullptr;
+    errno = 0;
+    out = std::strtoull(p, &e, base);
+    end = e;
+    return e != p && errno != ERANGE;
+}
+
+/** One pass of the ASCII importer: see importAsciiTrace. */
+bool
+scanAsciiTrace(const std::string &in, const RecordSink &fn,
+               std::string &error)
+{
+    std::ifstream file(in, std::ios::binary);
+    if (!file) {
+        error = "cannot open '" + in + "' for reading";
+        return false;
+    }
+    const auto fail = [&](std::uint64_t line_no, const char *what) {
+        error = "'" + in + "' line " + std::to_string(line_no) + ": " +
+                what;
+        return false;
+    };
+    // Block ids by distinct PC, first-seen order, so the importer's
+    // output replays through reconstructProgramFromTrace like any
+    // recorded trace.
+    std::unordered_map<Addr, BlockId> block_of;
+    std::string line;
+    std::uint64_t line_no = 0;
+    while (std::getline(file, line)) {
+        ++line_no;
+        const char *p = skipBlanks(line.c_str());
+        if (*p == '\0' || *p == '#')
+            continue;
+        const char *end = nullptr;
+        std::uint64_t pc = 0;
+        if (!parseU64(p, 0, end, pc))
+            return fail(line_no, "bad PC");
+        p = skipBlanks(end);
+        bool taken = false;
+        if (*p == '1' || *p == 'T' || *p == 't')
+            taken = true;
+        else if (*p != '0' && *p != 'N' && *p != 'n')
+            return fail(line_no, "bad outcome (want 1/0/T/N)");
+        p = skipBlanks(p + 1);
+        std::uint64_t uops = 1;
+        if (*p != '\0' && *p != '\r' && *p != '#' &&
+            (!parseU64(p, 10, end, uops) || uops < 1 ||
+             uops > 0xffffffffull))
+            return fail(line_no, "bad uop count");
+        const auto fit = block_of.emplace(pc, BlockId(block_of.size()));
+        fn({fit.first->second, pc, taken, std::uint32_t(uops)});
+    }
+    return true;
+}
+
+} // namespace
+
 std::uint64_t
 convertTraceFile(const std::string &in, const std::string &out,
                  bool to_v2, std::uint32_t records_per_block)
 {
-    // scanTraceFile sniffs the input's magic, so both directions —
+    // tryScanTraceFile sniffs the input's magic, so both directions —
     // and a same-format rewrite — share this one loop.
-    if (to_v2) {
-        Trace2Writer w(out, records_per_block);
-        scanTraceFile(in,
-                      [&](const CommittedBranch &r) { w.append(r); });
-        w.finish();
-        return w.written();
-    }
-    TraceWriter w(out);
-    scanTraceFile(in, [&](const CommittedBranch &r) { w.append(r); });
-    w.finish();
-    return w.written();
+    return replaceTraceFile(
+        out, to_v2, records_per_block,
+        [&](const RecordSink &fn, std::string &error) {
+            return tryScanTraceFile(in, fn, error);
+        });
+}
+
+std::uint64_t
+importAsciiTrace(const std::string &in, const std::string &out,
+                 std::uint32_t records_per_block)
+{
+    return replaceTraceFile(
+        out, true, records_per_block,
+        [&](const RecordSink &fn, std::string &error) {
+            return scanAsciiTrace(in, fn, error);
+        });
 }
 
 std::string

@@ -4,21 +4,20 @@
  * traces.
  *
  * PCBPTRC1 (workload/trace.hh) spends a flat 17 bytes per branch, so
- * a billion-branch real trace costs ~17 GB and reaching branch N
- * means decoding every branch before it. PCBPTRC2 keeps the same
+ * a billion-branch real trace costs ~17 GB. PCBPTRC2 keeps the same
  * record model — (block, pc, taken, uops) per committed branch — but
  * stores it as fixed-size, *independently decodable* blocks of
  * delta/varint-coded records plus an outcome bitstream, a static
  * branch dictionary shared by all blocks, and a footer index mapping
  * branch ordinal -> block file offset. The result is typically
- * 4-14x smaller than PCBPTRC1 and O(1) to seek: ordinal / block
- * records names the block, the index names its bytes, and at most
- * one block is decoded to land on any branch — which is what makes
- * fork-based mid-trace warmup cheap on real traces (DESIGN.md §11).
+ * 4-14x smaller than PCBPTRC1, and one mapping serves every stream
+ * fork of a warmup ladder (DESIGN.md §11).
  *
- * PCBPTRC1 stays the interchange format: conversion is lossless in
- * both directions (convertTraceFile), and every `trace:<path>`
- * consumer sniffs the magic and opens either format transparently.
+ * PCBPTRC2 is the only format the simulators replay: `trace:<path>`
+ * workloads and replay streams open it through Trace2Reader, which
+ * names the converting command when handed a PCBPTRC1 file. PCBPTRC1
+ * stays the interchange format: conversion is lossless in both
+ * directions (convertTraceFile), and a file converts in place.
  * Full wire spec: DESIGN.md §13.
  */
 
@@ -95,7 +94,8 @@ class Trace2Reader
     Trace2Reader &operator=(const Trace2Reader &) = delete;
 
     /** nullptr on any malformed file, with a description in
-     *  @p error. */
+     *  @p error; a PCBPTRC1 file's description names the
+     *  `pcbp_trace convert` command that makes it replayable. */
     static std::shared_ptr<const Trace2Reader>
     tryOpen(const std::string &path, std::string &error);
 
@@ -213,10 +213,27 @@ bool tryScanTrace2File(
  * Losslessly convert between trace formats, sniffing the input's
  * magic: @p to_v2 selects the output format (records_per_block is
  * ignored when writing PCBPTRC1). Returns the record count written.
- * Fatal on malformed input; O(block) memory.
+ * The output goes to a temporary file beside @p out that replaces
+ * @p out only once the input is read in full, so @p out may be
+ * @p in (in-place conversion) and malformed input leaves @p out
+ * untouched. Fatal on malformed input; O(block) memory.
  */
 std::uint64_t convertTraceFile(
     const std::string &in, const std::string &out, bool to_v2,
+    std::uint32_t records_per_block = trace2fmt::defaultBlockRecords);
+
+/**
+ * Import a CBP-style ASCII branch trace into PCBPTRC2: one branch per
+ * line, `PC OUTCOME [UOPS]` — PC in hex (0x...), octal (0...) or
+ * decimal, OUTCOME one of 1/0/T/N, optional uop count (default 1).
+ * Lines starting with '#' and blank lines are skipped; lines may be
+ * any length. Block ids are assigned per distinct PC in first-seen
+ * order. Returns the record count written. Fatal, naming the line, on
+ * a malformed line — including a negative number or a PC past 64
+ * bits — and then, as with convertTraceFile, @p out is untouched.
+ */
+std::uint64_t importAsciiTrace(
+    const std::string &in, const std::string &out,
     std::uint32_t records_per_block = trace2fmt::defaultBlockRecords);
 
 /**

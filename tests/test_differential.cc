@@ -30,6 +30,7 @@
 #include "sim/driver.hh"
 #include "workload/generator.hh"
 #include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -287,50 +288,57 @@ TEST(Differential, RepeatedRunsAreBitIdentical)
     }
 }
 
-// ---------------------------------------- trace-format equivalence
+// ----------------------------------- compressed-trace replay backend
 
 /**
- * PCBPTRC2 must be invisible to every predictor in the registry: the
- * same committed stream replayed from the v1 flat file
- * (TraceFileStream) and from the v2 compressed store
- * (CompressedTraceStream) yields bit-identical commit-order event
- * streams and stats. Full StatRegistry JSON is deliberately NOT
- * compared — the stream.backend.* sim tag and the host-only
- * trace.store.* counters legitimately differ between backends; the
- * contract is on everything the *predictors* can see.
+ * PCBPTRC2 replay must be invisible to every predictor in the
+ * registry: a recorded walk replayed through CompressedTraceStream
+ * (lazy block decode from the mapped file, decoded-block cache) and
+ * through the reference PrecomputedStream over the same records
+ * loaded into memory — each on a program reconstructed from the same
+ * file — yields bit-identical commit-order event streams and stats.
+ * Full StatRegistry JSON is deliberately NOT compared — the
+ * stream.backend.* sim tag and the host-only trace.store.* counters
+ * legitimately differ between backends; the contract is on
+ * everything the *predictors* can see.
  */
-struct TraceFormatPair
+struct RecordedTrace
 {
-    std::string v1;
-    std::string v2;
+    std::string path;
 
-    explicit TraceFormatPair(std::uint64_t seed, std::uint64_t branches)
+    RecordedTrace(std::uint64_t seed, std::uint64_t branches)
+        : path(testing::TempDir() + "diff_trc2_" + std::to_string(seed) +
+               ".pcbptrc2")
     {
-        v1 = testing::TempDir() + "diff_fmt_" + std::to_string(seed) +
-             ".pcbptrc";
-        v2 = v1 + "2";
         Program p = generateProgram(randomRecipe(seed));
-        saveTrace(v1, walkProgram(p, branches));
-        convertTraceFile(v1, v2, true, 512);
+        Trace2Writer w(path, 512);
+        for (const CommittedBranch &r : walkProgram(p, branches))
+            w.append(r);
+        w.finish();
     }
 
-    ~TraceFormatPair()
-    {
-        std::remove(v1.c_str());
-        std::remove(v2.c_str());
-    }
+    ~RecordedTrace() { std::remove(path.c_str()); }
 };
 
-std::pair<std::vector<CommitEvent>, EngineStats>
-engineTraceEvents(const std::string &trace_path, const HybridSpec &spec,
-                  const EngineConfig &cfg)
+/** The compressed backend, or the in-memory reference. */
+std::unique_ptr<CommittedStream>
+traceStream(const std::string &trace_path, bool compressed)
 {
-    Program p = reconstructProgramFromTrace(trace_path, "diff-fmt");
+    if (compressed)
+        return openTraceStream(trace_path);
+    return std::make_unique<PrecomputedStream>(loadTrace(trace_path));
+}
+
+std::pair<std::vector<CommitEvent>, EngineStats>
+engineTraceEvents(const std::string &trace_path, bool compressed,
+                  const HybridSpec &spec, const EngineConfig &cfg)
+{
+    Program p = reconstructProgramFromTrace(trace_path, "diff-trc2");
     auto h = spec.build();
     RecordingSink sink;
     EngineConfig c = cfg;
     c.commitSink = &sink;
-    auto stream = openTraceStream(trace_path);
+    const auto stream = traceStream(trace_path, compressed);
     const EngineStats st = Engine(p, *h, c).run(*stream);
     return {std::move(sink.events), st};
 }
@@ -350,38 +358,39 @@ expectSameEngineStats(const EngineStats &a, const EngineStats &b)
     EXPECT_EQ(a.partialCritiques, b.partialCritiques);
 }
 
-TEST(Trace2Differential, EveryProphetAgreesAcrossTraceFormats)
+TEST(Trace2Differential, EveryProphetMatchesInMemoryReplay)
 {
-    const TraceFormatPair t(171, 7000);
+    const RecordedTrace t(171, 7000);
     const EngineConfig cfg = smallEngine();
     for (const ProphetKind kind : allProphetKinds()) {
         SCOPED_TRACE("prophet " + prophetKindName(kind));
-        auto [e1, s1] = engineTraceEvents(t.v1, prophetAlone(kind, Budget::B2KB), cfg);
-        auto [e2, s2] = engineTraceEvents(t.v2, prophetAlone(kind, Budget::B2KB), cfg);
+        const HybridSpec spec = prophetAlone(kind, Budget::B2KB);
+        auto [e1, s1] = engineTraceEvents(t.path, false, spec, cfg);
+        auto [e2, s2] = engineTraceEvents(t.path, true, spec, cfg);
         expectSameEvents(e1, e2);
         expectSameEngineStats(s1, s2);
     }
 }
 
-TEST(Trace2Differential, EveryCriticAgreesAcrossTraceFormats)
+TEST(Trace2Differential, EveryCriticMatchesInMemoryReplay)
 {
-    const TraceFormatPair t(173, 7000);
+    const RecordedTrace t(173, 7000);
     const EngineConfig cfg = smallEngine();
     for (const CriticKind critic : allCriticKinds()) {
         SCOPED_TRACE("critic " + criticKindName(critic));
         const HybridSpec spec =
             hybridSpec(ProphetKind::Perceptron, Budget::B2KB, critic,
                        Budget::B2KB, 8);
-        auto [e1, s1] = engineTraceEvents(t.v1, spec, cfg);
-        auto [e2, s2] = engineTraceEvents(t.v2, spec, cfg);
+        auto [e1, s1] = engineTraceEvents(t.path, false, spec, cfg);
+        auto [e2, s2] = engineTraceEvents(t.path, true, spec, cfg);
         expectSameEvents(e1, e2);
         expectSameEngineStats(s1, s2);
     }
 }
 
-TEST(Trace2Differential, TimingAgreesAcrossTraceFormats)
+TEST(Trace2Differential, TimingMatchesInMemoryReplay)
 {
-    const TraceFormatPair t(179, 5000);
+    const RecordedTrace t(179, 5000);
     const HybridSpec spec =
         hybridSpec(ProphetKind::Tage, Budget::B2KB,
                    CriticKind::TaggedGshare, Budget::B2KB, 8);
@@ -389,14 +398,14 @@ TEST(Trace2Differential, TimingAgreesAcrossTraceFormats)
     cfg.warmupBranches = 400;
     cfg.measureBranches = 4000;
 
-    const auto timingRun = [&](const std::string &path) {
-        Program p = reconstructProgramFromTrace(path, "diff-fmt-t");
+    const auto timingRun = [&](bool compressed) {
+        Program p = reconstructProgramFromTrace(t.path, "diff-trc2-t");
         auto h = spec.build();
-        auto stream = openTraceStream(path);
+        const auto stream = traceStream(t.path, compressed);
         return TimingSim(p, *h, cfg).run(*stream);
     };
-    const TimingStats a = timingRun(t.v1);
-    const TimingStats b = timingRun(t.v2);
+    const TimingStats a = timingRun(false);
+    const TimingStats b = timingRun(true);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.committedUops, b.committedUops);
     EXPECT_EQ(a.committedBranches, b.committedBranches);

@@ -478,34 +478,32 @@ TEST(Fork, SweepStoreBytesIdenticalForkVsReplay)
 
 // -------------------------------------- compressed-trace workloads
 
-/** Record a CFG walk, keep it in both formats; paths live for the
- *  whole process because workloadByName caches `trace:` entries. */
-struct RecordedTracePair
+/** Record a CFG walk as PCBPTRC2; the path lives for the whole
+ *  process because workloadByName caches `trace:` entries. */
+struct RecordedTrace
 {
-    std::string v1;
-    std::string v2;
+    std::string path;
 
-    RecordedTracePair(std::uint64_t seed, std::uint64_t branches)
+    RecordedTrace(std::uint64_t seed, std::uint64_t branches)
+        : path(testing::TempDir() + "fork_trace_" + std::to_string(seed) +
+               ".pcbptrc2")
     {
-        v1 = testing::TempDir() + "fork_trace_" + std::to_string(seed) +
-             ".pcbptrc";
-        v2 = v1 + "2";
         Program p = generateProgram(forkRecipe(seed));
-        saveTrace(v1, walkProgram(p, branches));
-        convertTraceFile(v1, v2, true, 256);
+        Trace2Writer w(path, 256);
+        for (const CommittedBranch &r : walkProgram(p, branches))
+            w.append(r);
+        w.finish();
     }
 };
 
 /**
  * The chain driver's fork seam on a PCBPTRC2 workload: a shared
  * warmup ladder over CompressedTraceStream forks (shared mmap
- * reader, copied decode cursor) must equal per-cell linear replays —
- * and the whole ladder must be format-invariant against the same
- * chain on the v1 flat file.
+ * reader, copied decode cursor) must equal per-cell linear replays.
  */
 TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
 {
-    const RecordedTracePair t(61, 6000);
+    const RecordedTrace t(61, 6000);
     const HybridSpec spec =
         hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
                    CriticKind::TaggedGshare, Budget::B8KB, 8);
@@ -518,30 +516,25 @@ TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
         configs.push_back(cfg);
     }
 
-    const Workload &w2 = workloadByName("trace:" + t.v2);
+    const Workload &w = workloadByName("trace:" + t.path);
     ChainObs obs;
     const std::vector<EngineStats> chained =
-        runAccuracyChain(w2, spec, configs, &obs);
+        runAccuracyChain(w, spec, configs, &obs);
     EXPECT_EQ(obs.snapshots, configs.size() - 1);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
-
-    const Workload &w1 = workloadByName("trace:" + t.v1);
-    const std::vector<EngineStats> chained_v1 =
-        runAccuracyChain(w1, spec, configs);
 
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
-        expectSameStats(chained[i], runAccuracy(w2, spec, configs[i]));
-        expectSameStats(chained[i], chained_v1[i]);
+        expectSameStats(chained[i], runAccuracy(w, spec, configs[i]));
     }
 }
 
 /** Same seam through the timing chain. */
 TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
 {
-    const RecordedTracePair t(67, 7000);
-    const Workload &w = workloadByName("trace:" + t.v2);
+    const RecordedTrace t(67, 7000);
+    const Workload &w = workloadByName("trace:" + t.path);
     const HybridSpec spec =
         hybridSpec(ProphetKind::GSkew, Budget::B8KB,
                    CriticKind::TaggedGshare, Budget::B8KB, 8);
@@ -570,17 +563,16 @@ TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
 /**
  * The sweep executor end to end on a compressed trace: persisted
  * ResultStore bytes identical with forking on or off, at any job
- * count — and identical to the same sweep over the v1 file modulo
- * the workload name embedded in the store keys.
+ * count.
  */
 TEST(Fork, SweepStoreBytesIdenticalForkVsReplayOnCompressedTrace)
 {
-    const RecordedTracePair t(71, 5000);
+    const RecordedTrace t(71, 5000);
     SweepSpec spec;
     spec.name = "fork-parity-trc2";
     spec.axes.prophets = {ProphetKind::Gshare};
     spec.axes.critics = {std::nullopt, CriticKind::TaggedGshare};
-    spec.workloads = {"trace:" + t.v2};
+    spec.workloads = {"trace:" + t.path};
     spec.branches = 2500;
     spec.warmups = {400, 900, 1400};
 
@@ -596,50 +588,6 @@ TEST(Fork, SweepStoreBytesIdenticalForkVsReplayOnCompressedTrace)
     const std::string replay = runWith(false, 1);
     EXPECT_EQ(runWith(true, 1), replay);
     EXPECT_EQ(runWith(true, 4), replay);
-}
-
-/**
- * Index-seeded replay: a stream opened at an arbitrary ordinal via
- * the footer index must emit exactly the linear stream's tail —
- * record for record, across both formats — while touching only the
- * blocks the tail actually spans.
- */
-TEST(Fork, SeekSeededStreamMatchesLinearReplayTail)
-{
-    const RecordedTracePair t(73, 4000);
-    const auto full = loadTrace(t.v1);
-    ASSERT_EQ(full.size(), 4000u);
-
-    for (const std::uint64_t ordinal : {0ull, 1ull, 255ull, 256ull,
-                                        1000ull, 3999ull}) {
-        SCOPED_TRACE("ordinal " + std::to_string(ordinal));
-        for (const std::string &path : {t.v1, t.v2}) {
-            auto s = openTraceStreamAt(path, ordinal);
-            ASSERT_EQ(s->length(), full.size());
-            for (std::uint64_t i = ordinal; i < full.size(); ++i) {
-                const CommittedBranch *r = s->at(i);
-                ASSERT_NE(r, nullptr) << path << " record " << i;
-                ASSERT_EQ(r->block, full[std::size_t(i)].block);
-                ASSERT_EQ(r->pc, full[std::size_t(i)].pc);
-                ASSERT_EQ(r->taken, full[std::size_t(i)].taken);
-                ASSERT_EQ(r->numUops, full[std::size_t(i)].numUops);
-                s->release(i + 1);
-            }
-            EXPECT_EQ(s->at(full.size()), nullptr);
-        }
-
-        // The compressed tail pays only for the blocks it spans
-        // (rpb 256 at conversion): one decode per touched block, no
-        // scan of the prefix.
-        CompressedTraceStream c(t.v2, ordinal);
-        for (std::uint64_t i = ordinal; i < full.size(); ++i) {
-            ASSERT_NE(c.at(i), nullptr);
-            c.release(i + 1);
-        }
-        EXPECT_EQ(c.blocksDecoded(),
-                  (full.size() + 255) / 256 - ordinal / 256);
-        EXPECT_EQ(c.seeks(), 1u);
-    }
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "report/repro.hh"
-#include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -273,12 +273,12 @@ TEST(Repro, TraceWorkloadDrivesAFigure)
     // reproduce a figure against the trace instead of a registry
     // workload.
     const std::string trace =
-        testing::TempDir() + "pcbp_repro_trace.pcbptrc";
+        testing::TempDir() + "pcbp_repro_trace.pcbptrc2";
     {
         const Workload &w = workloadByName("mm.mpeg");
         Program program = buildProgram(w);
         ProgramWalkStream stream(program, 4000);
-        TraceWriter writer(trace);
+        Trace2Writer writer(trace);
         for (std::uint64_t i = 0; i < 4000; ++i) {
             const CommittedBranch *cb = stream.at(i);
             ASSERT_NE(cb, nullptr);

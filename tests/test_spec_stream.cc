@@ -14,6 +14,7 @@
 #include "sim/committed_stream.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -93,31 +94,6 @@ TEST(CommittedStream, PrecomputedStreamReplaysVector)
         EXPECT_EQ(cb->taken, trace[i].taken);
     }
     EXPECT_EQ(stream.at(1000), nullptr);
-}
-
-TEST(CommittedStream, TraceFileRoundTrip)
-{
-    const Workload &w = workloadByName("int.crafty");
-    Program p = buildProgram(w);
-    const auto trace = walkProgram(p, 3000);
-    const std::string path = tmpPath("roundtrip.pcbptrc");
-    saveTrace(path, trace);
-
-    EXPECT_EQ(traceFileCount(path), 3000u);
-
-    // Tiny chunks so refill logic is exercised many times.
-    TraceFileStream stream(path, 7);
-    for (std::uint64_t i = 0; i < 3000; ++i) {
-        const CommittedBranch *cb = stream.at(i);
-        ASSERT_NE(cb, nullptr);
-        EXPECT_EQ(cb->block, trace[i].block);
-        EXPECT_EQ(cb->pc, trace[i].pc);
-        EXPECT_EQ(cb->taken, trace[i].taken);
-        EXPECT_EQ(cb->numUops, trace[i].numUops);
-        stream.release(i);
-    }
-    EXPECT_EQ(stream.at(3000), nullptr);
-    std::remove(path.c_str());
 }
 
 TEST(CommittedStream, TraceWriterStreamsWithoutVector)
@@ -301,10 +277,10 @@ TEST(TraceReplay, RecordedTraceDrivesEngine)
 {
     const Workload &w = workloadByName("int.crafty");
     Program p = buildProgram(w);
-    const std::string path = tmpPath("replay.pcbptrc");
+    const std::string path = tmpPath("replay.pcbptrc2");
     {
         ProgramWalkStream walk(p, 30000);
-        TraceWriter writer(path);
+        Trace2Writer writer(path);
         for (std::uint64_t i = 0; i < 30000; ++i) {
             writer.append(*walk.at(i));
             walk.release(i + 1);
@@ -358,8 +334,12 @@ TEST(TraceReplay, TimingRunsOnTraceWorkload)
 {
     const Workload &w = workloadByName("fp.swim");
     Program p = buildProgram(w);
-    const std::string path = tmpPath("replay_timing.pcbptrc");
-    saveTrace(path, walkProgram(p, 15000));
+    const std::string path = tmpPath("replay_timing.pcbptrc2");
+    {
+        Trace2Writer writer(path);
+        for (const CommittedBranch &r : walkProgram(p, 15000))
+            writer.append(r);
+    }
 
     const Workload &tw = workloadByName("trace:" + path);
     const auto spec = prophetAlone(ProphetKind::Gshare, Budget::B8KB);

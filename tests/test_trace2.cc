@@ -8,13 +8,14 @@
  * - lossless: random programs and adversarial random record payloads
  *   (dictionary exceptions included) survive PCBPTRC1 -> PCBPTRC2 ->
  *   PCBPTRC1 round trips, with the back-conversion byte-identical to
- *   the original file;
+ *   the original file — also when a file converts in place;
  * - stream-equivalent: CompressedTraceStream yields the exact record
- *   sequence TraceFileStream yields, through the generic dispatch
- *   entry points and through forks;
- * - O(1) seek: landing on an arbitrary ordinal via the footer index
- *   decodes at most one block (pinned by the blocksDecoded counter,
- *   exported as trace.store.* host stats);
+ *   sequence of the recorded walk, directly and through forks, and
+ *   engine replay over it equals replay of the same records held in
+ *   memory (exporting trace.store.* host stats);
+ * - the only replay format: a PCBPTRC1 file registered as a
+ *   `trace:` workload or opened as a stream fails with the command
+ *   that converts it;
  * - compact: >= 4x smaller than PCBPTRC1 on a recorded CFG-walk
  *   trace (the full 10M-branch criterion runs in test_longrun.cc);
  * - identified: `pcbp_trace info` output is deterministic and its
@@ -22,6 +23,7 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -53,6 +55,17 @@ slurpBytes(const std::string &path)
     return std::vector<unsigned char>(
         std::istreambuf_iterator<char>(in),
         std::istreambuf_iterator<char>());
+}
+
+void
+saveTrace2(const std::string &path,
+           const std::vector<CommittedBranch> &records,
+           std::uint32_t records_per_block)
+{
+    Trace2Writer w(path, records_per_block);
+    for (const CommittedBranch &r : records)
+        w.append(r);
+    w.finish();
 }
 
 WorkloadRecipe
@@ -213,55 +226,46 @@ TEST(Trace2, SummariesAgreeAcrossFormats)
 
 // ------------------------------------------------- stream equivalence
 
-TEST(Trace2, CompressedStreamMatchesTraceFileStreamRecordForRecord)
+TEST(Trace2, CompressedStreamMatchesRecordedWalkRecordForRecord)
 {
-    const std::string v1 = tmpPath("t2_stream.pcbptrc");
     const std::string v2 = tmpPath("t2_stream.pcbptrc2");
     Program p = generateProgram(traceRecipe(21));
     const auto walk = walkProgram(p, 15000);
-    saveTrace(v1, walk);
-    convertTraceFile(v1, v2, true, 512);
+    saveTrace2(v2, walk, 512);
 
-    auto a = openTraceStream(v1);
-    auto b = openTraceStream(v2);
-    EXPECT_STREQ(a->backendName(), "trace_file");
-    EXPECT_STREQ(b->backendName(), "trace2");
-    ASSERT_EQ(a->length(), walk.size());
-    ASSERT_EQ(b->length(), walk.size());
+    auto s = openTraceStream(v2);
+    EXPECT_STREQ(s->backendName(), "trace2");
+    ASSERT_EQ(s->length(), walk.size());
 
     for (std::uint64_t i = 0; i < walk.size(); ++i) {
-        const CommittedBranch *ra = a->at(i);
-        const CommittedBranch *rb = b->at(i);
-        ASSERT_NE(ra, nullptr);
-        ASSERT_NE(rb, nullptr);
-        ASSERT_EQ(ra->block, rb->block) << "record " << i;
-        ASSERT_EQ(ra->pc, rb->pc) << "record " << i;
-        ASSERT_EQ(ra->taken, rb->taken) << "record " << i;
-        ASSERT_EQ(ra->numUops, rb->numUops) << "record " << i;
-        a->release(i);
-        b->release(i);
+        const CommittedBranch *r = s->at(i);
+        ASSERT_NE(r, nullptr);
+        ASSERT_EQ(r->block, walk[std::size_t(i)].block) << "record " << i;
+        ASSERT_EQ(r->pc, walk[std::size_t(i)].pc) << "record " << i;
+        ASSERT_EQ(r->taken, walk[std::size_t(i)].taken) << "record " << i;
+        ASSERT_EQ(r->numUops, walk[std::size_t(i)].numUops)
+            << "record " << i;
+        s->release(i);
     }
-    EXPECT_EQ(a->at(walk.size()), nullptr);
-    EXPECT_EQ(b->at(walk.size()), nullptr);
-    std::remove(v1.c_str());
+    EXPECT_EQ(s->at(walk.size()), nullptr);
+    // Sequential replay decodes each block exactly once.
+    EXPECT_EQ(s->blocksDecoded(), (walk.size() + 511) / 512);
     std::remove(v2.c_str());
 }
 
 TEST(Trace2, CompressedStreamForkContinuesIdentically)
 {
-    const std::string v1 = tmpPath("t2_fork.pcbptrc");
     const std::string v2 = tmpPath("t2_fork.pcbptrc2");
     Program p = generateProgram(traceRecipe(31));
     const auto walk = walkProgram(p, 6000);
-    saveTrace(v1, walk);
-    convertTraceFile(v1, v2, true, 256);
+    saveTrace2(v2, walk, 256);
 
     auto s = openTraceStream(v2);
     for (std::uint64_t i = 0; i < 2500; ++i) {
         ASSERT_NE(s->at(i), nullptr);
         s->release(i + 1);
     }
-    auto fork = s->forkStream();
+    auto fork = std::make_unique<CompressedTraceStream>(*s);
     for (std::uint64_t i = 2500; i < walk.size(); ++i) {
         const CommittedBranch *rf = fork->at(i);
         ASSERT_NE(rf, nullptr);
@@ -272,68 +276,16 @@ TEST(Trace2, CompressedStreamForkContinuesIdentically)
     EXPECT_EQ(fork->at(walk.size()), nullptr);
     // The original is untouched by the fork's progress.
     ASSERT_NE(s->at(2500), nullptr);
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
-}
-
-// ------------------------------------------------------- O(1) seek
-
-TEST(Trace2, IndexSeekDecodesAtMostOneBlock)
-{
-    const std::string v1 = tmpPath("t2_seek.pcbptrc");
-    const std::string v2 = tmpPath("t2_seek.pcbptrc2");
-    Program p = generateProgram(traceRecipe(41));
-    const auto walk = walkProgram(p, 10000);
-    saveTrace(v1, walk);
-    constexpr std::uint32_t rpb = 128;
-    convertTraceFile(v1, v2, true, rpb);
-
-    Rng rng(99);
-    for (int iter = 0; iter < 20; ++iter) {
-        const std::uint64_t ordinal = rng.nextBelow(walk.size());
-        CompressedTraceStream s(v2, ordinal);
-        EXPECT_EQ(s.seeks(), 1u);
-        EXPECT_EQ(s.blocksDecoded(), 0u) << "decode must be lazy";
-
-        // Land on the ordinal and read to the end of its block: one
-        // decode total, regardless of where in the file it lives.
-        const std::uint64_t block_end =
-            std::min<std::uint64_t>((ordinal / rpb + 1) * rpb,
-                                    walk.size());
-        for (std::uint64_t i = ordinal; i < block_end; ++i) {
-            const CommittedBranch *r = s.at(i);
-            ASSERT_NE(r, nullptr);
-            ASSERT_EQ(r->block, walk[std::size_t(i)].block)
-                << "ordinal " << ordinal << " record " << i;
-            ASSERT_EQ(r->pc, walk[std::size_t(i)].pc);
-            ASSERT_EQ(r->taken, walk[std::size_t(i)].taken);
-            ASSERT_EQ(r->numUops, walk[std::size_t(i)].numUops);
-            s.release(i);
-        }
-        EXPECT_EQ(s.blocksDecoded(), 1u)
-            << "seek to " << ordinal << " decoded more than one block";
-    }
-
-    // The generic factory honors the same bound on both formats.
-    auto seeked = openTraceStreamAt(v2, walk.size() / 2);
-    ASSERT_NE(seeked->at(walk.size() / 2), nullptr);
-    auto seeked1 = openTraceStreamAt(v1, walk.size() / 2);
-    ASSERT_NE(seeked1->at(walk.size() / 2), nullptr);
-    EXPECT_EQ(seeked->at(walk.size() / 2)->pc,
-              seeked1->at(walk.size() / 2)->pc);
-    std::remove(v1.c_str());
     std::remove(v2.c_str());
 }
 
 // ------------------------------------------------ replay + host stats
 
-TEST(Trace2, EngineReplayMatchesAcrossFormatsAndExportsStoreStats)
+TEST(Trace2, EngineReplayMatchesInMemoryReplayAndExportsStoreStats)
 {
-    const std::string v1 = tmpPath("t2_replay.pcbptrc");
     const std::string v2 = tmpPath("t2_replay.pcbptrc2");
     Program src = generateProgram(traceRecipe(51));
-    saveTrace(v1, walkProgram(src, 8000));
-    convertTraceFile(v1, v2, true, 1024);
+    saveTrace2(v2, walkProgram(src, 8000), 1024);
 
     const HybridSpec spec =
         hybridSpec(ProphetKind::Perceptron, Budget::B2KB,
@@ -342,18 +294,18 @@ TEST(Trace2, EngineReplayMatchesAcrossFormatsAndExportsStoreStats)
     cfg.warmupBranches = 800;
     cfg.measureBranches = 7200;
 
-    const auto replay = [&](const std::string &path, StatRegistry &reg) {
-        Program p = reconstructProgramFromTrace(path, "t2-replay");
+    const auto replay = [&](CommittedStream &stream, StatRegistry &reg) {
+        Program p = reconstructProgramFromTrace(v2, "t2-replay");
         auto h = spec.build();
         EngineConfig c = cfg;
         c.statsOut = &reg;
-        auto stream = openTraceStream(path);
-        return Engine(p, *h, c).run(*stream);
+        return Engine(p, *h, c).run(stream);
     };
 
     StatRegistry ra, rb;
-    const EngineStats sa = replay(v1, ra);
-    const EngineStats sb = replay(v2, rb);
+    PrecomputedStream memory(loadTrace(v2));
+    const EngineStats sa = replay(memory, ra);
+    const EngineStats sb = replay(*openTraceStream(v2), rb);
     EXPECT_EQ(sa.committedBranches, sb.committedBranches);
     EXPECT_EQ(sa.committedUops, sb.committedUops);
     EXPECT_EQ(sa.finalMispredicts, sb.finalMispredicts);
@@ -363,17 +315,106 @@ TEST(Trace2, EngineReplayMatchesAcrossFormatsAndExportsStoreStats)
     // section's backend tag, and the host-only trace.store.* block.
     EXPECT_EQ(ra.simValue("stream.produced"),
               rb.simValue("stream.produced"));
-    EXPECT_EQ(ra.simValue("stream.backend.trace_file"), 1u);
+    EXPECT_EQ(ra.simValue("stream.backend.precomputed"), 1u);
     EXPECT_EQ(rb.simValue("stream.backend.trace2"), 1u);
     EXPECT_EQ(ra.toJson().find("trace.store."), std::string::npos);
     EXPECT_NE(rb.toJson().find("\"trace.store.blocks_decoded\""),
               std::string::npos);
     EXPECT_NE(rb.toJson().find("\"trace.store.bytes_mapped\""),
               std::string::npos);
-    EXPECT_NE(rb.toJson().find("\"trace.store.seeks\""),
-              std::string::npos);
-    std::remove(v1.c_str());
     std::remove(v2.c_str());
+}
+
+// ------------------------------------------ PCBPTRC1 is interchange
+
+TEST(Trace2, InPlaceConversionRoundTripsByteIdentical)
+{
+    const std::string path = tmpPath("t2_inplace.pcbptrc2");
+    Program p = generateProgram(traceRecipe(71));
+    const auto walk = walkProgram(p, 7000);
+    saveTrace2(path, walk, 256);
+    const auto original = slurpBytes(path);
+
+    // OUT == IN both ways: each direction reads its input in full
+    // before the output replaces it.
+    EXPECT_EQ(convertTraceFile(path, path, false), walk.size());
+    EXPECT_FALSE(isTrace2File(path));
+    expectSameRecords(loadTrace(path), walk);
+    EXPECT_EQ(convertTraceFile(path, path, true, 256), walk.size());
+    EXPECT_EQ(slurpBytes(path), original);
+
+    // OUT a symlink to IN: the link is replaced by the output and
+    // the file it pointed at keeps its bytes.
+    const std::string link = tmpPath("t2_inplace_link.pcbptrc");
+    std::remove(link.c_str());
+    std::filesystem::create_symlink(path, link);
+    EXPECT_EQ(convertTraceFile(link, link, false), walk.size());
+    EXPECT_EQ(slurpBytes(path), original);
+    expectSameRecords(loadTrace(link), walk);
+    std::remove(link.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(Trace2, CorruptInputLeavesConversionOutputUntouched)
+{
+    const std::string in = tmpPath("t2_corrupt_in.pcbptrc2");
+    const std::string out = tmpPath("t2_corrupt_out.pcbptrc");
+    Program p = generateProgram(traceRecipe(73));
+    saveTrace2(in, walkProgram(p, 3000), 256);
+    saveTrace(out, walkProgram(p, 100));
+    const auto before = slurpBytes(out);
+
+    // Tear the final block's payload: the header, footer and the
+    // earlier blocks still validate, so conversion has already
+    // streamed records out when the decode fails.
+    auto bytes = slurpBytes(in);
+    const std::uint64_t payload_end =
+        bytes.size() - Trace2Reader::open(in)->info().indexBytes;
+    bytes[std::size_t(payload_end - 1)] ^= 0x80;
+    {
+        std::ofstream f(in, std::ios::binary | std::ios::trunc);
+        f.write(reinterpret_cast<const char *>(bytes.data()),
+                std::streamsize(bytes.size()));
+    }
+    EXPECT_EXIT(convertTraceFile(in, out, false),
+                testing::ExitedWithCode(1), "block");
+    EXPECT_EQ(slurpBytes(out), before);
+
+    // Nothing is left behind beside OUT either.
+    const std::filesystem::path outPath(out);
+    for (const auto &e :
+         std::filesystem::directory_iterator(outPath.parent_path())) {
+        const std::string name = e.path().filename().string();
+        EXPECT_NE(name.rfind(outPath.filename().string() + ".tmp", 0),
+                  0u)
+            << "leftover temporary " << name;
+    }
+    std::remove(in.c_str());
+    std::remove(out.c_str());
+}
+
+TEST(Trace2, V1FileFailsReplayNamingTheConvertCommand)
+{
+    const std::string v1 = tmpPath("t2_v1_replay.pcbptrc");
+    const std::string empty = tmpPath("t2_v1_empty.pcbptrc");
+    Program p = generateProgram(traceRecipe(79));
+    saveTrace(v1, walkProgram(p, 2000));
+    saveTrace(empty, {});
+
+    for (const std::string &path : {v1, empty}) {
+        SCOPED_TRACE(path);
+        std::string error;
+        EXPECT_FALSE(Trace2Reader::tryOpen(path, error));
+        EXPECT_NE(error.find("pcbp_trace convert " + path + " " + path),
+                  std::string::npos)
+            << error;
+        EXPECT_EXIT(workloadByName("trace:" + path),
+                    testing::ExitedWithCode(1), "pcbp_trace convert");
+        EXPECT_EXIT(openTraceStream(path), testing::ExitedWithCode(1),
+                    "pcbp_trace convert");
+    }
+    std::remove(v1.c_str());
+    std::remove(empty.c_str());
 }
 
 // ----------------------------------------------------- info schema

@@ -13,11 +13,15 @@
  *   reader mmaps the file, so every decode bound is exercised
  *   directly against the raw mapping. The ASan+UBSan CI job runs
  *   this file in the fast set, so any parser overread trips the
- *   sanitizers here.
+ *   sanitizers here;
+ * - the CBP-style ASCII importer reads a line of any length as one
+ *   line, and rejects — naming the line — PCs it would otherwise
+ *   wrap or clamp.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -652,6 +656,63 @@ TEST(Trace2Fuzz, MissingFileIsAGracefulError)
     EXPECT_FALSE(
         tryScan2(tmpPath("fuzz2_does_not_exist.pcbptrc2"), error));
     EXPECT_FALSE(error.empty());
+}
+
+// ------------------------------------------------------ ASCII import
+
+/** Write @p lines as a text file, one per line. */
+void
+writeLines(const std::string &path, const std::vector<std::string> &lines)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (const std::string &l : lines)
+        out << l << '\n';
+}
+
+TEST(AsciiImportFuzz, LongCommentLinesAreOneLine)
+{
+    const std::string in = tmpPath("ascii_long.txt");
+    const std::string out = tmpPath("ascii_long.pcbptrc2");
+
+    // A comment whose tail would parse as a branch if the line were
+    // split, and one whose tail would not parse at all.
+    const std::string split_tail = "0x600000 1 7";
+    for (const std::string &comment :
+         {"#" + std::string(267 - 1 - split_tail.size(), 'c') +
+              split_tail,
+          "#" + std::string(299, 'c')}) {
+        SCOPED_TRACE("comment of " + std::to_string(comment.size()) +
+                     " bytes");
+        writeLines(in, {"0x400000 T 3", comment, "0x400040 N 2"});
+        ASSERT_EQ(importAsciiTrace(in, out), 2u);
+        const auto records = loadTrace(out);
+        ASSERT_EQ(records.size(), 2u);
+        EXPECT_EQ(records[0].block, 0u);
+        EXPECT_EQ(records[0].pc, 0x400000u);
+        EXPECT_TRUE(records[0].taken);
+        EXPECT_EQ(records[0].numUops, 3u);
+        EXPECT_EQ(records[1].block, 1u);
+        EXPECT_EQ(records[1].pc, 0x400040u);
+        EXPECT_FALSE(records[1].taken);
+        EXPECT_EQ(records[1].numUops, 2u);
+    }
+    std::remove(in.c_str());
+    std::remove(out.c_str());
+}
+
+TEST(AsciiImportFuzz, NegativeAndOverwidePcsAreRejected)
+{
+    const std::string in = tmpPath("ascii_pc.txt");
+    const std::string out = tmpPath("ascii_pc.pcbptrc2");
+    for (const std::string pc : {"-1", "0x1ffffffffffffffff"}) {
+        SCOPED_TRACE(pc);
+        std::remove(out.c_str());
+        writeLines(in, {"# pcs", "0x400000 T", pc + " N"});
+        EXPECT_EXIT(importAsciiTrace(in, out), testing::ExitedWithCode(1),
+                    "line 3: bad PC");
+        EXPECT_FALSE(std::filesystem::exists(out));
+    }
+    std::remove(in.c_str());
 }
 
 } // namespace

@@ -1,35 +1,38 @@
 /**
  * @file
- * pcbp_trace — committed-branch trace tooling (PCBPTRC1 interchange
- * and PCBPTRC2 compressed-indexed formats; every FILE argument is
- * magic-sniffed, so either format works everywhere).
+ * pcbp_trace — committed-branch trace tooling. Replay reads the
+ * PCBPTRC2 compressed indexed format only; PCBPTRC1 is interchange,
+ * read by summarize/info/convert and written by `convert --to v1`.
+ * A PCBPTRC1 file becomes replayable in place with
+ * `pcbp_trace convert F F`.
  *
  *   pcbp_trace record --workload NAME --out FILE [--branches N]
- *                     [--format v1|v2] [--block-records N]
+ *                     [--block-records N]
  *       Walk a registered workload's CFG architecturally and stream
- *       the committed branches to FILE (constant memory; N defaults
- *       to the workload's warmup + measure budget).
+ *       the committed branches to FILE as PCBPTRC2 (constant memory;
+ *       N defaults to the workload's warmup + measure budget).
  *
  *   pcbp_trace summarize FILE
- *       One chunked pass over FILE: branches, uops, taken rate,
- *       static branch count.
+ *       One chunked pass over FILE (either format): branches, uops,
+ *       taken rate, static branch count.
  *
  *   pcbp_trace convert IN OUT [--to v1|v2] [--block-records N]
  *       Lossless conversion between the formats (default: to
- *       PCBPTRC2). Prints the record count and the size ratio.
+ *       PCBPTRC2). OUT may be IN: it is replaced only once IN has
+ *       been read in full. Prints the record count and size ratio.
  *
  *   pcbp_trace info FILE
  *       Deterministic `key value` identity of a trace file of either
  *       format: record/block/static-branch counts, bytes per record,
  *       compression ratio vs PCBPTRC1 (schema pinned in CI).
  *
- *   pcbp_trace import-ascii IN OUT [--format v1|v2]
- *                                  [--block-records N]
- *       Import a CBP-style ASCII branch trace: one branch per line,
- *       `PC OUTCOME [UOPS]` — PC in hex (0x...) or decimal, OUTCOME
- *       one of 1/0/T/N, optional per-branch uop count (default 1).
- *       Lines starting with '#' and blank lines are skipped. Block
- *       ids are assigned per distinct PC in first-seen order.
+ *   pcbp_trace import-ascii IN OUT [--block-records N]
+ *       Import a CBP-style ASCII branch trace into PCBPTRC2: one
+ *       branch per line, `PC OUTCOME [UOPS]` — PC in hex (0x...) or
+ *       decimal, OUTCOME one of 1/0/T/N, optional per-branch uop
+ *       count (default 1). Lines starting with '#' and blank lines
+ *       are skipped. Block ids are assigned per distinct PC in
+ *       first-seen order (importAsciiTrace).
  *
  *   pcbp_trace replay FILE [--prophet K] [--prophet-budget B]
  *                          [--critic K|none] [--critic-budget B]
@@ -54,10 +57,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "common/cli_parse.hh"
 #include "obs/stat_registry.hh"
@@ -77,11 +78,11 @@ usage(const char *argv0)
         stderr,
         "usage: %s COMMAND [options]\n"
         "  record    --workload NAME --out FILE [--branches N]\n"
-        "            [--format v1|v2] [--block-records N]\n"
+        "            [--block-records N]\n"
         "  summarize FILE\n"
         "  convert   IN OUT [--to v1|v2] [--block-records N]\n"
         "  info      FILE\n"
-        "  import-ascii IN OUT [--format v1|v2] [--block-records N]\n"
+        "  import-ascii IN OUT [--block-records N]\n"
         "  replay    FILE [--prophet K] [--prophet-budget B]\n"
         "                 [--critic K|none] [--critic-budget B]\n"
         "                 [--future-bits N] [--warmup N] [--measure N]\n"
@@ -109,7 +110,6 @@ cmdRecord(int argc, char **argv)
 {
     std::string workload, out;
     std::optional<std::uint64_t> branchesOpt;
-    bool toV2 = false;
     std::uint32_t blockRecords = trace2fmt::defaultBlockRecords;
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
@@ -119,8 +119,6 @@ cmdRecord(int argc, char **argv)
             out = argv[++i];
         else if (a == "--branches" && i + 1 < argc)
             branchesOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
-        else if (a == "--format" && i + 1 < argc)
-            toV2 = parseFormatV2(argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
             blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
         else
@@ -135,28 +133,18 @@ cmdRecord(int argc, char **argv)
 
     Program program = buildProgram(w);
     ProgramWalkStream stream(program, branches);
-    const auto recordTo = [&](auto &writer) {
-        for (std::uint64_t i = 0; i < branches; ++i) {
-            const CommittedBranch *cb = stream.at(i);
-            pcbp_assert(cb != nullptr);
-            writer.append(*cb);
-            stream.release(i + 1);
-        }
-        writer.finish();
-        return writer.written();
-    };
-    std::uint64_t written = 0;
-    if (toV2) {
-        Trace2Writer writer(out, blockRecords);
-        written = recordTo(writer);
-    } else {
-        TraceWriter writer(out);
-        written = recordTo(writer);
+    Trace2Writer writer(out, blockRecords);
+    for (std::uint64_t i = 0; i < branches; ++i) {
+        const CommittedBranch *cb = stream.at(i);
+        pcbp_assert(cb != nullptr);
+        writer.append(*cb);
+        stream.release(i + 1);
     }
+    writer.finish();
     std::printf("recorded %" PRIu64 " branches of '%s' to %s "
-                "(%s, window peak %zu records)\n",
-                written, w.name.c_str(), out.c_str(),
-                toV2 ? "pcbptrc2" : "pcbptrc1", stream.windowPeak());
+                "(pcbptrc2, window peak %zu records)\n",
+                writer.written(), w.name.c_str(), out.c_str(),
+                stream.windowPeak());
     return 0;
 }
 
@@ -199,82 +187,19 @@ int
 cmdImportAscii(const std::string &in, const std::string &out, int argc,
                char **argv)
 {
-    bool toV2 = true;
     std::uint32_t blockRecords = trace2fmt::defaultBlockRecords;
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--format" && i + 1 < argc)
-            toV2 = parseFormatV2(argv[++i]);
-        else if (a == "--block-records" && i + 1 < argc)
+        if (a == "--block-records" && i + 1 < argc)
             blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
         else
             usage("pcbp_trace");
     }
-
-    std::FILE *f = std::fopen(in.c_str(), "rb");
-    if (!f)
-        pcbp_fatal("cannot open '", in, "' for reading");
-
-    // Block ids by distinct PC, first-seen order, so the importer's
-    // output replays through reconstructProgramFromTrace like any
-    // recorded trace.
-    std::unordered_map<Addr, BlockId> blockOf;
-    const auto importTo = [&](auto &writer) {
-        char line[256];
-        std::uint64_t lineNo = 0;
-        while (std::fgets(line, sizeof(line), f)) {
-            ++lineNo;
-            char *p = line;
-            while (*p == ' ' || *p == '\t')
-                ++p;
-            if (*p == '\0' || *p == '\n' || *p == '#')
-                continue;
-            char *end = nullptr;
-            const Addr pc = std::strtoull(p, &end, 0);
-            if (end == p)
-                pcbp_fatal("'", in, "' line ", lineNo, ": bad PC");
-            p = end;
-            while (*p == ' ' || *p == '\t')
-                ++p;
-            bool taken = false;
-            if (*p == '1' || *p == 'T' || *p == 't')
-                taken = true;
-            else if (*p == '0' || *p == 'N' || *p == 'n')
-                taken = false;
-            else
-                pcbp_fatal("'", in, "' line ", lineNo,
-                           ": bad outcome (want 1/0/T/N)");
-            ++p;
-            std::uint32_t uops = 1;
-            while (*p == ' ' || *p == '\t')
-                ++p;
-            if (*p != '\0' && *p != '\n' && *p != '\r' && *p != '#') {
-                const std::uint64_t u = std::strtoull(p, &end, 10);
-                if (end == p || u < 1 || u > 0xffffffffull)
-                    pcbp_fatal("'", in, "' line ", lineNo,
-                               ": bad uop count");
-                uops = std::uint32_t(u);
-            }
-            const auto fit =
-                blockOf.emplace(pc, BlockId(blockOf.size()));
-            writer.append({fit.first->second, pc, taken, uops});
-        }
-        writer.finish();
-        return writer.written();
-    };
-    std::uint64_t written = 0;
-    if (toV2) {
-        Trace2Writer writer(out, blockRecords);
-        written = importTo(writer);
-    } else {
-        TraceWriter writer(out);
-        written = importTo(writer);
-    }
-    std::fclose(f);
-    std::printf("imported %" PRIu64 " branches (%zu static) from %s "
-                "to %s (%s)\n",
-                written, blockOf.size(), in.c_str(), out.c_str(),
-                toV2 ? "pcbptrc2" : "pcbptrc1");
+    const std::uint64_t n = importAsciiTrace(in, out, blockRecords);
+    std::printf("imported %" PRIu64 " branches (%" PRIu64
+                " static) from %s to %s (pcbptrc2)\n",
+                n, Trace2Reader::open(out)->info().staticBranches,
+                in.c_str(), out.c_str());
     return 0;
 }
 
@@ -371,8 +296,7 @@ cmdReplay(const std::string &path, int argc, char **argv)
         cfg.warmupBranches = warmup;
         cfg.measureBranches = measure;
         TimingSim sim(program, *hybrid, cfg);
-        auto streamPtr = openTraceStream(path);
-        TraceStream &stream = *streamPtr;
+        CompressedTraceStream stream(path);
         const TimingStats st = sim.run(stream);
         std::printf("  committed        %" PRIu64 " branches / "
                     "%" PRIu64 " uops\n",
@@ -388,8 +312,7 @@ cmdReplay(const std::string &path, int argc, char **argv)
         cfg.warmupBranches = warmup;
         cfg.measureBranches = measure;
         Engine engine(program, *hybrid, cfg);
-        auto streamPtr = openTraceStream(path);
-        TraceStream &stream = *streamPtr;
+        CompressedTraceStream stream(path);
         const EngineStats st = engine.run(stream);
         std::printf("  committed        %" PRIu64 " branches / "
                     "%" PRIu64 " uops\n",
