@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "common/cli_parse.hh"
 #include "common/stats.hh"
 #include "sim/driver.hh"
 
@@ -19,7 +20,9 @@ main(int argc, char **argv)
 {
     const std::string workload_name = argc > 1 ? argv[1] : "int.crafty";
     const unsigned fb =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
+        argc > 2 ? static_cast<unsigned>(parseCountArg(
+                       "future_bits", argv[2], futureBitsLimit(true) - 1))
+                 : 8;
     const Workload &w = workloadByName(workload_name);
 
     std::cout << "=== decoupled front-end on " << w.name

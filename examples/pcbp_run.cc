@@ -21,10 +21,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/cli_parse.hh"
 #include "common/stats.hh"
 #include "sim/driver.hh"
 
@@ -68,7 +68,7 @@ main(int argc, char **argv)
     std::string workload = "int.crafty";
     std::string prophet = "perceptron:8KB";
     std::string critic = "t.gshare:8KB";
-    unsigned fb = 8;
+    std::string fb_arg = "8";
     std::uint64_t branches = 0;
     bool timing = false, oracle = false, no_btb = false;
     unsigned per_branch = 0;
@@ -87,9 +87,9 @@ main(int argc, char **argv)
         else if (arg == "--critic")
             critic = next();
         else if (arg == "--fb")
-            fb = static_cast<unsigned>(std::atoi(next().c_str()));
+            fb_arg = next();
         else if (arg == "--branches")
-            branches = std::strtoull(next().c_str(), nullptr, 10);
+            branches = parseCountArg<std::uint64_t>(arg, next());
         else if (arg == "--timing")
             timing = true;
         else if (arg == "--oracle")
@@ -97,11 +97,13 @@ main(int argc, char **argv)
         else if (arg == "--no-btb")
             no_btb = true;
         else if (arg == "--per-branch")
-            per_branch =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            per_branch = parseCountArg<unsigned>(arg, next());
         else
             usage(argv[0]);
     }
+    // Bounded only now: --timing may follow --fb.
+    const auto fb = static_cast<unsigned>(
+        parseCountArg("--fb", fb_arg, futureBitsLimit(timing) - 1));
 
     if (workload == "LIST") {
         TablePrinter t({"workload", "suite", "static branches",

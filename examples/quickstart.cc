@@ -8,9 +8,9 @@
  *   ./quickstart [workload] [future_bits]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/cli_parse.hh"
 #include "common/stats.hh"
 #include "sim/driver.hh"
 
@@ -21,7 +21,9 @@ main(int argc, char **argv)
 {
     const std::string workload_name = argc > 1 ? argv[1] : "int.crafty";
     const unsigned future_bits =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
+        argc > 2 ? static_cast<unsigned>(parseCountArg(
+                       "future_bits", argv[2], futureBitsLimit(false) - 1))
+                 : 8;
 
     const Workload &w = workloadByName(workload_name);
     std::cout << "workload: " << w.name << " (suite " << w.suite

@@ -58,43 +58,6 @@ Histogram::reset()
     sum = 0.0;
 }
 
-void
-StatSet::set(const std::string &name, double value)
-{
-    auto it = index.find(name);
-    if (it == index.end()) {
-        index.emplace(name, ordered.size());
-        ordered.push_back({name, value});
-    } else {
-        ordered[it->second].value = value;
-    }
-}
-
-void
-StatSet::add(const std::string &name, double delta)
-{
-    auto it = index.find(name);
-    if (it == index.end())
-        set(name, delta);
-    else
-        ordered[it->second].value += delta;
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = index.find(name);
-    if (it == index.end())
-        pcbp_fatal("unknown stat '", name, "'");
-    return ordered[it->second].value;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return index.count(name) != 0;
-}
-
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : head(std::move(headers))
 {

@@ -1,26 +1,18 @@
 /**
  * @file
- * Lightweight statistics: scalar counters, ratios, and histograms,
- * with pretty-printing helpers shared by the bench harness.
+ * Lightweight statistics: a fixed-bucket histogram, an ASCII table
+ * printer, and the number and JSON-string formatting helpers.
  */
 
 #ifndef PCBP_COMMON_STATS_HH
 #define PCBP_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace pcbp
 {
-
-/** A named scalar statistic. */
-struct Scalar
-{
-    std::string name;
-    double value = 0.0;
-};
 
 /**
  * Simple fixed-bucket histogram for distances/latencies, e.g.\ the
@@ -64,34 +56,9 @@ class Histogram
 };
 
 /**
- * Accumulates named scalars in insertion order; used by the driver
- * to assemble result tables.
- */
-class StatSet
-{
-  public:
-    /** Add (or overwrite) a named value. */
-    void set(const std::string &name, double value);
-
-    /** Add to a named value, creating it at zero if absent. */
-    void add(const std::string &name, double delta);
-
-    /** Fetch a value; fatal if missing. */
-    double get(const std::string &name) const;
-
-    /** True if the stat exists. */
-    bool has(const std::string &name) const;
-
-    const std::vector<Scalar> &all() const { return ordered; }
-
-  private:
-    std::vector<Scalar> ordered;
-    std::map<std::string, std::size_t> index;
-};
-
-/**
- * Render a fixed-column ASCII table (used by bench binaries to print
- * paper-style tables).
+ * Render a fixed-column, markdown-style ASCII table (the
+ * command-line tables of the examples, pcbp_sweep and the H2P
+ * report).
  */
 class TablePrinter
 {

@@ -174,11 +174,4 @@ ThreadPool::exportStats(StatRegistry &reg,
     reg.addHost(prefix + ".idle_ns", idle);
 }
 
-ThreadPool &
-ThreadPool::shared()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
 } // namespace pcbp

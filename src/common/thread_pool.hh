@@ -82,9 +82,6 @@ class ThreadPool
     void exportStats(StatRegistry &reg,
                      const std::string &prefix = "pool") const;
 
-    /** Process-wide pool sized to the hardware (lazily created). */
-    static ThreadPool &shared();
-
   private:
     /** One worker's deque; owner pops the front, thieves the back. */
     struct WorkQueue

@@ -122,13 +122,4 @@ makeHybrid(ProphetKind prophet_kind, Budget prophet_budget,
         makeCritic(critic_kind, critic_budget), cfg);
 }
 
-std::unique_ptr<ProphetCriticHybrid>
-makeProphetOnly(ProphetKind kind, Budget budget)
-{
-    HybridConfig cfg;
-    cfg.numFutureBits = 0;
-    return std::make_unique<ProphetCriticHybrid>(makeProphet(kind, budget),
-                                                 nullptr, cfg);
-}
-
 } // namespace pcbp

@@ -54,10 +54,6 @@ makeHybrid(ProphetKind prophet_kind, Budget prophet_budget,
            CriticKind critic_kind, Budget critic_budget,
            unsigned future_bits);
 
-/** Build a prophet-only "hybrid" (no critic), for baselines. */
-std::unique_ptr<ProphetCriticHybrid>
-makeProphetOnly(ProphetKind kind, Budget budget);
-
 } // namespace pcbp
 
 #endif // PCBP_CORE_PRESETS_HH

@@ -165,7 +165,6 @@ class ProphetCriticHybrid
 
     std::string name() const;
 
-    const DirectionPredictor &prophetRef() const { return *prophet; }
     bool hasCritic() const { return critic != nullptr; }
     unsigned numFutureBits() const { return cfg.numFutureBits; }
 

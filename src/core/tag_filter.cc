@@ -21,7 +21,7 @@ TagFilter::TagFilter(std::size_t num_sets, unsigned num_ways,
 {
     pcbp_assert(isPowerOfTwo(num_sets), "filter sets must be 2^n");
     pcbp_assert(num_ways >= 1 && num_ways <= 16);
-    pcbp_assert(tag_bits >= 4 && tag_bits <= 16);
+    pcbp_assert(tag_bits >= minTagBits && tag_bits <= maxTagBits);
     pcbp_assert(bor_bits <= 64);
 }
 

@@ -22,10 +22,15 @@ namespace pcbp
 class TagFilter
 {
   public:
+    /** Supported tag widths; tags are stored in 16 bits. */
+    static constexpr unsigned minTagBits = 4;
+    static constexpr unsigned maxTagBits = 16;
+
     /**
      * @param num_sets Number of sets (power of two).
      * @param num_ways Associativity.
-     * @param tag_bits Tag width (the paper finds 8-10 sufficient).
+     * @param tag_bits Tag width in [minTagBits, maxTagBits] (the
+     *        paper finds 8-10 sufficient).
      * @param bor_bits BOR bits hashed into index and tag.
      */
     TagFilter(std::size_t num_sets, unsigned num_ways, unsigned tag_bits,

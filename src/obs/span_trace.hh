@@ -84,37 +84,6 @@ class SpanTracer
     std::vector<std::pair<std::uint32_t, std::string>> threadNames;
 };
 
-/**
- * RAII span: records [construction, destruction) on @p tracer when
- * it is non-null, so call sites stay one line and tracer-optional.
- */
-class ScopedSpan
-{
-  public:
-    ScopedSpan(SpanTracer *tracer, std::string name, std::string cat,
-               std::uint32_t tid = 0)
-        : tracer(tracer), name(std::move(name)), cat(std::move(cat)),
-          tid(tid), startNs(tracer ? tracer->now() : 0)
-    {
-    }
-
-    ~ScopedSpan()
-    {
-        if (tracer)
-            tracer->record(name, cat, tid, startNs, tracer->now());
-    }
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-  private:
-    SpanTracer *tracer;
-    std::string name;
-    std::string cat;
-    std::uint32_t tid;
-    std::uint64_t startNs;
-};
-
 } // namespace pcbp
 
 #endif // PCBP_OBS_SPAN_TRACE_HH

@@ -37,8 +37,8 @@ microIters(const BenchContext &ctx)
 
 /**
  * Deterministic (pc, outcome, history) stimulus for the micro
- * benches — the same mix micro_predictors always used: 4096 static
- * branches, 60% taken, history fed with the outcomes.
+ * benches: 4096 static branches, 60% taken, history fed with the
+ * outcomes.
  */
 struct Stimulus
 {

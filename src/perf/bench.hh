@@ -7,10 +7,10 @@
  * (report/figure.hh): instead of N bespoke main()-with-chrono bench
  * binaries, each hot path is declared once — a name, a group, what
  * one repetition does, and what a work item is — and every consumer
- * (the `pcbp_bench` CLI, the migrated `bench/micro_*` wrappers, the
- * CI smoke job) runs the same definitions through the same
- * measurement core (perf/measure.hh), emitting the same
- * `BENCH_<name>.json` schema (perf/bench_report.hh). That is what
+ * (the `pcbp_bench` CLI and the CI smoke jobs) runs the same
+ * definitions through the same measurement core (perf/measure.hh),
+ * emitting the same `BENCH_<name>.json` schema
+ * (perf/bench_report.hh). That is what
  * makes throughput numbers comparable across revisions: the
  * benchmark identity is the registry name, not which binary happened
  * to print it.
@@ -60,8 +60,8 @@ struct BenchContext
 
     /**
      * Workload-name override for the engine.* / timing.* benchmarks
-     * (any registry name or trace:<path>); empty keeps the default
-     * (mm.mpeg, the bench workload micro_engine always used).
+     * (any registry name or trace:<path>); empty keeps the default,
+     * mm.mpeg.
      */
     std::string workload;
 
@@ -127,7 +127,7 @@ BenchResult runBench(const BenchDef &def, const BenchContext &ctx);
 
 /**
  * Measure a selection in order, announcing each benchmark on stderr
- * — the shared run loop of the CLI and the micro_* wrappers.
+ * — the run loop of `pcbp_bench run`.
  */
 std::vector<BenchResult> runBenches(
     const std::vector<const BenchDef *> &defs, const BenchContext &ctx);

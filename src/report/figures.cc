@@ -3,7 +3,7 @@
  * The figure definitions: Figures 5-10, Table 4, the headline
  * claims, and the design-choice ablations, each as declarative sweep
  * grids plus a store-to-tables render — the registry behind
- * pcbp_repro and the thin bench/fig* binaries.
+ * pcbp_repro.
  *
  * Porting notes versus the paper: each definition's `claim` states
  * the paper's numbers; the tables carry "paper" columns so REPRO.md

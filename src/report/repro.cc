@@ -3,11 +3,9 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <sstream>
 
-#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/progress.hh"
@@ -285,61 +283,6 @@ runRepro(const ReproOptions &opts)
     summary.reportPath = report.string();
     log("report: " + summary.reportPath);
     return summary;
-}
-
-int
-figureMain(const std::string &figure_id, int argc, char **argv)
-{
-    const FigureDef &fig = figureById(figure_id);
-    FigureOptions fo;
-    unsigned jobs = 0;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                pcbp_fatal(a, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--workloads" || a == "-w" || a == "--suite") {
-            std::istringstream is(next());
-            std::string item;
-            while (std::getline(is, item, ','))
-                if (!item.empty())
-                    fo.workloads.push_back(item);
-        } else if (a == "--branches") {
-            fo.branches = parseCountArg<std::uint64_t>(a, next());
-        } else if (a == "--jobs") {
-            jobs = parseCountArg<unsigned>(a, next());
-        } else if (a == "--quick") {
-            quick = true;
-        } else {
-            std::cerr
-                << "usage: " << argv[0]
-                << " [--workloads LIST] [--suite LIST]"
-                   " [--branches N] [--jobs N] [--quick]\n"
-                << "reproduces " << fig.paperRef << " (" << fig.title
-                << ") on the sweep subsystem; also available as"
-                   " `pcbp_repro run --figures "
-                << fig.id << "`\n";
-            return 2;
-        }
-    }
-    if (quick && fo.branches == 0)
-        fo.branches = kQuickBranches;
-
-    ResultStore store;
-    for (const auto &spec : fig.sweeps(fo)) {
-        SweepRunOptions run;
-        run.jobs = jobs;
-        runSweep(spec, store, run);
-    }
-
-    std::cout << "=== " << figureHeading(fig) << " ===\n"
-              << fig.claim << "\n\n";
-    for (const auto &table : fig.render(fo, store))
-        std::cout << table.toMarkdown() << "\n";
-    return 0;
 }
 
 } // namespace pcbp

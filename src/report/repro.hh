@@ -140,14 +140,6 @@ std::string renderReproMarkdown(
     const std::vector<const ResultStore *> &stores,
     const ReproOptions &opts);
 
-/**
- * Shared main() for the thin bench/fig* binaries: run one figure
- * with an in-memory store and print its report to stdout.
- * Flags: --workloads/-w LIST, --suite LIST (alias), --branches N,
- * --jobs N, --quick.
- */
-int figureMain(const std::string &figure_id, int argc, char **argv);
-
 } // namespace pcbp
 
 #endif // PCBP_REPORT_REPRO_HH

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace pcbp
 {
@@ -88,6 +87,13 @@ engineConfigFor(const Workload &w)
                                                   1000);
     cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
     return cfg;
+}
+
+unsigned
+futureBitsLimit(bool timing)
+{
+    return timing ? static_cast<unsigned>(TimingConfig{}.ftqSize)
+                  : EngineConfig{}.pipelineDepth;
 }
 
 EngineStats
@@ -262,23 +268,6 @@ runTimingChain(const Workload &w, const HybridSpec &spec,
         obs);
 }
 
-std::vector<EngineStats>
-runSet(const std::vector<const Workload *> &set, const HybridSpec &spec)
-{
-    std::vector<EngineStats> results(set.size());
-    ThreadPool::shared().parallelFor(set.size(), [&](std::size_t i) {
-        results[i] = runAccuracy(*set[i], spec);
-    });
-    return results;
-}
-
-AggregateResult
-runSetAggregated(const std::vector<const Workload *> &set,
-                 const HybridSpec &spec)
-{
-    return aggregate(runSet(set, spec));
-}
-
 TimingConfig
 timingConfigFor(const Workload &w)
 {
@@ -312,17 +301,6 @@ runTiming(const Workload &w, const HybridSpec &spec,
         return sim.run(*stream);
     }
     return sim.run();
-}
-
-std::vector<TimingStats>
-runTimingSet(const std::vector<const Workload *> &set,
-             const HybridSpec &spec)
-{
-    std::vector<TimingStats> results(set.size());
-    ThreadPool::shared().parallelFor(set.size(), [&](std::size_t i) {
-        results[i] = runTiming(*set[i], spec);
-    });
-    return results;
 }
 
 double

@@ -1,8 +1,8 @@
 /**
  * @file
- * Experiment driver: builds hybrids from specs, runs workloads
- * through the accuracy engine (in parallel across workloads), and
- * aggregates — the shared machinery of every bench binary.
+ * Experiment driver: builds hybrids from specs and runs one workload
+ * through the accuracy engine or the timing model — the single-run
+ * layer under the sweep runner, the CLIs and the examples.
  */
 
 #ifndef PCBP_SIM_DRIVER_HH
@@ -75,6 +75,15 @@ double benchScale();
 /** Engine configuration for a workload, with benchScale applied. */
 EngineConfig engineConfigFor(const Workload &w);
 
+/**
+ * Exclusive bound on future bits: a critique waits for its bits
+ * inside the accuracy engine's pipeline (EngineConfig::pipelineDepth)
+ * or, with @p timing, the timing model's FTQ (TimingConfig::ftqSize),
+ * so the count must be below that depth. Sweep specs and CLIs check
+ * against it before any simulator asserts.
+ */
+unsigned futureBitsLimit(bool timing);
+
 /** Run one workload under one spec. */
 EngineStats runAccuracy(const Workload &w, const HybridSpec &spec);
 
@@ -132,17 +141,6 @@ std::vector<TimingStats> runTimingChain(
     const Workload &w, const HybridSpec &spec,
     const std::vector<TimingConfig> &configs, ChainObs *obs = nullptr);
 
-/**
- * Run a workload set under one spec, in parallel across workloads,
- * and return per-workload stats in set order.
- */
-std::vector<EngineStats> runSet(const std::vector<const Workload *> &set,
-                                const HybridSpec &spec);
-
-/** runSet + aggregate. */
-AggregateResult runSetAggregated(
-    const std::vector<const Workload *> &set, const HybridSpec &spec);
-
 /** Timing configuration for a workload, with benchScale applied. */
 TimingConfig timingConfigFor(const Workload &w);
 
@@ -152,13 +150,6 @@ TimingStats runTiming(const Workload &w, const HybridSpec &spec);
 /** Run the timing model with explicit configuration (sweep cells). */
 TimingStats runTiming(const Workload &w, const HybridSpec &spec,
                       const TimingConfig &config);
-
-/**
- * Run a workload set through the timing model in parallel; returns
- * per-workload stats in set order.
- */
-std::vector<TimingStats> runTimingSet(
-    const std::vector<const Workload *> &set, const HybridSpec &spec);
 
 /** Arithmetic mean of per-workload uPC. */
 double meanUpc(const std::vector<TimingStats> &runs);

@@ -100,8 +100,8 @@ SweepRunSummary runSweep(const SweepSpec &spec, ResultStore &store,
 
 /**
  * Aggregate the stored stats of every cell matching @p pred — how
- * the ported figure benches slice a grid into table rows (fatal if
- * nothing matches or a matching cell was never run).
+ * figure renders and the H2P report slice a grid into table rows
+ * (fatal if nothing matches or a matching cell was never run).
  */
 AggregateResult aggregateCells(
     const ResultStore &store, const std::vector<SweepCell> &cells,

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "core/tag_filter.hh"
 
 namespace pcbp
 {
@@ -37,15 +39,35 @@ splitList(const std::string &s)
     return out;
 }
 
-std::uint64_t
-parseUint(const std::string &s, int lineno, const char *key)
+[[noreturn]] void
+badValue(int lineno, const std::string &s, const char *key,
+         const std::string &expected)
 {
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        pcbp_fatal("sweep: line ", lineno, ": bad value '", s,
-                   "' for '", key, "' (expected a non-negative "
-                   "integer)");
-    return std::stoull(s);
+    pcbp_fatal("sweep: line ", lineno, ": bad value '", s, "' for '",
+               key, "' (expected ", expected, ")");
+}
+
+/**
+ * A decimal in [0, @p max]: digits only, overflow checked digit by
+ * digit (the grammar of parseCountArg), so no value wraps or throws.
+ */
+std::uint64_t
+parseUint(const std::string &s, int lineno, const char *key,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const std::string expected =
+        "an integer from 0 to " + std::to_string(max);
+    if (s.empty())
+        badValue(lineno, s, key, expected);
+    std::uint64_t v = 0;
+    for (const char c : s) {
+        const std::uint64_t d = std::uint64_t(c - '0');
+        // v * 10 + d <= max, without overflowing on the way.
+        if (c < '0' || c > '9' || d > max || v > (max - d) / 10)
+            badValue(lineno, s, key, expected);
+        v = v * 10 + d;
+    }
+    return v;
 }
 
 bool
@@ -154,6 +176,7 @@ SweepSpec::parse(const std::string &text)
     std::istringstream is(text);
     std::string line;
     int lineno = 0;
+    int futureBitsLine = 0;
     while (std::getline(is, line)) {
         ++lineno;
         const auto hash = line.find('#');
@@ -197,10 +220,13 @@ SweepSpec::parse(const std::string &text)
             for (const auto &s : items)
                 spec.axes.criticBudgets.push_back(parseBudget(s));
         } else if (key == "future_bits") {
+            // Bounded below once `mode` is known.
+            futureBitsLine = lineno;
             spec.axes.futureBits.clear();
             for (const auto &s : items)
                 spec.axes.futureBits.push_back(static_cast<unsigned>(
-                    parseUint(s, lineno, "future_bits")));
+                    parseUint(s, lineno, "future_bits",
+                              std::numeric_limits<unsigned>::max())));
         } else if (key == "spec_history") {
             spec.axes.speculativeHistory.clear();
             for (const auto &s : items)
@@ -213,9 +239,19 @@ SweepSpec::parse(const std::string &text)
                     parseOnOff(s, "repair_history"));
         } else if (key == "filter_tag_bits") {
             spec.axes.filterTagBits.clear();
-            for (const auto &s : items)
-                spec.axes.filterTagBits.push_back(static_cast<unsigned>(
-                    parseUint(s, lineno, "filter_tag_bits")));
+            for (const auto &s : items) {
+                const std::uint64_t tb =
+                    parseUint(s, lineno, "filter_tag_bits");
+                if (tb != 0 && (tb < TagFilter::minTagBits ||
+                                tb > TagFilter::maxTagBits))
+                    badValue(lineno, s, "filter_tag_bits",
+                             "0 (the default) or " +
+                                 std::to_string(TagFilter::minTagBits) +
+                                 " to " +
+                                 std::to_string(TagFilter::maxTagBits));
+                spec.axes.filterTagBits.push_back(
+                    static_cast<unsigned>(tb));
+            }
         } else if (key == "oracle") {
             spec.axes.oracleFutureBits.clear();
             for (const auto &s : items)
@@ -246,6 +282,14 @@ SweepSpec::parse(const std::string &text)
                        "oracle, mode, branches, warmup, workloads)");
         }
     }
+    const unsigned limit = futureBitsLimit(spec.timing);
+    for (const unsigned fb : spec.axes.futureBits)
+        if (fb >= limit)
+            badValue(futureBitsLine, std::to_string(fb), "future_bits",
+                     "fewer than " + std::to_string(limit) +
+                         (spec.timing ? ", the timing model's FTQ size"
+                                      : ", the accuracy engine's "
+                                        "pipeline depth"));
     if (spec.workloads.empty())
         pcbp_fatal("sweep: no workloads");
     return spec;

@@ -26,7 +26,13 @@
  * (Figs. 9-10: uPC, fetched uops). The §4/§6 ablation axes —
  * `filter_tag_bits` (critic filter tag width, 0 = Table-3 default)
  * and `oracle` (feed the critic correct-path future bits) — make
- * the ablation benches declarative too.
+ * the ablations figure declarative too.
+ *
+ * parse() range-checks every number, so a bad spec stops with a
+ * `sweep: line N: bad value` message before any cell runs: counts
+ * must fit their field, `future_bits` must be below
+ * futureBitsLimit() for the grid's mode, and `filter_tag_bits` must
+ * be 0 or a TagFilter width.
  *
  * The expansion into SweepCells is deterministic, and each cell
  * carries a canonical content key — the unit of resume in the

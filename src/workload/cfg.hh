@@ -73,9 +73,6 @@ class Program
      */
     bool evalOutcome(BlockId id);
 
-    /** Committed global outcome history (bit 0 newest). */
-    const HistoryRegister &committedHistory() const { return committed; }
-
     /** Number of architectural evaluations so far. */
     std::uint64_t commitCount() const { return commits; }
 

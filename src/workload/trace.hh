@@ -13,7 +13,8 @@
  * prophet/critic hybrid faithfully: the future bits must be produced
  * by really walking the wrong path through a CFG. Feeding
  * correct-path outcomes as future bits gives the critic oracle
- * information (see bench/ablations, which quantifies the inflation).
+ * information (the `ablations` figure's oracle panel quantifies the
+ * inflation).
  *
  * Format (see DESIGN.md §5): 16-byte header ("PCBPTRC1" magic + u64
  * record count), then one 17-byte record per branch: u32 block,

@@ -384,19 +384,6 @@ TEST(Histogram, Reset)
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
-TEST(StatSet, SetGetAdd)
-{
-    StatSet s;
-    s.set("a", 1.5);
-    s.add("a", 0.5);
-    s.add("b", 2.0);
-    EXPECT_DOUBLE_EQ(s.get("a"), 2.0);
-    EXPECT_DOUBLE_EQ(s.get("b"), 2.0);
-    EXPECT_TRUE(s.has("a"));
-    EXPECT_FALSE(s.has("zzz"));
-    EXPECT_EQ(s.all().size(), 2u);
-}
-
 TEST(TablePrinter, FormatsAligned)
 {
     TablePrinter t({"name", "value"});

@@ -102,24 +102,7 @@ TEST(Metrics, AggregateSumsCritiques)
     EXPECT_EQ(agg.critiques.get(CritiqueClass::IncorrectDisagree), 1u);
 }
 
-// ----------------------------------------------------------------- runSet
-
-TEST(RunSet, ParallelMatchesSequential)
-{
-    // runSet farms workloads across threads; results must equal
-    // individual runs exactly (everything is deterministic).
-    std::vector<const Workload *> set = {&workloadByName("fp.swim"),
-                                         &workloadByName("mm.mpeg")};
-    const auto spec = prophetAlone(ProphetKind::Gshare, Budget::B8KB);
-    const auto results = runSet(set, spec);
-    ASSERT_EQ(results.size(), 2u);
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        const EngineStats solo = runAccuracy(*set[i], spec);
-        EXPECT_EQ(results[i].finalMispredicts, solo.finalMispredicts)
-            << set[i]->name;
-        EXPECT_EQ(results[i].committedUops, solo.committedUops);
-    }
-}
+// -------------------------------------------------------- engineConfigFor
 
 TEST(RunSet, EngineConfigForScalesWithWorkload)
 {

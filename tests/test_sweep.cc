@@ -178,6 +178,50 @@ TEST(SweepSpec, RejectsBadInput)
                 testing::ExitedWithCode(1), "bad value");
     EXPECT_EXIT(SweepSpec::parse("branches = -5\n"),
                 testing::ExitedWithCode(1), "bad value");
+
+    // Out-of-range numbers: no exception escapes, nothing wraps, and
+    // values the simulators would assert on never reach a cell.
+    const struct
+    {
+        const char *text;
+        const char *key;
+    } out_of_range[] = {
+        {"branches = 99999999999999999999999\n", "branches"},
+        {"warmup = 18446744073709551616\n", "warmup"},
+        {"future_bits = 4294967304\n", "future_bits"},
+        {"filter_tag_bits = 4294967306\n", "filter_tag_bits"},
+        {"future_bits = 24\n", "future_bits"},
+        {"future_bits = 8, 24\n", "future_bits"},
+        {"future_bits = 32\nmode = timing\n", "future_bits"},
+        {"filter_tag_bits = 3\n", "filter_tag_bits"},
+        {"filter_tag_bits = 17\n", "filter_tag_bits"},
+    };
+    for (const auto &c : out_of_range) {
+        EXPECT_EXIT(SweepSpec::parse(std::string(c.text) +
+                                     "workloads = mm.mpeg\n"),
+                    testing::ExitedWithCode(1),
+                    std::string("line 1: bad value '[0-9]+' for '") +
+                        c.key + "'")
+            << c.text;
+    }
+}
+
+TEST(SweepSpec, BoundaryValuesRun)
+{
+    // The deepest future-bit count each simulator supports, and both
+    // ends of the filter tag-width range, parse and run.
+    for (const char *text :
+         {"future_bits = 23\n",
+          "future_bits = 31\nmode = timing\n"}) {
+        const SweepSpec spec = SweepSpec::parse(
+            std::string(text) + "filter_tag_bits = 0, 4, 16\n"
+                                "branches = 2000\n"
+                                "workloads = mm.mpeg\n");
+        ResultStore store;
+        SweepRunOptions opt;
+        opt.jobs = 1;
+        EXPECT_EQ(runSweep(spec, store, opt).executedCells, 3u) << text;
+    }
 }
 
 TEST(SweepSpec, ParsesTimingAndAblationAxes)

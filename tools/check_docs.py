@@ -15,8 +15,9 @@ reference paths relative to their output directory) and fails on:
     nothing fails);
   * commands in fenced shell blocks (```sh / ```bash) that name
     binaries the build does not produce: `build/<name>` and `./<name>`
-    must match a source stem in bench/, examples/, or tools/ (every
-    file there builds to an executable of its stem), relative paths
+    must match a source stem in a directory CMakeLists.txt builds
+    programs from (PROGRAM_DIRS: every file there builds to an
+    executable of its stem), relative paths
     must exist, and anything else must be a known external command
     (cmake, ctest, python3, ...). This is what keeps quickstart
     commands runnable after a binary is renamed or migrated.
@@ -53,14 +54,17 @@ KNOWN_COMMANDS = {
     "sort", "tee",
 }
 ENV_ASSIGN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
+# Directories whose *.cc files each build to an executable of their
+# stem: the program loop in CMakeLists.txt, plus tests/ (built when
+# GTest is available).
+PROGRAM_DIRS = ("examples", "tools", "tests")
 
 
 def built_binary_stems(root):
     """Executable names the build produces: one per source stem in
-    bench/, examples/, tools/, and tests/ (mirrors the CMakeLists
-    globs; tests build when GTest is available)."""
+    PROGRAM_DIRS."""
     stems = set()
-    for d in ("bench", "examples", "tools", "tests"):
+    for d in PROGRAM_DIRS:
         for path in glob.glob(os.path.join(root, d, "*.cc")):
             stems.add(os.path.splitext(os.path.basename(path))[0])
     return stems
@@ -209,8 +213,8 @@ def check_file(root, path, problems):
         if os.path.exists(full):
             continue
         # Extensionless stems are fine when something carries the
-        # stem: `bench/h2p_report` (the built binary) names
-        # bench/h2p_report.cc, and `src/sim/spec_core.{hh,cc}`
+        # stem: `examples/h2p_report` (the built binary) names
+        # examples/h2p_report.cc, and `src/sim/spec_core.{hh,cc}`
         # tokenizes to the stem `src/sim/spec_core`.
         if not os.path.splitext(token)[1] and glob.glob(full + ".*"):
             continue

@@ -234,6 +234,7 @@ parseReplayOptions(int argc, char **argv)
 {
     ReplayOptions o;
     bool haveCritic = true;
+    std::optional<std::string> futureBits;
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--prophet" && i + 1 < argc)
@@ -248,7 +249,7 @@ parseReplayOptions(int argc, char **argv)
         } else if (a == "--critic-budget" && i + 1 < argc)
             o.spec.criticBudget = parseBudget(argv[++i]);
         else if (a == "--future-bits" && i + 1 < argc)
-            o.spec.futureBits = parseCountArg<unsigned>(a, argv[++i]);
+            futureBits = argv[++i];
         else if (a == "--warmup" && i + 1 < argc)
             o.warmupOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
         else if (a == "--measure" && i + 1 < argc)
@@ -263,6 +264,10 @@ parseReplayOptions(int argc, char **argv)
         else
             usage("pcbp_trace");
     }
+    // Bounded only now: --timing may follow --future-bits.
+    if (futureBits)
+        o.spec.futureBits = static_cast<unsigned>(parseCountArg(
+            "--future-bits", *futureBits, futureBitsLimit(o.timing) - 1));
     if (!haveCritic) {
         o.spec.critic.reset();
         o.spec.futureBits = 0;
