@@ -17,6 +17,9 @@
  *     --oracle               oracle future bits (Sec. 6 ablation)
  *     --no-btb               disable the BTB
  *     --per-branch N         print the top-N mispredicting branches
+ *
+ * --oracle and --per-branch need the accuracy engine; given with
+ * --timing (in either order) they exit 1 naming the flag.
  */
 
 #include <cstdio>
@@ -25,6 +28,7 @@
 #include <string>
 
 #include "common/cli_parse.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/driver.hh"
 
@@ -104,6 +108,12 @@ main(int argc, char **argv)
     // Bounded only now: --timing may follow --fb.
     const auto fb = static_cast<unsigned>(
         parseCountArg("--fb", fb_arg, futureBitsLimit(timing) - 1));
+    if (timing && oracle)
+        pcbp_fatal("--oracle needs the accuracy engine; the timing "
+                   "model has no oracle mode");
+    if (timing && per_branch > 0)
+        pcbp_fatal("--per-branch profiles the accuracy engine; drop "
+                   "--timing");
 
     if (workload == "LIST") {
         TablePrinter t({"workload", "suite", "static branches",
@@ -172,7 +182,9 @@ main(int argc, char **argv)
     }
     cfg.oracleFutureBits = oracle;
     cfg.useBtb = !no_btb;
-    cfg.collectPerBranch = per_branch > 0;
+    H2PProfiler profiler(cfg.warmupBranches);
+    if (per_branch > 0)
+        cfg.commitSink = &profiler;
 
     const EngineStats st = runAccuracy(w, spec, cfg);
 
@@ -208,10 +220,10 @@ main(int argc, char **argv)
     if (per_branch > 0) {
         std::cout << "\ntop mispredicting branches:\n";
         TablePrinter pt({"pc", "execs", "prophet wrong", "final wrong"});
-        unsigned shown = 0;
-        for (const auto &pb : st.perBranch) {
-            if (shown++ >= per_branch)
-                break;
+        H2PConfig top;
+        top.topN = per_branch;
+        for (const H2PEntry &e : profiler.report(top).top) {
+            const BranchProfile &pb = e.profile;
             char buf[32];
             std::snprintf(buf, sizeof(buf), "0x%llx",
                           static_cast<unsigned long long>(pb.pc));

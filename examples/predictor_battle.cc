@@ -1,7 +1,9 @@
 /**
  * @file
- * Predictor battle: run the whole zoo — conventional predictors and
- * prophet/critic hybrids — on one workload and print a leaderboard.
+ * Predictor battle: run every registered prophet alone at 16KB (the
+ * static floors excepted) and the paper's three prophets plus TAGE
+ * under both filtered critics at 8KB + 8KB on one workload, and print
+ * a leaderboard.
  *
  *   ./predictor_battle [workload]
  */

@@ -13,6 +13,7 @@
 
 #include "core/presets.hh"
 #include "sim/engine.hh"
+#include "sim/metrics.hh"
 #include "workload/cfg.hh"
 
 using namespace pcbp;
@@ -93,13 +94,14 @@ main()
     EngineConfig cfg;
     cfg.warmupBranches = 40000;
     cfg.measureBranches = 10000;
-    cfg.collectPerBranch = true;
+    H2PProfiler profiler(cfg.warmupBranches);
+    cfg.commitSink = &profiler;
     Engine engine(prog, *hybrid, cfg);
     EngineStats st = engine.run();
 
     std::cout << "After " << (cfg.warmupBranches + cfg.measureBranches)
               << " branches on the Figure-2 course:\n\n";
-    for (const auto &pb : st.perBranch) {
+    for (const BranchProfile &pb : profiler.profiles()) {
         if (pb.pc != 0x240)
             continue;
         std::cout << "intersection A (pc 0x240):\n"

@@ -6,7 +6,6 @@
 #include "core/critic.hh"
 #include "core/filtered_perceptron.hh"
 #include "core/tagged_gshare.hh"
-#include "predictors/gshare.hh"
 #include "predictors/perceptron.hh"
 
 namespace pcbp
@@ -37,12 +36,6 @@ constexpr unsigned fpercFilterBorBits = 18;
 constexpr std::array<std::size_t, 5> upercCount = {113, 163, 282, 348, 565};
 constexpr std::array<unsigned, 5> upercHistory = {17, 24, 28, 47, 57};
 
-// Unfiltered gshare critic reuses the Table 3 gshare row.
-constexpr std::array<std::size_t, 5> ugshareEntries = {
-    8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024,
-};
-constexpr std::array<unsigned, 5> ugshareHistory = {13, 14, 15, 16, 17};
-
 } // namespace
 
 std::string
@@ -52,7 +45,6 @@ criticKindName(CriticKind k)
       case CriticKind::TaggedGshare: return "t.gshare";
       case CriticKind::FilteredPerceptron: return "f.perceptron";
       case CriticKind::UnfilteredPerceptron: return "u.perceptron";
-      case CriticKind::UnfilteredGshare: return "u.gshare";
     }
     pcbp_panic("bad CriticKind");
 }
@@ -64,7 +56,6 @@ allCriticKinds()
         CriticKind::TaggedGshare,
         CriticKind::FilteredPerceptron,
         CriticKind::UnfilteredPerceptron,
-        CriticKind::UnfilteredGshare,
     };
     return kinds;
 }
@@ -100,12 +91,6 @@ makeCritic(CriticKind kind, Budget b, unsigned filter_tag_bits)
             pcbp_fatal("u.perceptron has no filter tags to override");
         return std::make_unique<UnfilteredCritic>(
             std::make_unique<Perceptron>(upercCount[i], upercHistory[i]));
-      case CriticKind::UnfilteredGshare:
-        if (filter_tag_bits)
-            pcbp_fatal("u.gshare has no filter tags to override");
-        return std::make_unique<UnfilteredCritic>(
-            std::make_unique<Gshare>(ugshareEntries[i],
-                                     ugshareHistory[i]));
     }
     pcbp_panic("bad CriticKind");
 }

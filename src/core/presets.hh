@@ -22,7 +22,6 @@ enum class CriticKind
     TaggedGshare,         // "t.gshare" in Figure 7
     FilteredPerceptron,   // "f.perceptron" in Figure 7
     UnfilteredPerceptron, // Figure 6(a)
-    UnfilteredGshare,     // extra ablation point
 };
 
 /** Every registered critic kind, in declaration order. */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Bimodal predictor: a table of 2-bit counters indexed by branch
- * address. The simplest dynamic predictor; also the BIM bank of
- * 2Bc-gskew and the choice table of YAGS/tournament predictors.
+ * address. The simplest dynamic predictor; tests use it as a
+ * history-free baseline.
  */
 
 #ifndef PCBP_PREDICTORS_BIMODAL_HH

@@ -4,17 +4,11 @@
 
 #include "common/logging.hh"
 #include "predictors/bimodal.hh"
-#include "predictors/fusion.hh"
 #include "predictors/gshare.hh"
 #include "predictors/gskew.hh"
-#include "predictors/local_predictor.hh"
 #include "predictors/perceptron.hh"
-#include "predictors/skewed_perceptron.hh"
 #include "predictors/static_pred.hh"
 #include "predictors/tage.hh"
-#include "predictors/tournament.hh"
-#include "predictors/two_level.hh"
-#include "predictors/yags.hh"
 
 namespace pcbp
 {
@@ -119,12 +113,6 @@ prophetKindName(ProphetKind k)
       case ProphetKind::GSkew: return "2Bc-gskew";
       case ProphetKind::Perceptron: return "perceptron";
       case ProphetKind::Bimodal: return "bimodal";
-      case ProphetKind::TwoLevel: return "GAs";
-      case ProphetKind::Yags: return "yags";
-      case ProphetKind::Local: return "local";
-      case ProphetKind::Tournament: return "tournament";
-      case ProphetKind::SkewedPerceptron: return "skewed-perceptron";
-      case ProphetKind::Fusion: return "fusion";
       case ProphetKind::Tage: return "tage";
       case ProphetKind::AlwaysTaken: return "always-taken";
       case ProphetKind::AlwaysNotTaken: return "always-not-taken";
@@ -136,12 +124,9 @@ const std::vector<ProphetKind> &
 allProphetKinds()
 {
     static const std::vector<ProphetKind> kinds = {
-        ProphetKind::Gshare,           ProphetKind::GSkew,
-        ProphetKind::Perceptron,       ProphetKind::Bimodal,
-        ProphetKind::TwoLevel,         ProphetKind::Yags,
-        ProphetKind::Local,            ProphetKind::Tournament,
-        ProphetKind::SkewedPerceptron, ProphetKind::Fusion,
-        ProphetKind::Tage,             ProphetKind::AlwaysTaken,
+        ProphetKind::Gshare,     ProphetKind::GSkew,
+        ProphetKind::Perceptron, ProphetKind::Bimodal,
+        ProphetKind::Tage,       ProphetKind::AlwaysTaken,
         ProphetKind::AlwaysNotTaken,
     };
     return kinds;
@@ -173,64 +158,6 @@ makeProphet(ProphetKind kind, Budget b)
       case ProphetKind::Bimodal:
         // budget / 2 bits per entry.
         return std::make_unique<Bimodal>(budgetBytes(b) * 4);
-      case ProphetKind::TwoLevel: {
-        // Same PHT size as gshare at this budget, split addr/hist.
-        const unsigned total = log2Floor(gshareEntries[i]);
-        const unsigned hist = gshareHistory[i] < total
-                                  ? gshareHistory[i] - 4
-                                  : total / 2;
-        return std::make_unique<TwoLevel>(total - hist, hist);
-      }
-      case ProphetKind::Yags: {
-        // Roughly: 1/4 budget on choice, rest split across the two
-        // direction caches (11 bits/entry with 8-bit tags).
-        const std::size_t bits = budgetBytes(b) * 8;
-        const std::size_t choice_entries =
-            std::size_t(1) << log2Floor(bits / 4 / 2);
-        const std::size_t cache_entries =
-            std::size_t(1) << log2Floor((bits - choice_entries * 2) /
-                                        (2 * 11));
-        return std::make_unique<Yags>(choice_entries, cache_entries, 8,
-                                      gshareHistory[i]);
-      }
-      case ProphetKind::Local: {
-        // Half the budget on 12-bit local histories, half on the PHT.
-        const std::size_t bits = budgetBytes(b) * 8;
-        const std::size_t nhist =
-            std::size_t(1) << log2Floor(bits / 2 / 12);
-        return std::make_unique<LocalPredictor>(nhist, 12);
-      }
-      case ProphetKind::Tournament: {
-        // Classic bimodal + gshare pair: half the bit budget on the
-        // gshare PHT, a quarter each on the bimodal and the chooser.
-        const std::size_t bytes = budgetBytes(b);
-        auto c0 = std::make_unique<Bimodal>(bytes); // bytes entries
-        const std::size_t gshare_entries = bytes * 2;
-        const unsigned hist =
-            std::min<unsigned>(log2Floor(gshare_entries), 17);
-        auto c1 = std::make_unique<Gshare>(gshare_entries, hist);
-        return std::make_unique<Tournament>(std::move(c0), std::move(c1),
-                                            bytes);
-      }
-      case ProphetKind::SkewedPerceptron: {
-        // Three banks sharing the budget at the Table 3 perceptron
-        // history length for this budget class.
-        const unsigned hist = perceptronHistory[i];
-        const std::size_t rows =
-            std::max<std::size_t>(1, budgetBytes(b) / (3 * (hist + 1)));
-        return std::make_unique<SkewedPerceptron>(rows, hist);
-      }
-      case ProphetKind::Fusion: {
-        // Bimodal + gshare components with a fusion table: half the
-        // budget on the bimodal, a quarter each on gshare and the
-        // fusion counters.
-        const std::size_t bytes = budgetBytes(b);
-        std::vector<DirectionPredictorPtr> comps;
-        comps.push_back(std::make_unique<Bimodal>(bytes * 2));
-        comps.push_back(std::make_unique<Gshare>(
-            bytes, std::min<unsigned>(log2Floor(bytes), 17)));
-        return std::make_unique<FusionHybrid>(std::move(comps), bytes);
-      }
       case ProphetKind::Tage:
         return std::make_unique<Tage>(tageConfigFor(b));
       case ProphetKind::AlwaysTaken:

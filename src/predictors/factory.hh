@@ -30,24 +30,20 @@ Budget parseBudget(const std::string &s);
 /** Prophet-capable predictor kinds. */
 enum class ProphetKind
 {
-    Gshare,
+    Gshare,         // the paper's three prophets (Table 3)
     GSkew,
     Perceptron,
-    Bimodal,        // extension baselines below
-    TwoLevel,
-    Yags,
-    Local,
-    Tournament,
-    SkewedPerceptron, // Seznec redundant-history (paper Sec. 9)
-    Fusion,           // Loh-Henry fusion hybrid (paper Sec. 2)
-    Tage,             // geometric-history tagged tables (post-paper)
-    AlwaysTaken,
+    Bimodal,        // baseline for tests
+    Tage,           // geometric-history tagged tables (post-paper)
+    AlwaysTaken,    // static floors
     AlwaysNotTaken,
 };
 
 /**
- * Every registered prophet kind, in declaration order — the registry
- * the differential tests and zoo examples iterate.
+ * Every registered prophet kind, in declaration order: the paper's
+ * three prophets, then the bimodal baseline, TAGE and the static
+ * floors. The differential tests, the `pred.*` bench rows and
+ * predictor_battle iterate it.
  */
 const std::vector<ProphetKind> &allProphetKinds();
 

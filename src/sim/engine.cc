@@ -139,15 +139,6 @@ Engine::resolveOldest(CommittedStream &committed)
             stats.critiques.record(
                 classifyCritique(prophet_correct, provided, agreed));
         }
-        if (cfg.collectPerBranch) {
-            auto &pb = perBranchMap[r.pc];
-            pb.pc = r.pc;
-            ++pb.execs;
-            if (r.btbHit && !prophet_correct)
-                ++pb.prophetWrong;
-            if (mispredicted)
-                ++pb.finalWrong;
-        }
     }
 
     ++commitIdx;
@@ -202,7 +193,6 @@ Engine::beginRun(CommittedStream &committed)
     commitIdx = 0;
     uopsSinceFlush = 0;
     stats = EngineStats{};
-    perBranchMap.clear();
 }
 
 bool
@@ -240,17 +230,6 @@ Engine::finishRun(CommittedStream &committed)
 {
     stepUntil(totalBranches, committed);
 
-    if (cfg.collectPerBranch) {
-        stats.perBranch.reserve(perBranchMap.size());
-        for (auto &kv : perBranchMap)
-            stats.perBranch.push_back(kv.second);
-        std::sort(stats.perBranch.begin(), stats.perBranch.end(),
-                  [](const PerBranchStat &a, const PerBranchStat &b) {
-                      if (a.finalWrong != b.finalWrong)
-                          return a.finalWrong > b.finalWrong;
-                      return a.pc < b.pc;
-                  });
-    }
     if (cfg.statsOut)
         exportStats(committed);
     return stats;

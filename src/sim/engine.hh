@@ -27,9 +27,6 @@
 #ifndef PCBP_SIM_ENGINE_HH
 #define PCBP_SIM_ENGINE_HH
 
-#include <unordered_map>
-#include <vector>
-
 #include "common/stats.hh"
 #include "core/critique.hh"
 #include "core/prophet_critic.hh"
@@ -59,9 +56,6 @@ struct EngineConfig
      */
     bool oracleFutureBits = false;
 
-    /** Collect per-static-branch statistics (trace explorer). */
-    bool collectPerBranch = false;
-
     /**
      * Optional commit-path tap (H2P analytics, differential tests):
      * receives every committed branch in commit order, warmup
@@ -83,15 +77,6 @@ struct EngineConfig
      * hot path either way). Not owned; null = no collection.
      */
     StatRegistry *statsOut = nullptr;
-};
-
-/** Per-static-branch accuracy record. */
-struct PerBranchStat
-{
-    Addr pc = 0;
-    std::uint64_t execs = 0;
-    std::uint64_t prophetWrong = 0;
-    std::uint64_t finalWrong = 0;
 };
 
 /** Counters produced by an engine run (measured window only). */
@@ -127,9 +112,6 @@ struct EngineStats
 
     /** Distribution of uops between pipeline flushes. */
     Histogram flushDistance{64, 512};
-
-    /** Optional per-static-branch stats, sorted by finalWrong. */
-    std::vector<PerBranchStat> perBranch;
 
     double
     mispPerKuops() const
@@ -264,7 +246,6 @@ class Engine
     std::uint64_t uopsSinceFlush = 0;
 
     EngineStats stats;
-    std::unordered_map<Addr, PerBranchStat> perBranchMap;
 };
 
 } // namespace pcbp

@@ -10,7 +10,8 @@
  *    pass, beyond-threshold drops gate, improvements and one-sided
  *    benchmarks never gate, incomparable runs are flagged;
  *  - the registry executes: a real (tiny) measurement produces sane
- *    numbers;
+ *    numbers, and the committed quick baseline names exactly the
+ *    registered benchmarks;
  *  - the checkpoint-arena SpecCore stays event-identical to the seed
  *    protocol: the commit-event stream of a hybrid engine run is
  *    pinned by a golden, and a deeper-than-the-initial-slab pipeline
@@ -19,6 +20,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -242,6 +244,22 @@ TEST(BenchRegistry, FilterAndLookup)
     EXPECT_EQ(benchesMatching("engine.hybrid,timing.").size(), 3u);
     EXPECT_EQ(benchByName("engine.hybrid_tgshare").group, "engine");
     EXPECT_DEATH(benchByName("engine.nope"), "unknown benchmark");
+}
+
+TEST(BenchRegistry, QuickBaselineNamesEveryRegisteredBenchmark)
+{
+    // Every CI compare runs --warn-only, so nothing else notices when
+    // a benchmark enters or leaves the registry without its baseline
+    // row (docs/PERFORMANCE.md).
+    const BenchRun base = loadBenchRun(
+        PCBP_TEST_GOLDEN_DIR
+        "/../../bench/baselines/BENCH_quick_baseline.json");
+    std::set<std::string> baseline, registry;
+    for (const BenchResult &r : base.results)
+        baseline.insert(r.name);
+    for (const BenchDef &d : allBenches())
+        registry.insert(d.name);
+    EXPECT_EQ(baseline, registry);
 }
 
 /** Records every commit event into a deterministic FNV-1a hash. */

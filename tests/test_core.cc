@@ -393,19 +393,13 @@ TEST(Hybrid, NameAndSize)
 
 TEST(Presets, CriticKindsRoundTrip)
 {
-    for (CriticKind k : {CriticKind::TaggedGshare,
-                         CriticKind::FilteredPerceptron,
-                         CriticKind::UnfilteredPerceptron,
-                         CriticKind::UnfilteredGshare})
+    for (CriticKind k : allCriticKinds())
         EXPECT_EQ(parseCriticKind(criticKindName(k)), k);
 }
 
 TEST(Presets, AllCriticsConstructAtAllBudgets)
 {
-    for (CriticKind k : {CriticKind::TaggedGshare,
-                         CriticKind::FilteredPerceptron,
-                         CriticKind::UnfilteredPerceptron,
-                         CriticKind::UnfilteredGshare}) {
+    for (CriticKind k : allCriticKinds()) {
         for (Budget b : {Budget::B2KB, Budget::B8KB, Budget::B32KB}) {
             auto c = makeCritic(k, b);
             ASSERT_NE(c, nullptr);

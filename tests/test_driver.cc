@@ -139,7 +139,7 @@ TEST(Mechanism, UnfilteredCriticTrainsEveryCommit)
     // The unfiltered adapter updates its inner predictor on every
     // commit, so a bias flips after enough opposite outcomes even
     // without mispredict-gated allocation.
-    auto critic = makeCritic(CriticKind::UnfilteredGshare, Budget::B2KB);
+    auto critic = makeCritic(CriticKind::UnfilteredPerceptron, Budget::B2KB);
     HistoryRegister bor;
     for (int i = 0; i < 8; ++i)
         critic->train(0x5000, bor, true, false); // never "mispredicted"

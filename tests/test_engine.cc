@@ -11,6 +11,7 @@
 #include "sim/btb.hh"
 #include "sim/driver.hh"
 #include "sim/engine.hh"
+#include "sim/metrics.hh"
 
 namespace pcbp
 {
@@ -270,12 +271,13 @@ TEST(Engine, PerBranchStatsSumToTotals)
     EngineConfig cfg;
     cfg.measureBranches = 20000;
     cfg.warmupBranches = 2000;
-    cfg.collectPerBranch = true;
+    H2PProfiler profiler(cfg.warmupBranches);
+    cfg.commitSink = &profiler;
     Program p = buildProgram(w);
     auto h = spec.build();
     EngineStats st = Engine(p, *h, cfg).run();
     std::uint64_t execs = 0, wrong = 0;
-    for (const auto &pb : st.perBranch) {
+    for (const BranchProfile &pb : profiler.profiles()) {
         execs += pb.execs;
         wrong += pb.finalWrong;
     }

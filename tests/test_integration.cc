@@ -11,6 +11,7 @@
 #include "core/presets.hh"
 #include "sim/driver.hh"
 #include "sim/engine.hh"
+#include "sim/metrics.hh"
 #include "workload/cfg.hh"
 #include "workload/generator.hh"
 
@@ -132,17 +133,18 @@ TEST(ChainChannel, RelaysAreLearnableByPerceptronProphet)
     // fillers) well; only s and the 50/50 fillers stay hard.
     Program prog = chainProgram(16, 2);
     auto cfg = testConfig();
-    cfg.collectPerBranch = true;
+    H2PProfiler profiler(cfg.warmupBranches);
+    cfg.commitSink = &profiler;
 
     auto hybrid = prophetAlone(ProphetKind::Perceptron,
                                Budget::B8KB).build();
     Engine engine(prog, *hybrid, cfg);
-    EngineStats st = engine.run();
+    engine.run();
 
-    // Locate the relay pcs (blocks 7 and 8) in per-branch stats.
+    // Locate the relay pcs (blocks 7 and 8) in per-branch profiles.
     double relay_wrong = 0, relay_execs = 0;
     double s_wrong = 0, s_execs = 0;
-    for (const auto &pb : st.perBranch) {
+    for (const BranchProfile &pb : profiler.profiles()) {
         if (pb.pc == 0x1000 + 7 * 16 || pb.pc == 0x1000 + 8 * 16) {
             relay_wrong += double(pb.prophetWrong);
             relay_execs += double(pb.execs);
@@ -160,17 +162,18 @@ TEST(ChainChannel, RelaysAreLearnableByPerceptronProphet)
         << "the parity branch should be hard for the prophet";
 }
 
-/** Per-branch stats of s (block 4, pc 0x1040) under a spec. */
-PerBranchStat
-hardBranchStats(const HybridSpec &spec)
+/** Per-branch profile of s (block 4, pc 0x1040) under a spec. */
+BranchProfile
+hardBranchProfile(const HybridSpec &spec)
 {
     Program prog = chainProgram(16, 2);
     EngineConfig cfg = testConfig();
-    cfg.collectPerBranch = true;
+    H2PProfiler profiler(cfg.warmupBranches);
+    cfg.commitSink = &profiler;
     auto hybrid = spec.build();
     Engine engine(prog, *hybrid, cfg);
-    EngineStats st = engine.run();
-    for (const auto &pb : st.perBranch)
+    engine.run();
+    for (const BranchProfile &pb : profiler.profiles())
         if (pb.pc == 0x1000 + 4 * 16)
             return pb;
     return {};
@@ -183,10 +186,10 @@ TEST(ChainChannel, FutureBitsUnlockTheHardBranch)
     // fix most of s's mispredicts. With 1 future bit it cannot
     // (the relays' predictions are not in the BOR yet, and the
     // source bits are outside the critic's history window).
-    const PerBranchStat fb1 = hardBranchStats(
+    const BranchProfile fb1 = hardBranchProfile(
         hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
                    CriticKind::TaggedGshare, Budget::B8KB, 1));
-    const PerBranchStat fb8 = hardBranchStats(
+    const BranchProfile fb8 = hardBranchProfile(
         hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
                    CriticKind::TaggedGshare, Budget::B8KB, 8));
 

@@ -12,13 +12,9 @@
 #include "predictors/factory.hh"
 #include "predictors/gshare.hh"
 #include "predictors/gskew.hh"
-#include "predictors/local_predictor.hh"
 #include "predictors/perceptron.hh"
 #include "predictors/static_pred.hh"
 #include "predictors/tage.hh"
-#include "predictors/tournament.hh"
-#include "predictors/two_level.hh"
-#include "predictors/yags.hh"
 
 namespace pcbp
 {
@@ -126,21 +122,6 @@ TEST(Gshare, Table3HistoryLengths)
         EXPECT_EQ(g->sizeBytes(), budgetBytes(b));
         ++i;
     }
-}
-
-// --------------------------------------------------------------- TwoLevel
-
-TEST(TwoLevel, LearnsShortPattern)
-{
-    TwoLevel t(6, 10);
-    const double acc = trainAndMeasure(
-        t, [](int i, const HistoryRegister &) { return (i % 3) != 0; });
-    EXPECT_GT(acc, 0.95);
-}
-
-TEST(TwoLevel, SizeBits)
-{
-    EXPECT_EQ(TwoLevel(4, 10).sizeBits(), (1u << 14) * 2);
 }
 
 // ------------------------------------------------------------- Perceptron
@@ -256,74 +237,6 @@ TEST(GSkew, BankViewConsistent)
     EXPECT_EQ(g.predict(0x1234, h), v.final_);
 }
 
-// ------------------------------------------------------------------- YAGS
-
-TEST(Yags, LearnsBiasWithExceptions)
-{
-    // Mostly-taken branch with a history-dependent exception.
-    Yags y(4096, 1024, 8, 12);
-    const double acc = trainAndMeasure(
-        y, [](int, const HistoryRegister &h) {
-            return !(h.bit(0) && h.bit(1) && h.bit(2));
-        });
-    EXPECT_GT(acc, 0.85);
-}
-
-TEST(Yags, SizeAccountsForTags)
-{
-    Yags y(4096, 1024, 8, 12);
-    // choice 4096*2 + 2*1024*(1+8+2) bits
-    EXPECT_EQ(y.sizeBits(), 4096u * 2 + 2048u * 11);
-}
-
-// ------------------------------------------------------------------ Local
-
-TEST(LocalPredictor, LearnsSelfPattern)
-{
-    // Period-4 self pattern needs only local history.
-    LocalPredictor l(1024, 10);
-    const double acc = trainAndMeasure(
-        l, [](int i, const HistoryRegister &) { return i % 4 != 0; });
-    EXPECT_GT(acc, 0.95);
-}
-
-TEST(LocalPredictor, SizeBits)
-{
-    LocalPredictor l(1024, 10);
-    EXPECT_EQ(l.sizeBits(), 1024u * 10 + 1024u * 2);
-}
-
-// ------------------------------------------------------------- Tournament
-
-TEST(Tournament, BeatsBothComponentsOnMixedContent)
-{
-    // A bimodal-friendly branch and a history-friendly branch: the
-    // chooser should route each to the right component.
-    auto make_tournament = [] {
-        return Tournament(std::make_unique<Bimodal>(1024),
-                          std::make_unique<Gshare>(4096, 12), 1024);
-    };
-    Tournament t = make_tournament();
-    HistoryRegister h;
-    int correct = 0;
-    const int warmup = 4000, measure = 4000;
-    for (int i = 0; i < warmup + measure; ++i) {
-        // pc A: biased; pc B: alternating (distinct chooser rows).
-        // Each branch is predicted and trained with the same history.
-        const bool out_a = (i % 13) != 0;
-        const bool out_b = (i % 2) == 0;
-        if (i >= warmup)
-            correct += t.predict(0xA000, h) == out_a;
-        t.update(0xA000, h, out_a);
-        h.shiftIn(out_a);
-        if (i >= warmup)
-            correct += t.predict(0xA010, h) == out_b;
-        t.update(0xA010, h, out_b);
-        h.shiftIn(out_b);
-    }
-    EXPECT_GT(double(correct) / (2 * measure), 0.9);
-}
-
 // ----------------------------------------------------------------- Static
 
 TEST(StaticPredictor, FixedDirections)
@@ -348,9 +261,7 @@ TEST(Factory, ParsesSpecs)
 TEST(Factory, AllKindsConstructAtAllBudgets)
 {
     for (ProphetKind k : {ProphetKind::Gshare, ProphetKind::GSkew,
-                          ProphetKind::Perceptron, ProphetKind::Bimodal,
-                          ProphetKind::TwoLevel, ProphetKind::Yags,
-                          ProphetKind::Local, ProphetKind::Tournament}) {
+                          ProphetKind::Perceptron, ProphetKind::Bimodal}) {
         for (Budget b : {Budget::B2KB, Budget::B4KB, Budget::B8KB,
                          Budget::B16KB, Budget::B32KB}) {
             auto p = makeProphet(k, b);
@@ -374,8 +285,7 @@ TEST(Factory, BudgetRoundTrip)
 
 TEST(Factory, KindRoundTrip)
 {
-    for (ProphetKind k : {ProphetKind::Gshare, ProphetKind::GSkew,
-                          ProphetKind::Perceptron, ProphetKind::Yags})
+    for (ProphetKind k : allProphetKinds())
         EXPECT_EQ(parseProphetKind(prophetKindName(k)), k);
 }
 
@@ -517,9 +427,7 @@ TEST(AllPredictors, PredictIsSideEffectFreeAtCommitGranularity)
 {
     // Calling predict twice with the same inputs yields the same
     // answer (no hidden speculative state inside predictors).
-    for (ProphetKind k : {ProphetKind::Gshare, ProphetKind::GSkew,
-                          ProphetKind::Perceptron, ProphetKind::Yags,
-                          ProphetKind::Bimodal, ProphetKind::TwoLevel}) {
+    for (ProphetKind k : allProphetKinds()) {
         auto p = makeProphet(k, Budget::B4KB);
         HistoryRegister h;
         Rng rng(11);
@@ -537,8 +445,7 @@ TEST(AllPredictors, PredictIsSideEffectFreeAtCommitGranularity)
 
 TEST(AllPredictors, ResetRestoresInitialPredictions)
 {
-    for (ProphetKind k : {ProphetKind::Gshare, ProphetKind::GSkew,
-                          ProphetKind::Perceptron, ProphetKind::Yags}) {
+    for (ProphetKind k : allProphetKinds()) {
         auto p = makeProphet(k, Budget::B4KB);
         auto q = makeProphet(k, Budget::B4KB);
         HistoryRegister h;

@@ -197,9 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ProphetKind::Gshare,
                                          ProphetKind::GSkew,
                                          ProphetKind::Perceptron,
-                                         ProphetKind::Yags,
-                                         ProphetKind::Tournament,
-                                         ProphetKind::TwoLevel),
+                                         ProphetKind::Bimodal,
+                                         ProphetKind::Tage),
                        ::testing::Values(Budget::B2KB, Budget::B8KB,
                                          Budget::B32KB)));
 
@@ -224,8 +223,7 @@ TEST_P(CritiqueSweepTest, HybridRunsAndClassifiesEveryCommit)
     cfg.warmupBranches = 1500;
     const EngineStats st = Engine(p, *hybrid, cfg).run();
     EXPECT_EQ(st.critiques.total() + st.btbMisses, st.committedBranches);
-    if (critic == CriticKind::UnfilteredPerceptron ||
-        critic == CriticKind::UnfilteredGshare) {
+    if (critic == CriticKind::UnfilteredPerceptron) {
         EXPECT_EQ(st.critiques.noneTotal(), 0u)
             << "unfiltered critics critique everything";
     } else {
@@ -238,8 +236,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, CritiqueSweepTest,
     ::testing::Combine(::testing::Values(CriticKind::TaggedGshare,
                                          CriticKind::FilteredPerceptron,
-                                         CriticKind::UnfilteredPerceptron,
-                                         CriticKind::UnfilteredGshare),
+                                         CriticKind::UnfilteredPerceptron),
                        ::testing::Values(0u, 1u, 4u, 8u, 12u)));
 
 // ------------------------------------------ determinism across threads

@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "core/tag_filter.hh"
 #include "predictors/factory.hh"
-#include "predictors/fusion.hh"
 #include "predictors/gshare.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
@@ -36,19 +35,15 @@ TEST(RobustnessDeath, TagFilterBounds)
     EXPECT_DEATH(TagFilter(64, 4, 2, 18), "tag_bits");
 }
 
-TEST(RobustnessDeath, FusionNeedsComponents)
-{
-    std::vector<DirectionPredictorPtr> one;
-    one.push_back(makeProphet(ProphetKind::Bimodal, Budget::B2KB));
-    EXPECT_DEATH(FusionHybrid(std::move(one), 1024),
-                 "fusion wants 2-4 components");
-}
-
 TEST(RobustnessDeath, UnknownSpecStringsAreFatal)
 {
     EXPECT_DEATH(makeProphet("ittage:8KB"), "unknown predictor kind");
     EXPECT_DEATH(makeProphet("gshare:7KB"), "unknown budget");
     EXPECT_DEATH(parseCriticKind("oracle"), "unknown critic kind");
+    // Retired extension kinds must not map onto a surviving kind.
+    EXPECT_DEATH(makeProphet("yags"), "unknown predictor kind");
+    EXPECT_DEATH(makeProphet("fusion:8KB"), "unknown predictor kind");
+    EXPECT_DEATH(parseCriticKind("u.gshare"), "unknown critic kind");
     EXPECT_DEATH(workloadByName("spec2006.gcc"), "unknown workload");
 }
 
