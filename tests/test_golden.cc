@@ -107,6 +107,25 @@ TEST(Golden, TageAsProphetInHybridOnServTpcc)
     EXPECT_EQ(st.critiques.get(CritiqueClass::CorrectAgree), 2107u);
 }
 
+TEST(Golden, Tage16KBHybridOnIntCrafty)
+{
+    // 5 banks, histories up to 112 bits: the folds cross into the
+    // history register's second word.
+    const Workload &w = workloadByName("int.crafty");
+    EngineConfig cfg;
+    cfg.measureBranches = 20000;
+    cfg.warmupBranches = 2000;
+    const EngineStats st = runAccuracy(
+        w,
+        hybridSpec(ProphetKind::Tage, Budget::B16KB,
+                   CriticKind::TaggedGshare, Budget::B16KB, 8),
+        cfg);
+    EXPECT_EQ(st.finalMispredicts, 2265u);
+    EXPECT_EQ(st.prophetMispredicts, 1750u);
+    EXPECT_EQ(st.criticOverrides, 1431u);
+    EXPECT_EQ(st.critiques.get(CritiqueClass::CorrectAgree), 2802u);
+}
+
 TEST(Golden, H2PReportOnIntCraftyUnderTage)
 {
     const Workload &w = workloadByName("int.crafty");
@@ -150,6 +169,25 @@ TEST(Golden, TimingModelHybridOnWebJbb)
     EXPECT_EQ(st.cycles, 103110u);
     EXPECT_EQ(st.committedUops, 96568u);
     EXPECT_EQ(st.finalMispredicts, 2102u);
+}
+
+TEST(Golden, TimingModelTage32KBHybridOnServTpcc)
+{
+    // 6 banks; the longest history is exactly 128 bits, so its folds
+    // read both history words whole.
+    const Workload &w = workloadByName("serv.tpcc");
+    TimingConfig cfg;
+    cfg.measureBranches = 8000;
+    cfg.warmupBranches = 800;
+    Program p = buildProgram(w);
+    auto h = hybridSpec(ProphetKind::Tage, Budget::B32KB,
+                        CriticKind::TaggedGshare, Budget::B32KB, 8)
+                 .build();
+    const TimingStats st = TimingSim(p, *h, cfg).run();
+    EXPECT_EQ(st.cycles, 64082u);
+    EXPECT_EQ(st.finalMispredicts, 1135u);
+    EXPECT_EQ(st.criticOverrides, 604u);
+    EXPECT_EQ(st.committedUops, 102762u);
 }
 
 } // namespace
