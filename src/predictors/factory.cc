@@ -58,10 +58,18 @@ constexpr std::array<TageRow, 5> tageRows = {{
     {16384, 2048, 6, 10, {4, 9, 19, 40, 84, 128}}, // 32KB
 }};
 
+std::size_t
+budgetIndex(Budget b)
+{
+    return static_cast<std::size_t>(b);
+}
+
+} // namespace
+
 TageConfig
 tageConfigFor(Budget b)
 {
-    const TageRow &row = tageRows[static_cast<std::size_t>(b)];
+    const TageRow &row = tageRows[budgetIndex(b)];
     TageConfig cfg;
     cfg.baseEntries = row.baseEntries;
     for (unsigned i = 0; i < row.numTables; ++i) {
@@ -73,14 +81,6 @@ tageConfigFor(Budget b)
     }
     return cfg;
 }
-
-std::size_t
-budgetIndex(Budget b)
-{
-    return static_cast<std::size_t>(b);
-}
-
-} // namespace
 
 std::size_t
 budgetBytes(Budget b)

@@ -15,6 +15,8 @@
 namespace pcbp
 {
 
+struct TageConfig;
+
 /** Hardware budgets from Table 3. */
 enum class Budget { B2KB, B4KB, B8KB, B16KB, B32KB };
 
@@ -58,6 +60,9 @@ ProphetKind parseProphetKind(const std::string &s);
  * @p b. Non-paper kinds get budget-matched configurations.
  */
 DirectionPredictorPtr makeProphet(ProphetKind kind, Budget b);
+
+/** The budget-matched TAGE geometry makeProphet() builds for @p b. */
+TageConfig tageConfigFor(Budget b);
 
 /** Build from a spec string like "gshare:8KB". */
 DirectionPredictorPtr makeProphet(const std::string &spec);

@@ -9,8 +9,123 @@
 namespace pcbp
 {
 
+TageFolds::TageFolds(const std::vector<TageTableConfig> &tables)
+{
+    unsigned max_history = 0;
+    auto slotOf = [this](unsigned w) {
+        for (unsigned s = 0; s < widths.size(); ++s)
+            if (widths[s] == w)
+                return s;
+        widths.push_back(w);
+        return unsigned(widths.size() - 1);
+    };
+    for (const TageTableConfig &tc : tables) {
+        const unsigned len = tc.historyLength;
+        const unsigned index_bits = log2Floor(tc.entries);
+        Bank b;
+        b.historyLength = len;
+        b.outWord = (len - 1) / 64;
+        b.outShift = (len - 1) % 64;
+        b.wide = len > 64 ? 1 : 0;
+        b.idxSlot = slotOf(index_bits);
+        b.tagSlot = slotOf(tc.tagBits);
+        // Decorrelate banks by mixing the history length into the
+        // index hash; the folded history does the rest.
+        b.idxSalt = foldBits(len * 0x9e3779b9ull, index_bits);
+        b.tagMask = maskBits(tc.tagBits);
+        const unsigned fold_widths[3] = {index_bits, tc.tagBits,
+                                         tc.tagBits - 1};
+        for (unsigned j = 0; j < 3; ++j) {
+            Fold &f = b.folds[j];
+            const unsigned w = fold_widths[j];
+            f.width = w;
+            f.mask = maskBits(w);
+            if (w == 0)
+                continue;
+            f.top = w - 1;
+            // Bits 64 and up fold as their own sequence (foldedLow),
+            // so the last bit of a wide bank sits at (len - 64) % w.
+            f.outPos = (len > 64 ? len - 64 : len) % w;
+            f.pos64 = 64 % w;
+        }
+        banks.push_back(b);
+        max_history = std::max(max_history, len);
+    }
+    mask0 = maskBits(std::min(max_history, 64u));
+    mask1 = max_history > 64 ? maskBits(max_history - 64) : 0;
+    pcFolds.assign(widths.size(), 0);
+    hashes.assign(banks.size(), TageHash{});
+}
+
+void
+TageFolds::refold(const HistoryRegister &hist)
+{
+    for (Bank &b : banks)
+        for (Fold &f : b.folds)
+            f.value = hist.foldedLow(b.historyLength, f.width);
+}
+
+void
+TageFolds::shiftFolds(std::uint64_t in)
+{
+    // New history = (last << 1) | in. Under a one-bit left rotate
+    // every kept bit lands where its fold puts it, except two: the
+    // bit that leaves the window, and (for wide banks) old bit 63,
+    // which becomes bit 64 and restarts at position 0.
+    const std::uint64_t bit63 = last0 >> 63;
+    for (Bank &b : banks) {
+        const std::uint64_t out =
+            ((b.outWord ? last1 : last0) >> b.outShift) & 1;
+        const std::uint64_t cross = bit63 & b.wide;
+        for (Fold &f : b.folds) {
+            std::uint64_t v = (f.value << 1) | (f.value >> f.top);
+            v ^= in ^ (out << f.outPos) ^ (cross << f.pos64) ^ cross;
+            f.value = v & f.mask;
+        }
+    }
+}
+
+const std::vector<TageHash> &
+TageFolds::hash(Addr pc, const HistoryRegister &hist)
+{
+    const std::uint64_t h0 = hist.word0() & mask0;
+    const std::uint64_t h1 = hist.word1() & mask1;
+    if (!valid) {
+        refold(hist);
+    } else if (h0 != last0 || h1 != last1) {
+        const std::uint64_t in = h0 & 1;
+        const bool shifted =
+            h0 == (((last0 << 1) | in) & mask0) &&
+            h1 == (((last1 << 1) | (last0 >> 63)) & mask1);
+        if (shifted)
+            shiftFolds(in);
+        else
+            refold(hist);
+    }
+    last0 = h0;
+    last1 = h1;
+    valid = true;
+
+    const std::uint64_t m = mix64(pc >> 2);
+    for (std::size_t s = 0; s < widths.size(); ++s)
+        pcFolds[s] = foldBitsFixed(m, widths[s]);
+    for (std::size_t i = 0; i < banks.size(); ++i) {
+        const Bank &b = banks[i];
+        hashes[i].idx = static_cast<std::uint32_t>(
+            pcFolds[b.idxSlot] ^ b.idxSalt ^ b.folds[0].value);
+        // Two different-width folds of the same history decorrelate
+        // the tag from the index (Seznec's CSR1/CSR2 pair).
+        hashes[i].tag = static_cast<std::uint32_t>(
+            (pcFolds[b.tagSlot] ^ b.folds[1].value ^
+             (b.folds[2].value << 1)) &
+            b.tagMask);
+    }
+    return hashes;
+}
+
 Tage::Tage(const TageConfig &config)
-    : cfg(config), baseIndexBits(log2Floor(config.baseEntries))
+    : cfg(config), baseIndexBits(log2Floor(config.baseEntries)),
+      predictFolds(config.tables), updateFolds(config.tables)
 {
     pcbp_assert(isPowerOfTwo(cfg.baseEntries),
                 "tage base size must be 2^n");
@@ -48,45 +163,17 @@ Tage::baseIndex(Addr pc) const
     return foldBits(pc >> 2, baseIndexBits) & maskBits(baseIndexBits);
 }
 
-std::size_t
-Tage::tableIndex(const Table &t, Addr pc,
-                 const HistoryRegister &hist) const
-{
-    // Decorrelate banks by mixing the table's history length into the
-    // address hash; the folded history does the rest.
-    const std::uint64_t addr =
-        foldBits(mix64(pc >> 2) ^ (t.cfg.historyLength * 0x9e3779b9ull),
-                 t.indexBits);
-    const std::uint64_t h =
-        hist.foldedLow(t.cfg.historyLength, t.indexBits);
-    return (addr ^ h) & maskBits(t.indexBits);
-}
-
-std::uint32_t
-Tage::tableTag(const Table &t, Addr pc, const HistoryRegister &hist) const
-{
-    // Two different-width folds of the same history decorrelate the
-    // tag from the index (Seznec's CSR1/CSR2 pair).
-    const unsigned bits = t.cfg.tagBits;
-    std::uint64_t tag = foldBits(mix64(pc >> 2), bits);
-    tag ^= hist.foldedLow(t.cfg.historyLength, bits);
-    tag ^= hist.foldedLow(t.cfg.historyLength, bits - 1) << 1;
-    return static_cast<std::uint32_t>(tag & maskBits(bits));
-}
-
 Tage::Match
-Tage::lookup(Addr pc, const HistoryRegister &hist) const
+Tage::lookup(Addr pc, const std::vector<TageHash> &h) const
 {
     Match m;
     m.alternatePred = base.taken(baseIndex(pc));
     m.providerPred = m.alternatePred;
     for (int i = int(tables.size()) - 1; i >= 0; --i) {
         const Table &t = tables[i];
-        const std::size_t idx = tableIndex(t, pc, hist);
-        if (t.tags[idx] !=
-            static_cast<std::uint16_t>(tableTag(t, pc, hist))) {
+        const std::size_t idx = h[i].idx;
+        if (t.tags[idx] != static_cast<std::uint16_t>(h[i].tag))
             continue;
-        }
         if (m.provider < 0) {
             m.provider = i;
             m.providerPred = t.ctrs.taken(idx);
@@ -112,13 +199,16 @@ Tage::lookup(Addr pc, const HistoryRegister &hist) const
 bool
 Tage::predict(Addr pc, const HistoryRegister &hist)
 {
-    return lookup(pc, hist).prediction;
+    return lookup(pc, predictFolds.hash(pc, hist)).prediction;
 }
 
 void
 Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
 {
-    const Match m = lookup(pc, hist);
+    // One hash set serves the lookup, the provider update, allocation
+    // and decay.
+    const std::vector<TageHash> &h = updateFolds.hash(pc, hist);
+    const Match m = lookup(pc, h);
 
     if (m.provider >= 0)
         ++providerCommits[std::size_t(m.provider)];
@@ -129,7 +219,7 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
 
     if (m.provider >= 0) {
         Table &t = tables[m.provider];
-        const std::size_t idx = tableIndex(t, pc, hist);
+        const std::size_t idx = h[std::size_t(m.provider)].idx;
 
         // Track whether the alternate would have done better on weak
         // providers (drives the use-alt-on-weak policy).
@@ -160,11 +250,10 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
         for (std::size_t i = std::size_t(m.provider + 1);
              i < tables.size(); ++i) {
             Table &t = tables[i];
-            const std::size_t idx = tableIndex(t, pc, hist);
+            const std::size_t idx = h[i].idx;
             if (t.useful.value(idx) != 0)
                 continue;
-            t.tags[idx] =
-                static_cast<std::uint16_t>(tableTag(t, pc, hist));
+            t.tags[idx] = static_cast<std::uint16_t>(h[i].tag);
             t.ctrs.setWeak(idx, taken);
             t.useful.set(idx, 0);
             allocated = true;
@@ -176,8 +265,7 @@ Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
             ++allocFailures;
             for (std::size_t i = std::size_t(m.provider + 1);
                  i < tables.size(); ++i) {
-                Table &t = tables[i];
-                t.useful.decrement(tableIndex(t, pc, hist));
+                tables[i].useful.decrement(h[i].idx);
             }
         }
     }
@@ -209,6 +297,8 @@ Tage::reset()
         t.useful.fill(0);
     }
     useAltOnWeak.set(8);
+    predictFolds.invalidate();
+    updateFolds.invalidate();
     updates = 0;
     providerCommits.assign(tables.size(), 0);
     baseCommits = 0;

@@ -62,6 +62,90 @@ struct TageConfig
     std::uint64_t usefulResetPeriod = 1u << 18;
 };
 
+/** One tagged bank's table coordinates for one (pc, history) call. */
+struct TageHash
+{
+    std::uint32_t idx = 0;
+    std::uint32_t tag = 0;
+};
+
+/**
+ * The per-bank (index, tag) hashes of one stream of TAGE calls: the
+ * predict stream or the update stream (DESIGN.md §6).
+ *
+ * A bank hashes the PC with three folds of its history: to the index
+ * width, to the tag width, and to the tag width - 1. The PC half
+ * folds mix64(pc >> 2) once per distinct width; folding is linear
+ * over XOR, so the bank salt in the index hash is folded once, here.
+ * The history half keeps the folds as folded registers (Seznec &
+ * Michaud): a call whose history is the last call's shifted by one
+ * bit steps every fold in O(1), an equal history reuses them, and any
+ * other history (a flush or a repair jumped) refolds them with
+ * HistoryRegister::foldedLow. The check compares every history bit a
+ * bank reads, so each result is the same pure function of the call's
+ * own (pc, history) as the naive fold; the cache only saves work.
+ */
+class TageFolds
+{
+  public:
+    explicit TageFolds(const std::vector<TageTableConfig> &tables);
+
+    /**
+     * Hashes of (@p pc, @p hist) for every bank, shortest history
+     * first; the reference stays valid until the next call.
+     */
+    const std::vector<TageHash> &hash(Addr pc, const HistoryRegister &hist);
+
+    /** Forget the last history: the next call refolds. */
+    void invalidate() { valid = false; }
+
+  private:
+    /** One folded register: geometry plus its current value. */
+    struct Fold
+    {
+        unsigned width = 0;
+        unsigned top = 0;    //!< width - 1: the bit a rotate wraps
+        unsigned outPos = 0; //!< the leaving bit, after the rotate
+        unsigned pos64 = 0;  //!< where the rotate puts old bit 63
+        std::uint64_t mask = 0;
+        std::uint64_t value = 0;
+    };
+
+    struct Bank
+    {
+        unsigned historyLength = 0;
+        /** Bit historyLength - 1 (the one that leaves on a shift). */
+        unsigned outWord = 0;
+        unsigned outShift = 0;
+        /**
+         * 1 when historyLength > 64. foldedLow folds bits 64 and up
+         * as a second chunk sequence that restarts at position 0,
+         * so a shift moves old bit 63 from 64 % width to 0.
+         */
+        std::uint64_t wide = 0;
+        unsigned idxSlot = 0; //!< pcFolds entry of the index width
+        unsigned tagSlot = 0; //!< pcFolds entry of the tag width
+        std::uint64_t idxSalt = 0; //!< folded bank salt
+        std::uint64_t tagMask = 0;
+        Fold folds[3]; //!< index, tag and tag - 1 widths
+    };
+
+    void refold(const HistoryRegister &hist);
+    void shiftFolds(std::uint64_t in);
+
+    std::vector<Bank> banks;
+    std::vector<unsigned> widths;       //!< distinct PC fold widths
+    std::vector<std::uint64_t> pcFolds; //!< per call, one per width
+    std::vector<TageHash> hashes;
+
+    /** Low maxHistory bits of the last history, split by word. */
+    std::uint64_t mask0 = 0;
+    std::uint64_t mask1 = 0;
+    std::uint64_t last0 = 0;
+    std::uint64_t last1 = 0;
+    bool valid = false;
+};
+
 class Tage final : public DirectionPredictor
 {
   public:
@@ -115,11 +199,7 @@ class Tage final : public DirectionPredictor
     };
 
     std::size_t baseIndex(Addr pc) const;
-    std::size_t tableIndex(const Table &t, Addr pc,
-                           const HistoryRegister &hist) const;
-    std::uint32_t tableTag(const Table &t, Addr pc,
-                           const HistoryRegister &hist) const;
-    Match lookup(Addr pc, const HistoryRegister &hist) const;
+    Match lookup(Addr pc, const std::vector<TageHash> &h) const;
     void agePeriodically();
 
     SatCounterTable base;
@@ -127,6 +207,14 @@ class Tage final : public DirectionPredictor
     TageConfig cfg;
     unsigned baseIndexBits;
     unsigned maxHistory = 0;
+
+    /**
+     * One fold cache per call stream. Consecutive predicts see the
+     * speculative history shifted by one bit, and consecutive
+     * commits the committed one, so each stream steps in O(1).
+     */
+    TageFolds predictFolds;
+    TageFolds updateFolds;
 
     /**
      * USE_ALT_ON_NA (Seznec): when newly-allocated provider entries

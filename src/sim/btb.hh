@@ -1,9 +1,15 @@
 /**
  * @file
  * Branch target buffer used by the front end to identify branches
- * (§5): a set-associative tag array with LRU replacement. A branch
- * that misses the BTB is invisible to the hybrid — the front end
- * falls through — and an entry is allocated when the branch commits.
+ * (§5): a set-associative tag array. A branch that misses the BTB is
+ * invisible to the hybrid — the front end falls through — and an
+ * entry is allocated when the branch commits.
+ *
+ * Replacement is not LRU: lookup() never touches an entry, and only
+ * the commit-time allocate() stamps lastUse. A set therefore evicts
+ * its oldest allocation, even when that branch hits on every fetch.
+ * A real BTB refreshes on a hit; changing the policy would move every
+ * golden, so it waits on ROADMAP item 1.
  */
 
 #ifndef PCBP_SIM_BTB_HH
@@ -42,7 +48,7 @@ class Btb
     {
         bool valid = false;
         std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
+        std::uint64_t lastUse = 0; //!< allocation stamp, not hits
     };
 
     std::size_t setOf(Addr pc) const;

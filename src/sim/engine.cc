@@ -99,9 +99,8 @@ Engine::resolveOldest(CommittedStream &committed)
     }
 
     // Read the record in place and drop it: the pooled slot (and this
-    // reference) stays valid until the next fetchNext(), and skipping
-    // popFront()'s by-value copy saves a two-register checkpoint move
-    // per commit.
+    // reference) stays valid until the next fetchNext(), so the commit
+    // never copies the two-register checkpoint out of the arena.
     const Inflight &r = core.front();
     core.dropFront();
 

@@ -50,8 +50,9 @@ SpecCore<Payload>::SpecCore(const SpecCore &other, Program &program_,
                             ProphetCriticHybrid &hybrid_,
                             CommitSink *sink)
     : program(program_), hybrid(hybrid_), cfg(other.cfg),
-      btb(other.btb), slab(other.slab), headAbs(other.headAbs),
-      tailAbs(other.tailAbs), firstUncritAbs(other.firstUncritAbs),
+      btb(other.btb), slab(other.slab), floorAbs(other.floorAbs),
+      headAbs(other.headAbs), tailAbs(other.tailAbs),
+      firstUncritAbs(other.firstUncritAbs),
       hitsFetched(other.hitsFetched), hitBits(other.hitBits),
       fetchBlock(other.fetchBlock), specTraceIdx(other.specTraceIdx)
 {
@@ -74,6 +75,7 @@ SpecCore<Payload>::beginRun(CommittedStream *oracle_,
     oracleLimit = oracle_limit;
     fetchBlock = start_block;
     specTraceIdx = 0;
+    floorAbs = 0;
     headAbs = 0;
     tailAbs = 0;
     firstUncritAbs = 0;
@@ -88,21 +90,22 @@ template <typename Payload>
 void
 SpecCore<Payload>::growSlab()
 {
-    // Re-linearize the live queue into a doubled slab; absolute
-    // indices keep their meaning because the new size is still a
-    // power of two and every live record lands at the slot its
-    // absolute index selects.
+    // Re-linearize the window and the live queue into a doubled
+    // slab; absolute indices keep their meaning because the new size
+    // is still a power of two and every live record lands at the
+    // slot its absolute index selects.
     pcbp_obs_inc(obs, slabGrowths);
     std::vector<Record> bigger(slab.size() * 2);
-    for (std::size_t abs = headAbs; abs != tailAbs; ++abs) {
+    for (std::size_t abs = floorAbs; abs != tailAbs; ++abs) {
         bigger[abs & (bigger.size() - 1)] =
             std::move(slab[abs & (slab.size() - 1)]);
     }
     slab = std::move(bigger);
 
     // The hit-bit ring is addressed mod the slab size, so every live
-    // bit moves: rebuild it from the live records' own (hitsCum - 1,
-    // prophetPred) pairs.
+    // bit moves: rebuild it from the queued records' own (hitsCum -
+    // 1, prophetPred) pairs. Gathers start at queued records, so the
+    // window's bits are dead.
     hitBits.assign(slab.size() / 64, 0);
     for (std::size_t abs = headAbs; abs != tailAbs; ++abs) {
         const Record &r = rec(abs);
@@ -115,7 +118,7 @@ template <typename Payload>
 typename SpecCore<Payload>::Record &
 SpecCore<Payload>::fetchNext()
 {
-    if (tailAbs - headAbs == slab.size())
+    if (tailAbs - floorAbs == slab.size())
         growSlab();
 
     const BasicBlock &b = program.block(fetchBlock);
@@ -293,18 +296,6 @@ SpecCore<Payload>::front()
 {
     pcbp_dassert(!queueEmpty());
     return rec(headAbs);
-}
-
-template <typename Payload>
-typename SpecCore<Payload>::Record
-SpecCore<Payload>::popFront()
-{
-    pcbp_dassert(!queueEmpty());
-    Record r = rec(headAbs);
-    ++headAbs;
-    if (firstUncritAbs < headAbs)
-        firstUncritAbs = headAbs;
-    return r;
 }
 
 template <typename Payload>

@@ -30,15 +30,17 @@
  * slab that is allocated once and reused in place, so pushing,
  * popping, and override-flushing a branch are index arithmetic under
  * a mask, never allocation (the slab only grows, rarely, when a
- * caller exceeds its previous high-water queue depth). Each record
- * also carries a running count of BTB-hitting fetches, which turns
- * the per-critique "how many future bits could I gather" question
- * from a queue walk into a subtraction. What differs per simulator —
- * when to fetch,
- * when the critic gets bandwidth, what leaves the queue into a
- * backing instruction window, and which cycles anything costs — is
- * caller policy layered on these primitives. Per-model state rides
- * along in the Payload type parameter. See DESIGN.md §4.
+ * caller exceeds its previous high-water window-plus-queue depth).
+ * Each record also carries a running count of BTB-hitting fetches,
+ * which turns the per-critique "how many future bits could I gather"
+ * question from a queue walk into a subtraction. The ring can also
+ * keep consumed records behind the queue head as an instruction
+ * window (the TimingSim's), released in order at retire. What
+ * differs per simulator — when to fetch, when the critic gets
+ * bandwidth, when a record leaves the queue and when it retires, and
+ * which cycles anything costs — is caller policy layered on these
+ * primitives. Per-model state rides along in the Payload type
+ * parameter. See DESIGN.md §4.
  *
  * Ownership and lifetime: a SpecCore borrows everything it is
  * constructed over — the Program, the ProphetCriticHybrid, and the
@@ -103,7 +105,7 @@ struct SpecCoreObs
 /**
  * One in-flight speculated branch, shared by both simulators; the
  * payload carries per-model extras (nothing for the accuracy engine,
- * cache-consumption state for the timing model's FTQ).
+ * consumption and retirement state for the timing model).
  */
 template <typename Payload>
 struct SpecRecord
@@ -134,11 +136,16 @@ struct EnginePayload
 {
 };
 
-/** Timing-model FTQ extras: cache consumption progress and age. */
+/** Timing-model extras: cache consumption, then retirement. */
 struct FtqPayload
 {
-    std::uint32_t uopsLeft = 0; //!< uops not yet consumed by the cache
-    Cycle fetchCycle = 0;       //!< cycle the prophet produced it
+    /**
+     * In the FTQ, the uops the cache has not consumed yet; once the
+     * record is consumed into the window, the uops not retired yet.
+     */
+    std::uint32_t uopsLeft = 0;
+    /** Cycle a consumed record's branch can resolve. */
+    Cycle readyCycle = 0;
 };
 
 /**
@@ -278,7 +285,8 @@ class SpecCore
      * Resolved-mispredict recovery (§3.3): repair the speculative
      * registers from @p r's checkpoint with the architectural
      * @p outcome and redirect fetch down the correct edge. The
-     * caller squashes its own structures (clearQueue(), window...).
+     * caller squashes first (clearQueue(), or truncateAfter() when
+     * the mispredicted record sits in the window).
      */
     void recoverAndRedirect(const Record &r, bool outcome);
 
@@ -291,9 +299,9 @@ class SpecCore
     /** @name The speculation queue (engine pipeline / timing FTQ).
      *
      * A power-of-two ring over a slab of pooled records (the
-     * checkpoint arena): all four operations below are mask
-     * arithmetic, and references stay valid until the next
-     * fetchNext() (which may, rarely, grow the slab).
+     * checkpoint arena): every operation below is mask arithmetic,
+     * and references stay valid until the next fetchNext() (which
+     * may, rarely, grow the slab).
      */
     /// @{
     bool queueEmpty() const { return headAbs == tailAbs; }
@@ -302,23 +310,19 @@ class SpecCore
     const Record &at(std::size_t i) const { return rec(headAbs + i); }
     Record &front();
 
-    /** Pop the oldest record out of the queue (to commit/consume). */
-    Record popFront();
-
     /**
-     * Drop the oldest record without copying it out. The slot (and
-     * any front() reference to it) stays valid until the next
-     * fetchNext() — the commit path reads the record in place and
-     * then drops it, instead of paying popFront()'s by-value copy of
-     * the two-register checkpoint per commit.
+     * Drop the oldest record, releasing its slot at once (the
+     * caller keeps no window). The slot, and any front() reference
+     * to it, stays valid until the next fetchNext(): the commit path
+     * reads the record in place and then drops it, so no commit
+     * copies the two-register checkpoint out of the arena.
      */
     void
     dropFront()
     {
-        pcbp_dassert(!queueEmpty());
-        ++headAbs;
-        if (firstUncritAbs < headAbs)
-            firstUncritAbs = headAbs;
+        pcbp_dassert(floorAbs == headAbs);
+        consumeFront();
+        releaseOldest();
     }
 
     /**
@@ -333,11 +337,55 @@ class SpecCore
      */
     std::optional<std::size_t> nextUncritiqued(std::size_t from) const;
 
-    /** Drop everything queued (pipeline flush). */
+    /** Drop everything queued (pipeline flush); the window stays. */
     void
     clearQueue()
     {
-        headAbs = tailAbs;
+        tailAbs = headAbs;
+        firstUncritAbs = headAbs;
+    }
+    /// @}
+
+    /** @name The instruction window (the TimingSim's).
+     *
+     * Consumed records stay in the ring, between the floor and the
+     * queue head, until they retire: [floor, head) is the window,
+     * oldest first, and [head, tail) is the queue. The window needs
+     * no copies and no second container; a caller that keeps none
+     * uses dropFront(), which holds floor == head.
+     */
+    /// @{
+    std::size_t windowDepth() const { return headAbs - floorAbs; }
+    Record &windowAt(std::size_t i) { return rec(floorAbs + i); }
+
+    /** Move the oldest queued record into the window (consumed). */
+    void
+    consumeFront()
+    {
+        pcbp_dassert(!queueEmpty());
+        ++headAbs;
+        if (firstUncritAbs < headAbs)
+            firstUncritAbs = headAbs;
+    }
+
+    /** Release the oldest window record (retired). */
+    void
+    releaseOldest()
+    {
+        pcbp_dassert(floorAbs != headAbs);
+        ++floorAbs;
+    }
+
+    /**
+     * Squash everything younger than window record @p i — the rest
+     * of the window and the whole queue — in one step, as a resolved
+     * mispredict at @p i does.
+     */
+    void
+    truncateAfter(std::size_t i)
+    {
+        pcbp_dassert(i < windowDepth());
+        headAbs = tailAbs = floorAbs + i + 1;
         firstUncritAbs = tailAbs;
     }
     /// @}
@@ -360,11 +408,13 @@ class SpecCore
 
     /**
      * The checkpoint arena: a power-of-two slab addressed by
-     * absolute record indices under a mask. headAbs..tailAbs are the
-     * live queue; indices only ever increase (flushes pull tailAbs
-     * back, which re-pools the flushed slots in place).
+     * absolute record indices under a mask. floorAbs..headAbs are
+     * the window, headAbs..tailAbs the live queue; flushes pull
+     * tailAbs (and, for a window squash, headAbs) back, which
+     * re-pools the flushed slots in place.
      */
     std::vector<Record> slab;
+    std::size_t floorAbs = 0;
     std::size_t headAbs = 0;
     std::size_t tailAbs = 0;
 

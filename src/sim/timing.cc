@@ -1,5 +1,7 @@
 #include "sim/timing.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/stat_registry.hh"
 
@@ -38,9 +40,10 @@ TimingSim::TimingSim(const TimingSim &other, Program &program_,
                      const TimingConfig &config)
     : program(program_), hybrid(hybrid_), cfg(config),
       core(other.core, program_, hybrid_, config.commitSink),
-      coreObs(other.coreObs), window(other.window),
-      windowUops(other.windowUops), resolveIdx(other.resolveIdx),
-      commitIdx(other.commitIdx), now(other.now),
+      coreObs(other.coreObs), windowUops(other.windowUops),
+      firstUnresolved(other.firstUnresolved),
+      resolveIdx(other.resolveIdx), commitIdx(other.commitIdx),
+      now(other.now),
       prophetStalledUntil(other.prophetStalledUntil),
       cacheStalledUntil(other.cacheStalledUntil),
       measureStartCycle(other.measureStartCycle)
@@ -83,28 +86,26 @@ TimingSim::critiqueFtqEntry(std::size_t idx, bool partial)
 }
 
 void
-TimingSim::flushPipeline(const FtqRecord &mispredicted, bool outcome)
+TimingSim::flushPipeline(std::size_t mispredicted, bool outcome)
 {
-    // Squash everything younger than the mispredicted branch: the
-    // tail of the window, plus the whole FTQ (consumed-but-unretired
-    // uops were fetched down the wrong path).
+    // Squash everything younger than the mispredicted branch (window
+    // index @p mispredicted): the tail of the window, plus the whole
+    // FTQ (consumed-but-unretired uops were fetched down the wrong
+    // path).
     std::uint64_t squashed_uops = 0;
-    while (!window.empty() &&
-           window.back().r.traceIdx > mispredicted.traceIdx) {
-        squashed_uops += window.back().r.numUops;
-        windowUops -= window.back().r.numUops;
-        window.pop_back();
-    }
+    for (std::size_t i = mispredicted + 1; i < core.windowDepth(); ++i)
+        squashed_uops += core.windowAt(i).numUops;
+    windowUops -= squashed_uops;
     for (std::size_t i = 0; i < core.queueSize(); ++i) {
         const FtqRecord &e = core.at(i);
         squashed_uops += e.numUops - e.payload.uopsLeft;
     }
-    core.clearQueue();
+    core.truncateAfter(mispredicted);
 
     if (measuring())
         stats.wrongPathFetchedUops += squashed_uops;
 
-    core.recoverAndRedirect(mispredicted, outcome);
+    core.recoverAndRedirect(core.windowAt(mispredicted), outcome);
     prophetStalledUntil = now + cfg.redirectPenalty;
     cacheStalledUntil = now + cfg.frontEndRefill;
 }
@@ -112,25 +113,24 @@ TimingSim::flushPipeline(const FtqRecord &mispredicted, bool outcome)
 void
 TimingSim::stepResolve(CommittedStream &committed)
 {
-    for (auto &b : window) {
-        if (b.resolved)
-            continue;
-        if (b.readyCycle > now)
+    while (firstUnresolved < core.windowDepth()) {
+        const FtqRecord &r = core.windowAt(firstUnresolved);
+        if (r.payload.readyCycle > now)
             break; // in-order: younger blocks are not ready either
-        if (b.r.traceIdx >= totalBranches)
+        if (r.traceIdx >= totalBranches)
             break; // speculative past the end of the run
-        const CommittedBranch *cb = committed.at(b.r.traceIdx);
+        const CommittedBranch *cb = committed.at(r.traceIdx);
         pcbp_assert(cb != nullptr, "committed stream ended mid-run");
-        pcbp_assert(b.r.traceIdx == resolveIdx,
+        pcbp_assert(r.traceIdx == resolveIdx,
                     "resolution diverged from the architectural path");
-        pcbp_assert(b.r.block == cb->block);
+        pcbp_assert(r.block == cb->block);
         const bool outcome = cb->taken;
-        b.resolved = true;
         ++resolveIdx;
-        if (b.r.finalPred != outcome) {
+        const std::size_t idx = firstUnresolved++;
+        if (r.finalPred != outcome) {
             if (measuring())
                 ++stats.finalMispredicts;
-            flushPipeline(b.r, outcome);
+            flushPipeline(idx, outcome);
             break; // everything younger is gone
         }
     }
@@ -140,32 +140,32 @@ void
 TimingSim::stepRetire(CommittedStream &committed)
 {
     unsigned budget = cfg.retireWidth;
-    while (budget > 0 && !window.empty() && commitIdx < totalBranches) {
-        WindowBlock &b = window.front();
-        if (!b.resolved)
-            break;
+    while (budget > 0 && firstUnresolved > 0 &&
+           commitIdx < totalBranches) {
+        FtqRecord &r = core.windowAt(0);
         const std::uint32_t chunk =
-            std::min<std::uint32_t>(budget, b.r.numUops - b.retired);
-        b.retired += chunk;
+            std::min<std::uint32_t>(budget, r.payload.uopsLeft);
+        r.payload.uopsLeft -= chunk;
         budget -= chunk;
         if (measuring()) {
             stats.committedUops += chunk;
         }
-        if (b.retired < b.r.numUops)
+        if (r.payload.uopsLeft > 0)
             break;
 
         // Whole block retired: the branch commits.
-        pcbp_assert(b.r.traceIdx == commitIdx);
+        pcbp_assert(r.traceIdx == commitIdx);
         const CommittedBranch *cb = committed.at(commitIdx);
         pcbp_assert(cb != nullptr, "committed stream ended mid-run");
-        core.commitTrain(b.r, cb->taken);
+        core.commitTrain(r, cb->taken);
         if (measuring())
             ++stats.committedBranches;
         ++commitIdx;
         if (commitIdx == cfg.warmupBranches)
             measureStartCycle = now;
-        windowUops -= b.r.numUops;
-        window.pop_front();
+        windowUops -= r.numUops;
+        core.releaseOldest();
+        --firstUnresolved;
         committed.release(commitIdx);
     }
 }
@@ -216,11 +216,12 @@ TimingSim::stepFetch()
         if (h.payload.uopsLeft > 0)
             break;
 
-        WindowBlock wb;
-        wb.readyCycle = now + cfg.resolveDepth;
-        wb.r = core.popFront();
-        windowUops += wb.r.numUops;
-        window.push_back(std::move(wb));
+        // Consumed whole: the record enters the window, where
+        // uopsLeft counts the uops still to retire.
+        h.payload.uopsLeft = h.numUops;
+        h.payload.readyCycle = now + cfg.resolveDepth;
+        windowUops += h.numUops;
+        core.consumeFront();
     }
 }
 
@@ -234,7 +235,6 @@ TimingSim::stepProphet()
             return; // FTQ full
         FtqRecord &e = core.fetchNext();
         e.payload.uopsLeft = e.numUops;
-        e.payload.fetchCycle = now;
     }
 }
 
@@ -270,7 +270,7 @@ TimingSim::beginRun(CommittedStream &committed)
     prophetStalledUntil = 0;
     cacheStalledUntil = 0;
     windowUops = 0;
-    window.clear();
+    firstUnresolved = 0;
     stats = TimingStats{};
     measureStartCycle = 0;
 }

@@ -14,10 +14,12 @@
  * The speculative protocol (checkpointed predict, future-bit gather,
  * critique/override, recover, commit-train) is the shared SpecCore
  * (sim/spec_core.hh); the FTQ is its speculation queue, bounded by
- * ftqSize here. This file adds only the clock: bandwidths, the
- * instruction window, and resolve/retire latency. The committed path
- * arrives through a CommittedStream with a pipeline-bounded resident
- * window, so run length does not affect memory.
+ * ftqSize here, and the instruction window is the consumed records
+ * the core's ring keeps behind the FTQ head. This file adds only the
+ * clock: bandwidths, the window bound, and resolve/retire latency.
+ * The committed path arrives through a CommittedStream with a
+ * pipeline-bounded resident window, so run length does not affect
+ * memory.
  *
  * Back end: consumed blocks enter a 2048-uop window; every uop
  * becomes ready resolveDepth (30) cycles after it is fetched
@@ -35,8 +37,6 @@
 
 #ifndef PCBP_SIM_TIMING_HH
 #define PCBP_SIM_TIMING_HH
-
-#include <deque>
 
 #include "core/prophet_critic.hh"
 #include "sim/committed_stream.hh"
@@ -191,15 +191,6 @@ class TimingSim
   private:
     using FtqRecord = SpecRecord<FtqPayload>;
 
-    /** A consumed fetch block waiting in the instruction window. */
-    struct WindowBlock
-    {
-        FtqRecord r;
-        std::uint32_t retired = 0;
-        Cycle readyCycle = 0;
-        bool resolved = false;
-    };
-
     void stepResolve(CommittedStream &committed);
     void stepRetire(CommittedStream &committed);
     void stepCritic();
@@ -207,7 +198,7 @@ class TimingSim
     void stepProphet();
 
     void critiqueFtqEntry(std::size_t idx, bool partial);
-    void flushPipeline(const FtqRecord &mispredicted, bool outcome);
+    void flushPipeline(std::size_t mispredicted, bool outcome);
     void exportStats(CommittedStream &committed);
 
     bool measuring() const { return commitIdx >= cfg.warmupBranches; }
@@ -218,8 +209,14 @@ class TimingSim
     SpecCore<FtqPayload> core;
     SpecCoreObs coreObs;
 
-    std::deque<WindowBlock> window;
+    /** Uops in the window (the core's consumed, unretired records). */
     std::size_t windowUops = 0;
+    /**
+     * Window index of the oldest unresolved record: resolution is in
+     * order, so every record before it is resolved and waits to
+     * retire.
+     */
+    std::size_t firstUnresolved = 0;
 
     std::uint64_t resolveIdx = 0; //!< next trace index to resolve
     std::uint64_t commitIdx = 0;  //!< next trace index to retire

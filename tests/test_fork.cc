@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "sweep/runner.hh"
 #include "workload/generator.hh"
@@ -351,6 +352,41 @@ TEST(Fork, SurvivesCheckpointSlabGrowth)
         SCOPED_TRACE("fork@" + std::to_string(fork_at));
         const auto [events, stats] =
             engineForked(recipe, spec, cfg, fork_at);
+        expectSameEvents(events, ref_events);
+        expectSameStats(stats, ref_stats);
+    }
+}
+
+/**
+ * The timing analogue: the TimingSim's instruction window lives in
+ * the same ring, so a window deeper than the initial 64 slots grows
+ * the slab mid-run. Retiring one uop per cycle backs the window up
+ * to its 2048-uop bound: on this workload the slab doubles at commits
+ * 433 and 1366, so targets 1 and 150 fork before any growth and 590
+ * forks after the first one (its fork then grows the copied slab).
+ */
+TEST(Fork, TimingSurvivesWindowSlabGrowth)
+{
+    const WorkloadRecipe recipe = forkRecipe(36);
+    const HybridSpec spec =
+        hybridSpec(ProphetKind::Gshare, Budget::B2KB,
+                   CriticKind::TaggedGshare, Budget::B2KB, 8);
+    TimingConfig cfg = smallTiming();
+    cfg.retireWidth = 1;
+    ASSERT_TRUE(timingForkable(cfg));
+
+    StatRegistry reg;
+    TimingConfig counted = cfg;
+    counted.statsOut = &reg;
+    const auto [ref_events, ref_stats] =
+        timingStraight(recipe, spec, counted);
+    ASSERT_GE(reg.simValue("core.slab_growths"), 2u)
+        << "the window must outgrow the initial slab";
+
+    for (const std::uint64_t target : {1ull, 150ull, 590ull}) {
+        SCOPED_TRACE("target " + std::to_string(target));
+        const auto [events, stats] =
+            timingForked(recipe, spec, cfg, target);
         expectSameEvents(events, ref_events);
         expectSameStats(stats, ref_stats);
     }

@@ -409,6 +409,80 @@ TEST(Tage, UsefulnessAgingKeepsAllocatorAlive)
     EXPECT_GT(double(correct) / 2000, 0.9);
 }
 
+/** The naive hash each bank's folded registers must reproduce. */
+TageHash
+naiveTageHash(const TageTableConfig &tc, Addr pc,
+              const HistoryRegister &hist)
+{
+    const unsigned len = tc.historyLength;
+    const unsigned index_bits = log2Floor(tc.entries);
+    const unsigned tag_bits = tc.tagBits;
+    TageHash h;
+    h.idx = static_cast<std::uint32_t>(
+        (foldBits(mix64(pc >> 2) ^ (len * 0x9e3779b9ull), index_bits) ^
+         hist.foldedLow(len, index_bits)) &
+        maskBits(index_bits));
+    h.tag = static_cast<std::uint32_t>(
+        (foldBits(mix64(pc >> 2), tag_bits) ^
+         hist.foldedLow(len, tag_bits) ^
+         (hist.foldedLow(len, tag_bits - 1) << 1)) &
+        maskBits(tag_bits));
+    return h;
+}
+
+TEST(TageFolds, IncrementalMatchesFoldedLow)
+{
+    // Call sequences as the simulators make them: mostly one-bit
+    // shifts (consecutive predicts, or consecutive commits), some
+    // repeats (a BTB miss inserts no history), and jumps (a flush or
+    // a repair rewinds the history). Two streams interleave, as the
+    // predict and update streams do. Every geometry the factory
+    // builds is covered: histories 4..128, widths 6..10, and banks
+    // whose folds split at bit 64.
+    for (Budget b : {Budget::B2KB, Budget::B4KB, Budget::B8KB,
+                     Budget::B16KB, Budget::B32KB}) {
+        const TageConfig cfg = tageConfigFor(b);
+        TageFolds streams[2] = {TageFolds(cfg.tables),
+                                TageFolds(cfg.tables)};
+        HistoryRegister hist[2];
+        Rng rng(0x7a9e + static_cast<std::uint64_t>(b));
+        std::size_t mismatches = 0;
+        for (int call = 0; call < 20000 && mismatches == 0; ++call) {
+            const int s = rng.nextBool(0.5) ? 1 : 0;
+            HistoryRegister &h = hist[s];
+            const std::uint64_t kind = rng.nextBelow(20);
+            if (kind < 15) {
+                h.shiftIn(rng.nextBool(0.5));
+            } else if (kind == 15) {
+                // repeat: same history as the last call
+            } else if (kind == 16) {
+                h.shiftOut(); // a repair rewrites the youngest bit
+                h.shiftIn(rng.nextBool(0.5));
+            } else if (kind == 17) {
+                h.shiftInMany(rng.next(),
+                              1 + unsigned(rng.nextBelow(8)));
+            } else {
+                h.shiftInMany(rng.next(), 64);
+                h.shiftInMany(rng.next(), 64);
+            }
+            const Addr pc = 0x400000 + 4 * rng.nextBelow(1 << 14);
+            const std::vector<TageHash> &got = streams[s].hash(pc, h);
+            ASSERT_EQ(got.size(), cfg.tables.size());
+            for (std::size_t i = 0; i < cfg.tables.size(); ++i) {
+                const TageHash want = naiveTageHash(cfg.tables[i], pc, h);
+                if (got[i].idx != want.idx || got[i].tag != want.tag) {
+                    ++mismatches;
+                    ADD_FAILURE()
+                        << budgetName(b) << " bank " << i << " (history "
+                        << cfg.tables[i].historyLength << ") call " << call
+                        << ": idx " << got[i].idx << " vs " << want.idx
+                        << ", tag " << got[i].tag << " vs " << want.tag;
+                }
+            }
+        }
+    }
+}
+
 TEST(Tage, RegisteredInFactoryAndRegistry)
 {
     EXPECT_EQ(parseProphetKind("tage"), ProphetKind::Tage);

@@ -57,7 +57,8 @@ TEST(SpecCoreQueue, FetchFillsFifoInSpeculationOrder)
         EXPECT_EQ(core.at(i).block, BlockId(i % 2));
         EXPECT_EQ(core.at(i).payload.uopsLeft, 8u);
     }
-    const auto head = core.popFront();
+    const auto &head = core.front();
+    core.dropFront();
     EXPECT_EQ(head.traceIdx, 0u);
     EXPECT_EQ(core.front().traceIdx, 1u);
     EXPECT_EQ(core.queueSize(), 3u);
@@ -105,7 +106,8 @@ TEST(SpecCoreQueue, OverrideFlushesYoungerAndRedirects)
             core.fetchNext();
         if (!core.front().critiqued)
             core.critique(0);
-        auto r = core.popFront();
+        const auto &r = core.front();
+        core.dropFront();
         core.commitTrain(r, true);
         if (r.finalPred != true) {
             core.clearQueue();
@@ -138,6 +140,40 @@ TEST(SpecCoreQueue, ClearQueueEmpties)
     EXPECT_EQ(core.queueSize(), 2u);
     core.clearQueue();
     EXPECT_TRUE(core.queueEmpty());
+}
+
+TEST(SpecCoreQueue, WindowSurvivesSlabGrowthAndTruncates)
+{
+    // Consumed records stay in the ring as the window: 100 of them
+    // plus a queued tail outgrow the initial 64-slot slab, and the
+    // relocation must keep every window record in place.
+    Program p = loopProgram();
+    auto h = prophetAlone(ProphetKind::AlwaysTaken, Budget::B2KB).build();
+    SpecCoreConfig cc;
+    cc.useBtb = false;
+    SpecCore<FtqPayload> core(p, *h, cc);
+    core.beginRun(nullptr, 0, p.entry());
+    for (int i = 0; i < 104; ++i) {
+        core.fetchNext();
+        if (i < 100)
+            core.consumeFront();
+    }
+    ASSERT_EQ(core.windowDepth(), 100u);
+    ASSERT_EQ(core.queueSize(), 4u);
+    for (std::size_t i = 0; i < 100; ++i)
+        ASSERT_EQ(core.windowAt(i).traceIdx, i);
+    EXPECT_EQ(core.front().traceIdx, 100u);
+
+    core.releaseOldest();
+    EXPECT_EQ(core.windowDepth(), 99u);
+    EXPECT_EQ(core.windowAt(0).traceIdx, 1u);
+
+    // A mispredict at window index 9 squashes the rest of the window
+    // and the whole queue in one step.
+    core.truncateAfter(9);
+    EXPECT_EQ(core.windowDepth(), 10u);
+    EXPECT_TRUE(core.queueEmpty());
+    EXPECT_EQ(core.windowAt(9).traceIdx, 10u);
 }
 
 // ----------------------------------------------------------------- Timing
