@@ -32,7 +32,7 @@ microIters(const BenchContext &ctx)
 {
     const double base = ctx.quick ? 200000.0 : 2000000.0;
     return std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(base * benchScale()), 10000);
+        scaleCount(base, benchScale(), "micro-bench iterations"), 10000);
 }
 
 /**
@@ -128,10 +128,10 @@ engineBody(const HybridSpec &spec, const BenchContext &ctx)
 {
     const Workload &w = benchWorkload(ctx);
     EngineConfig cfg;
-    cfg.warmupBranches = static_cast<std::uint64_t>(
-        (ctx.quick ? 5000.0 : 50000.0) * benchScale());
-    cfg.measureBranches = static_cast<std::uint64_t>(
-        (ctx.quick ? 60000.0 : 1500000.0) * benchScale());
+    cfg.warmupBranches = scaleCount(ctx.quick ? 5000.0 : 50000.0,
+                                    benchScale(), "engine bench budget");
+    cfg.measureBranches = scaleCount(ctx.quick ? 60000.0 : 1500000.0,
+                                     benchScale(), "engine bench budget");
     cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
     cfg.measureBranches =
         std::max<std::uint64_t>(cfg.measureBranches, 1000);
@@ -157,10 +157,10 @@ timingBody(const HybridSpec &spec, const BenchContext &ctx)
 {
     const Workload &w = benchWorkload(ctx);
     TimingConfig cfg = timingConfigFor(w);
-    cfg.warmupBranches = static_cast<std::uint64_t>(
-        (ctx.quick ? 3000.0 : 20000.0) * benchScale());
-    cfg.measureBranches = static_cast<std::uint64_t>(
-        (ctx.quick ? 30000.0 : 400000.0) * benchScale());
+    cfg.warmupBranches = scaleCount(ctx.quick ? 3000.0 : 20000.0,
+                                    benchScale(), "timing bench budget");
+    cfg.measureBranches = scaleCount(ctx.quick ? 30000.0 : 400000.0,
+                                     benchScale(), "timing bench budget");
     cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
     cfg.measureBranches =
         std::max<std::uint64_t>(cfg.measureBranches, 1000);

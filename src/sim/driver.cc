@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 
 namespace pcbp
@@ -61,28 +62,43 @@ hybridSpec(ProphetKind prophet, Budget prophet_budget, CriticKind critic,
 double
 benchScale()
 {
-    static const double scale = [] {
-        const char *env = std::getenv("PCBP_BENCH_SCALE");
-        if (!env)
-            return 1.0;
-        const double v = std::atof(env);
-        if (v <= 0.0) {
-            pcbp_warn("ignoring PCBP_BENCH_SCALE='", env, "'");
-            return 1.0;
-        }
-        return v;
-    }();
+    static const double scale =
+        parseBenchScale(std::getenv("PCBP_BENCH_SCALE"));
     return scale;
+}
+
+double
+parseBenchScale(const char *value)
+{
+    if (!value)
+        return 1.0;
+    const double v = parseNonNegativeArg("PCBP_BENCH_SCALE", value);
+    if (v <= 0.0)
+        pcbp_fatal("PCBP_BENCH_SCALE must be above 0, got '", value, "'");
+    return v;
+}
+
+std::uint64_t
+scaleCount(double count, double scale, const char *what)
+{
+    const double v = count * scale;
+    // 2^64 is exact in a double; converting anything at or above it
+    // (or a NaN) to std::uint64_t is undefined.
+    if (!(v >= 0.0 && v < 18446744073709551616.0)) {
+        pcbp_fatal(what, " times PCBP_BENCH_SCALE ", scale,
+                   " does not fit in 64 bits");
+    }
+    return static_cast<std::uint64_t>(v);
 }
 
 EngineConfig
 engineConfigFor(const Workload &w)
 {
     EngineConfig cfg;
-    cfg.measureBranches = static_cast<std::uint64_t>(
-        double(w.simBranches) * benchScale());
-    cfg.warmupBranches = static_cast<std::uint64_t>(
-        double(w.warmupBranches) * benchScale());
+    cfg.measureBranches = scaleCount(double(w.simBranches), benchScale(),
+                                     "the workload budget");
+    cfg.warmupBranches = scaleCount(double(w.warmupBranches),
+                                    benchScale(), "the workload budget");
     cfg.measureBranches = std::max<std::uint64_t>(cfg.measureBranches,
                                                   1000);
     cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
@@ -118,7 +134,8 @@ runAccuracy(const Workload &w, const HybridSpec &spec,
 
 H2PReport
 runH2P(const Workload &w, const HybridSpec &spec,
-       const EngineConfig &config, const H2PConfig &h2p)
+       const EngineConfig &config, const H2PConfig &h2p,
+       EngineStats *stats)
 {
     pcbp_assert(config.commitSink == nullptr,
                 "runH2P owns the commit tap; profile through your own "
@@ -126,7 +143,11 @@ runH2P(const Workload &w, const HybridSpec &spec,
     H2PProfiler profiler(config.warmupBranches);
     EngineConfig cfg = config;
     cfg.commitSink = &profiler;
-    runAccuracy(w, spec, cfg);
+    const EngineStats st = runAccuracy(w, spec, cfg);
+    if (stats)
+        *stats = st;
+    if (config.statsOut)
+        profiler.exportStats(*config.statsOut);
     H2PReport report = profiler.report(h2p);
     report.workload = w.name;
     report.config = spec.label();
@@ -275,8 +296,8 @@ timingConfigFor(const Workload &w)
     // Timing runs are ~10x slower per branch than accuracy runs, so
     // use a third of the workload's accuracy budget.
     cfg.measureBranches = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(double(w.simBranches) / 3.0 *
-                                   benchScale()),
+        scaleCount(double(w.simBranches) / 3.0, benchScale(),
+                   "the workload budget"),
         1000);
     cfg.warmupBranches =
         std::max<std::uint64_t>(cfg.measureBranches / 10, 100);

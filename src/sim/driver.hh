@@ -68,9 +68,23 @@ HybridSpec hybridSpec(ProphetKind prophet, Budget prophet_budget,
 
 /**
  * Global bench scale factor from the PCBP_BENCH_SCALE environment
- * variable (default 1.0). Applied to simulated branch counts.
+ * variable (parseBenchScale, read once). Applied to simulated branch
+ * counts through scaleCount.
  */
 double benchScale();
+
+/**
+ * Parse a PCBP_BENCH_SCALE value; null (unset) means 1. Anything but
+ * a whole, finite decimal above 0 exits 1 naming the variable.
+ */
+double parseBenchScale(const char *value);
+
+/**
+ * The one way a branch count is scaled: std::uint64_t(@p count *
+ * @p scale). A product that does not fit in 64 bits exits 1 naming
+ * @p what (a sweep key, or a workload budget) and the variable.
+ */
+std::uint64_t scaleCount(double count, double scale, const char *what);
 
 /** Engine configuration for a workload, with benchScale applied. */
 EngineConfig engineConfigFor(const Workload &w);
@@ -94,10 +108,14 @@ EngineStats runAccuracy(const Workload &w, const HybridSpec &spec,
 /**
  * Run one workload with per-branch H2P profiling tapped into the
  * commit path (warmup commits excluded) and return the ranked
- * report, labeled with the workload and spec.
+ * report, labeled with the workload and spec. With config.statsOut
+ * set, the profiler's `h2p.*` section lands in that registry next to
+ * the engine's counters; @p stats, if given, receives the run's
+ * engine stats.
  */
 H2PReport runH2P(const Workload &w, const HybridSpec &spec,
-                 const EngineConfig &config, const H2PConfig &h2p = {});
+                 const EngineConfig &config, const H2PConfig &h2p = {},
+                 EngineStats *stats = nullptr);
 
 /** runH2P with the workload's default engine configuration. */
 H2PReport runH2P(const Workload &w, const HybridSpec &spec,

@@ -148,14 +148,6 @@ H2PProfiler::report(const H2PConfig &cfg) const
     return r;
 }
 
-void
-H2PProfiler::reset()
-{
-    commits = 0;
-    mispredicts = 0;
-    perPc.clear();
-}
-
 namespace
 {
 

@@ -28,14 +28,6 @@
 namespace pcbp
 {
 
-/** One workload's result under one configuration. */
-struct RunResult
-{
-    std::string workload;
-    std::string config;
-    EngineStats stats;
-};
-
 /** Aggregate over a workload set. */
 struct AggregateResult
 {
@@ -191,10 +183,6 @@ class H2PProfiler : public CommitSink
     void exportStats(StatRegistry &reg,
                      const std::string &prefix = "h2p",
                      std::size_t max_pcs = 64) const;
-
-    std::uint64_t committedBranches() const { return commits; }
-
-    void reset();
 
   private:
     std::uint64_t skip;

@@ -459,7 +459,7 @@ SweepSpec::cells() const
             base.oracleFutureBits = oracle;
             if (branches) {
                 base.measureBranches = std::max<std::uint64_t>(
-                    std::uint64_t(double(branches) * benchScale()),
+                    scaleCount(double(branches), benchScale(), "'branches'"),
                     1000);
                 base.warmupBranches = std::max<std::uint64_t>(
                     base.measureBranches / 10, 100);
@@ -480,7 +480,8 @@ SweepSpec::cells() const
             } else {
                 for (const std::uint64_t wb : warmups)
                     wbs.push_back(std::max<std::uint64_t>(
-                        std::uint64_t(double(wb) * benchScale()), 100));
+                        scaleCount(double(wb), benchScale(), "'warmup'"),
+                        100));
             }
             for (const std::uint64_t wb : wbs) {
                 SweepCell cell = base;

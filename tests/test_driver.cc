@@ -1,14 +1,22 @@
 /**
  * @file
  * Tests for the experiment driver and metrics layer: spec building,
- * aggregation math, parallel set runs, and a handful of deeper
- * mechanism checks that sit naturally at this level.
+ * aggregation math, bench scaling, trace workloads through the
+ * driver, and a handful of deeper mechanism checks that sit
+ * naturally at this level.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <sstream>
+
+#include "obs/stat_registry.hh"
 #include "predictors/gskew.hh"
 #include "sim/driver.hh"
+#include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -110,6 +118,227 @@ TEST(RunSet, EngineConfigForScalesWithWorkload)
     const EngineConfig cfg = engineConfigFor(w);
     EXPECT_EQ(cfg.measureBranches, w.simBranches);
     EXPECT_EQ(cfg.warmupBranches, w.warmupBranches);
+}
+
+// ------------------------------------------------------- bench scale
+
+TEST(BenchScale, UnsetIsOneAndValuesParseWhole)
+{
+    EXPECT_EQ(parseBenchScale(nullptr), 1.0);
+    EXPECT_EQ(parseBenchScale("1"), 1.0);
+    EXPECT_EQ(parseBenchScale("0.05"), 0.05);
+    EXPECT_EQ(parseBenchScale("4"), 4.0);
+    // Finite and above 0: accepted here, caught by scaleCount.
+    EXPECT_EQ(parseBenchScale("1e300"), 1e300);
+    // atof read "0.02x" as 0.02 and NaN/infinity passed its check; 0
+    // and "abc" only warned and ran at full scale.
+    for (const char *bad : {"nan", "inf", "0.02x", "abc", "", " 1",
+                            "-1"}) {
+        SCOPED_TRACE(std::string("'") + bad + "'");
+        EXPECT_EXIT(parseBenchScale(bad), testing::ExitedWithCode(1),
+                    "PCBP_BENCH_SCALE wants a finite non-negative "
+                    "number");
+    }
+    EXPECT_EXIT(parseBenchScale("0"), testing::ExitedWithCode(1),
+                "PCBP_BENCH_SCALE must be above 0");
+}
+
+TEST(BenchScale, ScaleCountIsTheCastBelowTwoToThe53)
+{
+    // Store keys and goldens embed scaled counts: at scale 1 and the
+    // CI scales nothing may move.
+    for (const double scale : {1.0, 0.05, 0.02, 4.0}) {
+        for (const std::uint64_t n :
+             {std::uint64_t(0), std::uint64_t(1), std::uint64_t(999),
+              std::uint64_t(1000), std::uint64_t(30001),
+              std::uint64_t(1500000), std::uint64_t(123456789),
+              (std::uint64_t(1) << 53) - 1}) {
+            EXPECT_EQ(scaleCount(double(n), scale, "n"),
+                      std::uint64_t(double(n) * scale))
+                << n << " x " << scale;
+            EXPECT_EQ(scaleCount(double(n) / 3.0, scale, "n"),
+                      std::uint64_t(double(n) / 3.0 * scale))
+                << n << " / 3 x " << scale;
+        }
+    }
+    EXPECT_EQ(scaleCount(9223372036854775808.0, 1.0, "n"),
+              std::uint64_t(1) << 63);
+}
+
+TEST(BenchScale, ScaleCountRejectsProductsPast64Bits)
+{
+    // Each used to wrap or read back as the 1000-branch floor.
+    EXPECT_EXIT(scaleCount(double(~std::uint64_t(0)), 1.0,
+                           "'branches'"),
+                testing::ExitedWithCode(1),
+                "'branches' times PCBP_BENCH_SCALE 1 does not fit");
+    EXPECT_EXIT(scaleCount(9223372036854775808.0, 2.0, "'warmup'"),
+                testing::ExitedWithCode(1),
+                "'warmup' times PCBP_BENCH_SCALE 2 does not fit");
+    EXPECT_EXIT(scaleCount(1000.0, 1e300, "budget"),
+                testing::ExitedWithCode(1),
+                "budget times PCBP_BENCH_SCALE");
+}
+
+// --------------------------------------------------- trace workloads
+
+struct RecordingSink : CommitSink
+{
+    std::vector<CommitEvent> events;
+
+    void onCommit(const CommitEvent &e) override { events.push_back(e); }
+};
+
+/** Commit events and sim-section stats of one tapped run. */
+struct TappedRun
+{
+    std::vector<CommitEvent> events;
+    std::string simJson;
+    std::uint64_t committedBranches = 0;
+};
+
+template <typename Config, typename Run>
+TappedRun
+tappedRun(Config cfg, const Run &run)
+{
+    RecordingSink sink;
+    StatRegistry reg;
+    cfg.commitSink = &sink;
+    cfg.statsOut = &reg;
+    TappedRun r;
+    r.committedBranches = run(cfg).committedBranches;
+    r.events = std::move(sink.events);
+    r.simJson = reg.simJson();
+    return r;
+}
+
+void
+expectSameRun(const TappedRun &a, const TappedRun &b)
+{
+    EXPECT_EQ(a.committedBranches, b.committedBranches);
+    EXPECT_EQ(a.simJson, b.simJson);
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+        const CommitEvent &x = a.events[i], &y = b.events[i];
+        ASSERT_EQ(x.index, y.index) << "at commit " << i;
+        ASSERT_EQ(x.block, y.block) << "at commit " << i;
+        ASSERT_EQ(x.pc, y.pc) << "at commit " << i;
+        ASSERT_EQ(x.numUops, y.numUops) << "at commit " << i;
+        ASSERT_EQ(x.btbHit, y.btbHit) << "at commit " << i;
+        ASSERT_EQ(x.prophetPred, y.prophetPred) << "at commit " << i;
+        ASSERT_EQ(x.finalPred, y.finalPred) << "at commit " << i;
+        ASSERT_EQ(x.critiqueProvided, y.critiqueProvided)
+            << "at commit " << i;
+        ASSERT_EQ(x.criticOverrode, y.criticOverrode)
+            << "at commit " << i;
+        ASSERT_EQ(x.outcome, y.outcome) << "at commit " << i;
+    }
+}
+
+TEST(Driver, TraceWorkloadsReplayTheFile)
+{
+    constexpr std::uint64_t records = 6000, warmup = 600;
+    const std::string path =
+        testing::TempDir() + "driver_replay.pcbptrc2";
+    {
+        Program p = buildProgram(workloadByName("mm.mpeg"));
+        Trace2Writer writer(path);
+        for (const CommittedBranch &r : walkProgram(p, records))
+            writer.append(r);
+    }
+    const Workload &w = workloadByName("trace:" + path);
+    const HybridSpec spec =
+        hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
+                   CriticKind::TaggedGshare, Budget::B8KB, 8);
+
+    // 3000 ends inside the file; 50000 runs past its end, where a
+    // walk of the reconstructed CFG would go on committing.
+    for (const std::uint64_t measure :
+         {std::uint64_t(3000), std::uint64_t(50000)}) {
+        SCOPED_TRACE("measure " + std::to_string(measure));
+        const std::uint64_t want =
+            std::min<std::uint64_t>(measure, records - warmup);
+
+        EngineConfig ec;
+        ec.warmupBranches = warmup;
+        ec.measureBranches = measure;
+        const TappedRun engine =
+            tappedRun(ec, [&](const EngineConfig &c) {
+                return runAccuracy(w, spec, c);
+            });
+        const TappedRun engineRef =
+            tappedRun(ec, [&](const EngineConfig &c) {
+                Program prog = reconstructProgramFromTrace(path, w.name);
+                auto hybrid = spec.build();
+                CompressedTraceStream stream(path);
+                return Engine(prog, *hybrid, c).run(stream);
+            });
+        expectSameRun(engine, engineRef);
+        EXPECT_EQ(engine.committedBranches, want);
+
+        TimingConfig tc;
+        tc.warmupBranches = warmup;
+        tc.measureBranches = measure;
+        const TappedRun timing =
+            tappedRun(tc, [&](const TimingConfig &c) {
+                return runTiming(w, spec, c);
+            });
+        const TappedRun timingRef =
+            tappedRun(tc, [&](const TimingConfig &c) {
+                Program prog = reconstructProgramFromTrace(path, w.name);
+                auto hybrid = spec.build();
+                CompressedTraceStream stream(path);
+                return TimingSim(prog, *hybrid, c).run(stream);
+            });
+        expectSameRun(timing, timingRef);
+        EXPECT_EQ(timing.committedBranches, want);
+        if (measure > records) {
+            EXPECT_EQ(engine.events.size(), records);
+            EXPECT_EQ(timing.events.size(), records);
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Driver, RunH2PExportsIntoStatsOut)
+{
+    const Workload &w = workloadByName("mm.mpeg");
+    const HybridSpec spec =
+        hybridSpec(ProphetKind::Gshare, Budget::B8KB,
+                   CriticKind::TaggedGshare, Budget::B8KB, 4);
+    EngineConfig cfg;
+    cfg.warmupBranches = 2000;
+    cfg.measureBranches = 20000;
+
+    StatRegistry viaDriver;
+    EngineConfig dc = cfg;
+    dc.statsOut = &viaDriver;
+    EngineStats st;
+    const H2PReport report = runH2P(w, spec, dc, {}, &st);
+
+    // The same run with a hand-attached profiler exported after it.
+    StatRegistry byHand;
+    H2PProfiler profiler(cfg.warmupBranches);
+    EngineConfig hc = cfg;
+    hc.statsOut = &byHand;
+    hc.commitSink = &profiler;
+    const EngineStats ref = runAccuracy(w, spec, hc);
+    profiler.exportStats(byHand);
+
+    EXPECT_EQ(viaDriver.simJson(), byHand.simJson());
+    EXPECT_EQ(st.committedBranches, ref.committedBranches);
+    EXPECT_EQ(st.finalMispredicts, ref.finalMispredicts);
+    EXPECT_EQ(st.committedBranches, 20000u);
+    EXPECT_EQ(viaDriver.simValue("engine.committed_branches"),
+              st.committedBranches);
+    EXPECT_EQ(viaDriver.simValue("h2p.commits"), st.committedBranches);
+    EXPECT_EQ(viaDriver.simValue("h2p.mispredicts"), st.finalMispredicts);
+    EXPECT_EQ(report.branches, st.committedBranches);
+    ASSERT_FALSE(report.top.empty());
+    const BranchProfile &worst = report.top[0].profile;
+    std::ostringstream key;
+    key << "h2p.pc_0x" << std::hex << worst.pc << ".final_wrong";
+    EXPECT_EQ(viaDriver.simValue(key.str()), worst.finalWrong);
 }
 
 // --------------------------------------------- deeper mechanism checks

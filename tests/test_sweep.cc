@@ -206,6 +206,22 @@ TEST(SweepSpec, RejectsBadInput)
     }
 }
 
+TEST(SweepSpec, ScaledCountsPast64BitsAreRejected)
+{
+    // parseUint accepts 2^64 - 1, but scaling it overflowed the cast
+    // and the cell ran at the 1000-branch floor.
+    for (const char *key : {"branches", "warmup"}) {
+        EXPECT_EXIT(SweepSpec::parse(std::string(key) +
+                                     " = 18446744073709551615\n"
+                                     "workloads = mm.mpeg\n")
+                        .cells(),
+                    testing::ExitedWithCode(1),
+                    std::string("'") + key +
+                        "' times PCBP_BENCH_SCALE 1 does not fit")
+            << key;
+    }
+}
+
 TEST(SweepSpec, BoundaryValuesRun)
 {
     // The deepest future-bit count each simulator supports, and both

@@ -1,35 +1,47 @@
 /**
  * @file
- * pcbp_run — the command-line experiment driver.
+ * pcbp_run — run one configuration on one workload.
  *
- * Runs any prophet/critic configuration on any registered workload
- * through the accuracy engine or the cycle-level timing model, and
- * prints the full statistics. This is the tool a downstream user
- * reaches for before writing code against the library.
+ * Runs any prophet/critic configuration on any registered workload,
+ * or on a recorded trace as `trace:FILE`, through the accuracy engine
+ * or the cycle-level timing model, and prints the full statistics.
+ * Every run is one driver call (runAccuracy, runTiming, or runH2P
+ * under --top) with a sweep cell's default budgets, so at those
+ * budgets it prints what the one-cell sweep of the workload stores.
+ * This is the tool a downstream user reaches for before writing code
+ * against the library.
  *
  *   pcbp_run [options]
- *     --workload NAME        workload (default int.crafty); LIST lists
+ *     --workload NAME        workload (default int.crafty), trace:FILE
+ *                            for a PCBPTRC2 trace; LIST lists them
  *     --prophet KIND:BUDGET  e.g. perceptron:8KB (default)
  *     --critic KIND:BUDGET   e.g. t.gshare:8KB; "none" for baseline
  *     --fb N                 future bits (default 8)
- *     --branches N           measured branches (default: workload's)
+ *     --branches N           measured branches (default: the
+ *                            workload's, a third of it with --timing)
+ *     --warmup N             warmup branches (default: the
+ *                            workload's; N/10 with --branches N)
  *     --timing               run the timing model instead
  *     --oracle               oracle future bits (Sec. 6 ablation)
  *     --no-btb               disable the BTB
- *     --per-branch N         print the top-N mispredicting branches
+ *     --top N                H2P report of the top-N mispredicting
+ *                            branches
+ *     --stats-out FILE       dump the stats registry (pcbp-stats-1),
+ *                            with the `h2p.*` section under --top
  *
- * --oracle and --per-branch need the accuracy engine; given with
- * --timing (in either order) they exit 1 naming the flag.
+ * --oracle and --top need the accuracy engine; given with --timing
+ * (in either order) they exit 1 naming the flag.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 
 using namespace pcbp;
@@ -42,15 +54,17 @@ usage(const char *argv0)
 {
     std::cerr
         << "usage: " << argv0 << " [options]\n"
-        << "  --workload NAME | LIST   (default int.crafty)\n"
+        << "  --workload NAME | trace:FILE | LIST (default int.crafty)\n"
         << "  --prophet KIND:BUDGET    (default perceptron:8KB)\n"
         << "  --critic KIND:BUDGET|none (default t.gshare:8KB)\n"
         << "  --fb N                   future bits (default 8)\n"
         << "  --branches N             measured branches\n"
+        << "  --warmup N               warmup branches\n"
         << "  --timing                 cycle-level timing model\n"
         << "  --oracle                 oracle future bits (ablation)\n"
         << "  --no-btb                 disable the BTB\n"
-        << "  --per-branch N           top-N mispredicting branches\n";
+        << "  --top N                  H2P report, top-N branches\n"
+        << "  --stats-out FILE         stats registry dump\n";
     std::exit(2);
 }
 
@@ -64,6 +78,20 @@ splitSpec(const std::string &s)
     return {s.substr(0, colon), parseBudget(s.substr(colon + 1))};
 }
 
+/** --branches N measures N after N/10 of warmup; --warmup overrides. */
+template <typename Config>
+void
+applyBudget(Config &cfg, std::uint64_t branches,
+            const std::optional<std::uint64_t> &warmup)
+{
+    if (branches) {
+        cfg.measureBranches = branches;
+        cfg.warmupBranches = branches / 10;
+    }
+    if (warmup)
+        cfg.warmupBranches = *warmup;
+}
+
 } // namespace
 
 int
@@ -73,9 +101,11 @@ main(int argc, char **argv)
     std::string prophet = "perceptron:8KB";
     std::string critic = "t.gshare:8KB";
     std::string fb_arg = "8";
+    std::string stats_out;
     std::uint64_t branches = 0;
+    std::optional<std::uint64_t> warmup;
     bool timing = false, oracle = false, no_btb = false;
-    unsigned per_branch = 0;
+    std::size_t top = 0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -94,14 +124,18 @@ main(int argc, char **argv)
             fb_arg = next();
         else if (arg == "--branches")
             branches = parseCountArg<std::uint64_t>(arg, next());
+        else if (arg == "--warmup")
+            warmup = parseCountArg<std::uint64_t>(arg, next());
         else if (arg == "--timing")
             timing = true;
         else if (arg == "--oracle")
             oracle = true;
         else if (arg == "--no-btb")
             no_btb = true;
-        else if (arg == "--per-branch")
-            per_branch = parseCountArg<unsigned>(arg, next());
+        else if (arg == "--top")
+            top = parseCountArg<std::size_t>(arg, next());
+        else if (arg == "--stats-out")
+            stats_out = next();
         else
             usage(argv[0]);
     }
@@ -111,9 +145,8 @@ main(int argc, char **argv)
     if (timing && oracle)
         pcbp_fatal("--oracle needs the accuracy engine; the timing "
                    "model has no oracle mode");
-    if (timing && per_branch > 0)
-        pcbp_fatal("--per-branch profiles the accuracy engine; drop "
-                   "--timing");
+    if (timing && top > 0)
+        pcbp_fatal("--top profiles the accuracy engine; drop --timing");
 
     if (workload == "LIST") {
         TablePrinter t({"workload", "suite", "static branches",
@@ -146,17 +179,15 @@ main(int argc, char **argv)
               << (spec.critic ? " @" + std::to_string(fb) + "fb" : "")
               << "\n\n";
 
+    StatRegistry reg;
+    StatRegistry *const stats = stats_out.empty() ? nullptr : &reg;
+
     if (timing) {
         TimingConfig cfg = timingConfigFor(w);
-        if (branches) {
-            cfg.measureBranches = branches;
-            cfg.warmupBranches = branches / 10;
-        }
+        applyBudget(cfg, branches, warmup);
         cfg.useBtb = !no_btb;
-        Program prog = buildProgram(w);
-        auto hybrid = spec.build();
-        TimingSim sim(prog, *hybrid, cfg);
-        const TimingStats st = sim.run();
+        cfg.statsOut = stats;
+        const TimingStats st = runTiming(w, spec, cfg);
         TablePrinter t({"metric", "value"});
         t.addRow({"uPC", fmtDouble(st.upc(), 3)});
         t.addRow({"cycles", std::to_string(st.cycles)});
@@ -172,66 +203,59 @@ main(int argc, char **argv)
         t.addRow({"partial critiques",
                   std::to_string(st.partialCritiques)});
         std::cout << t.str();
-        return 0;
-    }
+    } else {
+        EngineConfig cfg = engineConfigFor(w);
+        applyBudget(cfg, branches, warmup);
+        cfg.oracleFutureBits = oracle;
+        cfg.useBtb = !no_btb;
+        cfg.statsOut = stats;
 
-    EngineConfig cfg = engineConfigFor(w);
-    if (branches) {
-        cfg.measureBranches = branches;
-        cfg.warmupBranches = branches / 10;
-    }
-    cfg.oracleFutureBits = oracle;
-    cfg.useBtb = !no_btb;
-    H2PProfiler profiler(cfg.warmupBranches);
-    if (per_branch > 0)
-        cfg.commitSink = &profiler;
-
-    const EngineStats st = runAccuracy(w, spec, cfg);
-
-    TablePrinter t({"metric", "value"});
-    t.addRow({"committed branches",
-              std::to_string(st.committedBranches)});
-    t.addRow({"committed uops", std::to_string(st.committedUops)});
-    t.addRow({"misp/Kuops", fmtDouble(st.mispPerKuops(), 3)});
-    t.addRow({"mispredict rate", fmtPercent(st.mispRate(), 2)});
-    t.addRow({"prophet mispredict rate",
-              fmtPercent(st.prophetMispRate(), 2)});
-    t.addRow({"uops per flush", fmtDouble(st.uopsPerFlush(), 0)});
-    t.addRow({"BTB misses", std::to_string(st.btbMisses)});
-    t.addRow({"critic overrides", std::to_string(st.criticOverrides)});
-    t.addRow({"squashed FTQ predictions",
-              std::to_string(st.squashedPredictions)});
-    t.addRow({"wrong-path uops", std::to_string(st.wrongPathUops)});
-    t.addRow({"partial critiques",
-              std::to_string(st.partialCritiques)});
-    std::cout << t.str();
-
-    if (spec.critic) {
-        std::cout << "\ncritique distribution:\n";
-        TablePrinter ct({"class", "count"});
-        for (std::size_t c = 0; c < numCritiqueClasses; ++c) {
-            const auto cls = static_cast<CritiqueClass>(c);
-            ct.addRow({critiqueClassName(cls),
-                       std::to_string(st.critiques.get(cls))});
+        EngineStats st;
+        std::optional<H2PReport> report;
+        if (top > 0) {
+            H2PConfig h2p;
+            h2p.topN = top;
+            report = runH2P(w, spec, cfg, h2p, &st);
+        } else {
+            st = runAccuracy(w, spec, cfg);
         }
-        std::cout << ct.str();
+
+        TablePrinter t({"metric", "value"});
+        t.addRow({"committed branches",
+                  std::to_string(st.committedBranches)});
+        t.addRow({"committed uops", std::to_string(st.committedUops)});
+        t.addRow({"misp/Kuops", fmtDouble(st.mispPerKuops(), 3)});
+        t.addRow({"mispredict rate", fmtPercent(st.mispRate(), 2)});
+        t.addRow({"prophet mispredict rate",
+                  fmtPercent(st.prophetMispRate(), 2)});
+        t.addRow({"uops per flush", fmtDouble(st.uopsPerFlush(), 0)});
+        t.addRow({"BTB misses", std::to_string(st.btbMisses)});
+        t.addRow({"critic overrides",
+                  std::to_string(st.criticOverrides)});
+        t.addRow({"squashed FTQ predictions",
+                  std::to_string(st.squashedPredictions)});
+        t.addRow({"wrong-path uops", std::to_string(st.wrongPathUops)});
+        t.addRow({"partial critiques",
+                  std::to_string(st.partialCritiques)});
+        std::cout << t.str();
+
+        if (spec.critic) {
+            std::cout << "\ncritique distribution:\n";
+            TablePrinter ct({"class", "count"});
+            for (std::size_t c = 0; c < numCritiqueClasses; ++c) {
+                const auto cls = static_cast<CritiqueClass>(c);
+                ct.addRow({critiqueClassName(cls),
+                           std::to_string(st.critiques.get(cls))});
+            }
+            std::cout << ct.str();
+        }
+        if (report)
+            std::cout << "\n" << report->render();
     }
 
-    if (per_branch > 0) {
-        std::cout << "\ntop mispredicting branches:\n";
-        TablePrinter pt({"pc", "execs", "prophet wrong", "final wrong"});
-        H2PConfig top;
-        top.topN = per_branch;
-        for (const H2PEntry &e : profiler.report(top).top) {
-            const BranchProfile &pb = e.profile;
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "0x%llx",
-                          static_cast<unsigned long long>(pb.pc));
-            pt.addRow({buf, std::to_string(pb.execs),
-                       std::to_string(pb.prophetWrong),
-                       std::to_string(pb.finalWrong)});
-        }
-        std::cout << pt.str();
+    if (stats) {
+        reg.writeFiles(stats_out);
+        std::cout << "stats: " << stats_out << "\n";
     }
     return 0;
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * pcbp_trace — committed-branch trace tooling. Replay reads the
+ * pcbp_trace — committed-branch trace file jobs. Runs over a trace
+ * go through `pcbp_run --workload trace:FILE`, which reads the
  * PCBPTRC2 compressed indexed format only; PCBPTRC1 is interchange,
  * read by summarize/info/convert and written by `convert --to v1`.
  * A PCBPTRC1 file becomes replayable in place with
@@ -33,25 +34,6 @@
  *       count (default 1). Lines starting with '#' and blank lines
  *       are skipped. Block ids are assigned per distinct PC in
  *       first-seen order (importAsciiTrace).
- *
- *   pcbp_trace replay FILE [--prophet K] [--prophet-budget B]
- *                          [--critic K|none] [--critic-budget B]
- *                          [--future-bits N] [--warmup N]
- *                          [--measure N] [--timing]
- *       Reconstruct the CFG from FILE and drive the accuracy engine
- *       (or, with --timing, the cycle-level model) with the file as
- *       the committed stream — resident memory stays O(pipeline)
- *       however long the trace is. Equivalent workload name for the
- *       driver/sweep layers: trace:FILE.
- *
- *   pcbp_trace h2p FILE [replay options] [--top N]
- *                       [--stats-out FILE]
- *       Replay FILE with the commit-path H2P profiler attached and
- *       print the hard-to-predict branch report: per-branch
- *       accuracy/entropy, the top-miss ranking, and how concentrated
- *       the misses are (Lin & Tarsa / Bullseye-style targeting view).
- *       --stats-out dumps the engine's stats registry with the
- *       profiler's per-PC `h2p.*` section on top (pcbp-stats-1).
  */
 
 #include <cinttypes>
@@ -61,7 +43,6 @@
 #include <string>
 
 #include "common/cli_parse.hh"
-#include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
@@ -82,13 +63,7 @@ usage(const char *argv0)
         "  summarize FILE\n"
         "  convert   IN OUT [--to v1|v2] [--block-records N]\n"
         "  info      FILE\n"
-        "  import-ascii IN OUT [--block-records N]\n"
-        "  replay    FILE [--prophet K] [--prophet-budget B]\n"
-        "                 [--critic K|none] [--critic-budget B]\n"
-        "                 [--future-bits N] [--warmup N] [--measure N]\n"
-        "                 [--timing]\n"
-        "  h2p       FILE [replay options] [--top N]"
-        " [--stats-out FILE]\n",
+        "  import-ascii IN OUT [--block-records N]\n",
         argv0);
     std::exit(2);
 }
@@ -216,164 +191,6 @@ cmdSummarize(const std::string &path)
     return 0;
 }
 
-/** Options shared by the replay and h2p commands. */
-struct ReplayOptions
-{
-    HybridSpec spec =
-        hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
-                   CriticKind::TaggedGshare, Budget::B8KB, 8);
-    std::optional<std::uint64_t> warmupOpt, measureOpt;
-    std::string statsOut;
-    bool timing = false;
-    bool sawTop = false;
-    std::size_t top = 10;
-};
-
-ReplayOptions
-parseReplayOptions(int argc, char **argv)
-{
-    ReplayOptions o;
-    bool haveCritic = true;
-    std::optional<std::string> futureBits;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--prophet" && i + 1 < argc)
-            o.spec.prophet = parseProphetKind(argv[++i]);
-        else if (a == "--prophet-budget" && i + 1 < argc)
-            o.spec.prophetBudget = parseBudget(argv[++i]);
-        else if (a == "--critic" && i + 1 < argc) {
-            const std::string k = argv[++i];
-            haveCritic = k != "none";
-            if (haveCritic)
-                o.spec.critic = parseCriticKind(k);
-        } else if (a == "--critic-budget" && i + 1 < argc)
-            o.spec.criticBudget = parseBudget(argv[++i]);
-        else if (a == "--future-bits" && i + 1 < argc)
-            futureBits = argv[++i];
-        else if (a == "--warmup" && i + 1 < argc)
-            o.warmupOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
-        else if (a == "--measure" && i + 1 < argc)
-            o.measureOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
-        else if (a == "--timing")
-            o.timing = true;
-        else if (a == "--top" && i + 1 < argc) {
-            o.sawTop = true;
-            o.top = parseCountArg<std::size_t>(a, argv[++i]);
-        } else if (a == "--stats-out" && i + 1 < argc)
-            o.statsOut = argv[++i];
-        else
-            usage("pcbp_trace");
-    }
-    // Bounded only now: --timing may follow --future-bits.
-    if (futureBits)
-        o.spec.futureBits = static_cast<unsigned>(parseCountArg(
-            "--future-bits", *futureBits, futureBitsLimit(o.timing) - 1));
-    if (!haveCritic) {
-        o.spec.critic.reset();
-        o.spec.futureBits = 0;
-    }
-    return o;
-}
-
-int
-cmdReplay(const std::string &path, int argc, char **argv)
-{
-    const ReplayOptions o = parseReplayOptions(argc, argv);
-    if (o.sawTop)
-        pcbp_fatal("--top belongs to the h2p command");
-    if (!o.statsOut.empty())
-        pcbp_fatal("--stats-out belongs to the h2p command");
-    const HybridSpec &spec = o.spec;
-    const bool timing = o.timing;
-
-    const Workload &w = workloadByName("trace:" + path);
-    const std::uint64_t warmup = o.warmupOpt.value_or(w.warmupBranches);
-    const std::uint64_t measure = o.measureOpt.value_or(w.simBranches);
-
-    Program program = buildProgram(w);
-    auto hybrid = spec.build();
-    std::printf("replaying %s (%" PRIu64 " branches) under %s\n",
-                path.c_str(), traceFileCount(path),
-                spec.label().c_str());
-
-    if (timing) {
-        TimingConfig cfg;
-        cfg.warmupBranches = warmup;
-        cfg.measureBranches = measure;
-        TimingSim sim(program, *hybrid, cfg);
-        CompressedTraceStream stream(path);
-        const TimingStats st = sim.run(stream);
-        std::printf("  committed        %" PRIu64 " branches / "
-                    "%" PRIu64 " uops\n",
-                    st.committedBranches, st.committedUops);
-        std::printf("  cycles           %" PRIu64 "\n", st.cycles);
-        std::printf("  uPC              %.3f\n", st.upc());
-        std::printf("  mispredicts      %" PRIu64 "\n",
-                    st.finalMispredicts);
-        std::printf("  stream window    %zu records peak\n",
-                    stream.windowPeak());
-    } else {
-        EngineConfig cfg;
-        cfg.warmupBranches = warmup;
-        cfg.measureBranches = measure;
-        Engine engine(program, *hybrid, cfg);
-        CompressedTraceStream stream(path);
-        const EngineStats st = engine.run(stream);
-        std::printf("  committed        %" PRIu64 " branches / "
-                    "%" PRIu64 " uops\n",
-                    st.committedBranches, st.committedUops);
-        std::printf("  misp rate        %.4f (%" PRIu64
-                    " mispredicts)\n",
-                    st.mispRate(), st.finalMispredicts);
-        std::printf("  misp/kuop        %.3f\n", st.mispPerKuops());
-        std::printf("  critic overrides %" PRIu64 "\n",
-                    st.criticOverrides);
-        std::printf("  stream window    %zu records peak\n",
-                    stream.windowPeak());
-    }
-    return 0;
-}
-
-int
-cmdH2p(const std::string &path, int argc, char **argv)
-{
-    const ReplayOptions o = parseReplayOptions(argc, argv);
-    if (o.timing)
-        pcbp_fatal("h2p profiles the accuracy engine; drop --timing");
-
-    const Workload &w = workloadByName("trace:" + path);
-    EngineConfig cfg;
-    cfg.warmupBranches = o.warmupOpt.value_or(w.warmupBranches);
-    cfg.measureBranches = o.measureOpt.value_or(w.simBranches);
-
-    H2PConfig hcfg;
-    hcfg.topN = o.top;
-    if (o.statsOut.empty()) {
-        const H2PReport report = runH2P(w, o.spec, cfg, hcfg);
-        std::fputs(report.render().c_str(), stdout);
-        return 0;
-    }
-
-    // Own the commit tap (what runH2P does internally) so the
-    // engine's counters and the profiler's per-PC section land in
-    // one registry dump.
-    H2PProfiler profiler(cfg.warmupBranches);
-    cfg.commitSink = &profiler;
-    StatRegistry reg;
-    cfg.statsOut = &reg;
-    runAccuracy(w, o.spec, cfg);
-
-    H2PReport report = profiler.report(hcfg);
-    report.workload = w.name;
-    report.config = o.spec.label();
-    std::fputs(report.render().c_str(), stdout);
-
-    profiler.exportStats(reg);
-    reg.writeFiles(o.statsOut);
-    std::printf("stats: %s\n", o.statsOut.c_str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -392,9 +209,5 @@ main(int argc, char **argv)
         return cmdInfo(argv[2]);
     if (cmd == "import-ascii" && argc >= 4)
         return cmdImportAscii(argv[2], argv[3], argc - 4, argv + 4);
-    if (cmd == "replay" && argc >= 3)
-        return cmdReplay(argv[2], argc - 3, argv + 3);
-    if (cmd == "h2p" && argc >= 3)
-        return cmdH2p(argv[2], argc - 3, argv + 3);
     usage(argv[0]);
 }
