@@ -72,10 +72,13 @@ bitReverse64(std::uint64_t v)
 
 /**
  * foldBits for values known to populate most of the 64-bit range
- * (e.g.\ mix64 output): identical result, but the chunk count is
- * computed from the width instead of testing v against zero each
- * iteration, so the loop has a fixed trip count the compiler can
- * unroll and the fold runs branch-free on the hash hot path.
+ * (e.g.\ mix64 output): identical result, in a number of steps set
+ * by the width alone. Pad the width to W = bits * 2^k >= 64, so that
+ * v is one W-bit chunk, then halve: v ^= v >> (W / 2) XORs the upper
+ * half onto the lower, and every half-width is a multiple of bits,
+ * so chunk boundaries line up at each step. Bits above the live
+ * half are garbage the final mask drops. A width of 8 takes 3 steps
+ * (shifts 32, 16, 8) where the chunk loop takes 8.
  */
 constexpr std::uint64_t
 foldBitsFixed(std::uint64_t v, unsigned bits)
@@ -84,10 +87,11 @@ foldBitsFixed(std::uint64_t v, unsigned bits)
         return 0;
     if (bits >= 64)
         return v;
-    std::uint64_t folded = 0;
-    for (unsigned s = 0; s < 64; s += bits)
-        folded ^= v >> s;
-    return folded & maskBits(bits);
+    // bits << (6 - floor(log2 bits)) is W; start at W / 2.
+    for (unsigned s = bits << (__builtin_clz(bits) - 26); s >= bits;
+         s >>= 1)
+        v ^= v >> s;
+    return v & maskBits(bits);
 }
 
 /**

@@ -11,15 +11,18 @@
  *
  * Storage-wise the BOR is just a HistoryRegister; this header adds
  * the per-branch checkpoint record and the helper that reconstructs
- * the BOR view a critique sees.
+ * the BOR view a critique sees (defined here: it runs once per
+ * critique).
  */
 
 #ifndef PCBP_CORE_BOR_HH
 #define PCBP_CORE_BOR_HH
 
+#include "common/bit_utils.hh"
 #include "common/future_bits.hh"
 #include "common/history_register.hh"
 #include "common/types.hh"
+#include "predictors/predictor.hh"
 
 namespace pcbp
 {
@@ -29,11 +32,17 @@ namespace pcbp
  * BOR contents from just before the branch's own prediction was
  * shifted in. Restoring these and inserting the resolved outcome is
  * the repair mechanism of §3.3.
+ *
+ * The key holds the table coordinates the prophet hashed from
+ * (pc, bhrBefore) at predict, so the commit-time update of the same
+ * branch need not hash again. A checkpoint taken without a predict
+ * (a BTB miss) must carry an invalid key.
  */
 struct BranchContext
 {
     HistoryRegister bhrBefore;
     HistoryRegister borBefore;
+    PredictKey key;
 };
 
 /**
@@ -45,8 +54,23 @@ struct BranchContext
  *        prediction for the branch being critiqued).
  * @return BOR with future_bits shifted in youngest-last.
  */
-HistoryRegister buildCritiqueBor(const HistoryRegister &bor_before,
-                                 const FutureBits &future_bits);
+inline HistoryRegister
+buildCritiqueBor(const HistoryRegister &bor_before,
+                 const FutureBits &future_bits)
+{
+    HistoryRegister bor = bor_before;
+    const unsigned n = future_bits.size();
+    if (n == 0)
+        return bor;
+    // future_bits is oldest-first (bit 0 = first bit shifted in);
+    // shiftInMany wants youngest-first, so reverse the window. One
+    // two-word funnel shift replaces the n-iteration shiftIn loop on
+    // the per-critique hot path.
+    const std::uint64_t youngest_first =
+        bitReverse64(future_bits.rawMask()) >> (64 - n);
+    bor.shiftInMany(youngest_first, n);
+    return bor;
+}
 
 } // namespace pcbp
 

@@ -14,7 +14,7 @@ UnfilteredCritic::UnfilteredCritic(DirectionPredictorPtr predictor)
 CritiqueResult
 UnfilteredCritic::critique(Addr pc, const HistoryRegister &bor)
 {
-    return {true, inner->predict(pc, bor)};
+    return {true, inner->predict(pc, bor), {}};
 }
 
 void
@@ -23,6 +23,13 @@ UnfilteredCritic::train(Addr pc, const HistoryRegister &bor, bool taken,
 {
     // An unfiltered critic trains on every committed branch,
     // mispredicted or not.
+    inner->update(pc, bor, taken);
+}
+
+void
+UnfilteredCritic::trainKeyed(Addr pc, const HistoryRegister &bor,
+                             bool taken, bool, const FilterKey &)
+{
     inner->update(pc, bor, taken);
 }
 

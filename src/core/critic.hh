@@ -21,6 +21,9 @@ class UnfilteredCritic final : public FilteredPredictor
     CritiqueResult critique(Addr pc, const HistoryRegister &bor) override;
     void train(Addr pc, const HistoryRegister &bor, bool taken,
                bool mispredicted) override;
+    /** As train(): no filter, so nothing to reuse. */
+    void trainKeyed(Addr pc, const HistoryRegister &bor, bool taken,
+                    bool mispredicted, const FilterKey &key) override;
     void reset() override;
     FilteredPredictorPtr clone() const override;
     std::size_t sizeBits() const override;

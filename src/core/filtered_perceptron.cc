@@ -19,22 +19,30 @@ FilteredPerceptron::FilteredPerceptron(std::size_t num_perceptrons,
 CritiqueResult
 FilteredPerceptron::critique(Addr pc, const HistoryRegister &bor)
 {
-    const auto r = filter.probe(pc, bor);
-    if (!r.hit)
-        return {false, false};
-    return {true, perceptron.predict(pc, bor)};
+    const FilterKey key = filter.keyOf(pc, bor);
+    if (!filter.probe(key).hit)
+        return {false, false, key};
+    return {true, perceptron.predict(pc, bor), key};
 }
 
 void
 FilteredPerceptron::train(Addr pc, const HistoryRegister &bor, bool taken,
                           bool mispredicted)
 {
-    const auto r = filter.probe(pc, bor);
+    trainKeyed(pc, bor, taken, mispredicted, filter.keyOf(pc, bor));
+}
+
+void
+FilteredPerceptron::trainKeyed(Addr pc, const HistoryRegister &bor,
+                               bool taken, bool mispredicted,
+                               const FilterKey &key)
+{
+    const auto r = filter.probe(key);
     if (r.hit) {
         perceptron.update(pc, bor, taken);
         filter.touch(r.entry);
     } else if (mispredicted) {
-        filter.allocate(pc, bor);
+        filter.allocate(key);
         // Initialize the prediction structures toward the branch's
         // outcome (§4). The perceptron pool is shared, so
         // initialization is one training step.

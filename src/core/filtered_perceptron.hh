@@ -38,6 +38,8 @@ class FilteredPerceptron final : public FilteredPredictor
     CritiqueResult critique(Addr pc, const HistoryRegister &bor) override;
     void train(Addr pc, const HistoryRegister &bor, bool taken,
                bool mispredicted) override;
+    void trainKeyed(Addr pc, const HistoryRegister &bor, bool taken,
+                    bool mispredicted, const FilterKey &key) override;
     void reset() override;
 
     FilteredPredictorPtr clone() const override

@@ -17,56 +17,6 @@ ProphetCriticHybrid::ProphetCriticHybrid(DirectionPredictorPtr prophet_,
                 "future-bit count exceeds the FutureBits capacity");
 }
 
-bool
-ProphetCriticHybrid::predictBranch(Addr pc, BranchContext &ctx)
-{
-    ctx.bhrBefore = liveBhr;
-    ctx.borBefore = liveBor;
-    const bool pred = prophet->predict(pc, liveBhr);
-    // Speculative history update (§3.2): the prophet's prediction
-    // enters its own BHR and the critic's BOR immediately.
-    if (cfg.speculativeHistoryUpdate) {
-        liveBhr.shiftIn(pred);
-        liveBor.shiftIn(pred);
-    }
-    return pred;
-}
-
-CritiqueDecision
-ProphetCriticHybrid::critiqueBranch(Addr pc, const BranchContext &ctx,
-                                    bool prophet_pred,
-                                    const FutureBits &future_bits)
-{
-    pcbp_assert(future_bits.size() <= std::max(cfg.numFutureBits, 1u),
-                "more future bits than configured");
-    pcbp_assert(cfg.numFutureBits == 0 || !future_bits.empty(),
-                "the first future bit is the branch's own prediction");
-
-    CritiqueDecision d;
-
-    if (!critic) {
-        d.provided = false;
-        d.finalPrediction = prophet_pred;
-        d.borAtCritique = ctx.borBefore;
-        return d;
-    }
-
-    // With numFutureBits == 0 the critic operates like a
-    // conventional overriding component: same history as the
-    // prophet, no future information.
-    if (cfg.numFutureBits == 0) {
-        d.borAtCritique = ctx.borBefore;
-    } else {
-        d.borAtCritique = buildCritiqueBor(ctx.borBefore, future_bits);
-    }
-
-    const CritiqueResult r = critic->critique(pc, d.borAtCritique);
-    d.provided = r.provided;
-    d.finalPrediction = r.provided ? r.taken : prophet_pred;
-    d.overrode = r.provided && (d.finalPrediction != prophet_pred);
-    return d;
-}
-
 void
 ProphetCriticHybrid::overrideRedirect(const BranchContext &ctx,
                                       bool final_prediction)
@@ -95,31 +45,6 @@ ProphetCriticHybrid::recoverMispredict(const BranchContext &ctx,
     liveBor = ctx.borBefore;
     liveBhr.shiftIn(outcome);
     liveBor.shiftIn(outcome);
-}
-
-void
-ProphetCriticHybrid::commitBranch(
-    Addr pc, const BranchContext &ctx,
-    const std::optional<CritiqueDecision> &decision, bool outcome)
-{
-    // Pattern tables update non-speculatively at commit (§3.2), with
-    // the same history context used at prediction time.
-    prophet->update(pc, ctx.bhrBefore, outcome);
-
-    if (!cfg.speculativeHistoryUpdate) {
-        // Retired-history ablation: outcomes enter the registers
-        // only now.
-        liveBhr.shiftIn(outcome);
-        liveBor.shiftIn(outcome);
-    }
-
-    if (critic && decision) {
-        const bool mispredicted = decision->finalPrediction != outcome;
-        // §3.3: train with the BOR value used to generate the
-        // critique — it contains the wrong-path future bits when the
-        // prophet went down the wrong path.
-        critic->train(pc, decision->borAtCritique, outcome, mispredicted);
-    }
 }
 
 void

@@ -22,15 +22,24 @@
  * - commitBranch(): non-speculative pattern-table update for the
  *   prophet and critic training with the critique-time BOR value —
  *   including its wrong-path future bits (§3.3).
+ *
+ * Predict, critique and commit run once or more per simulated branch,
+ * so they are defined below the class and compile in line into the
+ * simulators. They always make the keyed calls (predictor.hh): the
+ * prophet's coordinates ride in the checkpoint and the filter's in
+ * the CritiqueDecision, so commit reuses what predict and critique
+ * hashed.
  */
 
 #ifndef PCBP_CORE_PROPHET_CRITIC_HH
 #define PCBP_CORE_PROPHET_CRITIC_HH
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
 #include "common/future_bits.hh"
+#include "common/logging.hh"
 #include "core/bor.hh"
 #include "core/critique.hh"
 #include "predictors/predictor.hh"
@@ -76,6 +85,8 @@ struct CritiqueDecision
     bool overrode = false;
     /** The BOR value the critique read; needed for commit training. */
     HistoryRegister borAtCritique;
+    /** The filter coordinates the critique hashed from it. */
+    FilterKey filterKey;
 };
 
 class ProphetCriticHybrid
@@ -186,6 +197,84 @@ class ProphetCriticHybrid
     HistoryRegister liveBhr;
     HistoryRegister liveBor;
 };
+
+inline bool
+ProphetCriticHybrid::predictBranch(Addr pc, BranchContext &ctx)
+{
+    ctx.bhrBefore = liveBhr;
+    ctx.borBefore = liveBor;
+    ctx.key.valid = false;
+    const bool pred = prophet->predictKeyed(pc, liveBhr, ctx.key);
+    // Speculative history update (§3.2): the prophet's prediction
+    // enters its own BHR and the critic's BOR immediately.
+    if (cfg.speculativeHistoryUpdate) {
+        liveBhr.shiftIn(pred);
+        liveBor.shiftIn(pred);
+    }
+    return pred;
+}
+
+inline CritiqueDecision
+ProphetCriticHybrid::critiqueBranch(Addr pc, const BranchContext &ctx,
+                                    bool prophet_pred,
+                                    const FutureBits &future_bits)
+{
+    pcbp_assert(future_bits.size() <= std::max(cfg.numFutureBits, 1u),
+                "more future bits than configured");
+    pcbp_assert(cfg.numFutureBits == 0 || !future_bits.empty(),
+                "the first future bit is the branch's own prediction");
+
+    CritiqueDecision d;
+
+    if (!critic) {
+        d.provided = false;
+        d.finalPrediction = prophet_pred;
+        d.borAtCritique = ctx.borBefore;
+        return d;
+    }
+
+    // With numFutureBits == 0 the critic operates like a
+    // conventional overriding component: same history as the
+    // prophet, no future information.
+    if (cfg.numFutureBits == 0) {
+        d.borAtCritique = ctx.borBefore;
+    } else {
+        d.borAtCritique = buildCritiqueBor(ctx.borBefore, future_bits);
+    }
+
+    const CritiqueResult r = critic->critique(pc, d.borAtCritique);
+    d.provided = r.provided;
+    d.finalPrediction = r.provided ? r.taken : prophet_pred;
+    d.overrode = r.provided && (d.finalPrediction != prophet_pred);
+    d.filterKey = r.key;
+    return d;
+}
+
+inline void
+ProphetCriticHybrid::commitBranch(
+    Addr pc, const BranchContext &ctx,
+    const std::optional<CritiqueDecision> &decision, bool outcome)
+{
+    // Pattern tables update non-speculatively at commit (§3.2), with
+    // the same history context used at prediction time.
+    prophet->updateKeyed(pc, ctx.bhrBefore, outcome, ctx.key);
+
+    if (!cfg.speculativeHistoryUpdate) {
+        // Retired-history ablation: outcomes enter the registers
+        // only now.
+        liveBhr.shiftIn(outcome);
+        liveBor.shiftIn(outcome);
+    }
+
+    if (critic && decision) {
+        const bool mispredicted = decision->finalPrediction != outcome;
+        // §3.3: train with the BOR value used to generate the
+        // critique — it contains the wrong-path future bits when the
+        // prophet went down the wrong path.
+        critic->trainKeyed(pc, decision->borAtCritique, outcome,
+                           mispredicted, decision->filterKey);
+    }
+}
 
 } // namespace pcbp
 

@@ -25,50 +25,6 @@ TagFilter::TagFilter(std::size_t num_sets, unsigned num_ways,
     pcbp_assert(bor_bits <= 64);
 }
 
-TagFilter::Hashes
-TagFilter::hashesOf(Addr pc, const HistoryRegister &bor) const
-{
-    const std::uint64_t b = bor.low(numBorBits);
-    // First hash: XOR of folded address and folded BOR value.
-    const std::size_t set =
-        (foldBits(pc >> 2, indexBits) ^ foldBits(b, indexBits)) &
-        maskBits(indexBits);
-    // Second, decorrelated hash: mix the combination so that two
-    // (pc, BOR) pairs landing in the same set rarely share a tag.
-    // mix64 output populates all 64 bits, so the fixed-trip fold
-    // (identical result) beats the test-against-zero loop here.
-    const std::uint64_t h = mix64((pc >> 2) * 0x9e3779b97f4a7c15ULL ^
-                                  (b << 1));
-    return {set,
-            static_cast<std::uint16_t>(foldBitsFixed(h, numTagBits))};
-}
-
-std::size_t
-TagFilter::indexOf(Addr pc, const HistoryRegister &bor) const
-{
-    return hashesOf(pc, bor).set;
-}
-
-std::uint16_t
-TagFilter::tagOf(Addr pc, const HistoryRegister &bor) const
-{
-    return hashesOf(pc, bor).tag;
-}
-
-TagFilter::Result
-TagFilter::probe(Addr pc, const HistoryRegister &bor) const
-{
-    const Hashes h = hashesOf(pc, bor);
-    const std::size_t base = h.set * numWays;
-    const std::uint16_t *t = &tags[base];
-    const std::uint8_t *v = &valids[base];
-    for (unsigned w = 0; w < numWays; ++w) {
-        if (v[w] && t[w] == h.tag)
-            return {true, base + w};
-    }
-    return {false, 0};
-}
-
 void
 TagFilter::touch(std::size_t entry)
 {
@@ -77,10 +33,9 @@ TagFilter::touch(std::size_t entry)
 }
 
 std::size_t
-TagFilter::allocate(Addr pc, const HistoryRegister &bor)
+TagFilter::allocate(const FilterKey &key)
 {
-    const Hashes h = hashesOf(pc, bor);
-    const std::size_t base = h.set * numWays;
+    const std::size_t base = std::size_t(key.set) * numWays;
 
     std::size_t victim = base;
     for (unsigned w = 0; w < numWays; ++w) {
@@ -93,7 +48,7 @@ TagFilter::allocate(Addr pc, const HistoryRegister &bor)
             victim = e;
     }
     valids[victim] = 1;
-    tags[victim] = h.tag;
+    tags[victim] = key.tag;
     lastUse[victim] = ++tick;
     return victim;
 }

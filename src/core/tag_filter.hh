@@ -5,6 +5,13 @@
  * the BOR value, with LRU replacement. A miss means the critic
  * implicitly agrees with the prophet; entries are allocated when a
  * branch misses the filter and was mispredicted.
+ *
+ * The two hashes of one (pc, BOR) access form its FilterKey. A critic
+ * hashes once, at critique, and its commit-time re-probe and
+ * allocation reuse the key (CritiqueResult::key); the re-probe still
+ * reads the tags, because allocations between critique and commit
+ * move entries. keyOf() and probe() sit on the per-critique hot path
+ * and are defined here so they compile in line.
  */
 
 #ifndef PCBP_CORE_TAG_FILTER_HH
@@ -13,8 +20,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bit_utils.hh"
 #include "common/history_register.hh"
 #include "common/types.hh"
+#include "predictors/predictor.hh"
 
 namespace pcbp
 {
@@ -36,6 +45,29 @@ class TagFilter
     TagFilter(std::size_t num_sets, unsigned num_ways, unsigned tag_bits,
               unsigned bor_bits);
 
+    /**
+     * Both hashes of one (pc, BOR) access, computed in a single pass
+     * so the BOR slice is extracted once.
+     */
+    FilterKey
+    keyOf(Addr pc, const HistoryRegister &bor) const
+    {
+        const std::uint64_t b = bor.low(numBorBits);
+        FilterKey k;
+        // First hash: XOR of folded address and folded BOR value,
+        // folded as one value (folding is linear over XOR).
+        k.set = static_cast<std::uint32_t>(
+            foldBits((pc >> 2) ^ b, indexBits));
+        // Second, decorrelated hash: mix the combination so that two
+        // (pc, BOR) pairs landing in the same set rarely share a tag.
+        // mix64 output populates all 64 bits, so the fixed-step fold
+        // (identical result) beats the test-against-zero loop here.
+        const std::uint64_t h =
+            mix64((pc >> 2) * 0x9e3779b97f4a7c15ULL ^ (b << 1));
+        k.tag = static_cast<std::uint16_t>(foldBitsFixed(h, numTagBits));
+        return k;
+    }
+
     /** Result of probing the filter. */
     struct Result
     {
@@ -44,17 +76,28 @@ class TagFilter
         std::size_t entry = 0;
     };
 
-    /** Probe without changing any state. */
-    Result probe(Addr pc, const HistoryRegister &bor) const;
+    /** Probe the set @p key names without changing any state. */
+    Result
+    probe(const FilterKey &key) const
+    {
+        const std::size_t base = std::size_t(key.set) * numWays;
+        const std::uint16_t *t = &tags[base];
+        const std::uint8_t *v = &valids[base];
+        for (unsigned w = 0; w < numWays; ++w) {
+            if (v[w] && t[w] == key.tag)
+                return {true, base + w};
+        }
+        return {false, 0};
+    }
 
     /** Mark an entry most-recently used (training-time hit). */
     void touch(std::size_t entry);
 
     /**
-     * Allocate an entry for (pc, bor), evicting the LRU way of the
-     * set. Returns the flat entry id.
+     * Allocate an entry for @p key, evicting the LRU way of its set.
+     * Returns the flat entry id.
      */
-    std::size_t allocate(Addr pc, const HistoryRegister &bor);
+    std::size_t allocate(const FilterKey &key);
 
     /** Total entries (sets * ways). */
     std::size_t entries() const { return tags.size(); }
@@ -72,22 +115,6 @@ class TagFilter
     void reset();
 
   private:
-    /**
-     * Both hashes of one (pc, BOR) access, computed in a single pass
-     * so the BOR slice is extracted once: probe and train each need
-     * index and tag together, and these run once per critique and
-     * once per commit on the hybrid hot path.
-     */
-    struct Hashes
-    {
-        std::size_t set;
-        std::uint16_t tag;
-    };
-    Hashes hashesOf(Addr pc, const HistoryRegister &bor) const;
-
-    std::size_t indexOf(Addr pc, const HistoryRegister &bor) const;
-    std::uint16_t tagOf(Addr pc, const HistoryRegister &bor) const;
-
     /**
      * Structure-of-arrays entry storage (DESIGN.md §12): the probe
      * loop compares ways against tags/valids only, so a w-way set

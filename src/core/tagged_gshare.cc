@@ -13,17 +13,25 @@ TaggedGshare::TaggedGshare(std::size_t num_sets, unsigned num_ways,
 CritiqueResult
 TaggedGshare::critique(Addr pc, const HistoryRegister &bor)
 {
-    const auto r = filter.probe(pc, bor);
+    const FilterKey key = filter.keyOf(pc, bor);
+    const auto r = filter.probe(key);
     if (!r.hit)
-        return {false, false};
-    return {true, counters.taken(r.entry)};
+        return {false, false, key};
+    return {true, counters.taken(r.entry), key};
 }
 
 void
 TaggedGshare::train(Addr pc, const HistoryRegister &bor, bool taken,
                     bool mispredicted)
 {
-    const auto r = filter.probe(pc, bor);
+    trainKeyed(pc, bor, taken, mispredicted, filter.keyOf(pc, bor));
+}
+
+void
+TaggedGshare::trainKeyed(Addr, const HistoryRegister &, bool taken,
+                         bool mispredicted, const FilterKey &key)
+{
+    const auto r = filter.probe(key);
     if (r.hit) {
         counters.update(r.entry, taken);
         filter.touch(r.entry);
@@ -31,7 +39,7 @@ TaggedGshare::train(Addr pc, const HistoryRegister &bor, bool taken,
         // Insert the (branch address, BOR value) context so the next
         // time it recurs the critic's prediction is used, and
         // initialize the counter toward the resolved outcome (§4).
-        const std::size_t e = filter.allocate(pc, bor);
+        const std::size_t e = filter.allocate(key);
         counters.setWeak(e, taken);
     }
 }

@@ -34,6 +34,8 @@ class TaggedGshare final : public FilteredPredictor
     CritiqueResult critique(Addr pc, const HistoryRegister &bor) override;
     void train(Addr pc, const HistoryRegister &bor, bool taken,
                bool mispredicted) override;
+    void trainKeyed(Addr pc, const HistoryRegister &bor, bool taken,
+                    bool mispredicted, const FilterKey &key) override;
     void reset() override;
 
     FilteredPredictorPtr clone() const override

@@ -33,6 +33,22 @@ Bimodal::update(Addr pc, const HistoryRegister &, bool taken)
     table.update(index(pc), taken);
 }
 
+bool
+Bimodal::predictKeyed(Addr pc, const HistoryRegister &, PredictKey &key)
+{
+    const std::size_t idx = index(pc);
+    key.coord[0].idx = static_cast<std::uint32_t>(idx);
+    key.valid = true;
+    return table.taken(idx);
+}
+
+void
+Bimodal::updateKeyed(Addr pc, const HistoryRegister &, bool taken,
+                     const PredictKey &key)
+{
+    table.update(key.valid ? key.coord[0].idx : index(pc), taken);
+}
+
 void
 Bimodal::reset()
 {

@@ -34,6 +34,23 @@ Gshare::update(Addr pc, const HistoryRegister &hist, bool taken)
     table.update(index(pc, hist), taken);
 }
 
+bool
+Gshare::predictKeyed(Addr pc, const HistoryRegister &hist,
+                     PredictKey &key)
+{
+    const std::size_t idx = index(pc, hist);
+    key.coord[0].idx = static_cast<std::uint32_t>(idx);
+    key.valid = true;
+    return table.taken(idx);
+}
+
+void
+Gshare::updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                    const PredictKey &key)
+{
+    table.update(key.valid ? key.coord[0].idx : index(pc, hist), taken);
+}
+
 void
 Gshare::reset()
 {

@@ -28,6 +28,10 @@ class Gshare final : public DirectionPredictor
 
     bool predict(Addr pc, const HistoryRegister &hist) override;
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
+    bool predictKeyed(Addr pc, const HistoryRegister &hist,
+                      PredictKey &key) override;
+    void updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                     const PredictKey &key) override;
     void reset() override;
 
     DirectionPredictorPtr clone() const override

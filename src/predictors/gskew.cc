@@ -19,52 +19,40 @@ GSkew::GSkew(std::size_t entries_per_bank, unsigned history_bits)
     pcbp_assert(indexBits >= 2, "gskew banks need at least 4 entries");
 }
 
-std::size_t
-GSkew::idxBim(Addr pc) const
-{
-    return foldBits(pc >> 2, indexBits);
-}
-
-std::size_t
-GSkew::idxG0(Addr pc, const HistoryRegister &hist) const
+GSkew::Indexes
+GSkew::indexes(Addr pc, const HistoryRegister &hist) const
 {
     const std::uint64_t a = foldBits(pc >> 2, indexBits);
     const std::uint64_t h = hist.foldedLow(histBits, indexBits);
+    const std::uint64_t mask = maskBits(indexBits);
+    Indexes ix;
+    ix.bim = a;
     // Skewing: two bijections of the two components so that a pair
-    // (a, h) colliding here maps elsewhere in G1.
-    return (skewH(a, indexBits) ^ skewHInv(h, indexBits) ^ h) &
-           maskBits(indexBits);
+    // (a, h) colliding in G0 maps elsewhere in G1.
+    ix.g0 = (skewH(a, indexBits) ^ skewHInv(h, indexBits) ^ h) & mask;
+    ix.g1 = (skewHInv(a, indexBits) ^ skewH(h, indexBits) ^ a) & mask;
+    ix.meta = (a ^ skewH(h, indexBits)) & mask;
+    return ix;
 }
 
-std::size_t
-GSkew::idxG1(Addr pc, const HistoryRegister &hist) const
+GSkew::BankView
+GSkew::bankView(const Indexes &ix) const
 {
-    const std::uint64_t a = foldBits(pc >> 2, indexBits);
-    const std::uint64_t h = hist.foldedLow(histBits, indexBits);
-    return (skewHInv(a, indexBits) ^ skewH(h, indexBits) ^ a) &
-           maskBits(indexBits);
-}
-
-std::size_t
-GSkew::idxMeta(Addr pc, const HistoryRegister &hist) const
-{
-    const std::uint64_t a = foldBits(pc >> 2, indexBits);
-    const std::uint64_t h = hist.foldedLow(histBits, indexBits);
-    return (a ^ skewH(h, indexBits)) & maskBits(indexBits);
+    BankView v;
+    v.bim = bim[ix.bim].taken();
+    v.g0 = g0[ix.g0].taken();
+    v.g1 = g1[ix.g1].taken();
+    const int votes = int(v.bim) + int(v.g0) + int(v.g1);
+    v.majority = votes >= 2;
+    v.useMajority = meta[ix.meta].taken();
+    v.final_ = v.useMajority ? v.majority : v.bim;
+    return v;
 }
 
 GSkew::BankView
 GSkew::banks(Addr pc, const HistoryRegister &hist) const
 {
-    BankView v;
-    v.bim = bim[idxBim(pc)].taken();
-    v.g0 = g0[idxG0(pc, hist)].taken();
-    v.g1 = g1[idxG1(pc, hist)].taken();
-    const int votes = int(v.bim) + int(v.g0) + int(v.g1);
-    v.majority = votes >= 2;
-    v.useMajority = meta[idxMeta(pc, hist)].taken();
-    v.final_ = v.useMajority ? v.majority : v.bim;
-    return v;
+    return bankView(indexes(pc, hist));
 }
 
 bool
@@ -76,30 +64,62 @@ GSkew::predict(Addr pc, const HistoryRegister &hist)
 void
 GSkew::update(Addr pc, const HistoryRegister &hist, bool taken)
 {
-    const BankView v = banks(pc, hist);
+    updateAt(indexes(pc, hist), taken);
+}
+
+bool
+GSkew::predictKeyed(Addr pc, const HistoryRegister &hist,
+                    PredictKey &key)
+{
+    const Indexes ix = indexes(pc, hist);
+    key.coord[0].idx = static_cast<std::uint32_t>(ix.bim);
+    key.coord[1].idx = static_cast<std::uint32_t>(ix.g0);
+    key.coord[2].idx = static_cast<std::uint32_t>(ix.g1);
+    key.coord[3].idx = static_cast<std::uint32_t>(ix.meta);
+    key.valid = true;
+    return bankView(ix).final_;
+}
+
+void
+GSkew::updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                   const PredictKey &key)
+{
+    if (!key.valid) {
+        update(pc, hist, taken);
+        return;
+    }
+    updateAt({key.coord[0].idx, key.coord[1].idx, key.coord[2].idx,
+              key.coord[3].idx},
+             taken);
+}
+
+void
+GSkew::updateAt(const Indexes &ix, bool taken)
+{
+    const BankView v = bankView(ix);
 
     // META learns which side to trust whenever the two sides differ.
     if (v.bim != v.majority)
-        meta[idxMeta(pc, hist)].update(v.majority == taken);
+        meta[ix.meta].update(v.majority == taken);
 
     if (v.final_ == taken) {
         // Partial update: strengthen only the banks that took part in
         // the correct prediction and agreed with the outcome.
         if (v.useMajority) {
             if (v.bim == taken)
-                bim[idxBim(pc)].update(taken);
+                bim[ix.bim].update(taken);
             if (v.g0 == taken)
-                g0[idxG0(pc, hist)].update(taken);
+                g0[ix.g0].update(taken);
             if (v.g1 == taken)
-                g1[idxG1(pc, hist)].update(taken);
+                g1[ix.g1].update(taken);
         } else {
-            bim[idxBim(pc)].update(taken);
+            bim[ix.bim].update(taken);
         }
     } else {
         // Mispredict: re-educate all direction banks.
-        bim[idxBim(pc)].update(taken);
-        g0[idxG0(pc, hist)].update(taken);
-        g1[idxG1(pc, hist)].update(taken);
+        bim[ix.bim].update(taken);
+        g0[ix.g0].update(taken);
+        g1[ix.g1].update(taken);
     }
 }
 

@@ -38,6 +38,10 @@ class GSkew final : public DirectionPredictor
 
     bool predict(Addr pc, const HistoryRegister &hist) override;
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
+    bool predictKeyed(Addr pc, const HistoryRegister &hist,
+                      PredictKey &key) override;
+    void updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                     const PredictKey &key) override;
     void reset() override;
 
     DirectionPredictorPtr clone() const override
@@ -56,10 +60,15 @@ class GSkew final : public DirectionPredictor
     BankView banks(Addr pc, const HistoryRegister &hist) const;
 
   private:
-    std::size_t idxBim(Addr pc) const;
-    std::size_t idxG0(Addr pc, const HistoryRegister &hist) const;
-    std::size_t idxG1(Addr pc, const HistoryRegister &hist) const;
-    std::size_t idxMeta(Addr pc, const HistoryRegister &hist) const;
+    /** The four bank indexes of one (pc, history). */
+    struct Indexes
+    {
+        std::size_t bim, g0, g1, meta;
+    };
+
+    Indexes indexes(Addr pc, const HistoryRegister &hist) const;
+    BankView bankView(const Indexes &ix) const;
+    void updateAt(const Indexes &ix, bool taken);
 
     std::vector<SatCounter> bim, g0, g1, meta;
     unsigned histBits;

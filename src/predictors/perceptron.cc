@@ -52,11 +52,16 @@ Perceptron::select(Addr pc) const
 }
 
 int
-Perceptron::output(Addr pc, const HistoryRegister &hist) const
+Perceptron::outputAt(std::size_t row, const HistoryRegister &hist) const
 {
-    const std::size_t row = select(pc);
     return biases[row] + dot(&weights[row * rowStride], histBits,
                              hist.word0(), hist.word1());
+}
+
+int
+Perceptron::output(Addr pc, const HistoryRegister &hist) const
+{
+    return outputAt(select(pc), hist);
 }
 
 bool
@@ -68,7 +73,30 @@ Perceptron::predict(Addr pc, const HistoryRegister &hist)
 void
 Perceptron::update(Addr pc, const HistoryRegister &hist, bool taken)
 {
+    updateAt(select(pc), hist, taken);
+}
+
+bool
+Perceptron::predictKeyed(Addr pc, const HistoryRegister &hist,
+                         PredictKey &key)
+{
     const std::size_t row = select(pc);
+    key.coord[0].idx = static_cast<std::uint32_t>(row);
+    key.valid = true;
+    return outputAt(row, hist) >= 0;
+}
+
+void
+Perceptron::updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                        const PredictKey &key)
+{
+    updateAt(key.valid ? key.coord[0].idx : select(pc), hist, taken);
+}
+
+void
+Perceptron::updateAt(std::size_t row, const HistoryRegister &hist,
+                     bool taken)
+{
     std::int8_t *w = &weights[row * rowStride];
     const int out =
         biases[row] + dot(w, histBits, hist.word0(), hist.word1());

@@ -42,6 +42,10 @@ class Perceptron final : public DirectionPredictor
 
     bool predict(Addr pc, const HistoryRegister &hist) override;
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
+    bool predictKeyed(Addr pc, const HistoryRegister &hist,
+                      PredictKey &key) override;
+    void updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                     const PredictKey &key) override;
     void reset() override;
 
     DirectionPredictorPtr clone() const override
@@ -64,6 +68,8 @@ class Perceptron final : public DirectionPredictor
 
   private:
     std::size_t select(Addr pc) const;
+    int outputAt(std::size_t row, const HistoryRegister &hist) const;
+    void updateAt(std::size_t row, const HistoryRegister &hist, bool taken);
 
     /**
      * History weights [w1 .. wh], one padded row per perceptron

@@ -28,12 +28,26 @@
  * predictor may read clocks, RNGs, or global state, which is what
  * lets golden tests pin exact counts and the sweep/report layers
  * promise byte-identical results for any execution order.
+ *
+ * Keyed calls (DESIGN.md §4): the hybrid trains at commit with the
+ * same (pc, history) its predict or critique used, so it hashes each
+ * branch once. predictKeyed() leaves the table coordinates it hashed
+ * in a PredictKey that rides in the branch's checkpoint, and
+ * updateKeyed() reuses them; critique() returns the filter's
+ * coordinates in its CritiqueResult, and trainKeyed() reuses those.
+ * Keys carry coordinates only, never table contents, because the
+ * tables change between predict and commit. A keyed call behaves
+ * exactly as its unkeyed twin. The base-class keyed calls forward to
+ * the unkeyed ones, so a decorator that overrides only predict /
+ * update / train (the benchmark's timing probes) still sees every
+ * call; every class in src/ overrides the keyed pair directly.
  */
 
 #ifndef PCBP_PREDICTORS_PREDICTOR_HH
 #define PCBP_PREDICTORS_PREDICTOR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -47,6 +61,37 @@ class StatRegistry;
 
 class DirectionPredictor;
 class FilteredPredictor;
+
+/** One table coordinate: a row index, and its tag where tagged. */
+struct TableCoord
+{
+    std::uint32_t idx = 0;
+    std::uint32_t tag = 0;
+};
+
+/**
+ * The table coordinates one predict hashed, carried to the commit of
+ * the same branch (BranchContext). Each prophet defines its slots:
+ * gshare, bimodal and perceptron use coord[0]; 2Bc-gskew its four
+ * bank indexes; TAGE one (idx, tag) per tagged bank.
+ */
+struct PredictKey
+{
+    /** Slots: the tagged banks of the largest factory TAGE. */
+    static constexpr unsigned capacity = 6;
+
+    /** False: no predict filled the key; commit hashes afresh. */
+    bool valid = false;
+    TableCoord coord[capacity];
+};
+
+/** A filtered critic's (set, tag) for one (pc, BOR). */
+struct FilterKey
+{
+    std::uint32_t set = 0;
+    std::uint16_t tag = 0;
+};
+
 using DirectionPredictorPtr = std::unique_ptr<DirectionPredictor>;
 using FilteredPredictorPtr = std::unique_ptr<FilteredPredictor>;
 
@@ -76,6 +121,30 @@ class DirectionPredictor
      */
     virtual void update(Addr pc, const HistoryRegister &hist,
                         bool taken) = 0;
+
+    /**
+     * predict(), also filling @p key with the coordinates it hashed.
+     * @p key arrives invalid; an implementation with nothing to carry
+     * leaves it so.
+     */
+    virtual bool
+    predictKeyed(Addr pc, const HistoryRegister &hist, PredictKey &key)
+    {
+        (void)key;
+        return predict(pc, hist);
+    }
+
+    /**
+     * update() for a branch whose predictKeyed() filled @p key with
+     * this same (pc, hist); an invalid key means hash afresh.
+     */
+    virtual void
+    updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                const PredictKey &key)
+    {
+        (void)key;
+        update(pc, hist, taken);
+    }
 
     /** Clear all prediction state. */
     virtual void reset() = 0;
@@ -121,6 +190,8 @@ struct CritiqueResult
     bool provided = false;
     /** Direction prediction; meaningful only when provided. */
     bool taken = false;
+    /** The filter coordinates the critique hashed (trainKeyed). */
+    FilterKey key;
 };
 
 /**
@@ -151,6 +222,18 @@ class FilteredPredictor
      */
     virtual void train(Addr pc, const HistoryRegister &bor, bool taken,
                        bool mispredicted) = 0;
+
+    /**
+     * train() reusing @p key, the CritiqueResult::key of this
+     * object's critique() of the same (pc, bor).
+     */
+    virtual void
+    trainKeyed(Addr pc, const HistoryRegister &bor, bool taken,
+               bool mispredicted, const FilterKey &key)
+    {
+        (void)key;
+        train(pc, bor, taken, mispredicted);
+    }
 
     /** Clear all state. */
     virtual void reset() = 0;

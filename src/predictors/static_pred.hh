@@ -26,6 +26,18 @@ class StaticPredictor final : public DirectionPredictor
     }
 
     void update(Addr, const HistoryRegister &, bool) override {}
+
+    /** Nothing to hash, so nothing to carry: the key stays invalid. */
+    bool predictKeyed(Addr, const HistoryRegister &, PredictKey &) override
+    {
+        return predTaken;
+    }
+
+    void updateKeyed(Addr, const HistoryRegister &, bool,
+                     const PredictKey &) override
+    {
+    }
+
     void reset() override {}
 
     DirectionPredictorPtr clone() const override

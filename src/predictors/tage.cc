@@ -54,7 +54,7 @@ TageFolds::TageFolds(const std::vector<TageTableConfig> &tables)
     mask0 = maskBits(std::min(max_history, 64u));
     mask1 = max_history > 64 ? maskBits(max_history - 64) : 0;
     pcFolds.assign(widths.size(), 0);
-    hashes.assign(banks.size(), TageHash{});
+    hashes.assign(banks.size(), TableCoord{});
 }
 
 void
@@ -85,7 +85,7 @@ TageFolds::shiftFolds(std::uint64_t in)
     }
 }
 
-const std::vector<TageHash> &
+const std::vector<TableCoord> &
 TageFolds::hash(Addr pc, const HistoryRegister &hist)
 {
     const std::uint64_t h0 = hist.word0() & mask0;
@@ -155,6 +155,7 @@ Tage::Tage(const TageConfig &config)
     }
     maxHistory = cfg.tables.back().historyLength;
     providerCommits.assign(tables.size(), 0);
+    carriesKey = tables.size() <= PredictKey::capacity;
 }
 
 std::size_t
@@ -164,7 +165,7 @@ Tage::baseIndex(Addr pc) const
 }
 
 Tage::Match
-Tage::lookup(Addr pc, const std::vector<TageHash> &h) const
+Tage::lookup(Addr pc, const TableCoord *h) const
 {
     Match m;
     m.alternatePred = base.taken(baseIndex(pc));
@@ -199,15 +200,41 @@ Tage::lookup(Addr pc, const std::vector<TageHash> &h) const
 bool
 Tage::predict(Addr pc, const HistoryRegister &hist)
 {
-    return lookup(pc, predictFolds.hash(pc, hist)).prediction;
+    return lookup(pc, predictFolds.hash(pc, hist).data()).prediction;
 }
 
 void
 Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
 {
+    updateAt(pc, updateFolds.hash(pc, hist).data(), taken);
+}
+
+bool
+Tage::predictKeyed(Addr pc, const HistoryRegister &hist, PredictKey &key)
+{
+    const std::vector<TableCoord> &h = predictFolds.hash(pc, hist);
+    if (carriesKey) {
+        std::copy(h.begin(), h.end(), key.coord);
+        key.valid = true;
+    }
+    return lookup(pc, h.data()).prediction;
+}
+
+void
+Tage::updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                  const PredictKey &key)
+{
+    if (key.valid)
+        updateAt(pc, key.coord, taken);
+    else
+        update(pc, hist, taken);
+}
+
+void
+Tage::updateAt(Addr pc, const TableCoord *h, bool taken)
+{
     // One hash set serves the lookup, the provider update, allocation
     // and decay.
-    const std::vector<TageHash> &h = updateFolds.hash(pc, hist);
     const Match m = lookup(pc, h);
 
     if (m.provider >= 0)

@@ -62,16 +62,11 @@ struct TageConfig
     std::uint64_t usefulResetPeriod = 1u << 18;
 };
 
-/** One tagged bank's table coordinates for one (pc, history) call. */
-struct TageHash
-{
-    std::uint32_t idx = 0;
-    std::uint32_t tag = 0;
-};
-
 /**
  * The per-bank (index, tag) hashes of one stream of TAGE calls: the
- * predict stream or the update stream (DESIGN.md §6).
+ * predict stream or the update stream (DESIGN.md §6). A keyed commit
+ * reuses the coordinates its predict left in the PredictKey, so only
+ * unkeyed updates feed the update stream.
  *
  * A bank hashes the PC with three folds of its history: to the index
  * width, to the tag width, and to the tag width - 1. The PC half
@@ -94,7 +89,8 @@ class TageFolds
      * Hashes of (@p pc, @p hist) for every bank, shortest history
      * first; the reference stays valid until the next call.
      */
-    const std::vector<TageHash> &hash(Addr pc, const HistoryRegister &hist);
+    const std::vector<TableCoord> &hash(Addr pc,
+                                        const HistoryRegister &hist);
 
     /** Forget the last history: the next call refolds. */
     void invalidate() { valid = false; }
@@ -136,7 +132,7 @@ class TageFolds
     std::vector<Bank> banks;
     std::vector<unsigned> widths;       //!< distinct PC fold widths
     std::vector<std::uint64_t> pcFolds; //!< per call, one per width
-    std::vector<TageHash> hashes;
+    std::vector<TableCoord> hashes;
 
     /** Low maxHistory bits of the last history, split by word. */
     std::uint64_t mask0 = 0;
@@ -153,6 +149,10 @@ class Tage final : public DirectionPredictor
 
     bool predict(Addr pc, const HistoryRegister &hist) override;
     void update(Addr pc, const HistoryRegister &hist, bool taken) override;
+    bool predictKeyed(Addr pc, const HistoryRegister &hist,
+                      PredictKey &key) override;
+    void updateKeyed(Addr pc, const HistoryRegister &hist, bool taken,
+                     const PredictKey &key) override;
     void reset() override;
 
     DirectionPredictorPtr clone() const override
@@ -199,7 +199,9 @@ class Tage final : public DirectionPredictor
     };
 
     std::size_t baseIndex(Addr pc) const;
-    Match lookup(Addr pc, const std::vector<TageHash> &h) const;
+    /** @p h: one coordinate per tagged bank, shortest history first. */
+    Match lookup(Addr pc, const TableCoord *h) const;
+    void updateAt(Addr pc, const TableCoord *h, bool taken);
     void agePeriodically();
 
     SatCounterTable base;
@@ -211,10 +213,16 @@ class Tage final : public DirectionPredictor
     /**
      * One fold cache per call stream. Consecutive predicts see the
      * speculative history shifted by one bit, and consecutive
-     * commits the committed one, so each stream steps in O(1).
+     * commits the committed one, so each stream steps in O(1). A
+     * keyed commit reuses its predict's coordinates and never hashes,
+     * so the update stream serves unkeyed update() calls only (and
+     * keyed ones whose predict left no key).
      */
     TageFolds predictFolds;
     TageFolds updateFolds;
+
+    /** Every bank's coordinates fit in a PredictKey. */
+    bool carriesKey = false;
 
     /**
      * USE_ALT_ON_NA (Seznec): when newly-allocated provider entries

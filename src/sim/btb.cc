@@ -1,5 +1,7 @@
 #include "sim/btb.hh"
 
+#include <algorithm>
+
 #include "common/bit_utils.hh"
 #include "common/logging.hh"
 
@@ -7,7 +9,8 @@ namespace pcbp
 {
 
 Btb::Btb(std::size_t num_entries, unsigned num_ways)
-    : table(num_entries),
+    : tags(num_entries, 0),
+      lastUse(num_entries, 0),
       numSets(num_entries / num_ways),
       numWays(num_ways),
       indexBits(log2Floor(num_entries / num_ways))
@@ -16,62 +19,34 @@ Btb::Btb(std::size_t num_entries, unsigned num_ways)
     pcbp_assert(isPowerOfTwo(numSets), "BTB sets must be 2^n");
 }
 
-std::size_t
-Btb::setOf(Addr pc) const
-{
-    return (pc >> 2) & maskBits(indexBits);
-}
-
-std::uint64_t
-Btb::tagOf(Addr pc) const
-{
-    return pc >> (2 + indexBits);
-}
-
-bool
-Btb::lookup(Addr pc) const
-{
-    const std::size_t set = setOf(pc);
-    const std::uint64_t tag = tagOf(pc);
-    for (unsigned w = 0; w < numWays; ++w) {
-        const Entry &e = table[set * numWays + w];
-        if (e.valid && e.tag == tag)
-            return true;
-    }
-    return false;
-}
-
 void
 Btb::allocate(Addr pc)
 {
-    const std::size_t set = setOf(pc);
-    const std::uint64_t tag = tagOf(pc);
+    const std::size_t base = setOf(pc) * numWays;
+    const std::uint64_t want = validTagOf(pc);
 
-    std::size_t victim = set * numWays;
+    std::size_t victim = base;
     for (unsigned w = 0; w < numWays; ++w) {
-        const std::size_t idx = set * numWays + w;
-        Entry &e = table[idx];
-        if (e.valid && e.tag == tag) {
-            e.lastUse = ++tick;
+        const std::size_t idx = base + w;
+        if (tags[idx] == want) {
+            lastUse[idx] = ++tick;
             return;
         }
-        if (!e.valid) {
+        if (tags[idx] == 0) {
             victim = idx;
-        } else if (table[victim].valid &&
-                   e.lastUse < table[victim].lastUse) {
+        } else if (tags[victim] != 0 && lastUse[idx] < lastUse[victim]) {
             victim = idx;
         }
     }
-    table[victim].valid = true;
-    table[victim].tag = tag;
-    table[victim].lastUse = ++tick;
+    tags[victim] = want;
+    lastUse[victim] = ++tick;
 }
 
 void
 Btb::reset()
 {
-    for (auto &e : table)
-        e = Entry{};
+    std::fill(tags.begin(), tags.end(), 0);
+    std::fill(lastUse.begin(), lastUse.end(), 0);
     tick = 0;
 }
 

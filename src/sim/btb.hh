@@ -10,6 +10,11 @@
  * its oldest allocation, even when that branch hits on every fetch.
  * A real BTB refreshes on a hit; changing the policy would move every
  * golden, so it waits on ROADMAP item 1.
+ *
+ * Storage is structure-of-arrays (DESIGN.md §12): lookup() runs on
+ * every fetch and compares one 8-byte word per way, the tag with the
+ * valid bit folded in, so a 4-way set is 32 contiguous bytes; the
+ * allocation stamps live in their own array, read only at commit.
  */
 
 #ifndef PCBP_SIM_BTB_HH
@@ -34,27 +39,46 @@ class Btb
     Btb(std::size_t num_entries, unsigned num_ways);
 
     /** True when the branch at @p pc is present. */
-    bool lookup(Addr pc) const;
+    bool
+    lookup(Addr pc) const
+    {
+        const std::uint64_t *set = &tags[setOf(pc) * numWays];
+        const std::uint64_t want = validTagOf(pc);
+        for (unsigned w = 0; w < numWays; ++w) {
+            if (set[w] == want)
+                return true;
+        }
+        return false;
+    }
 
     /** Allocate (or refresh) the entry for @p pc; commit-time. */
     void allocate(Addr pc);
 
     void reset();
 
-    std::size_t entries() const { return table.size(); }
+    std::size_t entries() const { return tags.size(); }
 
   private:
-    struct Entry
+    /** Set in every valid entry's word; pc >> 2 leaves it free. */
+    static constexpr std::uint64_t validBit = std::uint64_t(1) << 63;
+
+    std::size_t
+    setOf(Addr pc) const
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0; //!< allocation stamp, not hits
-    };
+        return (pc >> 2) & (numSets - 1);
+    }
 
-    std::size_t setOf(Addr pc) const;
-    std::uint64_t tagOf(Addr pc) const;
+    /** The word a valid entry for @p pc holds: tag | validBit. */
+    std::uint64_t
+    validTagOf(Addr pc) const
+    {
+        return (pc >> (2 + indexBits)) | validBit;
+    }
 
-    std::vector<Entry> table;
+    /** Per entry: tag | validBit, or 0 when invalid. */
+    std::vector<std::uint64_t> tags;
+    /** Per entry: allocation stamp (not hits). */
+    std::vector<std::uint64_t> lastUse;
     std::size_t numSets;
     unsigned numWays;
     unsigned indexBits;

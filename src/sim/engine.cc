@@ -100,7 +100,7 @@ Engine::resolveOldest(CommittedStream &committed)
 
     // Read the record in place and drop it: the pooled slot (and this
     // reference) stays valid until the next fetchNext(), so the commit
-    // never copies the two-register checkpoint out of the arena.
+    // never copies the checkpoint out of the arena.
     const Inflight &r = core.front();
     core.dropFront();
 

@@ -26,11 +26,13 @@
  * TimingSim's FTQ), the BTB, the speculative fetch pointer, and a
  * reusable future-bit scratch buffer so the hot critique path does
  * no heap allocation. The queue is a power-of-two ring-buffer arena:
- * records — each carrying its two-register checkpoint — live in a
- * slab that is allocated once and reused in place, so pushing,
- * popping, and override-flushing a branch are index arithmetic under
- * a mask, never allocation (the slab only grows, rarely, when a
- * caller exceeds its previous high-water window-plus-queue depth).
+ * records — each carrying its checkpoint, the two registers plus the
+ * table coordinates the prophet's predict hashed for the commit-time
+ * update to reuse — live in a slab that is allocated once and reused
+ * in place, so pushing, popping, and override-flushing a branch are
+ * index arithmetic under a mask, never allocation (the slab only
+ * grows, rarely, when a caller exceeds its previous high-water
+ * window-plus-queue depth).
  * Each record also carries a running count of BTB-hitting fetches,
  * which turns the per-critique "how many future bits could I gather"
  * question from a queue walk into a subtraction. The ring can also
@@ -40,7 +42,9 @@
  * bandwidth, when a record leaves the queue and when it retires, and
  * which cycles anything costs — is caller policy layered on these
  * primitives. Per-model state rides along in the Payload type
- * parameter. See DESIGN.md §4.
+ * parameter. The methods that run per fetch, critique and commit are
+ * defined in this header, so they compile in line into the
+ * simulators' loops. See DESIGN.md §4.
  *
  * Ownership and lifetime: a SpecCore borrows everything it is
  * constructed over — the Program, the ProphetCriticHybrid, and the
@@ -60,11 +64,14 @@
 #ifndef PCBP_SIM_SPEC_CORE_HH
 #define PCBP_SIM_SPEC_CORE_HH
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "common/future_bits.hh"
+#include "common/logging.hh"
 #include "core/prophet_critic.hh"
+#include "obs/probes.hh"
 #include "sim/btb.hh"
 #include "sim/committed_stream.hh"
 #include "workload/cfg.hh"
@@ -315,7 +322,7 @@ class SpecCore
      * caller keeps no window). The slot, and any front() reference
      * to it, stays valid until the next fetchNext(): the commit path
      * reads the record in place and then drops it, so no commit
-     * copies the two-register checkpoint out of the arena.
+     * copies the checkpoint out of the arena.
      */
     void
     dropFront()
@@ -490,6 +497,214 @@ class SpecCore
     /** Double the slab (record order preserved); stays power-of-two. */
     void growSlab();
 };
+
+template <typename Payload>
+inline typename SpecCore<Payload>::Record &
+SpecCore<Payload>::fetchNext()
+{
+    if (tailAbs - floorAbs == slab.size())
+        growSlab();
+
+    const BasicBlock &b = program.block(fetchBlock);
+
+    // Reuse the pooled slot in place: no construction, no allocation.
+    Record &r = rec(tailAbs);
+    r.block = fetchBlock;
+    r.pc = b.branchPc;
+    r.numUops = b.numUops;
+    r.traceIdx = specTraceIdx++;
+    r.btbHit = !cfg.useBtb || btb.lookup(r.pc);
+    r.critiqued = false;
+    r.decision.reset();
+    r.payload = Payload{};
+
+    if (r.btbHit) {
+        r.prophetPred = hybrid.predictBranch(r.pc, r.ctx);
+        r.finalPred = r.prophetPred;
+    } else {
+        // The front end does not see the branch: implicit
+        // fall-through, no history insertion, no critique. Keep a
+        // checkpoint of the (unmodified) registers for repair.
+        r.prophetPred = false;
+        r.finalPred = false;
+        r.critiqued = true;
+        r.ctx.bhrBefore = hybrid.bhr();
+        r.ctx.borBefore = hybrid.bor();
+        // No predict hashed this checkpoint: the slot's key is a
+        // previous record's, so commit must hash afresh.
+        r.ctx.key.valid = false;
+    }
+
+    if (r.btbHit)
+        setHitBit(hitsFetched, r.prophetPred);
+    hitsFetched += r.btbHit ? 1 : 0;
+    r.hitsCum = hitsFetched;
+
+    fetchBlock = program.successor(fetchBlock, r.finalPred);
+    ++tailAbs;
+
+    pcbp_obs_inc(obs, fetches);
+    pcbp_obs_add(obs, btbHits, r.btbHit ? 1 : 0);
+    pcbp_obs_max(obs, queuePeak, tailAbs - headAbs);
+    return r;
+}
+
+template <typename Payload>
+inline unsigned
+SpecCore<Payload>::futureBitsAvailable(std::size_t idx) const
+{
+    const unsigned want = std::max(1u, hybrid.numFutureBits());
+    if (hybrid.numFutureBits() == 0)
+        return want;
+    // 1 (the entry's own prediction) + the BTB-hitting fetches
+    // younger than it, saturated at the requirement — a counter
+    // difference instead of a queue walk.
+    const std::uint64_t younger_hits =
+        hitsFetched - rec(headAbs + idx).hitsCum;
+    const std::uint64_t avail = 1 + younger_hits;
+    return avail >= want ? want : static_cast<unsigned>(avail);
+}
+
+template <typename Payload>
+inline CritiqueOutcome
+SpecCore<Payload>::critique(std::size_t idx)
+{
+    Record &r = rec(headAbs + idx);
+    pcbp_dassert(!r.critiqued && r.btbHit);
+
+    const unsigned want = hybrid.numFutureBits();
+    fbScratch.clear();
+    if (want > 0) {
+        if (cfg.oracleFutureBits) {
+            // Ablation (§6): correct-path outcomes as future bits.
+            // Only meaningful for correct-path branches; wrong-path
+            // records are squashed before their critique matters.
+            for (std::uint64_t t = r.traceIdx;
+                 fbScratch.size() < want && t < oracleLimit; ++t) {
+                const CommittedBranch *cb = oracle->at(t);
+                if (!cb)
+                    break;
+                fbScratch.push(cb->taken);
+            }
+            if (fbScratch.empty())
+                fbScratch.push(r.prophetPred);
+        } else {
+            // Real mode: the prophet's predictions for this branch
+            // and the (BTB-identified) branches fetched after it,
+            // oldest first. The hit-bit ring already holds exactly
+            // those bits contiguously by hit ordinal, so the gather
+            // is a two-word window read instead of a queue walk.
+            const std::uint64_t start = r.hitsCum - 1;
+            const unsigned count = static_cast<unsigned>(
+                std::min<std::uint64_t>(want,
+                                        hitsFetched - start));
+            fbScratch.assign(readHitBits(start), count);
+        }
+    }
+
+    CritiqueDecision d =
+        hybrid.critiqueBranch(r.pc, r.ctx, r.prophetPred, fbScratch);
+    r.critiqued = true;
+    r.finalPred = d.finalPrediction;
+
+    CritiqueOutcome out;
+    out.overrode = d.overrode;
+    out.bitsGathered = fbScratch.size();
+    r.decision = std::move(d);
+
+    pcbp_obs_inc(obs, critiques);
+    pcbp_obs_add(obs, fbGathered, out.bitsGathered);
+    pcbp_obs_add(obs, partialGathers,
+                 (want > 0 && out.bitsGathered < want) ? 1 : 0);
+
+    if (out.overrode) {
+        out.squashed = queueSize() - idx - 1;
+        pcbp_obs_inc(obs, overrides);
+        pcbp_obs_add(obs, squashed, out.squashed);
+#if !defined(NDEBUG) || defined(PCBP_FORCE_DASSERT)
+        // Queue-only flush: every younger prediction is uncritiqued
+        // (critiques are issued oldest-first), so the flush is
+        // confined to the queue (§5).
+        for (std::size_t j = idx + 1; j < queueSize(); ++j) {
+            const Record &y = rec(headAbs + j);
+            pcbp_assert(!y.btbHit || !y.critiqued);
+        }
+#endif
+        tailAbs = headAbs + idx + 1;
+        hitsFetched = r.hitsCum;
+        if (firstUncritAbs > tailAbs)
+            firstUncritAbs = tailAbs;
+        hybrid.overrideRedirect(r.ctx, r.finalPred);
+        fetchBlock = program.successor(r.block, r.finalPred);
+        specTraceIdx = r.traceIdx + 1;
+    }
+    return out;
+}
+
+template <typename Payload>
+inline void
+SpecCore<Payload>::recoverAndRedirect(const Record &r, bool outcome)
+{
+    pcbp_obs_inc(obs, recoveries);
+    hybrid.recoverMispredict(r.ctx, outcome);
+    fetchBlock = program.successor(r.block, outcome);
+    specTraceIdx = r.traceIdx + 1;
+}
+
+template <typename Payload>
+inline void
+SpecCore<Payload>::commitTrain(const Record &r, bool outcome)
+{
+    pcbp_obs_inc(obs, commits);
+    hybrid.commitBranch(r.pc, r.ctx, r.decision, outcome);
+    if (cfg.useBtb && !r.btbHit) {
+        btb.allocate(r.pc);
+        pcbp_obs_inc(obs, btbAllocs);
+    }
+    if (cfg.commitSink) {
+        CommitEvent e;
+        e.index = r.traceIdx;
+        e.block = r.block;
+        e.pc = r.pc;
+        e.numUops = r.numUops;
+        e.btbHit = r.btbHit;
+        e.prophetPred = r.prophetPred;
+        e.finalPred = r.finalPred;
+        e.critiqueProvided = r.decision && r.decision->provided;
+        e.criticOverrode = r.decision && r.decision->overrode;
+        e.outcome = outcome;
+        cfg.commitSink->onCommit(e);
+    }
+}
+
+template <typename Payload>
+inline typename SpecCore<Payload>::Record &
+SpecCore<Payload>::front()
+{
+    pcbp_dassert(!queueEmpty());
+    return rec(headAbs);
+}
+
+template <typename Payload>
+inline std::optional<std::size_t>
+SpecCore<Payload>::oldestUncriticized() const
+{
+    while (firstUncritAbs < tailAbs && rec(firstUncritAbs).critiqued)
+        ++firstUncritAbs;
+    if (firstUncritAbs == tailAbs)
+        return std::nullopt;
+    return firstUncritAbs - headAbs;
+}
+
+template <typename Payload>
+inline std::optional<std::size_t>
+SpecCore<Payload>::nextUncritiqued(std::size_t from) const
+{
+    for (std::size_t i = from; i < queueSize(); ++i)
+        if (!rec(headAbs + i).critiqued)
+            return i;
+    return std::nullopt;
+}
 
 extern template class SpecCore<EnginePayload>;
 extern template class SpecCore<FtqPayload>;

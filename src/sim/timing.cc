@@ -313,7 +313,9 @@ TimingSim::finishRun(CommittedStream &committed)
 {
     stepUntil(totalBranches, committed);
 
-    stats.cycles = now - measureStartCycle;
+    // A stream that ends inside warmup never opens the measured
+    // window: its cycles were all warmup.
+    stats.cycles = measuring() ? now - measureStartCycle : 0;
     if (cfg.statsOut)
         exportStats(committed);
     return stats;

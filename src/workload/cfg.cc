@@ -35,25 +35,11 @@ Program::validate() const
     }
 }
 
-const BasicBlock &
-Program::block(BlockId id) const
-{
-    pcbp_dassert(id < blocks.size());
-    return blocks[id];
-}
-
 BasicBlock &
 Program::blockMut(BlockId id)
 {
     pcbp_assert(id < blocks.size());
     return blocks[id];
-}
-
-BlockId
-Program::successor(BlockId id, bool taken) const
-{
-    const BasicBlock &b = block(id);
-    return taken ? b.takenTarget : b.fallthroughTarget;
 }
 
 bool

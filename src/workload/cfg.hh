@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/history_register.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "workload/behavior.hh"
 
@@ -57,14 +58,24 @@ class Program
 
     const std::string &name() const { return progName; }
     std::size_t numBlocks() const { return blocks.size(); }
-    const BasicBlock &block(BlockId id) const;
+    const BasicBlock &
+    block(BlockId id) const
+    {
+        pcbp_dassert(id < blocks.size());
+        return blocks[id];
+    }
 
     /** Mutable access, for builders fixing up targets. */
     BasicBlock &blockMut(BlockId id);
     BlockId entry() const { return 0; }
 
     /** Successor of @p id for direction @p taken. */
-    BlockId successor(BlockId id, bool taken) const;
+    BlockId
+    successor(BlockId id, bool taken) const
+    {
+        const BasicBlock &b = block(id);
+        return taken ? b.takenTarget : b.fallthroughTarget;
+    }
 
     /**
      * Architectural step: evaluate the outcome of the branch ending

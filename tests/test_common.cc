@@ -67,6 +67,58 @@ TEST(BitUtils, FoldBitsZeroWidth)
     EXPECT_EQ(foldBits(0x1234, 0), 0u);
 }
 
+/** The fold by definition: XOR of every @p bits -wide chunk of v. */
+std::uint64_t
+chunkFold(std::uint64_t v, unsigned bits)
+{
+    if (bits == 0)
+        return 0;
+    if (bits >= 64)
+        return v;
+    std::uint64_t folded = 0;
+    for (unsigned s = 0; s < 64; s += bits)
+        folded ^= (v >> s) & maskBits(bits);
+    return folded;
+}
+
+TEST(BitUtils, FoldBitsFixedMatchesChunkDefinition)
+{
+    // Every width, on full-width random values and on the same values
+    // shifted down until only a few bits remain (a shift that is not
+    // a multiple of the width puts chunk boundaries mid-value).
+    Rng rng(0xf01d);
+    for (unsigned bits = 0; bits <= 64; ++bits) {
+        for (int iter = 0; iter < 300; ++iter) {
+            const std::uint64_t v = rng.next();
+            for (unsigned shift = 0; shift < 64; ++shift) {
+                ASSERT_EQ(foldBitsFixed(v >> shift, bits),
+                          chunkFold(v >> shift, bits))
+                    << "v=" << (v >> shift) << " bits=" << bits;
+            }
+        }
+        EXPECT_EQ(foldBitsFixed(0, bits), 0u);
+        EXPECT_EQ(foldBitsFixed(~0ull, bits), chunkFold(~0ull, bits));
+    }
+}
+
+TEST(BitUtils, FilterSetFoldEqualsTwoFolds)
+{
+    // TagFilter::keyOf folds (pc >> 2) ^ bor once; the filter of §4
+    // XORs the two folds. Folding is linear over XOR, so they agree
+    // at every set width, for any address and BOR slice.
+    Rng rng(0x5e7);
+    for (unsigned bits = 0; bits < 20; ++bits) {
+        for (int iter = 0; iter < 2000; ++iter) {
+            const std::uint64_t pc = rng.next() >> rng.nextBelow(64);
+            const std::uint64_t bor = rng.next() & maskBits(1 + iter % 64);
+            ASSERT_EQ(foldBits((pc >> 2) ^ bor, bits),
+                      (foldBits(pc >> 2, bits) ^ foldBits(bor, bits)) &
+                          maskBits(bits))
+                << "pc=" << pc << " bor=" << bor << " bits=" << bits;
+        }
+    }
+}
+
 TEST(BitUtils, Mix64IsDeterministicAndSpreads)
 {
     EXPECT_EQ(mix64(42), mix64(42));

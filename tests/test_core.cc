@@ -61,16 +61,16 @@ TEST(TagFilter, MissThenAllocateThenHit)
 {
     TagFilter f(64, 4, 10, 18);
     const HistoryRegister bor = borOf(0x2a5a5, 18);
-    EXPECT_FALSE(f.probe(0x4000, bor).hit);
-    f.allocate(0x4000, bor);
-    EXPECT_TRUE(f.probe(0x4000, bor).hit);
+    EXPECT_FALSE(f.probe(f.keyOf(0x4000, bor)).hit);
+    f.allocate(f.keyOf(0x4000, bor));
+    EXPECT_TRUE(f.probe(f.keyOf(0x4000, bor)).hit);
 }
 
 TEST(TagFilter, DistinguishesBorValues)
 {
     TagFilter f(64, 4, 10, 18);
-    f.allocate(0x4000, borOf(0x00001, 18));
-    EXPECT_FALSE(f.probe(0x4000, borOf(0x00002, 18)).hit)
+    f.allocate(f.keyOf(0x4000, borOf(0x00001, 18)));
+    EXPECT_FALSE(f.probe(f.keyOf(0x4000, borOf(0x00002, 18))).hit)
         << "a different BOR value is a different context";
 }
 
@@ -78,8 +78,8 @@ TEST(TagFilter, DistinguishesAddresses)
 {
     TagFilter f(64, 4, 10, 18);
     const HistoryRegister bor = borOf(0x15555, 18);
-    f.allocate(0x4000, bor);
-    EXPECT_FALSE(f.probe(0x8770, bor).hit);
+    f.allocate(f.keyOf(0x4000, bor));
+    EXPECT_FALSE(f.probe(f.keyOf(0x8770, bor)).hit);
 }
 
 TEST(TagFilter, LruEvictsOldest)
@@ -89,14 +89,14 @@ TEST(TagFilter, LruEvictsOldest)
     const auto bor_a = borOf(0x1, 18);
     const auto bor_b = borOf(0x2, 18);
     const auto bor_c = borOf(0x4, 18);
-    f.allocate(0x1000, bor_a);
-    f.allocate(0x2000, bor_b);
+    f.allocate(f.keyOf(0x1000, bor_a));
+    f.allocate(f.keyOf(0x2000, bor_b));
     // Touch A so B becomes LRU.
-    f.touch(f.probe(0x1000, bor_a).entry);
-    f.allocate(0x3000, bor_c);
-    EXPECT_TRUE(f.probe(0x1000, bor_a).hit);
-    EXPECT_FALSE(f.probe(0x2000, bor_b).hit) << "B was LRU";
-    EXPECT_TRUE(f.probe(0x3000, bor_c).hit);
+    f.touch(f.probe(f.keyOf(0x1000, bor_a)).entry);
+    f.allocate(f.keyOf(0x3000, bor_c));
+    EXPECT_TRUE(f.probe(f.keyOf(0x1000, bor_a)).hit);
+    EXPECT_FALSE(f.probe(f.keyOf(0x2000, bor_b)).hit) << "B was LRU";
+    EXPECT_TRUE(f.probe(f.keyOf(0x3000, bor_c)).hit);
 }
 
 TEST(TagFilter, SizeBitsCountsTagsValidLru)
@@ -110,9 +110,9 @@ TEST(TagFilter, ResetClears)
 {
     TagFilter f(64, 4, 10, 18);
     const auto bor = borOf(0x3, 18);
-    f.allocate(0x1000, bor);
+    f.allocate(f.keyOf(0x1000, bor));
     f.reset();
-    EXPECT_FALSE(f.probe(0x1000, bor).hit);
+    EXPECT_FALSE(f.probe(f.keyOf(0x1000, bor)).hit);
 }
 
 // ----------------------------------------------------------- TaggedGshare

@@ -410,14 +410,14 @@ TEST(Tage, UsefulnessAgingKeepsAllocatorAlive)
 }
 
 /** The naive hash each bank's folded registers must reproduce. */
-TageHash
+TableCoord
 naiveTageHash(const TageTableConfig &tc, Addr pc,
               const HistoryRegister &hist)
 {
     const unsigned len = tc.historyLength;
     const unsigned index_bits = log2Floor(tc.entries);
     const unsigned tag_bits = tc.tagBits;
-    TageHash h;
+    TableCoord h;
     h.idx = static_cast<std::uint32_t>(
         (foldBits(mix64(pc >> 2) ^ (len * 0x9e3779b9ull), index_bits) ^
          hist.foldedLow(len, index_bits)) &
@@ -466,10 +466,10 @@ TEST(TageFolds, IncrementalMatchesFoldedLow)
                 h.shiftInMany(rng.next(), 64);
             }
             const Addr pc = 0x400000 + 4 * rng.nextBelow(1 << 14);
-            const std::vector<TageHash> &got = streams[s].hash(pc, h);
+            const std::vector<TableCoord> &got = streams[s].hash(pc, h);
             ASSERT_EQ(got.size(), cfg.tables.size());
             for (std::size_t i = 0; i < cfg.tables.size(); ++i) {
-                const TageHash want = naiveTageHash(cfg.tables[i], pc, h);
+                const TableCoord want = naiveTageHash(cfg.tables[i], pc, h);
                 if (got[i].idx != want.idx || got[i].tag != want.tag) {
                     ++mismatches;
                     ADD_FAILURE()

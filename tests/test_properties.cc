@@ -85,8 +85,8 @@ TEST_P(TagFilterPropertyTest, AllocateThenProbeHitsUntilEvicted)
             bor.shiftIn(rng.nextBool(0.5));
         const Addr pc = 0x1000 + 16 * rng.nextBelow(256);
 
-        f.allocate(pc, bor);
-        ASSERT_TRUE(f.probe(pc, bor).hit)
+        f.allocate(f.keyOf(pc, bor));
+        ASSERT_TRUE(f.probe(f.keyOf(pc, bor)).hit)
             << "an entry must be visible immediately after allocation";
     }
 }
@@ -103,14 +103,14 @@ TEST_P(TagFilterPropertyTest, TouchProtectsMru)
     HistoryRegister mru_bor;
     mru_bor.shiftIn(true);
     const Addr mru_pc = 0x2000;
-    f.allocate(mru_pc, mru_bor);
+    f.allocate(f.keyOf(mru_pc, mru_bor));
     for (int i = 0; i < ways * 4; ++i) {
-        f.touch(f.probe(mru_pc, mru_bor).entry);
+        f.touch(f.probe(f.keyOf(mru_pc, mru_bor)).entry);
         HistoryRegister other;
         for (int k = 0; k < 18; ++k)
             other.shiftIn(rng.nextBool(0.5));
-        f.allocate(0x3000 + 16 * i, other);
-        ASSERT_TRUE(f.probe(mru_pc, mru_bor).hit)
+        f.allocate(f.keyOf(0x3000 + 16 * i, other));
+        ASSERT_TRUE(f.probe(f.keyOf(mru_pc, mru_bor)).hit)
             << "MRU entry evicted at step " << i;
     }
 }

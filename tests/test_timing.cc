@@ -210,6 +210,26 @@ TEST(Timing, CommitsConfiguredWork)
     EXPECT_GT(st.committedUops, st.committedBranches * 4);
 }
 
+TEST(Timing, StreamEndingInWarmupMeasuresNothing)
+{
+    // 2000 records against a 5000-branch warmup: the measured window
+    // never opens, so no cycle may count as measured either.
+    const Workload &w = workloadByName("mm.mpeg");
+    Program p = buildProgram(w);
+    auto h = hybridSpec(ProphetKind::Gshare, Budget::B8KB,
+                        CriticKind::TaggedGshare, Budget::B8KB, 8)
+                 .build();
+    TimingConfig cfg;
+    cfg.warmupBranches = 5000;
+    cfg.measureBranches = 1000;
+    ProgramWalkStream stream(p, 2000);
+    const TimingStats st = TimingSim(p, *h, cfg).run(stream);
+    EXPECT_EQ(st.committedBranches, 0u);
+    EXPECT_EQ(st.committedUops, 0u);
+    EXPECT_EQ(st.cycles, 0u);
+    EXPECT_EQ(st.upc(), 0.0);
+}
+
 TEST(Timing, BetterPredictionHigherUpc)
 {
     const Workload &w = workloadByName("int.crafty");
