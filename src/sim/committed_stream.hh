@@ -18,8 +18,7 @@
  *    fly (the default path; replaces walkProgram's eager vector).
  *  - CompressedTraceStream: block-decoded replay of a PCBPTRC2
  *    compressed indexed trace (workload/trace2.hh), sharing one
- *    mmap-backed reader across forks — the one replayable trace
- *    format; PCBPTRC1 files convert to it with `pcbp_trace convert`.
+ *    mmap-backed reader across forks.
  *  - PrecomputedStream: wraps an in-memory vector; the reference the
  *    equivalence tests pin the streaming backends against.
  *
@@ -201,8 +200,8 @@ class ProgramWalkStream : public CommittedStream
 class CompressedTraceStream : public CommittedStream
 {
   public:
-    /** Fatal on a malformed file, and on a PCBPTRC1 file with the
-     *  command that converts it (Trace2Reader::open). */
+    /** Fatal on an unreadable or malformed file
+     *  (Trace2Reader::open). */
     explicit CompressedTraceStream(const std::string &path);
 
     /** Fork: same position, shared reader, own decode state. */

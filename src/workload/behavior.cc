@@ -295,85 +295,6 @@ PhaseRevealBehavior::describe() const
     return "phase-reveal(" + std::to_string(fidelity) + ")";
 }
 
-// -------------------------------------------------------------- PhaseXor
-
-PhaseXorBehavior::PhaseXorBehavior(const PhaseClockSpec &clock_,
-                                   std::vector<bool> pattern_,
-                                   double noise_, std::uint64_t seed_)
-    : clock(clock_), pattern(std::move(pattern_)), noise(noise_),
-      seed(seed_), rng(seed_)
-{
-    pcbp_assert(!pattern.empty());
-}
-
-bool
-PhaseXorBehavior::nextOutcome(const ArchContext &ctx)
-{
-    const bool ph = clock.phaseAt(ctx.commitIndex);
-    bool out = ph != pattern[cursor];
-    cursor = (cursor + 1) % pattern.size();
-    if (noise > 0.0 && rng.nextBool(noise))
-        out = !out;
-    return out;
-}
-
-void
-PhaseXorBehavior::reset()
-{
-    clock.reset();
-    cursor = 0;
-    rng = Rng(seed);
-}
-
-std::string
-PhaseXorBehavior::describe() const
-{
-    return "phase-xor(p=" + std::to_string(pattern.size()) + ")";
-}
-
-// ------------------------------------------------------------ PhasedLoop
-
-PhasedLoopBehavior::PhasedLoopBehavior(const PhaseClockSpec &clock_,
-                                       unsigned period_a,
-                                       unsigned period_b)
-    : clock(clock_), periodA(period_a), periodB(period_b),
-      curPeriod(period_a)
-{
-    pcbp_assert(period_a >= 2 && period_b >= 2);
-    pcbp_assert(period_a != period_b,
-                "a phased loop needs distinct trip counts");
-}
-
-bool
-PhasedLoopBehavior::nextOutcome(const ArchContext &ctx)
-{
-    if (count == 0) {
-        // Sample the phase at loop entry so one visit is coherent.
-        curPeriod = clock.phaseAt(ctx.commitIndex) ? periodB : periodA;
-    }
-    ++count;
-    if (count >= curPeriod) {
-        count = 0;
-        return false; // exit
-    }
-    return true; // loop back
-}
-
-void
-PhasedLoopBehavior::reset()
-{
-    clock.reset();
-    curPeriod = periodA;
-    count = 0;
-}
-
-std::string
-PhasedLoopBehavior::describe() const
-{
-    return "phased-loop(" + std::to_string(periodA) + "/" +
-           std::to_string(periodB) + ")";
-}
-
 // ---------------------------------------------------------------- Phased
 
 PhasedBehavior::PhasedBehavior(unsigned period_lo, unsigned period_hi,

@@ -299,66 +299,6 @@ class PhaseRevealBehavior : public BranchBehavior
 };
 
 /**
- * Phase consumer: outcome = phase XOR (a repeating local pattern
- * bit), plus noise. Hard for the prophet — its tables see an
- * unstable mixture — but trivially decodable by a critic that can
- * see both the pattern (in its history bits) and the phase (in the
- * future bits, via a revealer's prediction).
- */
-class PhaseXorBehavior : public BranchBehavior
-{
-  public:
-    PhaseXorBehavior(const PhaseClockSpec &clock,
-                     std::vector<bool> pattern, double noise,
-                     std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhaseXorBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    PhaseClock clock;
-    std::vector<bool> pattern;
-    double noise;
-    std::uint64_t seed;
-    std::size_t cursor = 0;
-    Rng rng;
-};
-
-/**
- * A loop-back branch whose trip count depends on the current phase
- * (periodA in phase 0, periodB in phase 1). Because the block is hot
- * (it executes period times per visit), any adaptive prophet learns
- * the current trip pattern within a couple of visits — so the
- * prophet's predictions for the loop iterations are a *fresh* phase
- * signature, delivered to colder phase-dependent branches through
- * their future bits. This is the paper's bimodal-adaptation channel
- * in distilled form.
- */
-class PhasedLoopBehavior : public BranchBehavior
-{
-  public:
-    PhasedLoopBehavior(const PhaseClockSpec &clock, unsigned period_a,
-                       unsigned period_b);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhasedLoopBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    PhaseClock clock;
-    unsigned periodA, periodB;
-    unsigned curPeriod;
-    unsigned count = 0;
-};
-
-/**
  * Hidden two-mode process: the branch is strongly biased one way,
  * and the bias flips at random intervals drawn from
  * [period_lo, period_hi]. Models program phase changes.

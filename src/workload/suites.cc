@@ -398,8 +398,7 @@ traceWorkload(const std::string &name)
 
     const std::string path = name.substr(std::string("trace:").size());
     // Replay reads PCBPTRC2 only: opening the reader here rejects
-    // any other file (a PCBPTRC1 one with the command that converts
-    // it) before a cell runs or a store file appears.
+    // any other file before a cell runs or a store file appears.
     const std::uint64_t count = Trace2Reader::open(path)->recordCount();
     if (count == 0)
         pcbp_fatal("trace workload '", path, "' has no records");

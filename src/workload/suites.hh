@@ -13,9 +13,8 @@
  * Beyond the synthetic registry, `trace:<path>` names a recorded
  * committed-branch trace as a workload (suite "TRACE"): the CFG is
  * reconstructed from the file and the committed stream is replayed
- * from it. The path must hold the compressed indexed PCBPTRC2 store;
- * a PCBPTRC1 file fails registration with the command that converts
- * it in place — see DESIGN.md §5/§13 and tools/pcbp_trace.cc.
+ * from it. The path must hold a PCBPTRC2 trace; any other file fails
+ * registration — see DESIGN.md §5/§13 and tools/pcbp_trace.cc.
  */
 
 #ifndef PCBP_WORKLOAD_SUITES_HH

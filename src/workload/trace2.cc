@@ -11,9 +11,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 
 #include "common/logging.hh"
-#include "workload/trace.hh"
 
 namespace pcbp
 {
@@ -252,17 +252,6 @@ Trace2Reader::tryOpen(const std::string &path, std::string &error)
         ::close(fd);
         return fail("is not statable");
     }
-    // PCBPTRC1 is checked first: an empty v1 file (16 bytes) is
-    // below the v2 size floor, and every v1 file deserves the command
-    // that converts it rather than a size or magic complaint.
-    char head[8] = {};
-    if (::pread(fd, head, sizeof(head), 0) == ssize_t(sizeof(head)) &&
-        std::memcmp(head, tracefmt::magic, sizeof(head)) == 0) {
-        ::close(fd);
-        return fail("is a PCBPTRC1 interchange trace; convert it for "
-                    "replay with pcbp_trace convert " +
-                    path + " " + path);
-    }
     const std::uint64_t size = std::uint64_t(st.st_size);
     if (size < trace2fmt::headerBytes + trace2fmt::footerMinBytes) {
         ::close(fd);
@@ -281,7 +270,7 @@ Trace2Reader::tryOpen(const std::string &path, std::string &error)
     const unsigned char *m = r->map;
 
     if (std::memcmp(m, trace2fmt::magic, 8) != 0)
-        return fail("is not a pcbp v2 trace (bad magic)");
+        return fail("is not a PCBPTRC2 trace (bad magic)");
     r->fileVersion = std::uint32_t(getLe(m + 8, 4));
     if (r->fileVersion != trace2fmt::version) {
         return fail("has unsupported PCBPTRC2 version " +
@@ -464,38 +453,7 @@ Trace2Reader::info() const
     return i;
 }
 
-// ---------------------------------------------------------- dispatch
-
-bool
-isTrace2File(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    unsigned char m[8];
-    const bool v2 = std::fread(m, 1, 8, f) == 8 &&
-                    std::memcmp(m, trace2fmt::magic, 8) == 0;
-    std::fclose(f);
-    return v2;
-}
-
-bool
-tryScanTrace2File(const std::string &path,
-                  const std::function<void(const CommittedBranch &)> &fn,
-                  std::string &error)
-{
-    const auto reader = Trace2Reader::tryOpen(path, error);
-    if (!reader)
-        return false;
-    std::vector<CommittedBranch> block;
-    for (std::uint64_t b = 0; b < reader->numBlocks(); ++b) {
-        if (!reader->tryDecodeBlock(b, block, error))
-            return false;
-        for (const CommittedBranch &r : block)
-            fn(r);
-    }
-    return true;
-}
+// ------------------------------------------------------------ import
 
 namespace
 {
@@ -503,34 +461,27 @@ namespace
 using RecordSink = std::function<void(const CommittedBranch &)>;
 
 /**
- * Write the records @p produce feeds its sink to a temporary file
- * beside @p out, in PCBPTRC2 (@p to_v2) or PCBPTRC1, and rename it
- * over @p out once complete. OUT changes only after the input has
- * been read in full, so OUT may be the input itself (or a link to
- * it), and input that @p produce rejects — false, with @p error set —
- * leaves OUT as it was. Returns the records written; fatal on error.
+ * Write the records @p produce feeds its sink to a temporary PCBPTRC2
+ * file beside @p out, and rename it over @p out once complete. OUT
+ * changes only after the input has been read in full, so input that
+ * @p produce rejects — false, with @p error set — leaves OUT as it
+ * was. Returns the records written; fatal on error.
  */
 std::uint64_t
 replaceTraceFile(
-    const std::string &out, bool to_v2, std::uint32_t records_per_block,
+    const std::string &out, std::uint32_t records_per_block,
     const std::function<bool(const RecordSink &, std::string &)> &produce)
 {
     const std::string tmp = out + ".tmp" + std::to_string(::getpid());
     std::string error;
     bool ok = false;
     std::uint64_t written = 0;
-    const auto fill = [&](auto &writer) {
-        ok = produce([&](const CommittedBranch &r) { writer.append(r); },
-                     error);
-        writer.finish();
-        written = writer.written();
-    };
-    if (to_v2) {
+    {
         Trace2Writer w(tmp, records_per_block);
-        fill(w);
-    } else {
-        TraceWriter w(tmp);
-        fill(w);
+        ok = produce([&](const CommittedBranch &r) { w.append(r); },
+                     error);
+        w.finish();
+        written = w.written();
     }
     if (!ok) {
         std::remove(tmp.c_str());
@@ -619,24 +570,11 @@ scanAsciiTrace(const std::string &in, const RecordSink &fn,
 } // namespace
 
 std::uint64_t
-convertTraceFile(const std::string &in, const std::string &out,
-                 bool to_v2, std::uint32_t records_per_block)
-{
-    // tryScanTraceFile sniffs the input's magic, so both directions —
-    // and a same-format rewrite — share this one loop.
-    return replaceTraceFile(
-        out, to_v2, records_per_block,
-        [&](const RecordSink &fn, std::string &error) {
-            return tryScanTraceFile(in, fn, error);
-        });
-}
-
-std::uint64_t
 importAsciiTrace(const std::string &in, const std::string &out,
                  std::uint32_t records_per_block)
 {
     return replaceTraceFile(
-        out, true, records_per_block,
+        out, records_per_block,
         [&](const RecordSink &fn, std::string &error) {
             return scanAsciiTrace(in, fn, error);
         });
@@ -654,21 +592,7 @@ renderTraceInfo(const std::string &path)
         s += line;
     };
 
-    if (!isTrace2File(path)) {
-        const std::uint64_t n = traceFileCount(path);
-        const std::uint64_t bytes =
-            tracefmt::headerBytes + n * tracefmt::recordBytes;
-        kv("format", "%s", "pcbptrc1");
-        kv("records", "%" PRIu64, n);
-        kv("file_bytes", "%" PRIu64, bytes);
-        kv("bytes_per_record", "%.3f",
-           n ? double(bytes) / double(n) : 0.0);
-        return s;
-    }
-
     const Trace2Info i = Trace2Reader::open(path)->info();
-    const std::uint64_t v1_bytes =
-        tracefmt::headerBytes + i.recordCount * tracefmt::recordBytes;
     kv("format", "%s", "pcbptrc2");
     kv("version", "%u", i.version);
     kv("records", "%" PRIu64, i.recordCount);
@@ -680,9 +604,6 @@ renderTraceInfo(const std::string &path)
     kv("bytes_per_record", "%.3f",
        i.recordCount ? double(i.fileBytes) / double(i.recordCount)
                      : 0.0);
-    kv("v1_bytes", "%" PRIu64, v1_bytes);
-    kv("ratio_vs_v1", "%.2f",
-       i.fileBytes ? double(v1_bytes) / double(i.fileBytes) : 0.0);
     return s;
 }
 

@@ -1,23 +1,21 @@
 /**
  * @file
  * PCBPTRC2: block-compressed, indexed, mmap-able committed-branch
- * traces.
+ * traces — the one trace format this repo reads and writes.
  *
- * PCBPTRC1 (workload/trace.hh) spends a flat 17 bytes per branch, so
- * a billion-branch real trace costs ~17 GB. PCBPTRC2 keeps the same
- * record model — (block, pc, taken, uops) per committed branch — but
- * stores it as fixed-size, *independently decodable* blocks of
- * delta/varint-coded records plus an outcome bitstream, a static
- * branch dictionary shared by all blocks, and a footer index mapping
- * branch ordinal -> block file offset. The result is typically
- * 4-14x smaller than PCBPTRC1, and one mapping serves every stream
- * fork of a warmup ladder (DESIGN.md §11).
+ * Each record is (block, pc, taken, uops) per committed branch. A
+ * flat encoding would spend 17 bytes per branch, so a billion-branch
+ * real trace would cost ~17 GB. PCBPTRC2 stores the records as
+ * fixed-size, *independently decodable* blocks of delta/varint-coded
+ * records plus an outcome bitstream, a static branch dictionary
+ * shared by all blocks, and a footer index mapping branch ordinal ->
+ * block file offset. A 200000-branch walk of a registry workload
+ * takes 1.1-1.3 bytes per record, and one mapping serves every
+ * stream fork of a warmup ladder (DESIGN.md §11).
  *
- * PCBPTRC2 is the only format the simulators replay: `trace:<path>`
- * workloads and replay streams open it through Trace2Reader, which
- * names the converting command when handed a PCBPTRC1 file. PCBPTRC1
- * stays the interchange format: conversion is lossless in both
- * directions (convertTraceFile), and a file converts in place.
+ * `pcbp_trace record` and `import-ascii` write it; `trace:<path>`
+ * workloads, replay streams, scans and `pcbp_trace info` read it
+ * through Trace2Reader, which rejects any other file.
  * Full wire spec: DESIGN.md §13.
  */
 
@@ -25,7 +23,7 @@
 #define PCBP_WORKLOAD_TRACE2_HH
 
 #include <cstdint>
-#include <functional>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -93,9 +91,8 @@ class Trace2Reader
     Trace2Reader(const Trace2Reader &) = delete;
     Trace2Reader &operator=(const Trace2Reader &) = delete;
 
-    /** nullptr on any malformed file, with a description in
-     *  @p error; a PCBPTRC1 file's description names the
-     *  `pcbp_trace convert` command that makes it replayable. */
+    /** nullptr on an unreadable or malformed file, with a
+     *  description in @p error. */
     static std::shared_ptr<const Trace2Reader>
     tryOpen(const std::string &path, std::string &error);
 
@@ -157,8 +154,7 @@ class Trace2Reader
  * are encoded and flushed every recordsPerBlock records, the footer
  * (dictionary + index) is written by finish(), which then patches
  * the header's record count and index offset. The destructor
- * finishes automatically; construction and I/O errors are fatal —
- * the mirror of TraceWriter's contract.
+ * finishes automatically; construction and I/O errors are fatal.
  */
 class Trace2Writer
 {
@@ -195,52 +191,32 @@ class Trace2Writer
     std::map<BlockId, std::pair<Addr, std::uint32_t>> dict;
 };
 
-/** True when the file starts with the PCBPTRC2 magic (false on
- *  unreadable or short files — never an error). */
-bool isTrace2File(const std::string &path);
-
-/**
- * One indexed pass over every record, in order — the PCBPTRC2 mirror
- * of tryScanTraceFile: false (with @p error) on malformed files,
- * without invoking @p fn past the corruption.
- */
-bool tryScanTrace2File(
-    const std::string &path,
-    const std::function<void(const CommittedBranch &)> &fn,
-    std::string &error);
-
-/**
- * Losslessly convert between trace formats, sniffing the input's
- * magic: @p to_v2 selects the output format (records_per_block is
- * ignored when writing PCBPTRC1). Returns the record count written.
- * The output goes to a temporary file beside @p out that replaces
- * @p out only once the input is read in full, so @p out may be
- * @p in (in-place conversion) and malformed input leaves @p out
- * untouched. Fatal on malformed input; O(block) memory.
- */
-std::uint64_t convertTraceFile(
-    const std::string &in, const std::string &out, bool to_v2,
-    std::uint32_t records_per_block = trace2fmt::defaultBlockRecords);
-
 /**
  * Import a CBP-style ASCII branch trace into PCBPTRC2: one branch per
  * line, `PC OUTCOME [UOPS]` — PC in hex (0x...), octal (0...) or
  * decimal, OUTCOME one of 1/0/T/N, optional uop count (default 1).
  * Lines starting with '#' and blank lines are skipped; lines may be
  * any length. Block ids are assigned per distinct PC in first-seen
- * order. Returns the record count written. Fatal, naming the line, on
- * a malformed line — including a negative number or a PC past 64
- * bits — and then, as with convertTraceFile, @p out is untouched.
+ * order. Returns the record count written. The output goes to a
+ * temporary file beside @p out that replaces @p out only once the
+ * input is read in full. Fatal, naming the line, on a malformed line —
+ * including a negative number or a PC past 64 bits — and then @p out
+ * is untouched and no temporary file is left behind.
+ *
+ * Replay needs one successor per branch direction
+ * (reconstructProgramFromTrace). A corpus where one PC is followed by
+ * different PCs after the same outcome imports, but fails replay.
  */
 std::uint64_t importAsciiTrace(
     const std::string &in, const std::string &out,
     std::uint32_t records_per_block = trace2fmt::defaultBlockRecords);
 
 /**
- * Deterministic `key value` lines describing a trace file of either
- * format (the `pcbp_trace info` body; schema pinned by
- * tests/golden/trace_info_schema.txt). The path itself is not
- * embedded, so output depends only on the file's bytes.
+ * Deterministic `key value` lines describing a PCBPTRC2 file (the
+ * `pcbp_trace info` body; key list pinned by
+ * tests/golden/trace_info_keys.txt). Fatal on any other file. The
+ * path itself is not embedded, so output depends only on the file's
+ * bytes.
  */
 std::string renderTraceInfo(const std::string &path);
 

@@ -294,9 +294,9 @@ TEST(Differential, RepeatedRunsAreBitIdentical)
  * PCBPTRC2 replay must be invisible to every predictor in the
  * registry: a recorded walk replayed through CompressedTraceStream
  * (lazy block decode from the mapped file, decoded-block cache) and
- * through the reference PrecomputedStream over the same records
- * loaded into memory — each on a program reconstructed from the same
- * file — yields bit-identical commit-order event streams and stats.
+ * through the reference PrecomputedStream over the recorded walk
+ * itself — each on a program reconstructed from the same file —
+ * yields bit-identical commit-order event streams and stats.
  * Full StatRegistry JSON is deliberately NOT compared — the
  * stream.backend.* sim tag and the host-only trace.store.* counters
  * legitimately differ between backends; the contract is on
@@ -305,40 +305,42 @@ TEST(Differential, RepeatedRunsAreBitIdentical)
 struct RecordedTrace
 {
     std::string path;
+    std::vector<CommittedBranch> walk;
 
     RecordedTrace(std::uint64_t seed, std::uint64_t branches)
         : path(testing::TempDir() + "diff_trc2_" + std::to_string(seed) +
                ".pcbptrc2")
     {
         Program p = generateProgram(randomRecipe(seed));
+        walk = walkProgram(p, branches);
         Trace2Writer w(path, 512);
-        for (const CommittedBranch &r : walkProgram(p, branches))
+        for (const CommittedBranch &r : walk)
             w.append(r);
         w.finish();
     }
 
     ~RecordedTrace() { std::remove(path.c_str()); }
+
+    /** The compressed backend, or the in-memory reference. */
+    std::unique_ptr<CommittedStream>
+    stream(bool compressed) const
+    {
+        if (compressed)
+            return openTraceStream(path);
+        return std::make_unique<PrecomputedStream>(walk);
+    }
 };
 
-/** The compressed backend, or the in-memory reference. */
-std::unique_ptr<CommittedStream>
-traceStream(const std::string &trace_path, bool compressed)
-{
-    if (compressed)
-        return openTraceStream(trace_path);
-    return std::make_unique<PrecomputedStream>(loadTrace(trace_path));
-}
-
 std::pair<std::vector<CommitEvent>, EngineStats>
-engineTraceEvents(const std::string &trace_path, bool compressed,
+engineTraceEvents(const RecordedTrace &t, bool compressed,
                   const HybridSpec &spec, const EngineConfig &cfg)
 {
-    Program p = reconstructProgramFromTrace(trace_path, "diff-trc2");
+    Program p = reconstructProgramFromTrace(t.path, "diff-trc2");
     auto h = spec.build();
     RecordingSink sink;
     EngineConfig c = cfg;
     c.commitSink = &sink;
-    const auto stream = traceStream(trace_path, compressed);
+    const auto stream = t.stream(compressed);
     const EngineStats st = Engine(p, *h, c).run(*stream);
     return {std::move(sink.events), st};
 }
@@ -365,8 +367,8 @@ TEST(Trace2Differential, EveryProphetMatchesInMemoryReplay)
     for (const ProphetKind kind : allProphetKinds()) {
         SCOPED_TRACE("prophet " + prophetKindName(kind));
         const HybridSpec spec = prophetAlone(kind, Budget::B2KB);
-        auto [e1, s1] = engineTraceEvents(t.path, false, spec, cfg);
-        auto [e2, s2] = engineTraceEvents(t.path, true, spec, cfg);
+        auto [e1, s1] = engineTraceEvents(t, false, spec, cfg);
+        auto [e2, s2] = engineTraceEvents(t, true, spec, cfg);
         expectSameEvents(e1, e2);
         expectSameEngineStats(s1, s2);
     }
@@ -381,8 +383,8 @@ TEST(Trace2Differential, EveryCriticMatchesInMemoryReplay)
         const HybridSpec spec =
             hybridSpec(ProphetKind::Perceptron, Budget::B2KB, critic,
                        Budget::B2KB, 8);
-        auto [e1, s1] = engineTraceEvents(t.path, false, spec, cfg);
-        auto [e2, s2] = engineTraceEvents(t.path, true, spec, cfg);
+        auto [e1, s1] = engineTraceEvents(t, false, spec, cfg);
+        auto [e2, s2] = engineTraceEvents(t, true, spec, cfg);
         expectSameEvents(e1, e2);
         expectSameEngineStats(s1, s2);
     }
@@ -401,7 +403,7 @@ TEST(Trace2Differential, TimingMatchesInMemoryReplay)
     const auto timingRun = [&](bool compressed) {
         Program p = reconstructProgramFromTrace(t.path, "diff-trc2-t");
         auto h = spec.build();
-        const auto stream = traceStream(t.path, compressed);
+        const auto stream = t.stream(compressed);
         return TimingSim(p, *h, cfg).run(*stream);
     };
     const TimingStats a = timingRun(false);

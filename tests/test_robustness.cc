@@ -16,6 +16,7 @@
 #include "predictors/gshare.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -56,48 +57,98 @@ TEST(RobustnessDeath, HybridRequiresProphet)
 
 // ------------------------------------------------------ corrupted traces
 
+// The fatal scan wrapper exits 1 naming the problem; the try layer
+// under it is fuzzed in test_trace_fuzz.cc.
+
+/** Record @p branches of fp.swim to a PCBPTRC2 file at @p path, in
+ *  blocks of @p rpb records; returns the file's bytes. */
+std::string
+recordTrace(const std::string &path, std::uint64_t branches,
+            std::uint32_t rpb = trace2fmt::defaultBlockRecords)
+{
+    Program p = buildProgram(workloadByName("fp.swim"));
+    {
+        Trace2Writer w(path, rpb);
+        for (const CommittedBranch &r : walkProgram(p, branches))
+            w.append(r);
+    }
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void
+scanAll(const std::string &path)
+{
+    scanTraceFile(path, [](const CommittedBranch &) {});
+}
+
 TEST(TraceRobustness, MissingFileIsFatal)
 {
-    EXPECT_DEATH(loadTrace("/nonexistent/dir/foo.trace"),
-                 "cannot open");
+    EXPECT_EXIT(scanAll("/nonexistent/dir/foo.trace"),
+                testing::ExitedWithCode(1), "cannot open");
 }
 
 TEST(TraceRobustness, BadMagicIsFatal)
 {
-    const std::string path = "/tmp/pcbp_badmagic.trace";
-    {
-        std::ofstream f(path, std::ios::binary);
-        f << "NOTATRACEFILE-------";
-    }
-    EXPECT_DEATH(loadTrace(path), "not a pcbp trace");
+    const std::string path = testing::TempDir() + "pcbp_badmagic.trace";
+    std::string bytes = recordTrace(path, 100);
+    bytes[0] = 'N';
+    writeBytes(path, bytes);
+    EXPECT_EXIT(scanAll(path), testing::ExitedWithCode(1), "bad magic");
     std::remove(path.c_str());
 }
 
 TEST(TraceRobustness, TruncatedFileIsFatal)
 {
-    const Workload &w = workloadByName("fp.swim");
-    Program p = buildProgram(w);
-    auto trace = walkProgram(p, 100);
-    const std::string path = "/tmp/pcbp_trunc.trace";
-    saveTrace(path, trace);
-    // Chop the file in half.
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::string data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(data.data(),
-                  static_cast<std::streamsize>(data.size() / 2));
-    }
-    EXPECT_DEATH(loadTrace(path), "truncated");
+    const std::string path = testing::TempDir() + "pcbp_trunc.trace";
+    const std::string bytes = recordTrace(path, 100);
+    // Chop the file in half: the footer the header points at is gone.
+    writeBytes(path, bytes.substr(0, bytes.size() / 2));
+    EXPECT_EXIT(scanAll(path), testing::ExitedWithCode(1),
+                "index offset outside the file");
+    std::remove(path.c_str());
+}
+
+TEST(TraceRobustness, BlockTornMidScanIsFatal)
+{
+    const std::string path = testing::TempDir() + "pcbp_torn.trace";
+    std::string bytes = recordTrace(path, 100, 16);
+    // Set the continuation bit of the last block's final payload
+    // byte: the header, footer and blocks 0-5 still validate, so the
+    // scan has delivered 96 records when block 6 fails to decode.
+    const std::uint64_t payload_end =
+        bytes.size() - Trace2Reader::open(path)->info().indexBytes;
+    bytes[std::size_t(payload_end - 1)] ^= char(0x80);
+    writeBytes(path, bytes);
+
+    std::uint64_t delivered = 0;
+    std::string error;
+    EXPECT_FALSE(tryScanTraceFile(
+        path, [&](const CommittedBranch &) { ++delivered; }, error));
+    EXPECT_EQ(delivered, 96u);
+    EXPECT_EXIT(scanAll(path), testing::ExitedWithCode(1),
+                "block 6 .*torn write");
     std::remove(path.c_str());
 }
 
 TEST(TraceRobustness, EmptyTraceRoundTrips)
 {
-    const std::string path = "/tmp/pcbp_empty.trace";
-    saveTrace(path, {});
-    EXPECT_TRUE(loadTrace(path).empty());
+    const std::string path = testing::TempDir() + "pcbp_empty.trace";
+    recordTrace(path, 0);
+    std::uint64_t delivered = 0;
+    scanTraceFile(path, [&](const CommittedBranch &) { ++delivered; });
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(summarizeTraceFile(path).branches, 0u);
+    // Readable, but nothing to replay.
+    EXPECT_EXIT(reconstructProgramFromTrace(path, "empty"),
+                testing::ExitedWithCode(1), "is empty");
     std::remove(path.c_str());
 }
 

@@ -96,14 +96,14 @@ TEST(CommittedStream, PrecomputedStreamReplaysVector)
     EXPECT_EQ(stream.at(1000), nullptr);
 }
 
-TEST(CommittedStream, TraceWriterStreamsWithoutVector)
+TEST(CommittedStream, Trace2WriterStreamsWithoutVector)
 {
     const Workload &w = workloadByName("fp.swim");
     Program p = buildProgram(w);
-    const std::string path = tmpPath("writer.pcbptrc");
+    const std::string path = tmpPath("writer.pcbptrc2");
     {
         ProgramWalkStream walk(p, 2000);
-        TraceWriter writer(path);
+        Trace2Writer writer(path);
         for (std::uint64_t i = 0; i < 2000; ++i) {
             writer.append(*walk.at(i));
             walk.release(i + 1);
@@ -112,13 +112,18 @@ TEST(CommittedStream, TraceWriterStreamsWithoutVector)
         EXPECT_EQ(writer.written(), 2000u);
         EXPECT_LE(walk.windowPeak(), 2u);
     }
-    const TraceSummary file = summarizeTraceFile(path);
     Program p2 = buildProgram(w);
-    const TraceSummary mem = summarizeTrace(walkProgram(p2, 2000));
-    EXPECT_EQ(file.branches, mem.branches);
-    EXPECT_EQ(file.uops, mem.uops);
-    EXPECT_EQ(file.takenBranches, mem.takenBranches);
-    EXPECT_EQ(file.staticBranches, mem.staticBranches);
+    const auto mem = walkProgram(p2, 2000);
+    std::size_t i = 0;
+    scanTraceFile(path, [&](const CommittedBranch &r) {
+        ASSERT_LT(i, mem.size());
+        EXPECT_EQ(r.block, mem[i].block) << i;
+        EXPECT_EQ(r.pc, mem[i].pc) << i;
+        EXPECT_EQ(r.taken, mem[i].taken) << i;
+        EXPECT_EQ(r.numUops, mem[i].numUops) << i;
+        ++i;
+    });
+    EXPECT_EQ(i, mem.size());
     std::remove(path.c_str());
 }
 
@@ -312,8 +317,12 @@ TEST(TraceReplay, ReconstructedProgramCoversTraceBlocks)
     const Workload &w = workloadByName("mm.mpeg");
     Program p = buildProgram(w);
     const auto trace = walkProgram(p, 20000);
-    const std::string path = tmpPath("reconstruct.pcbptrc");
-    saveTrace(path, trace);
+    const std::string path = tmpPath("reconstruct.pcbptrc2");
+    {
+        Trace2Writer writer(path);
+        for (const CommittedBranch &r : trace)
+            writer.append(r);
+    }
 
     Program r = reconstructProgramFromTrace(path, "reconstructed");
     // Committed-path consistency: every consecutive record pair is a

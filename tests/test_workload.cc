@@ -15,6 +15,7 @@
 #include "workload/generator.hh"
 #include "workload/suites.hh"
 #include "workload/trace.hh"
+#include "workload/trace2.hh"
 
 namespace pcbp
 {
@@ -176,58 +177,18 @@ TEST(Behavior, PhaseRevealTracksClock)
     PhaseRevealBehavior r(spec, 1.0, 1);
     PhaseClock c(spec);
     HistoryRegister h;
-    for (std::uint64_t t = 0; t < 2000; t += 3)
-        EXPECT_EQ(r.nextOutcome(ctxOf(h, t)), c.phaseAt(t));
-}
-
-TEST(Behavior, PhaseXorCombinesClockAndPattern)
-{
-    PhaseClockSpec spec;
-    spec.seed = 31;
-    spec.lo = 1000;
-    spec.hi = 1000; // phase 0 for t < 1000, phase 1 after
-    PhaseXorBehavior px(spec, {true, false}, 0.0, 1);
-    HistoryRegister h;
-    // Phase 0: outcome = pattern directly (T, N, T, N...).
-    EXPECT_TRUE(px.nextOutcome(ctxOf(h, 0)));
-    EXPECT_FALSE(px.nextOutcome(ctxOf(h, 1)));
-    // Phase 1: outcome = pattern inverted.
-    EXPECT_FALSE(px.nextOutcome(ctxOf(h, 1500)));
-    EXPECT_TRUE(px.nextOutcome(ctxOf(h, 1501)));
-}
-
-TEST(Behavior, PhaseXorResetRestartsPatternAndClock)
-{
-    PhaseClockSpec spec;
-    spec.seed = 32;
-    spec.lo = 50;
-    spec.hi = 120;
-    PhaseXorBehavior px(spec, {true, true, false}, 0.0, 2);
-    HistoryRegister h;
     std::vector<bool> first;
-    for (std::uint64_t t = 0; t < 300; ++t)
-        first.push_back(px.nextOutcome(ctxOf(h, t)));
-    px.reset();
-    for (std::uint64_t t = 0; t < 300; ++t)
-        EXPECT_EQ(px.nextOutcome(ctxOf(h, t)), first[t]) << t;
-}
-
-TEST(Behavior, PhasedLoopSwitchesTripCount)
-{
-    PhaseClockSpec spec;
-    spec.seed = 21;
-    spec.lo = 1000;
-    spec.hi = 1000;
-    PhasedLoopBehavior pl(spec, 2, 5);
-    HistoryRegister h;
-    // Phase 0 at t=0: period 2 -> T N.
-    EXPECT_TRUE(pl.nextOutcome(ctxOf(h, 0)));
-    EXPECT_FALSE(pl.nextOutcome(ctxOf(h, 1)));
-    // Phase 1 from t=1000: period 5 -> T T T T N.
-    int taken = 0;
-    for (int i = 0; i < 5; ++i)
-        taken += pl.nextOutcome(ctxOf(h, 1500 + i)) ? 1 : 0;
-    EXPECT_EQ(taken, 4);
+    for (std::uint64_t t = 0; t < 2000; t += 3) {
+        first.push_back(r.nextOutcome(ctxOf(h, t)));
+        EXPECT_EQ(first.back(), c.phaseAt(t));
+    }
+    // reset() restarts the clock: the same phases replay from t = 0.
+    r.reset();
+    c.reset();
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(r.nextOutcome(ctxOf(h, 3 * i)), first[i]) << i;
+        EXPECT_EQ(c.phaseAt(3 * i), first[i]) << i;
+    }
 }
 
 // -------------------------------------------------------------------- CFG
@@ -406,15 +367,28 @@ TEST(Suites, UopsPerBranchNearThirteen)
 
 // ------------------------------------------------------------------ trace
 
+/** Write @p records to a PCBPTRC2 file at @p path. */
+void
+writeTrace(const std::string &path,
+           const std::vector<CommittedBranch> &records)
+{
+    Trace2Writer w(path);
+    for (const CommittedBranch &r : records)
+        w.append(r);
+    w.finish();
+}
+
 TEST(Trace, SaveLoadRoundTrip)
 {
     const Workload &w = workloadByName("fp.swim");
     Program p = buildProgram(w);
     auto trace = walkProgram(p, 3000);
 
-    const std::string path = "/tmp/pcbp_trace_test.bin";
-    saveTrace(path, trace);
-    auto loaded = loadTrace(path);
+    const std::string path = testing::TempDir() + "pcbp_trace_test.trc";
+    writeTrace(path, trace);
+    std::vector<CommittedBranch> loaded;
+    scanTraceFile(path,
+                  [&](const CommittedBranch &r) { loaded.push_back(r); });
     std::remove(path.c_str());
 
     ASSERT_EQ(loaded.size(), trace.size());
@@ -428,12 +402,14 @@ TEST(Trace, SaveLoadRoundTrip)
 
 TEST(Trace, Summary)
 {
-    std::vector<CommittedBranch> t = {
-        {0, 0x1000, true, 5},
-        {1, 0x1010, false, 7},
-        {0, 0x1000, true, 5},
-    };
-    const TraceSummary s = summarizeTrace(t);
+    const std::string path = testing::TempDir() + "pcbp_summary.trc";
+    writeTrace(path, {
+                         {0, 0x1000, true, 5},
+                         {1, 0x1010, false, 7},
+                         {0, 0x1000, true, 5},
+                     });
+    const TraceSummary s = summarizeTraceFile(path);
+    std::remove(path.c_str());
     EXPECT_EQ(s.branches, 3u);
     EXPECT_EQ(s.uops, 17u);
     EXPECT_EQ(s.takenBranches, 2u);

@@ -1,39 +1,37 @@
 /**
  * @file
- * pcbp_trace — committed-branch trace file jobs. Runs over a trace
- * go through `pcbp_run --workload trace:FILE`, which reads the
- * PCBPTRC2 compressed indexed format only; PCBPTRC1 is interchange,
- * read by summarize/info/convert and written by `convert --to v1`.
- * A PCBPTRC1 file becomes replayable in place with
- * `pcbp_trace convert F F`.
+ * pcbp_trace — committed-branch trace file jobs, all over PCBPTRC2,
+ * the one trace format (workload/trace2.hh). Runs over a trace go
+ * through `pcbp_run --workload trace:FILE`.
  *
  *   pcbp_trace record --workload NAME --out FILE [--branches N]
  *                     [--block-records N]
  *       Walk a registered workload's CFG architecturally and stream
- *       the committed branches to FILE as PCBPTRC2 (constant memory;
- *       N defaults to the workload's warmup + measure budget).
+ *       the committed branches to FILE (constant memory; N defaults
+ *       to the workload's warmup + measure budget).
  *
  *   pcbp_trace summarize FILE
- *       One chunked pass over FILE (either format): branches, uops,
- *       taken rate, static branch count.
- *
- *   pcbp_trace convert IN OUT [--to v1|v2] [--block-records N]
- *       Lossless conversion between the formats (default: to
- *       PCBPTRC2). OUT may be IN: it is replaced only once IN has
- *       been read in full. Prints the record count and size ratio.
+ *       One pass over FILE: branches, uops, taken rate, static
+ *       branch count.
  *
  *   pcbp_trace info FILE
- *       Deterministic `key value` identity of a trace file of either
- *       format: record/block/static-branch counts, bytes per record,
- *       compression ratio vs PCBPTRC1 (schema pinned in CI).
+ *       Deterministic `key value` identity of FILE: record, block
+ *       and static-branch counts, file and index bytes, bytes per
+ *       record (key list pinned by tests/golden/trace_info_keys.txt).
  *
  *   pcbp_trace import-ascii IN OUT [--block-records N]
- *       Import a CBP-style ASCII branch trace into PCBPTRC2: one
- *       branch per line, `PC OUTCOME [UOPS]` — PC in hex (0x...) or
- *       decimal, OUTCOME one of 1/0/T/N, optional per-branch uop
- *       count (default 1). Lines starting with '#' and blank lines
- *       are skipped. Block ids are assigned per distinct PC in
- *       first-seen order (importAsciiTrace).
+ *       Import a CBP-style ASCII branch trace: one branch per line,
+ *       `PC OUTCOME [UOPS]` — PC in hex (0x...) or decimal, OUTCOME
+ *       one of 1/0/T/N, optional per-branch uop count (default 1).
+ *       Lines starting with '#' and blank lines are skipped. Block
+ *       ids are assigned per distinct PC in first-seen order
+ *       (importAsciiTrace). OUT is replaced only once IN has been
+ *       read in full. Replay needs one successor per branch
+ *       direction, so a corpus where a PC is followed by different
+ *       PCs after the same outcome imports but does not replay.
+ *
+ * --block-records N sets the records per compressed block: 1 to
+ * 1048576 (trace2fmt::maxBlockRecords), default 4096.
  */
 
 #include <cinttypes>
@@ -43,6 +41,7 @@
 #include <string>
 
 #include "common/cli_parse.hh"
+#include "common/logging.hh"
 #include "sim/driver.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
@@ -61,23 +60,21 @@ usage(const char *argv0)
         "  record    --workload NAME --out FILE [--branches N]\n"
         "            [--block-records N]\n"
         "  summarize FILE\n"
-        "  convert   IN OUT [--to v1|v2] [--block-records N]\n"
         "  info      FILE\n"
         "  import-ascii IN OUT [--block-records N]\n",
         argv0);
     std::exit(2);
 }
 
-/** "v1" -> false, "v2" -> true; anything else is a usage error. */
-bool
-parseFormatV2(const char *s)
+/** --block-records: a count in 1..trace2fmt::maxBlockRecords. */
+std::uint32_t
+parseBlockRecords(const std::string &flag, const std::string &value)
 {
-    const std::string f = s;
-    if (f == "v1")
-        return false;
-    if (f == "v2")
-        return true;
-    usage("pcbp_trace");
+    const std::uint64_t n =
+        parseCountArg(flag, value, trace2fmt::maxBlockRecords);
+    if (n == 0)
+        pcbp_fatal(flag, " must be at least 1");
+    return std::uint32_t(n);
 }
 
 int
@@ -95,7 +92,7 @@ cmdRecord(int argc, char **argv)
         else if (a == "--branches" && i + 1 < argc)
             branchesOpt = parseCountArg<std::uint64_t>(a, argv[++i]);
         else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
+            blockRecords = parseBlockRecords(a, argv[++i]);
         else
             usage("pcbp_trace");
     }
@@ -124,34 +121,6 @@ cmdRecord(int argc, char **argv)
 }
 
 int
-cmdConvert(const std::string &in, const std::string &out, int argc,
-           char **argv)
-{
-    bool toV2 = true;
-    std::uint32_t blockRecords = trace2fmt::defaultBlockRecords;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--to" && i + 1 < argc)
-            toV2 = parseFormatV2(argv[++i]);
-        else if (a == "--block-records" && i + 1 < argc)
-            blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
-        else
-            usage("pcbp_trace");
-    }
-    const std::uint64_t n = convertTraceFile(in, out, toV2, blockRecords);
-    const std::uint64_t v1Bytes =
-        tracefmt::headerBytes + n * tracefmt::recordBytes;
-    const std::uint64_t outBytes =
-        toV2 ? Trace2Reader::open(out)->mappedBytes() : v1Bytes;
-    std::printf("converted %" PRIu64 " records: %s -> %s (%s, "
-                "%" PRIu64 " bytes, %.2fx vs pcbptrc1)\n",
-                n, in.c_str(), out.c_str(),
-                toV2 ? "pcbptrc2" : "pcbptrc1", outBytes,
-                outBytes ? double(v1Bytes) / double(outBytes) : 0.0);
-    return 0;
-}
-
-int
 cmdInfo(const std::string &path)
 {
     std::fputs(renderTraceInfo(path).c_str(), stdout);
@@ -166,7 +135,7 @@ cmdImportAscii(const std::string &in, const std::string &out, int argc,
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--block-records" && i + 1 < argc)
-            blockRecords = parseCountArg<std::uint32_t>(a, argv[++i]);
+            blockRecords = parseBlockRecords(a, argv[++i]);
         else
             usage("pcbp_trace");
     }
@@ -203,8 +172,6 @@ main(int argc, char **argv)
         return cmdRecord(argc - 2, argv + 2);
     if (cmd == "summarize" && argc == 3)
         return cmdSummarize(argv[2]);
-    if (cmd == "convert" && argc >= 4)
-        return cmdConvert(argv[2], argv[3], argc - 4, argv + 4);
     if (cmd == "info" && argc == 3)
         return cmdInfo(argv[2]);
     if (cmd == "import-ascii" && argc >= 4)
