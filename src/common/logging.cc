@@ -12,7 +12,7 @@ namespace
 
 /**
  * The one stderr gate. pcbp_warn/pcbp_inform used to write std::cerr
- * directly, and ThreadPool workers warning concurrently (e.g. two
+ * directly, and parallelFor workers warning concurrently (e.g. two
  * sweep cells hitting torn-store recovery) interleaved fragments of
  * each other's lines; every diagnostic line now goes out under this
  * mutex, whole or not at all.

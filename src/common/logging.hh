@@ -46,7 +46,7 @@ LogLevel logLevel();
  * Emit one complete line through the process-wide mutex-guarded log
  * sink. Every diagnostic writer — warn/inform, panic/fatal preambles,
  * the progress heartbeat — funnels through here, so lines from
- * concurrent ThreadPool workers never interleave mid-message.
+ * concurrent parallelFor workers never interleave mid-message.
  * Bypasses the level filter: callers filter before formatting.
  */
 void logRawLine(const std::string &line);

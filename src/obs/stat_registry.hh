@@ -12,7 +12,7 @@
  *    dump merged from cells finishing in any order is byte-identical
  *    for any `--jobs` value (pinned by tests/test_obs.cc).
  *  - **host**: statistics about *this* execution — wall clock,
- *    thread-pool tasks/steals/idle, bench timings. Reproducible runs
+ *    sweep worker tasks/idle, bench timings. Reproducible runs
  *    produce different host sections; nothing downstream may depend
  *    on their values.
  *

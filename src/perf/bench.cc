@@ -338,7 +338,7 @@ buildRegistry()
 
     defs.push_back({"sweep.grid", "sweep",
                     "wall-clock of a 2-cell sweep grid through the "
-                    "work-stealing runner (jobs=1, in-memory store)",
+                    "sweep runner (jobs=1, in-memory store)",
                     "cell", sweepBody});
     defs.push_back({"sweep.replay_grid", "sweep",
                     "10-cell shared-warmup ladder grid with forking "

@@ -112,35 +112,9 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     std::uint64_t fork_cells_forked = 0;
     std::uint64_t fork_warmup_saved = 0;
 
-    // add (not set): a repro run funnels many sweeps into one
-    // registry. The caller owns store.exportStats (a store can back
-    // several sweeps; exporting it here would double-count).
-    const auto exportRunStats = [&](const ThreadPool *pool) {
-        if (!opt.stats)
-            return;
-        opt.stats->addHost("sweep.cells_total", summary.totalCells);
-        opt.stats->addHost("sweep.cells_skipped",
-                           summary.skippedCells);
-        opt.stats->addHost("sweep.cells_executed",
-                           summary.executedCells);
-        opt.stats->addHost("sweep.fork.groups", fork_groups);
-        opt.stats->addHost("sweep.fork.snapshots", fork_snapshots);
-        opt.stats->addHost("sweep.fork.cells_forked",
-                           fork_cells_forked);
-        opt.stats->addHost("sweep.fork.warmup_branches_saved",
-                           fork_warmup_saved);
-        if (pool)
-            pool->exportStats(*opt.stats);
-    };
-
-    if (pending.empty()) {
-        exportRunStats(nullptr);
-        return summary;
-    }
-
     // Workers drop finished cells into `results`; the flush cursor
     // advances over the completed prefix so the store only ever sees
-    // results in cell order, whatever order the pool finishes them.
+    // results in cell order, whatever order the workers finish them.
     std::vector<CellResult> results(pending.size());
     std::vector<bool> done(pending.size(), false);
     std::size_t cursor = 0;
@@ -149,14 +123,7 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     const bool collect = opt.stats != nullptr || opt.cellStats;
     const std::vector<SweepUnit> units = planUnits(pending, opt.fork);
 
-    ThreadPool pool(opt.jobs);
-    if (opt.tracer) {
-        for (unsigned w = 0; w < pool.numWorkers(); ++w)
-            opt.tracer->nameThread(w, "worker" + std::to_string(w));
-    }
-
-    pool.parallelFor(units.size(), [&](std::size_t u,
-                                       unsigned worker) {
+    const auto runUnit = [&](std::size_t u, unsigned worker) {
         const SweepUnit &unit = units[u];
         const SweepCell &first = *pending[unit.members[0]];
         const std::uint64_t spanStart =
@@ -252,9 +219,28 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                 opt.onCellDone(*pending[cursor], results[cursor]);
             ++cursor;
         }
-    });
+    };
+    const unsigned workers =
+        parallelFor(opt.jobs, units.size(), runUnit, opt.stats);
+    if (opt.tracer) {
+        for (unsigned w = 0; w < workers; ++w)
+            opt.tracer->nameThread(w, "worker" + std::to_string(w));
+    }
 
-    exportRunStats(&pool);
+    // add (not set): a repro run funnels many sweeps into one
+    // registry. The caller owns store.exportStats (a store can back
+    // several sweeps; exporting it here would double-count).
+    if (opt.stats) {
+        opt.stats->addHost("sweep.cells_total", summary.totalCells);
+        opt.stats->addHost("sweep.cells_skipped", summary.skippedCells);
+        opt.stats->addHost("sweep.cells_executed",
+                           summary.executedCells);
+        opt.stats->addHost("sweep.fork.groups", fork_groups);
+        opt.stats->addHost("sweep.fork.snapshots", fork_snapshots);
+        opt.stats->addHost("sweep.fork.cells_forked", fork_cells_forked);
+        opt.stats->addHost("sweep.fork.warmup_branches_saved",
+                           fork_warmup_saved);
+    }
     return summary;
 }
 

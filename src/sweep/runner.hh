@@ -1,8 +1,7 @@
 /**
  * @file
  * Sweep execution: shards individual (config, workload) cells across
- * a work-stealing thread pool and persists results through the
- * ResultStore.
+ * parallelFor workers and persists results through the ResultStore.
  *
  * Determinism contract: results are bit-identical regardless of
  * `jobs`. Every cell builds its own program (seeded by the workload
@@ -33,7 +32,11 @@ class StatRegistry;
 
 struct SweepRunOptions
 {
-    /** Worker count (incl. caller); 0 = one per hardware thread. */
+    /**
+     * Worker count (incl. caller); 0 = one per hardware thread. A
+     * sweep starts at most one worker per unit it runs (a cell, or a
+     * fork chain), so a small grid never starts idle threads.
+     */
     unsigned jobs = 0;
 
     /**

@@ -306,65 +306,6 @@ SweepSpec::parseFile(const std::string &path)
     return parse(os.str());
 }
 
-std::string
-SweepSpec::serialize() const
-{
-    auto join = [](const std::vector<std::string> &items) {
-        std::string s;
-        for (const auto &i : items) {
-            if (!s.empty())
-                s += ", ";
-            s += i;
-        }
-        return s;
-    };
-
-    std::vector<std::string> prophets, pbudgets, critics, cbudgets, fbs,
-        shs, rhs, tbs, oracles;
-    for (const auto k : axes.prophets)
-        prophets.push_back(prophetKindName(k));
-    for (const auto b : axes.prophetBudgets)
-        pbudgets.push_back(budgetName(b));
-    for (const auto &c : axes.critics)
-        critics.push_back(criticAxisName(c));
-    for (const auto b : axes.criticBudgets)
-        cbudgets.push_back(budgetName(b));
-    for (const auto f : axes.futureBits)
-        fbs.push_back(std::to_string(f));
-    for (const bool v : axes.speculativeHistory)
-        shs.push_back(v ? "on" : "off");
-    for (const bool v : axes.repairHistory)
-        rhs.push_back(v ? "on" : "off");
-    for (const auto t : axes.filterTagBits)
-        tbs.push_back(std::to_string(t));
-    for (const bool v : axes.oracleFutureBits)
-        oracles.push_back(v ? "on" : "off");
-
-    std::ostringstream os;
-    os << "name = " << name << "\n"
-       << "prophet = " << join(prophets) << "\n"
-       << "prophet_budget = " << join(pbudgets) << "\n"
-       << "critic = " << join(critics) << "\n"
-       << "critic_budget = " << join(cbudgets) << "\n"
-       << "future_bits = " << join(fbs) << "\n"
-       << "spec_history = " << join(shs) << "\n"
-       << "repair_history = " << join(rhs) << "\n"
-       << "filter_tag_bits = " << join(tbs) << "\n"
-       << "oracle = " << join(oracles) << "\n";
-    if (timing)
-        os << "mode = timing\n";
-    if (branches)
-        os << "branches = " << branches << "\n";
-    if (!warmups.empty()) {
-        std::vector<std::string> wbs;
-        for (const auto wb : warmups)
-            wbs.push_back(std::to_string(wb));
-        os << "warmup = " << join(wbs) << "\n";
-    }
-    os << "workloads = " << join(workloads) << "\n";
-    return os.str();
-}
-
 std::vector<const Workload *>
 SweepSpec::resolveWorkloads() const
 {

@@ -173,9 +173,6 @@ class SweepSpec
     /** Parse a spec file (fatal if unreadable). */
     static SweepSpec parseFile(const std::string &path);
 
-    /** Emit the text format; parse(serialize()) round-trips. */
-    std::string serialize() const;
-
     /**
      * Expand the grid in deterministic order (config-major, workload
      * fastest). Axes that cannot affect a row collapse so no

@@ -4,8 +4,8 @@
  * StatRegistry's merge/dump semantics, the `--jobs`-independence of
  * sim-section dumps, the Perfetto span tracer's event ordering and
  * B/E nesting, the per-cell stats block's store compatibility, the
- * mutex-guarded log sink under thread-pool concurrency, and the
- * progress heartbeat.
+ * mutex-guarded log sink under parallelFor concurrency, parallelFor's
+ * host counters, and the progress heartbeat.
  *
  * The ObsValidate tests double as the CI artifact validators: point
  * PCBP_OBS_VALIDATE_STATS / PCBP_OBS_VALIDATE_TRACE at files written
@@ -15,11 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -227,6 +230,19 @@ tinySpec()
     return spec;
 }
 
+/** A host scalar's value in a toJson() dump (0, and a failure, when
+ *  the key is absent). */
+std::uint64_t
+hostValue(const std::string &js, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = js.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(js.substr(at + needle.size()));
+}
+
 TEST(ObsSweep, SimDumpIsJobsIndependent)
 {
     auto runWith = [&](unsigned jobs) {
@@ -325,6 +341,22 @@ TEST(ObsSweep, ForkCountersLandInHostSection)
               std::string::npos);
     EXPECT_NE(off.find("\"sweep.fork.warmup_branches_saved\":0"),
               std::string::npos);
+}
+
+TEST(ObsSweep, StartsNoMoreWorkersThanUnits)
+{
+    // Two cells that cannot share a fork chain: two units, so two
+    // workers however many `jobs` asks for.
+    const SweepSpec spec = SweepSpec::parse("future_bits = 4, 8\n"
+                                            "branches = 2000\n"
+                                            "workloads = mm.mpeg\n");
+    ResultStore store;
+    StatRegistry reg;
+    SweepRunOptions opt;
+    opt.jobs = 64;
+    opt.stats = &reg;
+    EXPECT_EQ(runSweep(spec, store, opt).executedCells, 2u);
+    EXPECT_EQ(hostValue(reg.toJson(), "pool.workers"), 2u);
 }
 
 TEST(ObsSweep, CellStatsBlockRoundTripsAndStaysOptional)
@@ -470,13 +502,12 @@ TEST(SpanTrace, SweepTraceIsValidAndWorkerTagged)
     EXPECT_NE(js.find("\"cat\":\"cell\""), std::string::npos);
 }
 
-// -------------------------------------------------- logging + pool
+// ------------------------------------------- logging + parallelFor
 
-TEST(ObsLogging, SinkLinesStayAtomicUnderThreadPool)
+TEST(ObsLogging, SinkLinesStayAtomicUnderParallelFor)
 {
     ScopedLogCapture capture;
-    ThreadPool pool(4);
-    pool.parallelFor(200, [&](std::size_t i) {
+    parallelFor(4, 200, [&](std::size_t i, unsigned) {
         logRawLine("line-" + std::to_string(i % 7) + "-suffix");
     });
     const auto lines = capture.lines();
@@ -489,30 +520,52 @@ TEST(ObsLogging, SinkLinesStayAtomicUnderThreadPool)
     }
 }
 
-TEST(ObsThreadPool, ExportStatsAccountsEveryTask)
+TEST(ObsParallelFor, ExportStatsAccountsEveryTask)
 {
-    ThreadPool pool(3);
-    for (int round = 0; round < 4; ++round)
-        pool.parallelFor(50, [](std::size_t) {});
-
     StatRegistry reg;
-    pool.exportStats(reg);
+    for (int round = 0; round < 4; ++round)
+        EXPECT_EQ(parallelFor(3, 50, [](std::size_t, unsigned) {}, &reg),
+                  3u);
+
     const std::string js = reg.toJson();
-    EXPECT_NE(js.find("\"pool.workers\":3"), std::string::npos);
-    EXPECT_NE(js.find("\"pool.batches\":4"), std::string::npos);
-    EXPECT_NE(js.find("\"pool.tasks\":200"), std::string::npos);
+    EXPECT_EQ(hostValue(js, "pool.workers"), 3u);
+    EXPECT_EQ(hostValue(js, "pool.batches"), 4u);
+    EXPECT_EQ(hostValue(js, "pool.tasks"), 200u);
+    EXPECT_EQ(hostValue(js, "pool.steals"), 0u);
+    EXPECT_EQ(hostValue(js, "pool.worker0.tasks") +
+                  hostValue(js, "pool.worker1.tasks") +
+                  hostValue(js, "pool.worker2.tasks"),
+              200u);
     // Host-only: the sim section must stay empty.
     EXPECT_NE(js.find("\"sim\":{}"), std::string::npos);
 }
 
-TEST(ObsThreadPool, WorkerAwareOverloadReportsValidWorker)
+TEST(ObsParallelFor, IdleCountsTheTailWait)
 {
-    ThreadPool pool(3);
+    // Index 0 returns 20 ms after index 1 has, so the worker that
+    // ran index 1 sits idle at least that long before the call ends.
+    std::atomic<bool> oneDone{false};
+    StatRegistry reg;
+    parallelFor(
+        2, 2,
+        [&](std::size_t i, unsigned) {
+            if (i == 1) {
+                oneDone = true;
+                return;
+            }
+            while (!oneDone)
+                std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        },
+        &reg);
+    EXPECT_GE(hostValue(reg.toJson(), "pool.idle_ns"), 20000000u);
+}
+
+TEST(ObsParallelFor, ReportsValidWorker)
+{
     std::vector<unsigned> worker(64, 999);
-    pool.parallelFor(
-        worker.size(),
-        std::function<void(std::size_t, unsigned)>(
-            [&](std::size_t i, unsigned w) { worker[i] = w; }));
+    parallelFor(3, worker.size(),
+                [&](std::size_t i, unsigned w) { worker[i] = w; });
     for (unsigned w : worker)
         EXPECT_LT(w, 3u);
 }

@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests for the sweep orchestration subsystem: the work-stealing
- * thread pool, SweepSpec parsing / round-tripping / expansion, the
- * resumable ResultStore, and the runner's determinism and resume
- * contracts.
+ * Tests for the sweep orchestration subsystem: the shared-cursor
+ * parallelFor, SweepSpec parsing / expansion, the resumable
+ * ResultStore, and the runner's determinism and resume contracts.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -23,87 +25,100 @@ namespace pcbp
 namespace
 {
 
-// ------------------------------------------------------- ThreadPool
+// ------------------------------------------------------ parallelFor
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(100);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    EXPECT_EQ(parallelFor(4, hits.size(),
+                          [&](std::size_t i, unsigned) {
+                              hits[i].fetch_add(1);
+                          }),
+              4u);
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, HandlesEmptyAndTinyBatches)
+TEST(ParallelFor, HandlesEmptyAndTinyBatches)
 {
-    ThreadPool pool(8);
-    pool.parallelFor(0, [&](std::size_t) { FAIL(); });
+    EXPECT_EQ(parallelFor(8, 0, [&](std::size_t, unsigned) { FAIL(); }),
+              0u);
 
+    // One index needs one worker, whatever `jobs` asks for.
     std::atomic<int> hits{0};
-    pool.parallelFor(1, [&](std::size_t) { hits.fetch_add(1); });
+    EXPECT_EQ(parallelFor(8, 1,
+                          [&](std::size_t, unsigned) {
+                              hits.fetch_add(1);
+                          }),
+              1u);
     EXPECT_EQ(hits.load(), 1);
 }
 
-TEST(ThreadPool, SingleWorkerRunsSeriallyOnCaller)
+TEST(ParallelFor, SingleWorkerRunsSeriallyOnCaller)
 {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.numWorkers(), 1u);
     const auto caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    pool.parallelFor(10, [&](std::size_t i) {
+    parallelFor(1, 10, [&](std::size_t i, unsigned worker) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(worker, 0u);
         order.push_back(i); // no race: single worker
     });
-    // One worker, front-first drain: strictly serial, in order —
-    // the runner's ordered flush depends on this for --jobs 1.
+    // One worker: strictly serial, in order — the runner's ordered
+    // flush depends on this for --jobs 1.
     EXPECT_EQ(order,
               (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(ThreadPool, ReusableAcrossBatches)
+TEST(ParallelFor, SlowIndexDoesNotHoldBackTheOthers)
 {
-    ThreadPool pool(3);
-    for (int round = 0; round < 5; ++round) {
-        std::atomic<int> sum{0};
-        pool.parallelFor(20, [&](std::size_t i) {
-            sum.fetch_add(int(i));
+    // Index 0 returns only once every other index has run, so the
+    // other workers must take all of them, including any a static
+    // split would have queued behind index 0. The deadline turns a
+    // regression into a failure instead of a hang.
+    for (const std::size_t n : {3, 50}) { // fewer, more than jobs
+        std::atomic<std::size_t> others{0};
+        bool sawAll = false;
+        parallelFor(4, n, [&](std::size_t i, unsigned) {
+            if (i != 0) {
+                others.fetch_add(1);
+                return;
+            }
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (others.load() < n - 1 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            sawAll = others.load() == n - 1;
         });
-        EXPECT_EQ(sum.load(), 190);
+        EXPECT_TRUE(sawAll) << n;
     }
 }
 
-TEST(ThreadPool, StealingBalancesUnevenWork)
+TEST(ParallelFor, RethrowsTheFirstExceptionAfterJoining)
 {
-    // One task is 100x the others; total wall time must be bounded
-    // by the big task, not the sum — i.e. other workers must have
-    // stolen the small ones. We can't time reliably in CI, so just
-    // assert completion with workers > tasks and tasks > workers.
-    ThreadPool pool(4);
-    std::atomic<int> done{0};
-    pool.parallelFor(2, [&](std::size_t) { done.fetch_add(1); });
-    EXPECT_EQ(done.load(), 2);
-    done = 0;
-    pool.parallelFor(50, [&](std::size_t i) {
-        volatile std::uint64_t x = 0;
-        const std::uint64_t spins = i == 0 ? 200000 : 2000;
-        for (std::uint64_t k = 0; k < spins; ++k)
-            x += k;
-        done.fetch_add(1);
-    });
-    EXPECT_EQ(done.load(), 50);
-}
+    // On the caller alone, a throw stops the loop at once.
+    std::vector<std::size_t> ran;
+    EXPECT_THROW(parallelFor(1, 10,
+                             [&](std::size_t i, unsigned) {
+                                 ran.push_back(i);
+                                 if (i == 3)
+                                     throw std::runtime_error("3");
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
 
-TEST(ThreadPool, BackToBackBatchesDoNotRace)
-{
-    // Regression: a straggler from batch k still scanning the deques
-    // must never pop a batch k+1 task before the new job pointer is
-    // published (this used to segfault / hang under repetition).
-    ThreadPool pool(8);
-    std::atomic<std::uint64_t> total{0};
-    for (int round = 0; round < 20000; ++round)
-        pool.parallelFor(2, [&](std::size_t) { total.fetch_add(1); });
-    EXPECT_EQ(total.load(), 40000u);
+    // On any worker: every index handed out before the throw still
+    // runs, and the exception reaches the caller.
+    std::atomic<int> calls{0};
+    EXPECT_THROW(parallelFor(4, 100,
+                             [&](std::size_t i, unsigned) {
+                                 calls.fetch_add(1);
+                                 if (i == 50)
+                                     throw std::runtime_error("50");
+                             }),
+                 std::runtime_error);
+    EXPECT_GE(calls.load(), 51);
+    EXPECT_LE(calls.load(), 100);
 }
 
 // -------------------------------------------------------- SweepSpec
@@ -137,7 +152,18 @@ TEST(SweepSpec, ParsesTextFormat)
     EXPECT_EQ(spec.resolveWorkloads().size(), 3u);
 }
 
-TEST(SweepSpec, SerializeRoundTrips)
+/** The grid @p text expands to is the grid @p code expands to. */
+void
+expectSameCells(const SweepSpec &text, const SweepSpec &code)
+{
+    const auto a = text.cells();
+    const auto b = code.cells();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i].key(), b[i].key());
+}
+
+TEST(SweepSpec, TextBuildsTheSameGridAsCode)
 {
     SweepSpec spec;
     spec.name = "rt";
@@ -150,14 +176,18 @@ TEST(SweepSpec, SerializeRoundTrips)
     spec.branches = 1234;
     spec.workloads = {"INT00", "unzip"};
 
-    const SweepSpec back = SweepSpec::parse(spec.serialize());
-    EXPECT_EQ(back.serialize(), spec.serialize());
-
-    const auto a = spec.cells();
-    const auto b = back.cells();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].key(), b[i].key());
+    const SweepSpec text = SweepSpec::parse(
+        "name = rt\n"
+        "prophet = 2Bc-gskew, gshare\n"
+        "prophet_budget = 2KB, 32KB\n"
+        "critic = none, f.perceptron\n"
+        "critic_budget = 16KB\n"
+        "future_bits = 0, 12\n"
+        "spec_history = off\n"
+        "branches = 1234\n"
+        "workloads = INT00, unzip\n");
+    EXPECT_EQ(text.name, spec.name);
+    expectSameCells(text, spec);
 }
 
 TEST(SweepSpec, RejectsBadInput)
@@ -269,7 +299,7 @@ TEST(SweepSpec, ParsesTimingAndAblationAxes)
                 testing::ExitedWithCode(1), "oracle axis");
 }
 
-TEST(SweepSpec, TimingAndAblationAxesRoundTrip)
+TEST(SweepSpec, TimingAndAblationTextBuildsTheSameGridAsCode)
 {
     SweepSpec spec;
     spec.name = "rt2";
@@ -277,9 +307,14 @@ TEST(SweepSpec, TimingAndAblationAxesRoundTrip)
     spec.axes.filterTagBits = {0, 8};
     spec.branches = 2000;
     spec.workloads = {"mm.mpeg"};
-    const SweepSpec back = SweepSpec::parse(spec.serialize());
-    EXPECT_EQ(back.serialize(), spec.serialize());
-    EXPECT_TRUE(back.timing);
+
+    const SweepSpec text = SweepSpec::parse("name = rt2\n"
+                                            "mode = timing\n"
+                                            "filter_tag_bits = 0, 8\n"
+                                            "branches = 2000\n"
+                                            "workloads = mm.mpeg\n");
+    EXPECT_TRUE(text.timing);
+    expectSameCells(text, spec);
 }
 
 TEST(SweepSpec, NonDefaultKnobsAppendKeySuffixes)
