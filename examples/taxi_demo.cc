@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "core/presets.hh"
+#include "sim/driver.hh"
 #include "sim/engine.hh"
 #include "sim/metrics.hh"
 #include "workload/cfg.hh"
@@ -88,8 +88,9 @@ main()
 
     // Warm the hybrid up on the program, then replay a few laps and
     // narrate what happens at branch A.
-    auto hybrid = makeHybrid(ProphetKind::Perceptron, Budget::B8KB,
-                             CriticKind::TaggedGshare, Budget::B8KB, 8);
+    auto hybrid = hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
+                             CriticKind::TaggedGshare, Budget::B8KB, 8)
+                      .build();
 
     EngineConfig cfg;
     cfg.warmupBranches = 40000;

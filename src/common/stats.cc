@@ -22,32 +22,6 @@ Histogram::sample(std::uint64_t value)
         std::min<std::size_t>(value / width, bins.size() - 1);
     ++bins[idx];
     ++total;
-    sum += static_cast<double>(value);
-}
-
-double
-Histogram::mean() const
-{
-    return total == 0 ? 0.0 : sum / static_cast<double>(total);
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (total == 0)
-        return 0.0;
-    p = std::clamp(p, 0.0, 100.0);
-    const double target = p / 100.0 * static_cast<double>(total);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        seen += bins[i];
-        if (static_cast<double>(seen) >= target) {
-            // Midpoint of the bucket as the estimate.
-            return (static_cast<double>(i) + 0.5) *
-                   static_cast<double>(width);
-        }
-    }
-    return static_cast<double>(bins.size()) * static_cast<double>(width);
 }
 
 void
@@ -55,7 +29,6 @@ Histogram::reset()
 {
     std::fill(bins.begin(), bins.end(), 0);
     total = 0;
-    sum = 0.0;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

@@ -35,12 +35,6 @@ class Histogram
     /** Number of samples recorded. */
     std::uint64_t count() const { return total; }
 
-    /** Mean of all samples. */
-    double mean() const;
-
-    /** Approximate p-th percentile (p in [0, 100]). */
-    double percentile(double p) const;
-
     /** Bucket counts (last entry is the overflow bucket). */
     const std::vector<std::uint64_t> &buckets() const { return bins; }
 
@@ -52,7 +46,6 @@ class Histogram
     std::uint64_t width;
     std::vector<std::uint64_t> bins;
     std::uint64_t total = 0;
-    double sum = 0.0;
 };
 
 /**

@@ -95,16 +95,4 @@ makeCritic(CriticKind kind, Budget b, unsigned filter_tag_bits)
     pcbp_panic("bad CriticKind");
 }
 
-std::unique_ptr<ProphetCriticHybrid>
-makeHybrid(ProphetKind prophet_kind, Budget prophet_budget,
-           CriticKind critic_kind, Budget critic_budget,
-           unsigned future_bits)
-{
-    HybridConfig cfg;
-    cfg.numFutureBits = future_bits;
-    return std::make_unique<ProphetCriticHybrid>(
-        makeProphet(prophet_kind, prophet_budget),
-        makeCritic(critic_kind, critic_budget), cfg);
-}
-
 } // namespace pcbp

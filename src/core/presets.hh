@@ -43,16 +43,6 @@ CriticKind parseCriticKind(const std::string &s);
 FilteredPredictorPtr makeCritic(CriticKind kind, Budget b,
                                 unsigned filter_tag_bits = 0);
 
-/**
- * Build a full prophet/critic hybrid:
- * prophet of @p prophet_kind at @p prophet_budget, critic of
- * @p critic_kind at @p critic_budget, using @p future_bits.
- */
-std::unique_ptr<ProphetCriticHybrid>
-makeHybrid(ProphetKind prophet_kind, Budget prophet_budget,
-           CriticKind critic_kind, Budget critic_budget,
-           unsigned future_bits);
-
 } // namespace pcbp
 
 #endif // PCBP_CORE_PRESETS_HH

@@ -102,7 +102,6 @@ class TagFilter
     /** Total entries (sets * ways). */
     std::size_t entries() const { return tags.size(); }
 
-    unsigned ways() const { return numWays; }
     unsigned tagBits() const { return numTagBits; }
     unsigned borBits() const { return numBorBits; }
 

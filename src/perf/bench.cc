@@ -91,8 +91,9 @@ criticBody(CriticKind kind, const BenchContext &ctx)
 std::uint64_t
 hybridEventBody(const BenchContext &ctx)
 {
-    auto hybrid = makeHybrid(ProphetKind::Perceptron, Budget::B8KB,
-                             CriticKind::TaggedGshare, Budget::B8KB, 8);
+    auto hybrid = hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
+                             CriticKind::TaggedGshare, Budget::B8KB, 8)
+                      .build();
     Stimulus s(44);
     FutureBits fb;
     const std::uint64_t iters = microIters(ctx);
@@ -342,8 +343,9 @@ buildRegistry()
                     "cell", sweepBody});
     defs.push_back({"sweep.replay_grid", "sweep",
                     "10-cell shared-warmup ladder grid with forking "
-                    "disabled: every cell replays its full warmup "
-                    "(jobs=1, in-memory store)",
+                    "disabled: every cell is a fork chain of its own "
+                    "and simulates its full warmup (jobs=1, in-memory "
+                    "store)",
                     "branch", [](const BenchContext &ctx) {
                         return forkLadderBody(ctx, false);
                     }});

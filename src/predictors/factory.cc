@@ -168,14 +168,4 @@ makeProphet(ProphetKind kind, Budget b)
     pcbp_panic("bad ProphetKind");
 }
 
-DirectionPredictorPtr
-makeProphet(const std::string &spec)
-{
-    const auto colon = spec.find(':');
-    if (colon == std::string::npos)
-        return makeProphet(parseProphetKind(spec), Budget::B8KB);
-    return makeProphet(parseProphetKind(spec.substr(0, colon)),
-                       parseBudget(spec.substr(colon + 1)));
-}
-
 } // namespace pcbp

@@ -64,9 +64,6 @@ DirectionPredictorPtr makeProphet(ProphetKind kind, Budget b);
 /** The budget-matched TAGE geometry makeProphet() builds for @p b. */
 TageConfig tageConfigFor(Budget b);
 
-/** Build from a spec string like "gshare:8KB". */
-DirectionPredictorPtr makeProphet(const std::string &spec);
-
 } // namespace pcbp
 
 #endif // PCBP_PREDICTORS_FACTORY_HH

@@ -167,11 +167,13 @@ runRepro(const ReproOptions &opts)
 
     const fs::path out(opts.outDir);
     const fs::path storeDir = out / "store";
-    std::error_code ec;
-    fs::create_directories(storeDir, ec);
-    if (ec)
-        pcbp_fatal("repro: cannot create ", storeDir.string(), ": ",
-                   ec.message());
+    if (!opts.renderOnly) {
+        std::error_code ec;
+        fs::create_directories(storeDir, ec);
+        if (ec)
+            pcbp_fatal("repro: cannot create ", storeDir.string(), ": ",
+                       ec.message());
+    }
 
     auto log = [&](const std::string &line) {
         if (opts.log)

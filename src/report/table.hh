@@ -45,7 +45,6 @@ class ReportTable
 
     const std::string &id() const { return tableId; }
     const std::string &title() const { return tableTitle; }
-    const std::vector<std::string> &notes() const { return noteLines; }
     const std::vector<std::string> &columns() const { return head; }
     const std::vector<std::vector<std::string>> &rows() const
     {

@@ -91,9 +91,6 @@ class CommittedStream
     /** Total records this stream will produce. */
     virtual std::uint64_t length() const = 0;
 
-    /** Records currently resident in the window. */
-    std::size_t windowSize() const { return count; }
-
     /** High-water mark of the window — the memory bound under test. */
     std::size_t windowPeak() const { return peak; }
 

@@ -122,14 +122,7 @@ EngineStats
 runAccuracy(const Workload &w, const HybridSpec &spec,
             const EngineConfig &config)
 {
-    Program program = buildProgram(w);
-    auto hybrid = spec.build();
-    Engine engine(program, *hybrid, config);
-    if (!w.tracePath.empty()) {
-        auto stream = openTraceStream(w.tracePath);
-        return engine.run(*stream);
-    }
-    return engine.run();
+    return runAccuracyChain(w, spec, {config})[0];
 }
 
 H2PReport
@@ -160,15 +153,30 @@ runH2P(const Workload &w, const HybridSpec &spec, const H2PConfig &h2p)
     return runH2P(w, spec, engineConfigFor(w), h2p);
 }
 
+bool
+forkable(const EngineConfig &config)
+{
+    return config.commitSink == nullptr && config.warmupBranches >= 1 &&
+           !config.oracleFutureBits;
+}
+
+bool
+forkable(const TimingConfig &config)
+{
+    return config.commitSink == nullptr && config.warmupBranches >= 1 &&
+           timingForkable(config);
+}
+
 namespace
 {
 
 /**
- * Shared chain body (DESIGN.md §11): run the canonical (largest
- * budget) point, pausing at each earlier point's snapshot target to
- * fork cloned {program, predictor, stream, simulator} state; each
- * fork then runs only its own remainder. Sim is Engine or TimingSim
- * (same split-phase surface).
+ * Shared chain body (DESIGN.md §11) and the only code that builds a
+ * run's program, hybrid, simulator and stream: run the canonical
+ * (largest budget) point, pausing at each earlier point's snapshot
+ * target to fork cloned {program, predictor, stream, simulator}
+ * state; each fork then runs only its own remainder. Sim is Engine or
+ * TimingSim (same split-phase surface).
  */
 template <typename Sim, typename Config, typename Stats>
 std::vector<Stats>
@@ -178,6 +186,11 @@ chainImpl(const Workload &w, const HybridSpec &spec,
           ChainObs *obs)
 {
     pcbp_assert(!configs.empty());
+    if (configs.size() > 1) {
+        for (const Config &c : configs)
+            pcbp_assert(forkable(c), "a config that cannot fork joined "
+                                     "a chain of several");
+    }
 
     // Snapshot points must be visited oldest-first; the canonical is
     // the lexicographic-max (warmup, measure) point, so it is still
@@ -213,12 +226,10 @@ chainImpl(const Workload &w, const HybridSpec &spec,
             auto fork_hybrid = hybrid->clone();
             auto fork_stream = make_fork(
                 fork_prog, cfg.warmupBranches + cfg.measureBranches);
-            Sim fork_sim(sim, fork_prog, *fork_hybrid, cfg);
-            results[order[k]] = fork_sim.resumeRun(*fork_stream);
-            if (obs) {
-                ++obs->snapshots;
+            Sim fork_sim(sim, fork_prog, *fork_hybrid, cfg, *fork_stream);
+            results[order[k]] = fork_sim.finishRun(*fork_stream);
+            if (obs)
                 obs->warmupBranchesSaved += sim.committedSoFar();
-            }
         }
         results[order.back()] = sim.finishRun(stream);
     };
@@ -246,15 +257,6 @@ runAccuracyChain(const Workload &w, const HybridSpec &spec,
                  const std::vector<EngineConfig> &configs,
                  ChainObs *obs)
 {
-    for (const EngineConfig &c : configs) {
-        pcbp_assert(c.commitSink == nullptr,
-                    "a fork cannot replay a commit tap's prefix; sink "
-                    "cells take the replay path");
-        pcbp_assert(!c.oracleFutureBits,
-                    "oracle cells take the replay path");
-        pcbp_assert(c.warmupBranches >= 1,
-                    "chaining a cell with no warmup saves nothing");
-    }
     // Commit-side stats of branch N are recorded before the cursor
     // advances but flush-side stats after, so the latest in-warmup
     // loop-top is exactly warmup - 1 committed branches.
@@ -268,15 +270,6 @@ std::vector<TimingStats>
 runTimingChain(const Workload &w, const HybridSpec &spec,
                const std::vector<TimingConfig> &configs, ChainObs *obs)
 {
-    for (const TimingConfig &c : configs) {
-        pcbp_assert(c.commitSink == nullptr,
-                    "a fork cannot replay a commit tap's prefix; sink "
-                    "cells take the replay path");
-        pcbp_assert(c.warmupBranches >= 1,
-                    "chaining a cell with no warmup saves nothing");
-        pcbp_assert(timingForkable(c),
-                    "short-measure timing cells take the replay path");
-    }
     // Cycle-boundary stops overshoot by up to retireWidth - 1
     // commits, so aim a full retire burst short of the warmup edge.
     return chainImpl<TimingSim, TimingConfig, TimingStats>(
@@ -314,14 +307,7 @@ TimingStats
 runTiming(const Workload &w, const HybridSpec &spec,
           const TimingConfig &config)
 {
-    Program program = buildProgram(w);
-    auto hybrid = spec.build();
-    TimingSim sim(program, *hybrid, config);
-    if (!w.tracePath.empty()) {
-        auto stream = openTraceStream(w.tracePath);
-        return sim.run(*stream);
-    }
-    return sim.run();
+    return runTimingChain(w, spec, {config})[0];
 }
 
 double

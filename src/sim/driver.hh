@@ -101,7 +101,11 @@ unsigned futureBitsLimit(bool timing);
 /** Run one workload under one spec. */
 EngineStats runAccuracy(const Workload &w, const HybridSpec &spec);
 
-/** Run one workload with explicit engine configuration. */
+/**
+ * Run one workload with explicit engine configuration: the fork chain
+ * of this one config (runAccuracyChain), so any config is legal here,
+ * a commit sink or oracle future bits included.
+ */
 EngineStats runAccuracy(const Workload &w, const HybridSpec &spec,
                         const EngineConfig &config);
 
@@ -121,40 +125,49 @@ H2PReport runH2P(const Workload &w, const HybridSpec &spec,
 H2PReport runH2P(const Workload &w, const HybridSpec &spec,
                  const H2PConfig &h2p = {});
 
+/**
+ * Whether a run with @p config may share a fork chain with other
+ * configs (DESIGN.md §11): it has no commit sink (a fork cannot
+ * replay the tap's prefix), a warmup of at least one branch (the
+ * fork's snapshot lies inside it), and no oracle future bits (the
+ * oracle's lookahead cannot be forked). The sweep runner groups cells
+ * with it.
+ */
+bool forkable(const EngineConfig &config);
+
+/**
+ * forkable() for the timing model: no commit sink, a warmup of at
+ * least one branch, and timingForkable() (timing.hh).
+ */
+bool forkable(const TimingConfig &config);
+
 /** Per-chain fork observability (the sweep.fork.* host stats). */
 struct ChainObs
 {
-    /** Mid-run clones taken (one per non-canonical chain point). */
-    std::uint64_t snapshots = 0;
-
     /** Warmup branches the forks did not have to re-simulate. */
     std::uint64_t warmupBranchesSaved = 0;
 };
 
 /**
- * Fork chain (DESIGN.md §11): run several (warmup, measure) budgets
- * of the *same* (workload, predictor recipe) as one simulation.
- * Warmup length gates only which events are counted — never the
- * simulated trajectory — so the runs are prefixes of one another:
- * the longest runs once (the canonical), and each shorter budget
- * forks cloned simulator state at a snapshot inside its own warmup,
- * then runs just its remainder. Stats are bit-identical to one
- * independent run per config; wall clock pays each shared warmup
- * prefix once. @p configs must agree on everything except run
- * lengths and stats plumbing, none may carry a commit sink (a fork
- * cannot replay the tap's prefix) or oracle future bits; results
- * come back in @p configs order.
+ * Fork chain (DESIGN.md §11), the one simulation driver: run several
+ * (warmup, measure) budgets of the *same* (workload, predictor
+ * recipe) as one simulation over the workload's stream (its PCBPTRC2
+ * file, or else the CFG walk). Warmup length gates only which events
+ * are counted — never the simulated trajectory — so the runs are
+ * prefixes of one another: the longest runs once (the canonical), and
+ * each shorter budget forks cloned simulator state at a snapshot
+ * inside its own warmup, then runs just its remainder. Stats are
+ * bit-identical to one independent run per config; wall clock pays
+ * each shared warmup prefix once. @p configs must agree on everything
+ * except run lengths and stats plumbing; with more than one, each
+ * must be forkable(). A chain of one forks nothing, so its config is
+ * unrestricted. Results come back in @p configs order.
  */
 std::vector<EngineStats> runAccuracyChain(
     const Workload &w, const HybridSpec &spec,
     const std::vector<EngineConfig> &configs, ChainObs *obs = nullptr);
 
-/**
- * runAccuracyChain for the timing model. Every config must satisfy
- * timingForkable() — the measured budget has to cover the window
- * lookahead, or a short run's end-of-run stall could diverge from
- * the canonical before its snapshot (timing.hh).
- */
+/** runAccuracyChain for the timing model. */
 std::vector<TimingStats> runTimingChain(
     const Workload &w, const HybridSpec &spec,
     const std::vector<TimingConfig> &configs, ChainObs *obs = nullptr);
@@ -165,7 +178,10 @@ TimingConfig timingConfigFor(const Workload &w);
 /** Run one workload through the cycle-level timing model. */
 TimingStats runTiming(const Workload &w, const HybridSpec &spec);
 
-/** Run the timing model with explicit configuration (sweep cells). */
+/**
+ * Run the timing model with explicit configuration: the fork chain
+ * of this one config (runTimingChain), so any config is legal here.
+ */
 TimingStats runTiming(const Workload &w, const HybridSpec &spec,
                       const TimingConfig &config);
 

@@ -36,7 +36,8 @@ Engine::Engine(Program &program_, ProphetCriticHybrid &hybrid_,
 }
 
 Engine::Engine(const Engine &other, Program &program_,
-               ProphetCriticHybrid &hybrid_, const EngineConfig &config)
+               ProphetCriticHybrid &hybrid_, const EngineConfig &config,
+               CommittedStream &committed)
     : program(program_), hybrid(hybrid_), cfg(config),
       core(other.core, program_, hybrid_, config.commitSink),
       coreObs(other.coreObs), commitIdx(other.commitIdx),
@@ -52,6 +53,17 @@ Engine::Engine(const Engine &other, Program &program_,
                     cfg.btbWays == other.cfg.btbWays &&
                     !cfg.oracleFutureBits,
                 "fork configuration changes simulated behavior");
+    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
+                             committed.length());
+    // Landing inside this fork's warmup is what keeps its measured
+    // stats identical to an uninterrupted run: commit-side stats of
+    // branch N are recorded before the commit cursor advances, but
+    // flush-side stats after, so the newest branch a fork may have
+    // missed is warmupBranches - 1.
+    pcbp_assert(commitIdx < cfg.warmupBranches,
+                "fork past the start of its measured window");
+    pcbp_assert(committed.produced() <= totalBranches,
+                "forked stream ahead of this fork's budget");
     core.attachObs(cfg.statsOut ? &coreObs : nullptr);
 }
 
@@ -205,23 +217,6 @@ Engine::stepUntil(std::uint64_t commit_target,
         resolveOldest(committed);
     }
     return commitIdx < totalBranches;
-}
-
-EngineStats
-Engine::resumeRun(CommittedStream &committed)
-{
-    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
-                             committed.length());
-    // Landing inside this fork's warmup is what keeps its measured
-    // stats identical to an uninterrupted run: commit-side stats of
-    // branch N are recorded before the commit cursor advances, but
-    // flush-side stats after, so the newest branch a fork may have
-    // missed is warmupBranches - 1.
-    pcbp_assert(commitIdx < cfg.warmupBranches,
-                "fork past the start of its measured window");
-    pcbp_assert(committed.produced() <= totalBranches,
-                "forked stream ahead of this fork's budget");
-    return finishRun(committed);
 }
 
 EngineStats

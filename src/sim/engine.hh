@@ -164,15 +164,19 @@ class Engine
      * Fork (DESIGN.md §11): duplicate @p other's mid-run state —
      * spec core (queue, BTB, fetch pointer), commit cursor, flush
      * distance, protocol counters — onto @p program and @p hybrid,
-     * which must be clone()s of @p other's at the same point.
+     * which must be clone()s of @p other's at the same point, and
+     * adopt @p committed, a fork of @p other's stream at that point.
      * @p config supplies this fork's own warmup/measure budget, stats
      * registry, and commit sink; it must agree with @p other's
      * configuration on everything that shapes simulated behavior
-     * (pipeline depth, BTB geometry; oracle mode cannot fork).
-     * Continue with resumeRun().
+     * (pipeline depth, BTB geometry; oracle mode cannot fork). The
+     * fork point must still be inside this fork's warmup, so every
+     * measured stat is identical to what an uninterrupted run would
+     * have produced. Continue with finishRun(@p committed).
      */
     Engine(const Engine &other, Program &program,
-           ProphetCriticHybrid &hybrid, const EngineConfig &config);
+           ProphetCriticHybrid &hybrid, const EngineConfig &config,
+           CommittedStream &committed);
 
     /**
      * Run the configured number of branches over the program's own
@@ -193,7 +197,8 @@ class Engine
      * run(committed) == beginRun(); stepUntil(...); finishRun();.
      * The split exists so a chain runner can pause a canonical run at
      * a loop boundary (every state transition complete, commit cursor
-     * exact), fork clones, and resume.
+     * exact), fork clones, and finish each: a fork is constructed in
+     * place of beginRun().
      */
     /// @{
 
@@ -211,15 +216,6 @@ class Engine
 
     /** Run to completion and export/return the stats. */
     EngineStats finishRun(CommittedStream &committed);
-
-    /**
-     * Entry point for a forked engine: adopt @p committed (a
-     * mid-stream fork positioned exactly where the forked-from run
-     * paused) and run this fork's own budget to completion. Must
-     * still be inside this fork's warmup, so every measured stat is
-     * identical to what an uninterrupted run would have produced.
-     */
-    EngineStats resumeRun(CommittedStream &committed);
 
     /** Committed branches so far (the fork/snapshot cursor). */
     std::uint64_t committedSoFar() const { return commitIdx; }

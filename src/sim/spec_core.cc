@@ -57,7 +57,8 @@ SpecCore<Payload>::SpecCore(const SpecCore &other, Program &program_,
       fetchBlock(other.fetchBlock), specTraceIdx(other.specTraceIdx)
 {
     // The oracle stream belongs to the forked-from run and cannot be
-    // duplicated from here; oracle-mode cells take the replay path.
+    // duplicated from here; an oracle-mode cell runs as a chain of
+    // its own.
     pcbp_assert(!cfg.oracleFutureBits && other.oracle == nullptr,
                 "cannot fork an oracle-future-bits core");
     cfg.commitSink = sink;

@@ -37,7 +37,7 @@ TimingSim::TimingSim(Program &program_, ProphetCriticHybrid &hybrid_,
 
 TimingSim::TimingSim(const TimingSim &other, Program &program_,
                      ProphetCriticHybrid &hybrid_,
-                     const TimingConfig &config)
+                     const TimingConfig &config, CommittedStream &committed)
     : program(program_), hybrid(hybrid_), cfg(config),
       core(other.core, program_, hybrid_, config.commitSink),
       coreObs(other.coreObs), windowUops(other.windowUops),
@@ -65,6 +65,18 @@ TimingSim::TimingSim(const TimingSim &other, Program &program_,
                     cfg.btbEntries == other.cfg.btbEntries &&
                     cfg.btbWays == other.cfg.btbWays,
                 "fork configuration changes simulated behavior");
+    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
+                             committed.length());
+    // Every measured counter gates on measuring(), and the measured
+    // clock starts the cycle commitIdx reaches warmupBranches —
+    // neither has fired while the snapshot is still inside warmup, so
+    // the fork reproduces an uninterrupted run's stats exactly.
+    pcbp_assert(commitIdx < cfg.warmupBranches,
+                "fork past the start of its measured window");
+    pcbp_assert(timingForkable(cfg),
+                "forked a run whose budget does not cover the window");
+    pcbp_assert(committed.produced() <= totalBranches,
+                "forked stream ahead of this fork's budget");
     core.attachObs(cfg.statsOut ? &coreObs : nullptr);
 }
 
@@ -288,24 +300,6 @@ TimingSim::stepUntil(std::uint64_t commit_target,
         ++now;
     }
     return commitIdx < totalBranches;
-}
-
-TimingStats
-TimingSim::resumeRun(CommittedStream &committed)
-{
-    totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
-                             committed.length());
-    // Every measured counter gates on measuring(), and the measured
-    // clock starts the cycle commitIdx reaches warmupBranches —
-    // neither has fired while the snapshot is still inside warmup, so
-    // the fork reproduces an uninterrupted run's stats exactly.
-    pcbp_assert(commitIdx < cfg.warmupBranches,
-                "fork past the start of its measured window");
-    pcbp_assert(timingForkable(cfg),
-                "forked a cell whose budget does not cover the window");
-    pcbp_assert(committed.produced() <= totalBranches,
-                "forked stream ahead of this fork's budget");
-    return finishRun(committed);
 }
 
 TimingStats

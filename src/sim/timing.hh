@@ -133,14 +133,18 @@ class TimingSim
      * Fork (DESIGN.md §11): duplicate @p other's mid-run state — FTQ
      * and BTB (via the spec core), instruction window, clock, stall
      * deadlines, cursors — onto @p program and @p hybrid, which must
-     * be clone()s of @p other's at the same point. @p config supplies
-     * this fork's own warmup/measure budget, stats registry, and
-     * commit sink; everything that shapes simulated behavior (widths,
-     * latencies, FTQ/window/BTB geometry) must match @p other's.
-     * Continue with resumeRun().
+     * be clone()s of @p other's at the same point, and adopt
+     * @p committed, a fork of @p other's stream at that point.
+     * @p config supplies this fork's own warmup/measure budget, stats
+     * registry, and commit sink; everything that shapes simulated
+     * behavior (widths, latencies, FTQ/window/BTB geometry) must
+     * match @p other's. The fork point must still be inside this
+     * fork's warmup, and its budget must satisfy timingForkable().
+     * Continue with finishRun(@p committed).
      */
     TimingSim(const TimingSim &other, Program &program,
-              ProphetCriticHybrid &hybrid, const TimingConfig &config);
+              ProphetCriticHybrid &hybrid, const TimingConfig &config,
+              CommittedStream &committed);
 
     /** Run over the program's own committed walk (streamed). */
     TimingStats run();
@@ -154,7 +158,8 @@ class TimingSim
      * Pauses land on cycle boundaries, so a stop is "at least N
      * commits" rather than exactly N: up to retireWidth branches can
      * commit per cycle, and the chain runner accounts for that margin
-     * when it picks snapshot targets.
+     * when it picks snapshot targets. A fork is constructed in place
+     * of beginRun().
      */
     /// @{
 
@@ -173,16 +178,6 @@ class TimingSim
 
     /** Run to completion and export/return the stats. */
     TimingStats finishRun(CommittedStream &committed);
-
-    /**
-     * Entry point for a forked simulator: adopt @p committed (a
-     * mid-stream fork positioned exactly where the forked-from run
-     * paused) and run this fork's own budget to completion. Must
-     * still be inside this fork's warmup; the chain runner
-     * additionally guarantees measureBranches covers the window
-     * lookahead (see timingForkable()).
-     */
-    TimingStats resumeRun(CommittedStream &committed);
 
     /** Committed branches so far (the fork/snapshot cursor). */
     std::uint64_t committedSoFar() const { return commitIdx; }
@@ -236,8 +231,8 @@ class TimingSim
  * longer canonical one while the instruction window is still inside
  * warmup lookahead; covering the window depth (>= 1 uop per block)
  * plus one retire burst makes the trajectories provably identical up
- * to any in-warmup snapshot. Short-measure cells take the replay
- * path instead.
+ * to any in-warmup snapshot. A short-measure cell runs as a chain
+ * of its own.
  */
 inline bool
 timingForkable(const TimingConfig &cfg)

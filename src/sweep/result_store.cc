@@ -436,10 +436,13 @@ ResultStore::ResultStore(std::string path) : filePath(std::move(path))
             (!line.empty() && !CellResult::tryFromJson(line, r));
         if (torn) {
             // A torn final line is what a kill mid-append leaves
-            // behind; drop it (and truncate, so the next append
-            // doesn't concatenate onto the torn bytes) and the cell
-            // simply reruns. Torn bytes followed by further valid
-            // lines mean real corruption — refuse to guess.
+            // behind; drop it from the view and the cell simply
+            // reruns. The file is cut back only at the first put(),
+            // so the next append does not concatenate onto the torn
+            // bytes, while a store opened just to read it (or a
+            // writer's line still being appended) is left alone.
+            // Torn bytes followed by further valid lines mean real
+            // corruption — refuse to guess.
             if (!last)
                 pcbp_fatal("result store ", filePath, ":", i + 1,
                            ": malformed line: ", line);
@@ -447,7 +450,7 @@ ResultStore::ResultStore(std::string path) : filePath(std::move(path))
                       ": dropping torn final line (interrupted "
                       "write); the cell will rerun");
             ++tornDrops;
-            truncateFile(valid_bytes);
+            tornTailAt = valid_bytes;
             return;
         }
         valid_bytes += line.size() + 1;
@@ -463,16 +466,6 @@ ResultStore::ResultStore(std::string path) : filePath(std::move(path))
         index.emplace(r.key, results.size());
         results.push_back(std::move(r));
     }
-}
-
-void
-ResultStore::truncateFile(std::uint64_t valid_bytes)
-{
-    std::error_code ec;
-    std::filesystem::resize_file(filePath, valid_bytes, ec);
-    if (ec)
-        pcbp_fatal("result store: cannot truncate ", filePath, ": ",
-                   ec.message());
 }
 
 bool
@@ -518,6 +511,14 @@ ResultStore::put(CellResult r)
     if (index.count(r.key))
         pcbp_fatal("result store: duplicate put for key ", r.key);
     if (!filePath.empty()) {
+        if (tornTailAt) {
+            std::error_code ec;
+            std::filesystem::resize_file(filePath, *tornTailAt, ec);
+            if (ec)
+                pcbp_fatal("result store: cannot truncate ", filePath,
+                           ": ", ec.message());
+            tornTailAt.reset();
+        }
         std::ofstream out(filePath, std::ios::app);
         if (!out)
             pcbp_fatal("result store: cannot append to ", filePath);

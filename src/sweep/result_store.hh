@@ -18,6 +18,7 @@
 #define PCBP_SWEEP_RESULT_STORE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,8 +117,10 @@ class ResultStore
     ResultStore() = default;
 
     /**
-     * Persistent store: replays @p path if it exists; put() appends
-     * to it (creating it on first write).
+     * Persistent store: replays @p path if it exists, dropping a torn
+     * final line from the view; put() appends to it (creating it on
+     * first write, and first cutting a torn tail off). Opening never
+     * writes, so a store only read leaves its file byte for byte.
      */
     explicit ResultStore(std::string path);
 
@@ -163,9 +166,14 @@ class ResultStore
                      const std::string &prefix = "store") const;
 
   private:
-    void truncateFile(std::uint64_t valid_bytes);
-
     std::string filePath;
+
+    /**
+     * Bytes of the file before the torn tail found at open, if any;
+     * the first put() truncates the file to it.
+     */
+    std::optional<std::uint64_t> tornTailAt;
+
     std::vector<CellResult> results;
     std::unordered_map<std::string, std::size_t> index;
 

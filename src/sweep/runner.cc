@@ -1,5 +1,6 @@
 #include "sweep/runner.hh"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -15,38 +16,18 @@ namespace
 {
 
 /**
- * A schedulable piece of a sweep: either one cell on the replay path
- * (one full simulation) or a fork chain — every pending cell of one
- * fork group, executed as a single canonical simulation plus a clone
- * per earlier snapshot point (DESIGN.md §11).
+ * A schedulable piece of a sweep: indices into `pending` of the cells
+ * one fork chain runs (DESIGN.md §11) — one canonical simulation plus
+ * a clone per earlier snapshot point. A lone cell is a chain of one.
  */
-struct SweepUnit
-{
-    std::vector<std::size_t> members; //!< indices into `pending`
-    bool chain = false;
-};
-
-/** Whether a whole fork group may take the chain path. */
-bool
-chainable(const std::vector<const SweepCell *> &group)
-{
-    if (group.size() < 2)
-        return false; // nothing shared; replay is the same work
-    for (const SweepCell *cell : group) {
-        if (cell->oracleFutureBits)
-            return false; // the oracle stream cannot be forked
-        if (cell->warmupBranches < 1)
-            return false;
-        if (cell->timing && !timingForkable(cell->timingConfig()))
-            return false;
-    }
-    return true;
-}
+using SweepUnit = std::vector<std::size_t>;
 
 /**
- * Partition the pending cells into units. Grouping is by
- * forkGroupKey(), so only cells that are provably prefixes of the
- * same simulation ever chain; everything else replays unchanged.
+ * Partition the pending cells into units. With @p fork, grouping is
+ * by forkGroupKey(), so only cells that are provably prefixes of the
+ * same simulation ever share a chain; a group with a cell that cannot
+ * fork splits into chains of one, and so does every cell without
+ * @p fork.
  */
 std::vector<SweepUnit>
 planUnits(const std::vector<const SweepCell *> &pending, bool fork)
@@ -54,12 +35,12 @@ planUnits(const std::vector<const SweepCell *> &pending, bool fork)
     std::vector<SweepUnit> units;
     if (!fork) {
         for (std::size_t i = 0; i < pending.size(); ++i)
-            units.push_back({{i}, false});
+            units.push_back({i});
         return units;
     }
 
     std::vector<std::string> group_order;
-    std::map<std::string, std::vector<std::size_t>> groups;
+    std::map<std::string, SweepUnit> groups;
     for (std::size_t i = 0; i < pending.size(); ++i) {
         const std::string key = pending[i]->forkGroupKey();
         auto [it, inserted] = groups.try_emplace(key);
@@ -68,16 +49,18 @@ planUnits(const std::vector<const SweepCell *> &pending, bool fork)
         it->second.push_back(i);
     }
 
+    const auto cellForkable = [&](std::size_t i) {
+        const SweepCell &cell = *pending[i];
+        return cell.timing ? forkable(cell.timingConfig())
+                           : forkable(cell.engineConfig());
+    };
     for (const std::string &key : group_order) {
-        const std::vector<std::size_t> &members = groups[key];
-        std::vector<const SweepCell *> cells;
-        for (const std::size_t i : members)
-            cells.push_back(pending[i]);
-        if (chainable(cells)) {
-            units.push_back({members, true});
+        SweepUnit &members = groups[key];
+        if (std::all_of(members.begin(), members.end(), cellForkable)) {
+            units.push_back(std::move(members));
         } else {
             for (const std::size_t i : members)
-                units.push_back({{i}, false});
+                units.push_back({i});
         }
     }
     return units;
@@ -108,7 +91,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     // Fork-execution host counters (zero when forking is off or no
     // group shares a warmup prefix).
     std::uint64_t fork_groups = 0;
-    std::uint64_t fork_snapshots = 0;
     std::uint64_t fork_cells_forked = 0;
     std::uint64_t fork_warmup_saved = 0;
 
@@ -125,76 +107,59 @@ runSweep(const SweepSpec &spec, ResultStore &store,
 
     const auto runUnit = [&](std::size_t u, unsigned worker) {
         const SweepUnit &unit = units[u];
-        const SweepCell &first = *pending[unit.members[0]];
+        const SweepCell &first = *pending[unit[0]];
+        const bool chain = unit.size() > 1;
         const std::uint64_t spanStart =
             opt.tracer ? opt.tracer->now() : 0;
 
         // Each cell collects into its own registry — no contention
         // on the simulation path — merged under the flush lock.
-        std::vector<StatRegistry> regs(unit.members.size());
-        std::vector<CellResult> unitResults(unit.members.size());
+        std::vector<StatRegistry> regs(unit.size());
+        std::vector<CellResult> unitResults(unit.size());
         ChainObs chainObs;
 
-        if (unit.chain) {
-            // One canonical simulation; every other member is a
-            // mid-warmup fork of it (DESIGN.md §11). Bit-identical
-            // to the replay path below, cell by cell.
-            if (first.timing) {
-                std::vector<TimingConfig> cfgs;
-                cfgs.reserve(unit.members.size());
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    TimingConfig tc =
-                        pending[unit.members[j]]->timingConfig();
-                    if (collect)
-                        tc.statsOut = &regs[j];
-                    cfgs.push_back(tc);
-                }
-                const std::vector<TimingStats> stats = runTimingChain(
-                    *first.workload, first.spec, cfgs, &chainObs);
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    unitResults[j] = CellResult::fromTimingRun(
-                        *pending[unit.members[j]], stats[j]);
-                }
-            } else {
-                std::vector<EngineConfig> cfgs;
-                cfgs.reserve(unit.members.size());
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    EngineConfig ec =
-                        pending[unit.members[j]]->engineConfig();
-                    if (collect)
-                        ec.statsOut = &regs[j];
-                    cfgs.push_back(ec);
-                }
-                const std::vector<EngineStats> stats =
-                    runAccuracyChain(*first.workload, first.spec, cfgs,
-                                     &chainObs);
-                for (std::size_t j = 0; j < unit.members.size(); ++j) {
-                    unitResults[j] = CellResult::fromRun(
-                        *pending[unit.members[j]], stats[j]);
-                }
+        // One canonical simulation; every other member is a
+        // mid-warmup fork of it (DESIGN.md §11), bit-identical to a
+        // chain of one per cell.
+        if (first.timing) {
+            std::vector<TimingConfig> cfgs;
+            cfgs.reserve(unit.size());
+            for (std::size_t j = 0; j < unit.size(); ++j) {
+                TimingConfig tc = pending[unit[j]]->timingConfig();
+                if (collect)
+                    tc.statsOut = &regs[j];
+                cfgs.push_back(tc);
             }
-        } else if (first.timing) {
-            TimingConfig tc = first.timingConfig();
-            if (collect)
-                tc.statsOut = &regs[0];
-            unitResults[0] = CellResult::fromTimingRun(
-                first, runTiming(*first.workload, first.spec, tc));
+            const std::vector<TimingStats> stats = runTimingChain(
+                *first.workload, first.spec, cfgs, &chainObs);
+            for (std::size_t j = 0; j < unit.size(); ++j) {
+                unitResults[j] = CellResult::fromTimingRun(
+                    *pending[unit[j]], stats[j]);
+            }
         } else {
-            EngineConfig ec = first.engineConfig();
-            if (collect)
-                ec.statsOut = &regs[0];
-            unitResults[0] = CellResult::fromRun(
-                first, runAccuracy(*first.workload, first.spec, ec));
+            std::vector<EngineConfig> cfgs;
+            cfgs.reserve(unit.size());
+            for (std::size_t j = 0; j < unit.size(); ++j) {
+                EngineConfig ec = pending[unit[j]]->engineConfig();
+                if (collect)
+                    ec.statsOut = &regs[j];
+                cfgs.push_back(ec);
+            }
+            const std::vector<EngineStats> stats = runAccuracyChain(
+                *first.workload, first.spec, cfgs, &chainObs);
+            for (std::size_t j = 0; j < unit.size(); ++j) {
+                unitResults[j] =
+                    CellResult::fromRun(*pending[unit[j]], stats[j]);
+            }
         }
 
         if (opt.cellStats) {
-            for (std::size_t j = 0; j < unit.members.size(); ++j)
+            for (std::size_t j = 0; j < unit.size(); ++j)
                 unitResults[j].stats = regs[j].simScalars();
         }
         if (opt.tracer) {
-            opt.tracer->record(unit.chain ? first.forkGroupKey()
-                                          : first.key(),
-                               unit.chain ? "chain" : "cell", worker,
+            opt.tracer->record(chain ? first.forkGroupKey() : first.key(),
+                               chain ? "chain" : "cell", worker,
                                spanStart, opt.tracer->now());
         }
 
@@ -203,15 +168,14 @@ runSweep(const SweepSpec &spec, ResultStore &store,
             for (const StatRegistry &reg : regs)
                 opt.stats->merge(reg);
         }
-        if (unit.chain) {
+        if (chain) {
             ++fork_groups;
-            fork_snapshots += chainObs.snapshots;
-            fork_cells_forked += unit.members.size() - 1;
+            fork_cells_forked += unit.size() - 1;
             fork_warmup_saved += chainObs.warmupBranchesSaved;
         }
-        for (std::size_t j = 0; j < unit.members.size(); ++j) {
-            results[unit.members[j]] = std::move(unitResults[j]);
-            done[unit.members[j]] = true;
+        for (std::size_t j = 0; j < unit.size(); ++j) {
+            results[unit[j]] = std::move(unitResults[j]);
+            done[unit[j]] = true;
         }
         while (cursor < pending.size() && done[cursor]) {
             store.put(results[cursor]);
@@ -236,7 +200,6 @@ runSweep(const SweepSpec &spec, ResultStore &store,
         opt.stats->addHost("sweep.cells_executed",
                            summary.executedCells);
         opt.stats->addHost("sweep.fork.groups", fork_groups);
-        opt.stats->addHost("sweep.fork.snapshots", fork_snapshots);
         opt.stats->addHost("sweep.fork.cells_forked", fork_cells_forked);
         opt.stats->addHost("sweep.fork.warmup_branches_saved",
                            fork_warmup_saved);

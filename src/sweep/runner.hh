@@ -80,7 +80,7 @@ struct SweepRunOptions
      * at each shorter cell's snapshot point, so every shared warmup
      * prefix is simulated once. Stores, exports, and stats stay
      * bit-identical with forking on or off (and across `jobs`);
-     * off forces the one-full-simulation-per-cell replay path.
+     * off only regroups: every cell runs as a fork chain of its own.
      */
     bool fork = true;
 };

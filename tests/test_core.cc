@@ -17,6 +17,7 @@
 #include "core/tag_filter.hh"
 #include "core/tagged_gshare.hh"
 #include "predictors/static_pred.hh"
+#include "sim/driver.hh"
 
 namespace pcbp
 {
@@ -382,8 +383,9 @@ TEST(Hybrid, CriticLearnsToOverrideAtCommit)
 
 TEST(Hybrid, NameAndSize)
 {
-    auto h = makeHybrid(ProphetKind::Perceptron, Budget::B8KB,
-                        CriticKind::TaggedGshare, Budget::B8KB, 8);
+    auto h = hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
+                        CriticKind::TaggedGshare, Budget::B8KB, 8)
+                 .build();
     EXPECT_NE(h->name().find("perceptron"), std::string::npos);
     EXPECT_NE(h->name().find("t.gshare"), std::string::npos);
     EXPECT_NE(h->name().find("8fb"), std::string::npos);

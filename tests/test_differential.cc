@@ -25,25 +25,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "sim/driver.hh"
+#include "support.hh"
 #include "workload/generator.hh"
 #include "workload/trace.hh"
-#include "workload/trace2.hh"
 
 namespace pcbp
 {
 namespace
 {
-
-/** Commit-order event recording tap. */
-struct RecordingSink : CommitSink
-{
-    std::vector<CommitEvent> events;
-
-    void onCommit(const CommitEvent &e) override { events.push_back(e); }
-};
 
 /** A small randomized CFG workload; deterministic per seed. */
 WorkloadRecipe
@@ -56,28 +46,6 @@ randomRecipe(std::uint64_t seed)
     r.numChains = 4;
     r.numPhaseChains = 2;
     return r;
-}
-
-void
-expectSameEvents(const std::vector<CommitEvent> &a,
-                 const std::vector<CommitEvent> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].index, b[i].index) << "at commit " << i;
-        ASSERT_EQ(a[i].block, b[i].block) << "at commit " << i;
-        ASSERT_EQ(a[i].pc, b[i].pc) << "at commit " << i;
-        ASSERT_EQ(a[i].numUops, b[i].numUops) << "at commit " << i;
-        ASSERT_EQ(a[i].btbHit, b[i].btbHit) << "at commit " << i;
-        ASSERT_EQ(a[i].prophetPred, b[i].prophetPred)
-            << "at commit " << i;
-        ASSERT_EQ(a[i].finalPred, b[i].finalPred) << "at commit " << i;
-        ASSERT_EQ(a[i].critiqueProvided, b[i].critiqueProvided)
-            << "at commit " << i;
-        ASSERT_EQ(a[i].criticOverrode, b[i].criticOverrode)
-            << "at commit " << i;
-        ASSERT_EQ(a[i].outcome, b[i].outcome) << "at commit " << i;
-    }
 }
 
 /** Engine run over the streamed walk, events recorded. */
@@ -302,35 +270,6 @@ TEST(Differential, RepeatedRunsAreBitIdentical)
  * legitimately differ between backends; the contract is on
  * everything the *predictors* can see.
  */
-struct RecordedTrace
-{
-    std::string path;
-    std::vector<CommittedBranch> walk;
-
-    RecordedTrace(std::uint64_t seed, std::uint64_t branches)
-        : path(testing::TempDir() + "diff_trc2_" + std::to_string(seed) +
-               ".pcbptrc2")
-    {
-        Program p = generateProgram(randomRecipe(seed));
-        walk = walkProgram(p, branches);
-        Trace2Writer w(path, 512);
-        for (const CommittedBranch &r : walk)
-            w.append(r);
-        w.finish();
-    }
-
-    ~RecordedTrace() { std::remove(path.c_str()); }
-
-    /** The compressed backend, or the in-memory reference. */
-    std::unique_ptr<CommittedStream>
-    stream(bool compressed) const
-    {
-        if (compressed)
-            return openTraceStream(path);
-        return std::make_unique<PrecomputedStream>(walk);
-    }
-};
-
 std::pair<std::vector<CommitEvent>, EngineStats>
 engineTraceEvents(const RecordedTrace &t, bool compressed,
                   const HybridSpec &spec, const EngineConfig &cfg)
@@ -345,24 +284,9 @@ engineTraceEvents(const RecordedTrace &t, bool compressed,
     return {std::move(sink.events), st};
 }
 
-void
-expectSameEngineStats(const EngineStats &a, const EngineStats &b)
-{
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.committedUops, b.committedUops);
-    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
-    EXPECT_EQ(a.prophetMispredicts, b.prophetMispredicts);
-    EXPECT_EQ(a.btbMisses, b.btbMisses);
-    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
-    EXPECT_EQ(a.squashedPredictions, b.squashedPredictions);
-    EXPECT_EQ(a.wrongPathBranches, b.wrongPathBranches);
-    EXPECT_EQ(a.wrongPathUops, b.wrongPathUops);
-    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
-}
-
 TEST(Trace2Differential, EveryProphetMatchesInMemoryReplay)
 {
-    const RecordedTrace t(171, 7000);
+    const RecordedTrace t(randomRecipe(171), 7000, 512);
     const EngineConfig cfg = smallEngine();
     for (const ProphetKind kind : allProphetKinds()) {
         SCOPED_TRACE("prophet " + prophetKindName(kind));
@@ -370,13 +294,13 @@ TEST(Trace2Differential, EveryProphetMatchesInMemoryReplay)
         auto [e1, s1] = engineTraceEvents(t, false, spec, cfg);
         auto [e2, s2] = engineTraceEvents(t, true, spec, cfg);
         expectSameEvents(e1, e2);
-        expectSameEngineStats(s1, s2);
+        expectSameStats(s1, s2);
     }
 }
 
 TEST(Trace2Differential, EveryCriticMatchesInMemoryReplay)
 {
-    const RecordedTrace t(173, 7000);
+    const RecordedTrace t(randomRecipe(173), 7000, 512);
     const EngineConfig cfg = smallEngine();
     for (const CriticKind critic : allCriticKinds()) {
         SCOPED_TRACE("critic " + criticKindName(critic));
@@ -386,13 +310,13 @@ TEST(Trace2Differential, EveryCriticMatchesInMemoryReplay)
         auto [e1, s1] = engineTraceEvents(t, false, spec, cfg);
         auto [e2, s2] = engineTraceEvents(t, true, spec, cfg);
         expectSameEvents(e1, e2);
-        expectSameEngineStats(s1, s2);
+        expectSameStats(s1, s2);
     }
 }
 
 TEST(Trace2Differential, TimingMatchesInMemoryReplay)
 {
-    const RecordedTrace t(179, 5000);
+    const RecordedTrace t(randomRecipe(179), 5000, 512);
     const HybridSpec spec =
         hybridSpec(ProphetKind::Tage, Budget::B2KB,
                    CriticKind::TaggedGshare, Budget::B2KB, 8);
@@ -406,18 +330,7 @@ TEST(Trace2Differential, TimingMatchesInMemoryReplay)
         const auto stream = t.stream(compressed);
         return TimingSim(p, *h, cfg).run(*stream);
     };
-    const TimingStats a = timingRun(false);
-    const TimingStats b = timingRun(true);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedUops, b.committedUops);
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
-    EXPECT_EQ(a.fetchedUops, b.fetchedUops);
-    EXPECT_EQ(a.wrongPathFetchedUops, b.wrongPathFetchedUops);
-    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
-    EXPECT_EQ(a.ftqEntriesFlushedByCritic, b.ftqEntriesFlushedByCritic);
-    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
-    EXPECT_EQ(a.ftqEmptyCycles, b.ftqEmptyCycles);
+    expectSameStats(timingRun(false), timingRun(true));
 }
 
 } // namespace

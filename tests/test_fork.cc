@@ -18,31 +18,23 @@
  *   configurations (weak prophet, frequent flushes around the fork
  *   point);
  * - the chain drivers (runAccuracyChain / runTimingChain) must equal
- *   per-cell driver runs, and the sweep runner's stores must be
- *   byte-identical with forking on or off, at any job count.
+ *   per-cell driver runs (each a chain of one), and the sweep
+ *   runner's stores must be byte-identical with forking on or off,
+ *   at any job count.
  */
 
 #include <gtest/gtest.h>
 
 #include "obs/stat_registry.hh"
 #include "sim/driver.hh"
+#include "support.hh"
 #include "sweep/runner.hh"
 #include "workload/generator.hh"
-#include "workload/trace.hh"
-#include "workload/trace2.hh"
 
 namespace pcbp
 {
 namespace
 {
-
-/** Commit-order event recording tap. */
-struct RecordingSink : CommitSink
-{
-    std::vector<CommitEvent> events;
-
-    void onCommit(const CommitEvent &e) override { events.push_back(e); }
-};
 
 /** A small randomized CFG workload; deterministic per seed. */
 WorkloadRecipe
@@ -55,67 +47,6 @@ forkRecipe(std::uint64_t seed)
     r.numChains = 4;
     r.numPhaseChains = 2;
     return r;
-}
-
-void
-expectSameEvents(const std::vector<CommitEvent> &a,
-                 const std::vector<CommitEvent> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].index, b[i].index) << "at commit " << i;
-        ASSERT_EQ(a[i].block, b[i].block) << "at commit " << i;
-        ASSERT_EQ(a[i].pc, b[i].pc) << "at commit " << i;
-        ASSERT_EQ(a[i].numUops, b[i].numUops) << "at commit " << i;
-        ASSERT_EQ(a[i].btbHit, b[i].btbHit) << "at commit " << i;
-        ASSERT_EQ(a[i].prophetPred, b[i].prophetPred)
-            << "at commit " << i;
-        ASSERT_EQ(a[i].finalPred, b[i].finalPred) << "at commit " << i;
-        ASSERT_EQ(a[i].critiqueProvided, b[i].critiqueProvided)
-            << "at commit " << i;
-        ASSERT_EQ(a[i].criticOverrode, b[i].criticOverrode)
-            << "at commit " << i;
-        ASSERT_EQ(a[i].outcome, b[i].outcome) << "at commit " << i;
-    }
-}
-
-void
-expectSameStats(const EngineStats &a, const EngineStats &b)
-{
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.committedUops, b.committedUops);
-    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
-    EXPECT_EQ(a.prophetMispredicts, b.prophetMispredicts);
-    EXPECT_EQ(a.btbMisses, b.btbMisses);
-    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
-    EXPECT_EQ(a.squashedPredictions, b.squashedPredictions);
-    EXPECT_EQ(a.wrongPathBranches, b.wrongPathBranches);
-    EXPECT_EQ(a.wrongPathUops, b.wrongPathUops);
-    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
-    for (const CritiqueClass cls :
-         {CritiqueClass::CorrectAgree, CritiqueClass::CorrectDisagree,
-          CritiqueClass::IncorrectAgree,
-          CritiqueClass::IncorrectDisagree, CritiqueClass::CorrectNone,
-          CritiqueClass::IncorrectNone})
-        EXPECT_EQ(a.critiques.get(cls), b.critiques.get(cls));
-    EXPECT_EQ(a.flushDistance.count(), b.flushDistance.count());
-    EXPECT_EQ(a.flushDistance.buckets(), b.flushDistance.buckets());
-}
-
-void
-expectSameStats(const TimingStats &a, const TimingStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedUops, b.committedUops);
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
-    EXPECT_EQ(a.fetchedUops, b.fetchedUops);
-    EXPECT_EQ(a.wrongPathFetchedUops, b.wrongPathFetchedUops);
-    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
-    EXPECT_EQ(a.ftqEntriesFlushedByCritic,
-              b.ftqEntriesFlushedByCritic);
-    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
-    EXPECT_EQ(a.ftqEmptyCycles, b.ftqEmptyCycles);
 }
 
 /** Uninterrupted engine run: full event stream + stats. */
@@ -161,8 +92,8 @@ engineForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
     EngineConfig fork_cfg = cfg;
     fork_cfg.commitSink = &fork_sink;
     ProgramWalkStream fork_stream(stream, fork_prog, total);
-    Engine fork(canon, fork_prog, *fork_hybrid, fork_cfg);
-    const EngineStats st = fork.resumeRun(fork_stream);
+    Engine fork(canon, fork_prog, *fork_hybrid, fork_cfg, fork_stream);
+    const EngineStats st = fork.finishRun(fork_stream);
 
     std::vector<CommitEvent> events = std::move(canon_sink.events);
     events.insert(events.end(), fork_sink.events.begin(),
@@ -214,8 +145,8 @@ timingForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
     TimingConfig fork_cfg = cfg;
     fork_cfg.commitSink = &fork_sink;
     ProgramWalkStream fork_stream(stream, fork_prog, total);
-    TimingSim fork(canon, fork_prog, *fork_hybrid, fork_cfg);
-    const TimingStats st = fork.resumeRun(fork_stream);
+    TimingSim fork(canon, fork_prog, *fork_hybrid, fork_cfg, fork_stream);
+    const TimingStats st = fork.finishRun(fork_stream);
 
     std::vector<CommitEvent> events = std::move(canon_sink.events);
     events.insert(events.end(), fork_sink.events.begin(),
@@ -438,7 +369,6 @@ TEST(Fork, AccuracyChainMatchesIndividualRuns)
     ChainObs obs;
     const std::vector<EngineStats> chained =
         runAccuracyChain(w, spec, configs, &obs);
-    EXPECT_EQ(obs.snapshots, configs.size() - 1);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
@@ -468,7 +398,7 @@ TEST(Fork, TimingChainMatchesIndividualRuns)
     ChainObs obs;
     const std::vector<TimingStats> chained =
         runTimingChain(w, spec, configs, &obs);
-    EXPECT_EQ(obs.snapshots, configs.size() - 1);
+    EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -514,24 +444,6 @@ TEST(Fork, SweepStoreBytesIdenticalForkVsReplay)
 
 // -------------------------------------- compressed-trace workloads
 
-/** Record a CFG walk as PCBPTRC2; the path lives for the whole
- *  process because workloadByName caches `trace:` entries. */
-struct RecordedTrace
-{
-    std::string path;
-
-    RecordedTrace(std::uint64_t seed, std::uint64_t branches)
-        : path(testing::TempDir() + "fork_trace_" + std::to_string(seed) +
-               ".pcbptrc2")
-    {
-        Program p = generateProgram(forkRecipe(seed));
-        Trace2Writer w(path, 256);
-        for (const CommittedBranch &r : walkProgram(p, branches))
-            w.append(r);
-        w.finish();
-    }
-};
-
 /**
  * The chain driver's fork seam on a PCBPTRC2 workload: a shared
  * warmup ladder over CompressedTraceStream forks (shared mmap
@@ -539,7 +451,7 @@ struct RecordedTrace
  */
 TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
 {
-    const RecordedTrace t(61, 6000);
+    const RecordedTrace t(forkRecipe(61), 6000, 256);
     const HybridSpec spec =
         hybridSpec(ProphetKind::Perceptron, Budget::B8KB,
                    CriticKind::TaggedGshare, Budget::B8KB, 8);
@@ -556,7 +468,6 @@ TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
     ChainObs obs;
     const std::vector<EngineStats> chained =
         runAccuracyChain(w, spec, configs, &obs);
-    EXPECT_EQ(obs.snapshots, configs.size() - 1);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
@@ -569,7 +480,7 @@ TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
 /** Same seam through the timing chain. */
 TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
 {
-    const RecordedTrace t(67, 7000);
+    const RecordedTrace t(forkRecipe(67), 7000, 256);
     const Workload &w = workloadByName("trace:" + t.path);
     const HybridSpec spec =
         hybridSpec(ProphetKind::GSkew, Budget::B8KB,
@@ -587,7 +498,7 @@ TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
     ChainObs obs;
     const std::vector<TimingStats> chained =
         runTimingChain(w, spec, configs, &obs);
-    EXPECT_EQ(obs.snapshots, configs.size() - 1);
+    EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -603,7 +514,7 @@ TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
  */
 TEST(Fork, SweepStoreBytesIdenticalForkVsReplayOnCompressedTrace)
 {
-    const RecordedTrace t(71, 5000);
+    const RecordedTrace t(forkRecipe(71), 5000, 256);
     SweepSpec spec;
     spec.name = "fork-parity-trc2";
     spec.axes.prophets = {ProphetKind::Gshare};

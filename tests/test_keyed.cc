@@ -32,6 +32,7 @@
 
 #include "obs/stat_registry.hh"
 #include "sim/driver.hh"
+#include "support.hh"
 #include "workload/generator.hh"
 
 namespace pcbp
@@ -144,13 +145,6 @@ buildUnkeyed(const HybridSpec &spec)
         cfg);
 }
 
-struct RecordingSink : CommitSink
-{
-    std::vector<CommitEvent> events;
-
-    void onCommit(const CommitEvent &e) override { events.push_back(e); }
-};
-
 /** One simulator's commit events and stats dump. */
 struct Observed
 {
@@ -209,8 +203,8 @@ runLog(const HybridSpec &spec, bool keyed, const Config &cfg,
         fork_cfg.commitSink = &sinks[k + 1];
         fork_cfg.statsOut = &regs[k + 1];
         ProgramWalkStream fork_stream(stream, fork_prog, total);
-        Sim fork(canon, fork_prog, *fork_hybrid, fork_cfg);
-        fork.resumeRun(fork_stream);
+        Sim fork(canon, fork_prog, *fork_hybrid, fork_cfg, fork_stream);
+        fork.finishRun(fork_stream);
     }
     canon.finishRun(stream);
 

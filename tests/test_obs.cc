@@ -324,8 +324,6 @@ TEST(ObsSweep, ForkCountersLandInHostSection)
     const std::string on = hostJson(true);
     EXPECT_NE(on.find("\"sweep.fork.groups\":1"), std::string::npos)
         << on;
-    EXPECT_NE(on.find("\"sweep.fork.snapshots\":2"),
-              std::string::npos);
     EXPECT_NE(on.find("\"sweep.fork.cells_forked\":2"),
               std::string::npos);
     EXPECT_NE(on.find("\"sweep.fork.warmup_branches_saved\":1198"),
@@ -335,8 +333,6 @@ TEST(ObsSweep, ForkCountersLandInHostSection)
     const std::string off = hostJson(false);
     EXPECT_NE(off.find("\"sweep.fork.groups\":0"), std::string::npos)
         << off;
-    EXPECT_NE(off.find("\"sweep.fork.snapshots\":0"),
-              std::string::npos);
     EXPECT_NE(off.find("\"sweep.fork.cells_forked\":0"),
               std::string::npos);
     EXPECT_NE(off.find("\"sweep.fork.warmup_branches_saved\":0"),

@@ -252,10 +252,10 @@ TEST(StaticPredictor, FixedDirections)
 
 TEST(Factory, ParsesSpecs)
 {
-    auto p = makeProphet("gshare:16KB");
+    auto p = makeProphet(parseProphetKind("gshare"), parseBudget("16KB"));
     EXPECT_EQ(p->name(), "gshare-16KB");
-    auto q = makeProphet("perceptron");
-    EXPECT_EQ(q->historyLength(), 28u); // default budget 8KB
+    auto q = makeProphet(parseProphetKind("perceptron"), Budget::B8KB);
+    EXPECT_EQ(q->historyLength(), 28u);
 }
 
 TEST(Factory, AllKindsConstructAtAllBudgets)
@@ -491,7 +491,7 @@ TEST(Tage, RegisteredInFactoryAndRegistry)
     for (ProphetKind k : allProphetKinds())
         found |= k == ProphetKind::Tage;
     EXPECT_TRUE(found);
-    auto p = makeProphet("tage:16KB");
+    auto p = makeProphet(parseProphetKind("tage"), parseBudget("16KB"));
     EXPECT_EQ(p->name().rfind("tage", 0), 0u);
 }
 

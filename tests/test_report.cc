@@ -267,6 +267,21 @@ TEST(Repro, RenderOnlyNeverSimulates)
     std::filesystem::remove_all(opts.outDir);
 }
 
+TEST(Repro, RenderIntoMissingDirectoryCreatesNothing)
+{
+    // Render-only never writes a store, so it has no reason to make
+    // the directories a run would put them in.
+    ReproOptions opts;
+    opts.figures = {"fig5"};
+    opts.figure.branches = 1500;
+    opts.outDir = tempOut("pcbp_repro_render_missing");
+    opts.renderOnly = true;
+    const ReproSummary s = runRepro(opts);
+    EXPECT_FALSE(s.complete);
+    EXPECT_EQ(s.skippedCells, 0u);
+    EXPECT_FALSE(std::filesystem::exists(opts.outDir));
+}
+
 TEST(Repro, TraceWorkloadDrivesAFigure)
 {
     // The `trace:<path>` override: record a committed stream, then

@@ -38,12 +38,12 @@ TEST(RobustnessDeath, TagFilterBounds)
 
 TEST(RobustnessDeath, UnknownSpecStringsAreFatal)
 {
-    EXPECT_DEATH(makeProphet("ittage:8KB"), "unknown predictor kind");
-    EXPECT_DEATH(makeProphet("gshare:7KB"), "unknown budget");
+    EXPECT_DEATH(parseProphetKind("ittage"), "unknown predictor kind");
+    EXPECT_DEATH(parseBudget("7KB"), "unknown budget");
     EXPECT_DEATH(parseCriticKind("oracle"), "unknown critic kind");
     // Retired extension kinds must not map onto a surviving kind.
-    EXPECT_DEATH(makeProphet("yags"), "unknown predictor kind");
-    EXPECT_DEATH(makeProphet("fusion:8KB"), "unknown predictor kind");
+    EXPECT_DEATH(parseProphetKind("yags"), "unknown predictor kind");
+    EXPECT_DEATH(parseProphetKind("fusion"), "unknown predictor kind");
     EXPECT_DEATH(parseCriticKind("u.gshare"), "unknown critic kind");
     EXPECT_DEATH(workloadByName("spec2006.gcc"), "unknown workload");
 }

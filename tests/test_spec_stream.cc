@@ -13,6 +13,7 @@
 
 #include "sim/committed_stream.hh"
 #include "sim/driver.hh"
+#include "support.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
 
@@ -20,31 +21,6 @@ namespace pcbp
 {
 namespace
 {
-
-std::string
-tmpPath(const char *stem)
-{
-    return testing::TempDir() + stem;
-}
-
-void
-expectSameEngineStats(const EngineStats &a, const EngineStats &b)
-{
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.committedUops, b.committedUops);
-    EXPECT_EQ(a.finalMispredicts, b.finalMispredicts);
-    EXPECT_EQ(a.prophetMispredicts, b.prophetMispredicts);
-    EXPECT_EQ(a.btbMisses, b.btbMisses);
-    EXPECT_EQ(a.criticOverrides, b.criticOverrides);
-    EXPECT_EQ(a.squashedPredictions, b.squashedPredictions);
-    EXPECT_EQ(a.wrongPathBranches, b.wrongPathBranches);
-    EXPECT_EQ(a.wrongPathUops, b.wrongPathUops);
-    EXPECT_EQ(a.partialCritiques, b.partialCritiques);
-    for (std::size_t c = 0; c < numCritiqueClasses; ++c) {
-        EXPECT_EQ(a.critiques.counts[c], b.critiques.counts[c])
-            << "critique class " << c;
-    }
-}
 
 // ---------------------------------------------------------- backends
 
@@ -159,7 +135,7 @@ TEST(StreamEquivalence, EngineHybridQuickSuite)
         const EngineStats vectored = Engine(p3, *h3, cfg).run(pre);
 
         SCOPED_TRACE(name);
-        expectSameEngineStats(streamed, vectored);
+        expectSameStats(streamed, vectored);
     }
 }
 
@@ -189,7 +165,7 @@ TEST(StreamEquivalence, EngineProphetAloneAndOracle)
         const EngineStats vectored = Engine(p3, *h3, cfg).run(pre);
 
         SCOPED_TRACE(oracle ? "oracle" : "prophet-alone");
-        expectSameEngineStats(streamed, vectored);
+        expectSameStats(streamed, vectored);
     }
 }
 
@@ -215,18 +191,7 @@ TEST(StreamEquivalence, TimingQuickSuite)
         const TimingStats vectored = TimingSim(p3, *h3, cfg).run(pre);
 
         SCOPED_TRACE(name);
-        EXPECT_EQ(streamed.cycles, vectored.cycles);
-        EXPECT_EQ(streamed.committedUops, vectored.committedUops);
-        EXPECT_EQ(streamed.committedBranches, vectored.committedBranches);
-        EXPECT_EQ(streamed.finalMispredicts, vectored.finalMispredicts);
-        EXPECT_EQ(streamed.fetchedUops, vectored.fetchedUops);
-        EXPECT_EQ(streamed.wrongPathFetchedUops,
-                  vectored.wrongPathFetchedUops);
-        EXPECT_EQ(streamed.criticOverrides, vectored.criticOverrides);
-        EXPECT_EQ(streamed.ftqEntriesFlushedByCritic,
-                  vectored.ftqEntriesFlushedByCritic);
-        EXPECT_EQ(streamed.partialCritiques, vectored.partialCritiques);
-        EXPECT_EQ(streamed.ftqEmptyCycles, vectored.ftqEmptyCycles);
+        expectSameStats(streamed, vectored);
     }
 }
 

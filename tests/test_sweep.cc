@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "obs/stat_registry.hh"
 #include "sweep/runner.hh"
 
 namespace pcbp
@@ -546,6 +547,41 @@ TEST(ResultStore, UnterminatedFinalLineIsTreatedAsTorn)
     EXPECT_EQ(reload.size(), 2u);
     EXPECT_TRUE(reload.has("k2"));
     EXPECT_EQ(slurp(path), reference);
+    std::remove(path.c_str());
+}
+
+TEST(ResultStore, OpeningATornStoreLeavesItsBytes)
+{
+    // A store opened only to read it (`pcbp_sweep status` or
+    // `export`, `pcbp_repro render`) must not write: while a run in
+    // another process appends, the torn tail it sees can be the line
+    // that writer is half way through.
+    const std::string path =
+        testing::TempDir() + "pcbp_torn_read_test.jsonl";
+    std::remove(path.c_str());
+    {
+        ResultStore store(path);
+        store.put(sampleResult("k1"));
+        store.put(sampleResult("k2"));
+    }
+    std::string content = slurp(path);
+    const std::size_t first_nl = content.find('\n');
+    ASSERT_LT(first_nl + 41, content.size());
+    content.resize(first_nl + 41); // k2's line cut after 40 bytes
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << content;
+    }
+    {
+        const ResultStore store(path);
+        EXPECT_EQ(store.size(), 1u);
+        EXPECT_TRUE(store.has("k1"));
+        StatRegistry reg;
+        store.exportStats(reg);
+        EXPECT_NE(reg.toJson().find("\"store.torn_drops\":1"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(slurp(path), content);
     std::remove(path.c_str());
 }
 

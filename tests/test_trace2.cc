@@ -32,6 +32,7 @@
 #include "obs/stat_registry.hh"
 #include "sim/committed_stream.hh"
 #include "sim/driver.hh"
+#include "support.hh"
 #include "workload/generator.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
@@ -40,12 +41,6 @@ namespace pcbp
 {
 namespace
 {
-
-std::string
-tmpPath(const char *stem)
-{
-    return testing::TempDir() + stem;
-}
 
 void
 saveTrace2(const std::string &path,

@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "support.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
 
@@ -40,12 +41,6 @@ namespace pcbp
 {
 namespace
 {
-
-std::string
-tmpPath(const char *stem)
-{
-    return testing::TempDir() + stem;
-}
 
 std::vector<CommittedBranch>
 randomTrace(Rng &rng, std::size_t n)

@@ -30,7 +30,8 @@
  *                            with the `h2p.*` section under --top
  *
  * --oracle and --top need the accuracy engine; given with --timing
- * (in either order) they exit 1 naming the flag.
+ * (in either order) they exit 1 naming the flag. --fb and --oracle
+ * need a critic, and exit 1 the same way with --critic none.
  */
 
 #include <cstdlib>
@@ -100,7 +101,7 @@ main(int argc, char **argv)
     std::string workload = "int.crafty";
     std::string prophet = "perceptron:8KB";
     std::string critic = "t.gshare:8KB";
-    std::string fb_arg = "8";
+    std::optional<std::string> fb_arg;
     std::string stats_out;
     std::uint64_t branches = 0;
     std::optional<std::uint64_t> warmup;
@@ -140,13 +141,19 @@ main(int argc, char **argv)
             usage(argv[0]);
     }
     // Bounded only now: --timing may follow --fb.
-    const auto fb = static_cast<unsigned>(
-        parseCountArg("--fb", fb_arg, futureBitsLimit(timing) - 1));
+    const auto fb = static_cast<unsigned>(parseCountArg(
+        "--fb", fb_arg.value_or("8"), futureBitsLimit(timing) - 1));
     if (timing && oracle)
         pcbp_fatal("--oracle needs the accuracy engine; the timing "
                    "model has no oracle mode");
     if (timing && top > 0)
         pcbp_fatal("--top profiles the accuracy engine; drop --timing");
+    if (critic == "none" && fb_arg)
+        pcbp_fatal("--fb sets the critic's future bits; --critic none "
+                   "has no critic");
+    if (critic == "none" && oracle)
+        pcbp_fatal("--oracle feeds the critic; --critic none has no "
+                   "critic");
 
     if (workload == "LIST") {
         TablePrinter t({"workload", "suite", "static branches",
