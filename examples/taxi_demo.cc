@@ -31,43 +31,42 @@ Program
 figure2Program()
 {
     Program p("figure-2");
-    auto add = [&](Addr pc, BranchBehaviorPtr beh, BlockId taken,
+    auto add = [&](Addr pc, const BranchBehavior &beh, BlockId taken,
                    BlockId fall) {
         BasicBlock b;
         b.branchPc = pc;
         b.numUops = 8;
         b.takenTarget = taken;
         b.fallthroughTarget = fall;
-        b.behavior = std::move(beh);
-        p.addBlock(std::move(b));
+        p.addBlock(b, beh);
     };
 
     // Blocks 0..3: W X Y Z — the "past branches" of the figure.
     // Two of them are coin flips (the entropy A depends on).
-    add(0x100, std::make_unique<BiasedBehavior>(0.9, 1), 1, 1);   // W
-    add(0x110, std::make_unique<BiasedBehavior>(0.5, 2), 2, 2);   // X
-    add(0x120, std::make_unique<BiasedBehavior>(0.5, 3), 3, 3);   // Y
-    add(0x130, std::make_unique<BiasedBehavior>(0.1, 4), 4, 4);   // Z
+    add(0x100, BranchBehavior::biased(0.9, 1), 1, 1);   // W
+    add(0x110, BranchBehavior::biased(0.5, 2), 2, 2);   // X
+    add(0x120, BranchBehavior::biased(0.5, 3), 3, 3);   // Y
+    add(0x130, BranchBehavior::biased(0.1, 4), 4, 4);   // Z
     // Spacer blocks so X and Y sit deeper than the critic's history
     // window at branch A (lags 18 and 19 with the layout below).
     for (int i = 0; i < 16; ++i) {
-        add(0x140 + 16 * i, std::make_unique<BiasedBehavior>(0.95, 5 + i),
+        add(0x140 + 16 * i, BranchBehavior::biased(0.95, 5 + i),
             static_cast<BlockId>(5 + i), static_cast<BlockId>(5 + i));
     }
     // Block 20: branch A = Y xor X from this lap. Per lap the
     // commits are W X Y Z, 16 spacers, A, one arm, two relays (24
     // total); at A, Y sits at lag 17 and X at lag 18.
-    add(0x240, std::make_unique<GlobalXorBehavior>(17, 18, false, 0.0, 30),
+    add(0x240, BranchBehavior::globalXor(17, 18, false, 0.0, 30),
         21, 22);
     // Blocks 21/22: the diverging arms (B vs C in the figure).
-    add(0x250, std::make_unique<BiasedBehavior>(0.97, 31), 23, 23); // B
-    add(0x260, std::make_unique<BiasedBehavior>(0.03, 32), 23, 23); // C
+    add(0x250, BranchBehavior::biased(0.97, 31), 23, 23); // B
+    add(0x260, BranchBehavior::biased(0.03, 32), 23, 23); // C
     // Blocks 23/24: relays re-exposing X and Y (E/H vs G/J). Each
     // relay is one commit later and targets a bit one older, so both
     // use lag 20.
-    add(0x270, std::make_unique<GlobalEchoBehavior>(20, false, 0.0, 33),
+    add(0x270, BranchBehavior::globalEcho(20, false, 0.0, 33),
         24, 24);
-    add(0x280, std::make_unique<GlobalEchoBehavior>(20, false, 0.0, 34),
+    add(0x280, BranchBehavior::globalEcho(20, false, 0.0, 34),
         0, 0);
     p.validate();
     return p;

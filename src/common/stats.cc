@@ -24,13 +24,6 @@ Histogram::sample(std::uint64_t value)
     ++total;
 }
 
-void
-Histogram::reset()
-{
-    std::fill(bins.begin(), bins.end(), 0);
-    total = 0;
-}
-
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : head(std::move(headers))
 {

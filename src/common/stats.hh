@@ -40,8 +40,6 @@ class Histogram
 
     std::uint64_t bucketWidth() const { return width; }
 
-    void reset();
-
   private:
     std::uint64_t width;
     std::vector<std::uint64_t> bins;

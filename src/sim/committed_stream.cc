@@ -40,27 +40,29 @@ CommittedStream::atSlow(std::uint64_t idx)
     return nullptr;
 }
 
-ProgramWalkStream::ProgramWalkStream(Program &program_,
+ProgramWalkStream::ProgramWalkStream(const Program &program_,
                                      std::uint64_t limit_)
     : program(program_), limit(limit_), cur(program_.entry())
 {
-    program.validate();
-    program.resetWalk();
+    states.reserve(program.numBlocks());
+    for (BlockId id = 0; id < program.numBlocks(); ++id)
+        states.push_back(initialState(program.behavior(id)));
+    clocks.reserve(program.phaseClocks().size());
+    for (const PhaseClockSpec &spec : program.phaseClocks())
+        clocks.emplace_back(spec);
 }
 
 ProgramWalkStream::ProgramWalkStream(const ProgramWalkStream &other,
-                                     Program &program_,
                                      std::uint64_t limit_)
-    : CommittedStream(other), program(program_), limit(limit_),
-      cur(other.cur), walked(other.walked)
+    : CommittedStream(other), program(other.program), limit(limit_),
+      cur(other.cur), walked(other.walked), committed(other.committed),
+      states(other.states), clocks(other.clocks)
 {
     // The adopted window and walk cursor must lie inside this
     // stream's own budget, or the fork would hold records a fresh
     // stream of this limit could never have produced.
     pcbp_assert(walked <= limit,
                 "stream fork past the forked stream's limit");
-    pcbp_assert(program.commitCount() == other.program.commitCount(),
-                "stream fork onto a program at a different position");
 }
 
 bool
@@ -69,7 +71,9 @@ ProgramWalkStream::produceNext(CommittedBranch &out)
     if (walked >= limit)
         return false;
     const BasicBlock &b = program.block(cur);
-    const bool taken = program.evalOutcome(cur);
+    const ArchContext ctx{committed, walked, clocks.data()};
+    const bool taken = nextOutcome(program.behavior(cur), states[cur], ctx);
+    committed.shiftIn(taken);
     out = {cur, b.branchPc, taken, b.numUops};
     cur = program.successor(cur, taken);
     ++walked;

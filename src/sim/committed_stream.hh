@@ -15,7 +15,7 @@
  *
  * Backends:
  *  - ProgramWalkStream: walks a Program's CFG architecturally on the
- *    fly (the default path; replaces walkProgram's eager vector).
+ *    fly, from walk state of its own (the default path).
  *  - CompressedTraceStream: block-decoded replay of a PCBPTRC2
  *    compressed indexed trace (workload/trace2.hh), sharing one
  *    mmap-backed reader across forks.
@@ -147,28 +147,30 @@ class CommittedStream
 };
 
 /**
- * On-the-fly architectural CFG walker: exactly walkProgram(), one
- * branch at a time. Validates and resets the program's walk state on
- * construction; the committed path is independent of the predictor
- * (behaviors read only committed state), so lazy production yields
- * records identical to the eager walk.
+ * On-the-fly architectural CFG walker over a shared, immutable
+ * Program, one branch at a time from the entry block. The walk state
+ * is the stream's own: the committed history, the commit count, one
+ * BehaviorState per block and one cursor per phase clock. So any
+ * number of streams, on any threads, may walk one program. The
+ * committed path is independent of the predictor (behaviors read
+ * only committed state).
  */
 class ProgramWalkStream : public CommittedStream
 {
   public:
-    /** Walk @p program for up to @p limit branches. */
-    ProgramWalkStream(Program &program, std::uint64_t limit);
+    /** Walk @p program from its initial state for up to @p limit
+     *  branches. @p program must outlive the stream. */
+    ProgramWalkStream(const Program &program, std::uint64_t limit);
+    ProgramWalkStream(Program &&, std::uint64_t) = delete;
 
     /**
-     * Fork: continue @p other's walk mid-stream on @p program —
-     * which must be a clone() of @p other's program — under this
-     * stream's own @p limit. Requires that @p other has not walked
-     * past @p limit yet; the forked stream then behaves exactly like
-     * a fresh stream over @p program that replayed @p other's call
-     * sequence. Neither validates nor resets the program.
+     * Fork: continue @p other's walk mid-stream, over the same
+     * program, under this stream's own @p limit. Requires that
+     * @p other has not walked past @p limit yet; the forked stream
+     * then behaves exactly like a fresh stream that replayed
+     * @p other's call sequence.
      */
-    ProgramWalkStream(const ProgramWalkStream &other, Program &program,
-                      std::uint64_t limit);
+    ProgramWalkStream(const ProgramWalkStream &other, std::uint64_t limit);
 
     ProgramWalkStream(const ProgramWalkStream &) = delete;
     ProgramWalkStream &operator=(const ProgramWalkStream &) = delete;
@@ -180,10 +182,13 @@ class ProgramWalkStream : public CommittedStream
     bool produceNext(CommittedBranch &out) override;
 
   private:
-    Program &program;
+    const Program &program;
     std::uint64_t limit;
     BlockId cur;
-    std::uint64_t walked = 0;
+    std::uint64_t walked = 0; //!< also the commit count
+    HistoryRegister committed;
+    std::vector<BehaviorState> states; //!< one per block
+    std::vector<PhaseClock> clocks;    //!< one per program phase clock
 };
 
 /**

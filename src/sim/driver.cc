@@ -122,7 +122,8 @@ EngineStats
 runAccuracy(const Workload &w, const HybridSpec &spec,
             const EngineConfig &config)
 {
-    return runAccuracyChain(w, spec, {config})[0];
+    const Program program = buildProgram(w);
+    return runAccuracyChain(w, program, spec, {config})[0];
 }
 
 H2PReport
@@ -172,16 +173,16 @@ namespace
 
 /**
  * Shared chain body (DESIGN.md §11) and the only code that builds a
- * run's program, hybrid, simulator and stream: run the canonical
- * (largest budget) point, pausing at each earlier point's snapshot
- * target to fork cloned {program, predictor, stream, simulator}
- * state; each fork then runs only its own remainder. Sim is Engine or
- * TimingSim (same split-phase surface).
+ * run's hybrid, simulator and stream: run the canonical (largest
+ * budget) point, pausing at each earlier point's snapshot target to
+ * fork cloned {predictor, stream, simulator} state over the shared
+ * program; each fork then runs only its own remainder. Sim is Engine
+ * or TimingSim (same split-phase surface).
  */
 template <typename Sim, typename Config, typename Stats>
 std::vector<Stats>
-chainImpl(const Workload &w, const HybridSpec &spec,
-          const std::vector<Config> &configs,
+chainImpl(const Workload &w, const Program &program,
+          const HybridSpec &spec, const std::vector<Config> &configs,
           std::uint64_t (*snapshot_target)(const Config &),
           ChainObs *obs)
 {
@@ -209,7 +210,6 @@ chainImpl(const Workload &w, const HybridSpec &spec,
                          configs[b].measureBranches;
               });
 
-    Program program = buildProgram(w);
     auto hybrid = spec.build();
     const Config &canon = configs[order.back()];
     Sim sim(program, *hybrid, canon);
@@ -222,11 +222,10 @@ chainImpl(const Workload &w, const HybridSpec &spec,
         for (std::size_t k = 0; k + 1 < order.size(); ++k) {
             const Config &cfg = configs[order[k]];
             sim.stepUntil(snapshot_target(cfg), stream);
-            Program fork_prog = program.clone();
             auto fork_hybrid = hybrid->clone();
-            auto fork_stream = make_fork(
-                fork_prog, cfg.warmupBranches + cfg.measureBranches);
-            Sim fork_sim(sim, fork_prog, *fork_hybrid, cfg, *fork_stream);
+            auto fork_stream =
+                make_fork(cfg.warmupBranches + cfg.measureBranches);
+            Sim fork_sim(sim, *fork_hybrid, cfg, *fork_stream);
             results[order[k]] = fork_sim.finishRun(*fork_stream);
             if (obs)
                 obs->warmupBranchesSaved += sim.committedSoFar();
@@ -236,15 +235,14 @@ chainImpl(const Workload &w, const HybridSpec &spec,
 
     if (!w.tracePath.empty()) {
         auto stream = openTraceStream(w.tracePath);
-        drive(*stream, [&](Program &, std::uint64_t) {
+        drive(*stream, [&](std::uint64_t) {
             return std::make_unique<CompressedTraceStream>(*stream);
         });
     } else {
         ProgramWalkStream stream(
             program, canon.warmupBranches + canon.measureBranches);
-        drive(stream, [&](Program &fork_prog, std::uint64_t limit) {
-            return std::make_unique<ProgramWalkStream>(stream, fork_prog,
-                                                       limit);
+        drive(stream, [&](std::uint64_t limit) {
+            return std::make_unique<ProgramWalkStream>(stream, limit);
         });
     }
     return results;
@@ -253,27 +251,28 @@ chainImpl(const Workload &w, const HybridSpec &spec,
 } // namespace
 
 std::vector<EngineStats>
-runAccuracyChain(const Workload &w, const HybridSpec &spec,
-                 const std::vector<EngineConfig> &configs,
-                 ChainObs *obs)
+runAccuracyChain(const Workload &w, const Program &program,
+                 const HybridSpec &spec,
+                 const std::vector<EngineConfig> &configs, ChainObs *obs)
 {
     // Commit-side stats of branch N are recorded before the cursor
     // advances but flush-side stats after, so the latest in-warmup
     // loop-top is exactly warmup - 1 committed branches.
     return chainImpl<Engine, EngineConfig, EngineStats>(
-        w, spec, configs,
+        w, program, spec, configs,
         [](const EngineConfig &c) { return c.warmupBranches - 1; },
         obs);
 }
 
 std::vector<TimingStats>
-runTimingChain(const Workload &w, const HybridSpec &spec,
+runTimingChain(const Workload &w, const Program &program,
+               const HybridSpec &spec,
                const std::vector<TimingConfig> &configs, ChainObs *obs)
 {
     // Cycle-boundary stops overshoot by up to retireWidth - 1
     // commits, so aim a full retire burst short of the warmup edge.
     return chainImpl<TimingSim, TimingConfig, TimingStats>(
-        w, spec, configs,
+        w, program, spec, configs,
         [](const TimingConfig &c) {
             return c.warmupBranches > c.retireWidth
                        ? c.warmupBranches - c.retireWidth
@@ -307,7 +306,8 @@ TimingStats
 runTiming(const Workload &w, const HybridSpec &spec,
           const TimingConfig &config)
 {
-    return runTimingChain(w, spec, {config})[0];
+    const Program program = buildProgram(w);
+    return runTimingChain(w, program, spec, {config})[0];
 }
 
 double

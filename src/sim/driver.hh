@@ -103,8 +103,9 @@ EngineStats runAccuracy(const Workload &w, const HybridSpec &spec);
 
 /**
  * Run one workload with explicit engine configuration: the fork chain
- * of this one config (runAccuracyChain), so any config is legal here,
- * a commit sink or oracle future bits included.
+ * of this one config (runAccuracyChain) over a program built for this
+ * call, so any config is legal here, a commit sink or oracle future
+ * bits included.
  */
 EngineStats runAccuracy(const Workload &w, const HybridSpec &spec,
                         const EngineConfig &config);
@@ -155,21 +156,24 @@ struct ChainObs
  * file, or else the CFG walk). Warmup length gates only which events
  * are counted — never the simulated trajectory — so the runs are
  * prefixes of one another: the longest runs once (the canonical), and
- * each shorter budget forks cloned simulator state at a snapshot
- * inside its own warmup, then runs just its remainder. Stats are
- * bit-identical to one independent run per config; wall clock pays
- * each shared warmup prefix once. @p configs must agree on everything
- * except run lengths and stats plumbing; with more than one, each
- * must be forkable(). A chain of one forks nothing, so its config is
- * unrestricted. Results come back in @p configs order.
+ * each shorter budget forks cloned predictor, stream and simulator
+ * state at a snapshot inside its own warmup, then runs just its
+ * remainder. Stats are bit-identical to one independent run per
+ * config; wall clock pays each shared warmup prefix once. @p program
+ * is buildProgram(@p w), read only by the canonical and every fork,
+ * so one build may serve any number of chains on any threads (the
+ * sweep runner builds one per workload). @p configs must agree on
+ * everything except run lengths and stats plumbing; with more than
+ * one, each must be forkable(). A chain of one forks nothing, so its
+ * config is unrestricted. Results come back in @p configs order.
  */
 std::vector<EngineStats> runAccuracyChain(
-    const Workload &w, const HybridSpec &spec,
+    const Workload &w, const Program &program, const HybridSpec &spec,
     const std::vector<EngineConfig> &configs, ChainObs *obs = nullptr);
 
 /** runAccuracyChain for the timing model. */
 std::vector<TimingStats> runTimingChain(
-    const Workload &w, const HybridSpec &spec,
+    const Workload &w, const Program &program, const HybridSpec &spec,
     const std::vector<TimingConfig> &configs, ChainObs *obs = nullptr);
 
 /** Timing configuration for a workload, with benchScale applied. */
@@ -180,7 +184,8 @@ TimingStats runTiming(const Workload &w, const HybridSpec &spec);
 
 /**
  * Run the timing model with explicit configuration: the fork chain
- * of this one config (runTimingChain), so any config is legal here.
+ * of this one config (runTimingChain) over a program built for this
+ * call, so any config is legal here.
  */
 TimingStats runTiming(const Workload &w, const HybridSpec &spec,
                       const TimingConfig &config);

@@ -25,7 +25,7 @@ coreConfig(const EngineConfig &cfg)
 
 } // namespace
 
-Engine::Engine(Program &program_, ProphetCriticHybrid &hybrid_,
+Engine::Engine(const Program &program_, ProphetCriticHybrid &hybrid_,
                const EngineConfig &config)
     : program(program_), hybrid(hybrid_), cfg(config),
       core(program_, hybrid_, coreConfig(config))
@@ -35,11 +35,10 @@ Engine::Engine(Program &program_, ProphetCriticHybrid &hybrid_,
                 "pipeline depth must exceed the future-bit count");
 }
 
-Engine::Engine(const Engine &other, Program &program_,
-               ProphetCriticHybrid &hybrid_, const EngineConfig &config,
-               CommittedStream &committed)
-    : program(program_), hybrid(hybrid_), cfg(config),
-      core(other.core, program_, hybrid_, config.commitSink),
+Engine::Engine(const Engine &other, ProphetCriticHybrid &hybrid_,
+               const EngineConfig &config, CommittedStream &committed)
+    : program(other.program), hybrid(hybrid_), cfg(config),
+      core(other.core, hybrid_, config.commitSink),
       coreObs(other.coreObs), commitIdx(other.commitIdx),
       uopsSinceFlush(other.uopsSinceFlush)
 {

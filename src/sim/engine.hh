@@ -152,20 +152,24 @@ class Engine
 {
   public:
     /**
-     * @param program The CFG speculation runs through.
+     * @param program The CFG speculation runs through (read only;
+     *        it must outlive the engine).
      * @param hybrid The predictor under test (prophet-only or full
      *        prophet/critic).
      * @param config Engine configuration.
      */
-    Engine(Program &program, ProphetCriticHybrid &hybrid,
+    Engine(const Program &program, ProphetCriticHybrid &hybrid,
            const EngineConfig &config);
+    Engine(Program &&, ProphetCriticHybrid &, const EngineConfig &) =
+        delete;
 
     /**
      * Fork (DESIGN.md §11): duplicate @p other's mid-run state —
      * spec core (queue, BTB, fetch pointer), commit cursor, flush
-     * distance, protocol counters — onto @p program and @p hybrid,
-     * which must be clone()s of @p other's at the same point, and
-     * adopt @p committed, a fork of @p other's stream at that point.
+     * distance, protocol counters — onto @p hybrid, which must be a
+     * clone() of @p other's at the same point, and adopt
+     * @p committed, a fork of @p other's stream at that point. The
+     * fork walks @p other's program.
      * @p config supplies this fork's own warmup/measure budget, stats
      * registry, and commit sink; it must agree with @p other's
      * configuration on everything that shapes simulated behavior
@@ -174,13 +178,12 @@ class Engine
      * measured stat is identical to what an uninterrupted run would
      * have produced. Continue with finishRun(@p committed).
      */
-    Engine(const Engine &other, Program &program,
-           ProphetCriticHybrid &hybrid, const EngineConfig &config,
-           CommittedStream &committed);
+    Engine(const Engine &other, ProphetCriticHybrid &hybrid,
+           const EngineConfig &config, CommittedStream &committed);
 
     /**
-     * Run the configured number of branches over the program's own
-     * committed walk (streamed, O(pipeline) memory) and return stats.
+     * Run the configured number of branches over a fresh walk of the
+     * program (streamed, O(pipeline) memory) and return stats.
      */
     EngineStats run();
 
@@ -231,7 +234,7 @@ class Engine
 
     bool measuring() const { return commitIdx >= cfg.warmupBranches; }
 
-    Program &program;
+    const Program &program;
     ProphetCriticHybrid &hybrid;
     EngineConfig cfg;
     SpecCore<EnginePayload> core;

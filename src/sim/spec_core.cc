@@ -36,7 +36,7 @@ SpecCoreObs::exportTo(StatRegistry &reg,
 }
 
 template <typename Payload>
-SpecCore<Payload>::SpecCore(Program &program_,
+SpecCore<Payload>::SpecCore(const Program &program_,
                             ProphetCriticHybrid &hybrid_,
                             const SpecCoreConfig &config)
     : program(program_), hybrid(hybrid_), cfg(config),
@@ -46,10 +46,10 @@ SpecCore<Payload>::SpecCore(Program &program_,
 }
 
 template <typename Payload>
-SpecCore<Payload>::SpecCore(const SpecCore &other, Program &program_,
+SpecCore<Payload>::SpecCore(const SpecCore &other,
                             ProphetCriticHybrid &hybrid_,
                             CommitSink *sink)
-    : program(program_), hybrid(hybrid_), cfg(other.cfg),
+    : program(other.program), hybrid(hybrid_), cfg(other.cfg),
       btb(other.btb), slab(other.slab), floorAbs(other.floorAbs),
       headAbs(other.headAbs), tailAbs(other.tailAbs),
       firstUncritAbs(other.firstUncritAbs),

@@ -47,7 +47,8 @@
  * simulators' loops. See DESIGN.md §4.
  *
  * Ownership and lifetime: a SpecCore borrows everything it is
- * constructed over — the Program, the ProphetCriticHybrid, and the
+ * constructed over — the Program (read only, so any number of cores
+ * on any threads may share one), the ProphetCriticHybrid, and the
  * optional CommitSink are owned by the caller and must outlive the
  * core; the core owns only its queue, BTB tables, and scratch
  * buffers. One core drives one simulation on one thread.
@@ -233,22 +234,22 @@ class SpecCore
   public:
     using Record = SpecRecord<Payload>;
 
-    SpecCore(Program &program, ProphetCriticHybrid &hybrid,
+    SpecCore(const Program &program, ProphetCriticHybrid &hybrid,
              const SpecCoreConfig &config);
 
     /**
      * Fork (DESIGN.md §11): duplicate @p other's mid-run state — the
      * queue slab with every checkpoint, BTB, fetch pointer, cursors —
-     * onto caller-supplied clones of its program and hybrid. The fork
-     * borrows @p program and @p hybrid exactly as the primary
+     * onto a caller-supplied clone of its hybrid. The fork walks
+     * @p other's program and borrows @p hybrid exactly as the primary
      * constructor does. The commit sink is NOT inherited (@p sink
      * replaces it; forks report to their own consumer or to none),
      * nor is the observability slab (attachObs per fork). An oracle
      * stream cannot be duplicated here, so forking an oracle-mode
      * core is refused.
      */
-    SpecCore(const SpecCore &other, Program &program,
-             ProphetCriticHybrid &hybrid, CommitSink *sink);
+    SpecCore(const SpecCore &other, ProphetCriticHybrid &hybrid,
+             CommitSink *sink);
 
     /**
      * Arm the core for a run: clear the queue and point speculative
@@ -408,7 +409,7 @@ class SpecCore
     void attachObs(SpecCoreObs *o) { obs = o; }
 
   private:
-    Program &program;
+    const Program &program;
     ProphetCriticHybrid &hybrid;
     SpecCoreConfig cfg;
     Btb btb;

@@ -24,7 +24,8 @@ coreConfig(const TimingConfig &cfg)
 
 } // namespace
 
-TimingSim::TimingSim(Program &program_, ProphetCriticHybrid &hybrid_,
+TimingSim::TimingSim(const Program &program_,
+                     ProphetCriticHybrid &hybrid_,
                      const TimingConfig &config)
     : program(program_), hybrid(hybrid_), cfg(config),
       core(program_, hybrid_, coreConfig(config))
@@ -35,11 +36,10 @@ TimingSim::TimingSim(Program &program_, ProphetCriticHybrid &hybrid_,
                 "FTQ must be deeper than the future-bit count");
 }
 
-TimingSim::TimingSim(const TimingSim &other, Program &program_,
-                     ProphetCriticHybrid &hybrid_,
+TimingSim::TimingSim(const TimingSim &other, ProphetCriticHybrid &hybrid_,
                      const TimingConfig &config, CommittedStream &committed)
-    : program(program_), hybrid(hybrid_), cfg(config),
-      core(other.core, program_, hybrid_, config.commitSink),
+    : program(other.program), hybrid(hybrid_), cfg(config),
+      core(other.core, hybrid_, config.commitSink),
       coreObs(other.coreObs), windowUops(other.windowUops),
       firstUnresolved(other.firstUnresolved),
       resolveIdx(other.resolveIdx), commitIdx(other.commitIdx),

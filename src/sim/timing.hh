@@ -126,15 +126,19 @@ struct TimingStats
 class TimingSim
 {
   public:
-    TimingSim(Program &program, ProphetCriticHybrid &hybrid,
+    /** @p program is read only and must outlive the model. */
+    TimingSim(const Program &program, ProphetCriticHybrid &hybrid,
               const TimingConfig &config);
+    TimingSim(Program &&, ProphetCriticHybrid &, const TimingConfig &) =
+        delete;
 
     /**
      * Fork (DESIGN.md §11): duplicate @p other's mid-run state — FTQ
      * and BTB (via the spec core), instruction window, clock, stall
-     * deadlines, cursors — onto @p program and @p hybrid, which must
-     * be clone()s of @p other's at the same point, and adopt
-     * @p committed, a fork of @p other's stream at that point.
+     * deadlines, cursors — onto @p hybrid, which must be a clone() of
+     * @p other's at the same point, and adopt @p committed, a fork of
+     * @p other's stream at that point. The fork walks @p other's
+     * program.
      * @p config supplies this fork's own warmup/measure budget, stats
      * registry, and commit sink; everything that shapes simulated
      * behavior (widths, latencies, FTQ/window/BTB geometry) must
@@ -142,11 +146,10 @@ class TimingSim
      * fork's warmup, and its budget must satisfy timingForkable().
      * Continue with finishRun(@p committed).
      */
-    TimingSim(const TimingSim &other, Program &program,
-              ProphetCriticHybrid &hybrid, const TimingConfig &config,
-              CommittedStream &committed);
+    TimingSim(const TimingSim &other, ProphetCriticHybrid &hybrid,
+              const TimingConfig &config, CommittedStream &committed);
 
-    /** Run over the program's own committed walk (streamed). */
+    /** Run over a fresh walk of the program (streamed). */
     TimingStats run();
 
     /** Run against an explicit committed stream (trace replay). */
@@ -198,7 +201,7 @@ class TimingSim
 
     bool measuring() const { return commitIdx >= cfg.warmupBranches; }
 
-    Program &program;
+    const Program &program;
     ProphetCriticHybrid &hybrid;
     TimingConfig cfg;
     SpecCore<FtqPayload> core;

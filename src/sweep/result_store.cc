@@ -440,15 +440,13 @@ ResultStore::ResultStore(std::string path) : filePath(std::move(path))
             // reruns. The file is cut back only at the first put(),
             // so the next append does not concatenate onto the torn
             // bytes, while a store opened just to read it (or a
-            // writer's line still being appended) is left alone.
+            // writer's line still being appended) is left alone —
+            // and so is the log: the warning waits for that put().
             // Torn bytes followed by further valid lines mean real
             // corruption — refuse to guess.
             if (!last)
                 pcbp_fatal("result store ", filePath, ":", i + 1,
                            ": malformed line: ", line);
-            pcbp_warn("result store ", filePath,
-                      ": dropping torn final line (interrupted "
-                      "write); the cell will rerun");
             ++tornDrops;
             tornTailAt = valid_bytes;
             return;
@@ -512,6 +510,9 @@ ResultStore::put(CellResult r)
         pcbp_fatal("result store: duplicate put for key ", r.key);
     if (!filePath.empty()) {
         if (tornTailAt) {
+            pcbp_warn("result store ", filePath,
+                      ": dropping torn final line (interrupted "
+                      "write); its cell reruns");
             std::error_code ec;
             std::filesystem::resize_file(filePath, *tornTailAt, ec);
             if (ec)

@@ -119,8 +119,9 @@ class ResultStore
     /**
      * Persistent store: replays @p path if it exists, dropping a torn
      * final line from the view; put() appends to it (creating it on
-     * first write, and first cutting a torn tail off). Opening never
-     * writes, so a store only read leaves its file byte for byte.
+     * first write, and first cutting a torn tail off, with a
+     * warning). Opening never writes or warns, so a store only read
+     * leaves its file byte for byte and its reader's log quiet.
      */
     explicit ResultStore(std::string path);
 

@@ -1,6 +1,7 @@
 #include "sweep/runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 
@@ -66,6 +67,19 @@ planUnits(const std::vector<const SweepCell *> &pending, bool fork)
     return units;
 }
 
+/**
+ * The sweep's program of one workload: built by the first unit that
+ * needs it (units of other workloads build theirs in parallel), read
+ * by every unit and fork of the workload, and freed by the last of
+ * them to finish.
+ */
+struct ProgramSlot
+{
+    std::once_flag built;
+    std::unique_ptr<const Program> program;
+    std::atomic<std::size_t> unitsLeft{0};
+};
+
 } // namespace
 
 SweepRunSummary
@@ -105,12 +119,33 @@ runSweep(const SweepSpec &spec, ResultStore &store,
     const bool collect = opt.stats != nullptr || opt.cellStats;
     const std::vector<SweepUnit> units = planUnits(pending, opt.fork);
 
+    // One program slot per distinct workload of the pending units.
+    std::map<const Workload *, std::size_t> slot_of;
+    std::vector<std::size_t> unit_slot;
+    unit_slot.reserve(units.size());
+    for (const SweepUnit &unit : units) {
+        const Workload *w = pending[unit[0]]->workload;
+        unit_slot.push_back(
+            slot_of.try_emplace(w, slot_of.size()).first->second);
+    }
+    std::vector<ProgramSlot> slots(slot_of.size());
+    for (const std::size_t s : unit_slot)
+        ++slots[s].unitsLeft;
+    std::atomic<std::uint64_t> programs_built{0};
+
     const auto runUnit = [&](std::size_t u, unsigned worker) {
         const SweepUnit &unit = units[u];
         const SweepCell &first = *pending[unit[0]];
         const bool chain = unit.size() > 1;
         const std::uint64_t spanStart =
             opt.tracer ? opt.tracer->now() : 0;
+
+        ProgramSlot &slot = slots[unit_slot[u]];
+        std::call_once(slot.built, [&] {
+            slot.program = std::make_unique<const Program>(
+                buildProgram(*first.workload));
+            ++programs_built;
+        });
 
         // Each cell collects into its own registry — no contention
         // on the simulation path — merged under the flush lock.
@@ -131,7 +166,8 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                 cfgs.push_back(tc);
             }
             const std::vector<TimingStats> stats = runTimingChain(
-                *first.workload, first.spec, cfgs, &chainObs);
+                *first.workload, *slot.program, first.spec, cfgs,
+                &chainObs);
             for (std::size_t j = 0; j < unit.size(); ++j) {
                 unitResults[j] = CellResult::fromTimingRun(
                     *pending[unit[j]], stats[j]);
@@ -146,12 +182,15 @@ runSweep(const SweepSpec &spec, ResultStore &store,
                 cfgs.push_back(ec);
             }
             const std::vector<EngineStats> stats = runAccuracyChain(
-                *first.workload, first.spec, cfgs, &chainObs);
+                *first.workload, *slot.program, first.spec, cfgs,
+                &chainObs);
             for (std::size_t j = 0; j < unit.size(); ++j) {
                 unitResults[j] =
                     CellResult::fromRun(*pending[unit[j]], stats[j]);
             }
         }
+        if (--slot.unitsLeft == 0)
+            slot.program.reset();
 
         if (opt.cellStats) {
             for (std::size_t j = 0; j < unit.size(); ++j)
@@ -203,6 +242,7 @@ runSweep(const SweepSpec &spec, ResultStore &store,
         opt.stats->addHost("sweep.fork.cells_forked", fork_cells_forked);
         opt.stats->addHost("sweep.fork.warmup_branches_saved",
                            fork_warmup_saved);
+        opt.stats->addHost("sweep.programs_built", programs_built);
     }
     return summary;
 }

@@ -4,9 +4,11 @@
  * parallelFor workers and persists results through the ResultStore.
  *
  * Determinism contract: results are bit-identical regardless of
- * `jobs`. Every cell builds its own program (seeded by the workload
- * recipe) and predictor, so execution order cannot leak between
- * cells; and completed cells are flushed to the store strictly in
+ * `jobs`. Every unit builds its own predictor and walks its
+ * workload's program — built once per sweep, immutable, and shared
+ * by every unit of that workload — from walk state of its own, so
+ * execution order cannot leak between cells; and completed cells
+ * are flushed to the store strictly in
  * cell order (a worker finishing cell 7 before cell 3 waits in a
  * buffer until 3..6 land), so the JSONL file — and therefore every
  * export — is byte-identical too.

@@ -1,239 +1,9 @@
 #include "workload/behavior.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace pcbp
 {
-
-// ---------------------------------------------------------------- Biased
-
-BiasedBehavior::BiasedBehavior(double p, std::uint64_t seed_)
-    : prob(p), seed(seed_), rng(seed_)
-{
-    pcbp_assert(p >= 0.0 && p <= 1.0);
-}
-
-bool
-BiasedBehavior::nextOutcome(const ArchContext &)
-{
-    return rng.nextBool(prob);
-}
-
-void
-BiasedBehavior::reset()
-{
-    rng = Rng(seed);
-}
-
-std::string
-BiasedBehavior::describe() const
-{
-    return "biased(" + std::to_string(prob) + ")";
-}
-
-// ------------------------------------------------------------------ Loop
-
-LoopBehavior::LoopBehavior(unsigned period_) : period(period_)
-{
-    pcbp_assert(period >= 2, "loop period must be >= 2");
-}
-
-bool
-LoopBehavior::nextOutcome(const ArchContext &)
-{
-    ++count;
-    if (count == period) {
-        count = 0;
-        return false; // loop exit
-    }
-    return true; // loop back
-}
-
-void
-LoopBehavior::reset()
-{
-    count = 0;
-}
-
-std::string
-LoopBehavior::describe() const
-{
-    return "loop(" + std::to_string(period) + ")";
-}
-
-// --------------------------------------------------------------- Pattern
-
-PatternBehavior::PatternBehavior(std::vector<bool> pattern_, double noise_,
-                                 std::uint64_t seed_)
-    : pattern(std::move(pattern_)), noise(noise_), seed(seed_), rng(seed_)
-{
-    pcbp_assert(!pattern.empty());
-}
-
-bool
-PatternBehavior::nextOutcome(const ArchContext &)
-{
-    bool out = pattern[cursor];
-    cursor = (cursor + 1) % pattern.size();
-    if (noise > 0.0 && rng.nextBool(noise))
-        out = !out;
-    return out;
-}
-
-void
-PatternBehavior::reset()
-{
-    cursor = 0;
-    rng = Rng(seed);
-}
-
-std::string
-PatternBehavior::describe() const
-{
-    std::string s = "pattern(";
-    for (bool b : pattern)
-        s.push_back(b ? 'T' : 'N');
-    return s + ")";
-}
-
-// ----------------------------------------------------------- LocalParity
-
-LocalParityBehavior::LocalParityBehavior(unsigned width_, double noise_,
-                                         std::uint64_t seed_)
-    : width(width_), noise(noise_), seed(seed_), rng(seed_)
-{
-    pcbp_assert(width >= 1 && width <= 63);
-}
-
-bool
-LocalParityBehavior::nextOutcome(const ArchContext &)
-{
-    const std::uint64_t window = own & maskBits(width);
-    bool out = (__builtin_popcountll(window) % 2 == 0);
-    if (noise > 0.0 && rng.nextBool(noise))
-        out = !out;
-    own = (own << 1) | (out ? 1 : 0);
-    return out;
-}
-
-void
-LocalParityBehavior::reset()
-{
-    own = 0;
-    rng = Rng(seed);
-}
-
-std::string
-LocalParityBehavior::describe() const
-{
-    return "local-parity(" + std::to_string(width) + ")";
-}
-
-// ---------------------------------------------------------- GlobalParity
-
-GlobalParityBehavior::GlobalParityBehavior(unsigned lag_, unsigned width_,
-                                           bool invert_, double noise_,
-                                           std::uint64_t seed_)
-    : lag(lag_), width(width_), invert(invert_), noise(noise_),
-      seed(seed_), rng(seed_)
-{
-    pcbp_assert(width >= 1);
-    pcbp_assert(lag + width <= HistoryRegister::capacity);
-}
-
-bool
-GlobalParityBehavior::nextOutcome(const ArchContext &ctx)
-{
-    unsigned ones = 0;
-    for (unsigned i = 0; i < width; ++i)
-        ones += ctx.committed.bit(lag + i) ? 1 : 0;
-    bool out = (ones % 2 == 1) != invert;
-    if (noise > 0.0 && rng.nextBool(noise))
-        out = !out;
-    return out;
-}
-
-void
-GlobalParityBehavior::reset()
-{
-    rng = Rng(seed);
-}
-
-std::string
-GlobalParityBehavior::describe() const
-{
-    return "global-parity(lag=" + std::to_string(lag) + ",w=" +
-           std::to_string(width) + ")";
-}
-
-// ------------------------------------------------------------- GlobalXor
-
-GlobalXorBehavior::GlobalXorBehavior(unsigned lag_a, unsigned lag_b,
-                                     bool invert_, double noise_,
-                                     std::uint64_t seed_)
-    : lagA(lag_a), lagB(lag_b), invert(invert_), noise(noise_),
-      seed(seed_), rng(seed_)
-{
-    pcbp_assert(lagA != lagB);
-    pcbp_assert(lagA < HistoryRegister::capacity &&
-                lagB < HistoryRegister::capacity);
-}
-
-bool
-GlobalXorBehavior::nextOutcome(const ArchContext &ctx)
-{
-    bool out =
-        (ctx.committed.bit(lagA) != ctx.committed.bit(lagB)) != invert;
-    if (noise > 0.0 && rng.nextBool(noise))
-        out = !out;
-    return out;
-}
-
-void
-GlobalXorBehavior::reset()
-{
-    rng = Rng(seed);
-}
-
-std::string
-GlobalXorBehavior::describe() const
-{
-    return "global-xor(" + std::to_string(lagA) + "," +
-           std::to_string(lagB) + ")";
-}
-
-// ------------------------------------------------------------ GlobalEcho
-
-GlobalEchoBehavior::GlobalEchoBehavior(unsigned lag_, bool invert_,
-                                       double noise_, std::uint64_t seed_)
-    : lag(lag_), invert(invert_), noise(noise_), seed(seed_), rng(seed_)
-{
-    pcbp_assert(lag < HistoryRegister::capacity);
-}
-
-bool
-GlobalEchoBehavior::nextOutcome(const ArchContext &ctx)
-{
-    bool out = ctx.committed.bit(lag) != invert;
-    if (noise > 0.0 && rng.nextBool(noise))
-        out = !out;
-    return out;
-}
-
-void
-GlobalEchoBehavior::reset()
-{
-    rng = Rng(seed);
-}
-
-std::string
-GlobalEchoBehavior::describe() const
-{
-    return "global-echo(lag=" + std::to_string(lag) +
-           (invert ? ",inv" : "") + ")";
-}
 
 // ------------------------------------------------------------ PhaseClock
 
@@ -256,89 +26,211 @@ PhaseClock::phaseAt(std::uint64_t t)
     return phase;
 }
 
-void
-PhaseClock::reset()
+// ------------------------------------------------------------- factories
+
+namespace
 {
-    rng = Rng(spec.seed ^ 0x9ca5eULL);
-    phase = false;
-    nextBoundary = static_cast<std::uint64_t>(
-        rng.nextRange(spec.lo, spec.hi));
+
+BranchBehavior
+make(BehaviorKind kind, std::uint32_t n0, std::uint32_t n1, double p0,
+     std::uint64_t seed)
+{
+    BranchBehavior b;
+    b.kind = kind;
+    b.n0 = n0;
+    b.n1 = n1;
+    b.p0 = p0;
+    b.seed = seed;
+    return b;
 }
 
-// ----------------------------------------------------------- PhaseReveal
+} // namespace
 
-PhaseRevealBehavior::PhaseRevealBehavior(const PhaseClockSpec &clock_,
-                                         double fidelity_,
-                                         std::uint64_t seed_)
-    : clock(clock_), fidelity(fidelity_), seed(seed_), rng(seed_)
+BranchBehavior
+BranchBehavior::biased(double p, std::uint64_t seed)
+{
+    pcbp_assert(p >= 0.0 && p <= 1.0);
+    return make(BehaviorKind::Biased, 0, 0, p, seed);
+}
+
+BranchBehavior
+BranchBehavior::loop(unsigned period)
+{
+    pcbp_assert(period >= 2, "loop period must be >= 2");
+    return make(BehaviorKind::Loop, period, 0, 0.0, 0);
+}
+
+BranchBehavior
+BranchBehavior::pattern(const std::vector<bool> &pattern, double noise,
+                        std::uint64_t seed)
+{
+    pcbp_assert(!pattern.empty() && pattern.size() <= 32);
+    std::uint32_t bits = 0;
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        bits |= std::uint32_t(pattern[i]) << i;
+    return make(BehaviorKind::Pattern,
+                static_cast<std::uint32_t>(pattern.size()), bits, noise,
+                seed);
+}
+
+BranchBehavior
+BranchBehavior::localParity(unsigned width, double noise,
+                            std::uint64_t seed)
+{
+    pcbp_assert(width >= 1 && width <= 63);
+    return make(BehaviorKind::LocalParity, width, 0, noise, seed);
+}
+
+BranchBehavior
+BranchBehavior::globalParity(unsigned lag, unsigned width, bool invert,
+                             double noise, std::uint64_t seed)
+{
+    pcbp_assert(width >= 1 && width <= 64);
+    pcbp_assert(lag + width <= HistoryRegister::capacity);
+    BranchBehavior b =
+        make(BehaviorKind::GlobalParity, lag, width, noise, seed);
+    b.invert = invert;
+    return b;
+}
+
+BranchBehavior
+BranchBehavior::globalXor(unsigned lag_a, unsigned lag_b, bool invert,
+                          double noise, std::uint64_t seed)
+{
+    pcbp_assert(lag_a != lag_b);
+    pcbp_assert(lag_a < HistoryRegister::capacity &&
+                lag_b < HistoryRegister::capacity);
+    BranchBehavior b =
+        make(BehaviorKind::GlobalXor, lag_a, lag_b, noise, seed);
+    b.invert = invert;
+    return b;
+}
+
+BranchBehavior
+BranchBehavior::globalEcho(unsigned lag, bool invert, double noise,
+                           std::uint64_t seed)
+{
+    pcbp_assert(lag < HistoryRegister::capacity);
+    BranchBehavior b = make(BehaviorKind::GlobalEcho, lag, 0, noise, seed);
+    b.invert = invert;
+    return b;
+}
+
+BranchBehavior
+BranchBehavior::phaseReveal(unsigned clock, double fidelity,
+                            std::uint64_t seed)
 {
     pcbp_assert(fidelity >= 0.5 && fidelity <= 1.0);
+    return make(BehaviorKind::PhaseReveal, clock, 0, fidelity, seed);
 }
 
-bool
-PhaseRevealBehavior::nextOutcome(const ArchContext &ctx)
-{
-    const bool ph = clock.phaseAt(ctx.commitIndex);
-    return rng.nextBool(fidelity) ? ph : !ph;
-}
-
-void
-PhaseRevealBehavior::reset()
-{
-    clock.reset();
-    rng = Rng(seed);
-}
-
-std::string
-PhaseRevealBehavior::describe() const
-{
-    return "phase-reveal(" + std::to_string(fidelity) + ")";
-}
-
-// ---------------------------------------------------------------- Phased
-
-PhasedBehavior::PhasedBehavior(unsigned period_lo, unsigned period_hi,
-                               double bias_a, double bias_b,
-                               std::uint64_t seed_)
-    : periodLo(period_lo), periodHi(period_hi), biasA(bias_a),
-      biasB(bias_b), seed(seed_), rng(seed_)
+BranchBehavior
+BranchBehavior::phased(unsigned period_lo, unsigned period_hi,
+                       double bias_a, double bias_b, std::uint64_t seed)
 {
     pcbp_assert(period_lo >= 1 && period_lo <= period_hi);
-    rollPhaseLength();
+    BranchBehavior b =
+        make(BehaviorKind::Phased, period_lo, period_hi, bias_a, seed);
+    b.p1 = bias_b;
+    return b;
 }
 
-void
-PhasedBehavior::rollPhaseLength()
+// ------------------------------------------------------------------ walk
+
+BehaviorState
+initialState(const BranchBehavior &b)
 {
-    remaining = static_cast<unsigned>(
-        rng.nextRange(periodLo, periodHi));
+    BehaviorState s{Rng(b.seed)};
+    if (b.kind == BehaviorKind::Phased)
+        s.word = static_cast<std::uint64_t>(s.rng.nextRange(b.n0, b.n1));
+    return s;
 }
 
 bool
-PhasedBehavior::nextOutcome(const ArchContext &)
+nextOutcome(const BranchBehavior &b, BehaviorState &s,
+            const ArchContext &ctx)
 {
-    if (remaining == 0) {
-        inA = !inA;
-        rollPhaseLength();
-    } else {
-        --remaining;
+    // Flip @p out with probability p0 (the kinds that take noise).
+    const auto noisy = [&](bool out) {
+        return b.p0 > 0.0 && s.rng.nextBool(b.p0) ? !out : out;
+    };
+    switch (b.kind) {
+      case BehaviorKind::Biased:
+        return s.rng.nextBool(b.p0);
+      case BehaviorKind::Loop:
+        if (++s.word == b.n0) {
+            s.word = 0;
+            return false; // loop exit
+        }
+        return true; // loop back
+      case BehaviorKind::Pattern: {
+        const bool out = (b.n1 >> s.word) & 1;
+        s.word = (s.word + 1) % b.n0;
+        return noisy(out);
+      }
+      case BehaviorKind::LocalParity: {
+        const bool out =
+            noisy(__builtin_popcountll(s.word & maskBits(b.n0)) % 2 == 0);
+        s.word = (s.word << 1) | (out ? 1 : 0);
+        return out;
+      }
+      case BehaviorKind::GlobalParity:
+        return noisy(
+            (__builtin_popcountll(ctx.committed.window(b.n0, b.n1)) % 2 ==
+             1) != b.invert);
+      case BehaviorKind::GlobalXor:
+        return noisy(
+            (ctx.committed.bit(b.n0) != ctx.committed.bit(b.n1)) !=
+            b.invert);
+      case BehaviorKind::GlobalEcho:
+        return noisy(ctx.committed.bit(b.n0) != b.invert);
+      case BehaviorKind::PhaseReveal: {
+        const bool ph = ctx.clocks[b.n0].phaseAt(ctx.commitIndex);
+        return s.rng.nextBool(b.p0) ? ph : !ph;
+      }
+      case BehaviorKind::Phased:
+        if (s.word == 0) {
+            s.inA = !s.inA;
+            s.word =
+                static_cast<std::uint64_t>(s.rng.nextRange(b.n0, b.n1));
+        } else {
+            --s.word;
+        }
+        return s.rng.nextBool(s.inA ? b.p0 : b.p1);
     }
-    return rng.nextBool(inA ? biasA : biasB);
-}
-
-void
-PhasedBehavior::reset()
-{
-    rng = Rng(seed);
-    inA = true;
-    rollPhaseLength();
+    pcbp_panic("unknown behavior kind");
 }
 
 std::string
-PhasedBehavior::describe() const
+describe(const BranchBehavior &b)
 {
-    return "phased(" + std::to_string(periodLo) + ".." +
-           std::to_string(periodHi) + ")";
+    const auto n = [](std::uint32_t v) { return std::to_string(v); };
+    switch (b.kind) {
+      case BehaviorKind::Biased:
+        return "biased(" + std::to_string(b.p0) + ")";
+      case BehaviorKind::Loop:
+        return "loop(" + n(b.n0) + ")";
+      case BehaviorKind::Pattern: {
+        std::string s = "pattern(";
+        for (std::uint32_t i = 0; i < b.n0; ++i)
+            s.push_back((b.n1 >> i) & 1 ? 'T' : 'N');
+        return s + ")";
+      }
+      case BehaviorKind::LocalParity:
+        return "local-parity(" + n(b.n0) + ")";
+      case BehaviorKind::GlobalParity:
+        return "global-parity(lag=" + n(b.n0) + ",w=" + n(b.n1) + ")";
+      case BehaviorKind::GlobalXor:
+        return "global-xor(" + n(b.n0) + "," + n(b.n1) + ")";
+      case BehaviorKind::GlobalEcho:
+        return "global-echo(lag=" + n(b.n0) + (b.invert ? ",inv" : "") +
+               ")";
+      case BehaviorKind::PhaseReveal:
+        return "phase-reveal(" + std::to_string(b.p0) + ")";
+      case BehaviorKind::Phased:
+        return "phased(" + n(b.n0) + ".." + n(b.n1) + ")";
+    }
+    pcbp_panic("unknown behavior kind");
 }
 
 } // namespace pcbp

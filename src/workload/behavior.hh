@@ -2,9 +2,16 @@
  * @file
  * Branch behavior models for the synthetic workload substrate.
  *
- * A BranchBehavior generates the architectural outcome stream of one
- * static branch. Outcomes may depend on the branch's own private
- * state (loop counters, pattern cursors, RNG streams) and on the
+ * A BranchBehavior describes the architectural outcome stream of one
+ * static branch: a kind plus its parameters, plain data stored with
+ * the branch's block. What the outcomes advance — the private RNG
+ * stream, loop counter, pattern cursor, own history or phase — is a
+ * BehaviorState slot per block that belongs to the walker
+ * (ProgramWalkStream), so a built program is immutable and any
+ * number of walks may read it at once. nextOutcome() is the one
+ * switch that evaluates every kind.
+ *
+ * Outcomes may depend on the branch's own state and on the
  * *committed* global outcome history — never on speculative state —
  * so the architectural path of a program is independent of the
  * predictor driving it (exactly as in real hardware, where wrong
@@ -26,8 +33,8 @@
 #define PCBP_WORKLOAD_BEHAVIOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/history_register.hh"
@@ -36,213 +43,13 @@
 namespace pcbp
 {
 
-/** Committed architectural context visible to behavior models. */
-struct ArchContext
-{
-    /** Outcomes of all previously committed branches (bit 0 newest). */
-    const HistoryRegister &committed;
-    /** Number of branches committed so far. */
-    std::uint64_t commitIndex;
-};
-
-class BranchBehavior;
-using BranchBehaviorPtr = std::unique_ptr<BranchBehavior>;
-
-class BranchBehavior
-{
-  public:
-    virtual ~BranchBehavior() = default;
-
-    /** Produce the next architectural outcome and advance state. */
-    virtual bool nextOutcome(const ArchContext &ctx) = 0;
-
-    /** Restore initial state (for re-walking a program). */
-    virtual void reset() = 0;
-
-    /**
-     * Deep copy, mid-stream state included: the clone's outcome
-     * sequence continues exactly where this behavior's would. The
-     * fork seam of the sweep runner (DESIGN.md §11) relies on this.
-     */
-    virtual BranchBehaviorPtr clone() const = 0;
-
-    /** Short description, e.g.\ "loop(7)". */
-    virtual std::string describe() const = 0;
-};
-
-/** Bernoulli: taken with probability @p p, from a private stream. */
-class BiasedBehavior : public BranchBehavior
-{
-  public:
-    BiasedBehavior(double p, std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<BiasedBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    double prob;
-    std::uint64_t seed;
-    Rng rng;
-};
-
-/** Loop-back branch: taken (period-1) times, then not-taken. */
-class LoopBehavior : public BranchBehavior
-{
-  public:
-    explicit LoopBehavior(unsigned period);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<LoopBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    unsigned period;
-    unsigned count = 0;
-};
-
-/** Repeating fixed pattern, with optional noise flips. */
-class PatternBehavior : public BranchBehavior
-{
-  public:
-    PatternBehavior(std::vector<bool> pattern, double noise,
-                    std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PatternBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    std::vector<bool> pattern;
-    double noise;
-    std::uint64_t seed;
-    std::size_t cursor = 0;
-    Rng rng;
-};
-
-/**
- * Outcome = parity of the branch's own last @p width outcomes,
- * inverted, with noise. Self-referential, so it produces a rich but
- * deterministic local sequence of period > width.
- */
-class LocalParityBehavior : public BranchBehavior
-{
-  public:
-    LocalParityBehavior(unsigned width, double noise, std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<LocalParityBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    unsigned width;
-    double noise;
-    std::uint64_t seed;
-    std::uint64_t own = 0; // branch's own outcome history, bit 0 newest
-    Rng rng;
-};
-
-/**
- * Outcome = parity of committed global outcomes [lag, lag+width),
- * XOR invert, with noise. With lag+width beyond the prophet's
- * history length the prophet cannot learn it.
- */
-class GlobalParityBehavior : public BranchBehavior
-{
-  public:
-    GlobalParityBehavior(unsigned lag, unsigned width, bool invert,
-                         double noise, std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<GlobalParityBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    unsigned lag;
-    unsigned width;
-    bool invert;
-    double noise;
-    std::uint64_t seed;
-    Rng rng;
-};
-
-/**
- * Outcome = XOR of the committed outcomes at two arbitrary lags,
- * XOR invert, with noise. The workhorse of echo chains with several
- * consumers: XOR of two balanced bits is not linearly separable, so
- * no perceptron learns it, and two consumers reading different lag
- * pairs stay mutually unpredictable.
- */
-class GlobalXorBehavior : public BranchBehavior
-{
-  public:
-    GlobalXorBehavior(unsigned lag_a, unsigned lag_b, bool invert,
-                      double noise, std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<GlobalXorBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    unsigned lagA, lagB;
-    bool invert;
-    double noise;
-    std::uint64_t seed;
-    Rng rng;
-};
-
-/**
- * Outcome = committed global outcome @p lag branches ago, XOR
- * invert, with noise. A "relay": at small lags it is easy for the
- * prophet, and its prediction then carries the lagged bit into the
- * critic's future window.
- */
-class GlobalEchoBehavior : public BranchBehavior
-{
-  public:
-    GlobalEchoBehavior(unsigned lag, bool invert, double noise,
-                       std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<GlobalEchoBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    unsigned lag;
-    bool invert;
-    double noise;
-    std::uint64_t seed;
-    Rng rng;
-};
-
 /**
  * A deterministic global phase clock: time (commit index) is split
  * into windows of pseudo-random length in [lo, hi], and the phase
- * bit flips each window. Two behaviors constructed with the same
- * spec see exactly the same phase — this is how a program-wide
- * hidden mode is shared across branches without shared mutable
- * state.
+ * bit flips each window. The phase at commit t depends only on t and
+ * the spec, so every phase revealer naming one spec sees exactly the
+ * same phase — this is how a program-wide hidden mode is shared
+ * across branches.
  */
 struct PhaseClockSpec
 {
@@ -253,7 +60,9 @@ struct PhaseClockSpec
 
 /**
  * Cursor over a PhaseClockSpec. phaseAt() must be called with
- * non-decreasing commit indices (amortized O(1)).
+ * non-decreasing commit indices (amortized O(1)). A walk keeps one
+ * cursor per spec of its program, shared by all the spec's
+ * revealers: the commit index never decreases along a walk.
  */
 class PhaseClock
 {
@@ -263,8 +72,6 @@ class PhaseClock
     /** Phase bit at commit index @p t (t non-decreasing). */
     bool phaseAt(std::uint64_t t);
 
-    void reset();
-
   private:
     PhaseClockSpec spec;
     Rng rng;
@@ -272,60 +79,142 @@ class PhaseClock
     bool phase = false;
 };
 
-/**
- * Phase revealer: outcome = current phase with probability
- * @p fidelity. Easy for any adaptive predictor *within* a phase —
- * which means the prophet's prediction for it leaks the current
- * phase into the critic's future bits.
- */
-class PhaseRevealBehavior : public BranchBehavior
+enum class BehaviorKind : std::uint8_t
 {
-  public:
-    PhaseRevealBehavior(const PhaseClockSpec &clock, double fidelity,
-                        std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhaseRevealBehavior>(*this);
-    }
-    std::string describe() const override;
-
-  private:
-    PhaseClock clock;
-    double fidelity;
-    std::uint64_t seed;
-    Rng rng;
+    /** Bernoulli: taken with probability p0. */
+    Biased,
+    /** Loop-back branch: taken n0-1 times, then not-taken. */
+    Loop,
+    /** Repeating pattern of n0 outcomes (bit i of n1 is outcome i),
+     *  flipped with noise p0. */
+    Pattern,
+    /**
+     * Parity of the branch's own last n0 outcomes, inverted, with
+     * noise p0. Self-referential, so it produces a rich but
+     * deterministic local sequence of period > n0.
+     */
+    LocalParity,
+    /**
+     * Parity of committed global outcomes [n0, n0+n1), XOR invert,
+     * with noise p0. With n0+n1 beyond the prophet's history length
+     * the prophet cannot learn it.
+     */
+    GlobalParity,
+    /**
+     * XOR of the committed outcomes at lags n0 and n1, XOR invert,
+     * with noise p0. The workhorse of echo chains with several
+     * consumers: XOR of two balanced bits is not linearly separable,
+     * so no perceptron learns it, and two consumers reading
+     * different lag pairs stay mutually unpredictable.
+     */
+    GlobalXor,
+    /**
+     * Committed global outcome n0 branches ago, XOR invert, with
+     * noise p0. A "relay": at small lags it is easy for the prophet,
+     * and its prediction then carries the lagged bit into the
+     * critic's future window.
+     */
+    GlobalEcho,
+    /**
+     * Phase revealer: the phase of the program's phase clock n0 with
+     * probability p0 (the fidelity). Easy for any adaptive predictor
+     * *within* a phase — which means the prophet's prediction for it
+     * leaks the current phase into the critic's future bits.
+     */
+    PhaseReveal,
+    /**
+     * Hidden two-mode process: taken with probability p0 in mode A
+     * and p1 in mode B; the mode flips after runs whose lengths are
+     * drawn from [n0, n1]. Models program phase changes.
+     */
+    Phased,
 };
 
 /**
- * Hidden two-mode process: the branch is strongly biased one way,
- * and the bias flips at random intervals drawn from
- * [period_lo, period_hi]. Models program phase changes.
+ * One branch's behavior: a kind and its parameters (see
+ * BehaviorKind for what each field means per kind). Build it with
+ * the named factories, which check the parameters.
  */
-class PhasedBehavior : public BranchBehavior
+struct BranchBehavior
 {
-  public:
-    PhasedBehavior(unsigned period_lo, unsigned period_hi,
-                   double bias_a, double bias_b, std::uint64_t seed);
-    bool nextOutcome(const ArchContext &ctx) override;
-    void reset() override;
-    BranchBehaviorPtr clone() const override
-    {
-        return std::make_unique<PhasedBehavior>(*this);
-    }
-    std::string describe() const override;
+    BehaviorKind kind = BehaviorKind::Biased;
+    bool invert = false;
+    std::uint32_t n0 = 0;
+    std::uint32_t n1 = 0;
+    double p0 = 0.0;
+    double p1 = 0.0;
+    /** Seed of the branch's private RNG stream. */
+    std::uint64_t seed = 0;
 
-  private:
-    void rollPhaseLength();
+    static BranchBehavior biased(double p, std::uint64_t seed);
+    static BranchBehavior loop(unsigned period);
+    /** @p pattern holds 1 to 32 outcomes. */
+    static BranchBehavior pattern(const std::vector<bool> &pattern,
+                                  double noise, std::uint64_t seed);
+    static BranchBehavior localParity(unsigned width, double noise,
+                                      std::uint64_t seed);
+    /** @p width is at most 64. */
+    static BranchBehavior globalParity(unsigned lag, unsigned width,
+                                       bool invert, double noise,
+                                       std::uint64_t seed);
+    static BranchBehavior globalXor(unsigned lag_a, unsigned lag_b,
+                                    bool invert, double noise,
+                                    std::uint64_t seed);
+    static BranchBehavior globalEcho(unsigned lag, bool invert,
+                                     double noise, std::uint64_t seed);
+    /** @p clock indexes the program's phase clocks
+     *  (Program::addPhaseClock). */
+    static BranchBehavior phaseReveal(unsigned clock, double fidelity,
+                                      std::uint64_t seed);
+    static BranchBehavior phased(unsigned period_lo, unsigned period_hi,
+                                 double bias_a, double bias_b,
+                                 std::uint64_t seed);
+};
 
-    unsigned periodLo, periodHi;
-    double biasA, biasB;
-    std::uint64_t seed;
+/**
+ * The walk state of one branch behavior. Trivially copyable, so a
+ * walk's states copy (a fork) with one memcpy.
+ */
+struct BehaviorState
+{
     Rng rng;
+    /**
+     * Loop: iterations so far; Pattern: cursor; LocalParity: the
+     * branch's own outcomes (bit 0 newest); Phased: outcomes left in
+     * the current mode.
+     */
+    std::uint64_t word = 0;
+    /** Phased: in mode A. */
     bool inA = true;
-    unsigned remaining = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<BehaviorState>);
+
+/** @p b's state before its first outcome. */
+BehaviorState initialState(const BranchBehavior &b);
+
+/** Committed architectural context visible to behavior models. */
+struct ArchContext
+{
+    /** Outcomes of all previously committed branches (bit 0 newest). */
+    const HistoryRegister &committed;
+    /** Number of branches committed so far. */
+    std::uint64_t commitIndex;
+    /** The walk's phase clocks, indexed like the program's specs. */
+    PhaseClock *clocks;
+};
+
+/**
+ * Produce @p b's next architectural outcome and advance @p state.
+ * Each kind draws from state.rng in a fixed order, so a behavior's
+ * outcome sequence depends only on its parameters and the committed
+ * context.
+ */
+bool nextOutcome(const BranchBehavior &b, BehaviorState &state,
+                 const ArchContext &ctx);
+
+/** Short description, e.g.\ "loop(7)". */
+std::string describe(const BranchBehavior &b);
 
 } // namespace pcbp
 

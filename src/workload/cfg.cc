@@ -9,25 +9,44 @@ Program::Program(std::string name) : progName(std::move(name))
 {
 }
 
-BlockId
-Program::addBlock(BasicBlock block)
+void
+Program::reserve(std::size_t n)
 {
-    blocks.push_back(std::move(block));
+    blocks.reserve(n);
+    behaviors.reserve(n);
+}
+
+BlockId
+Program::addBlock(const BasicBlock &block, const BranchBehavior &behavior)
+{
+    blocks.push_back(block);
+    behaviors.push_back(behavior);
     return static_cast<BlockId>(blocks.size() - 1);
+}
+
+unsigned
+Program::addPhaseClock(const PhaseClockSpec &spec)
+{
+    clocks.push_back(spec);
+    return static_cast<unsigned>(clocks.size() - 1);
 }
 
 void
 Program::validate() const
 {
     pcbp_assert(!blocks.empty(), "program '", progName, "' has no blocks");
+    for (const PhaseClockSpec &c : clocks)
+        pcbp_assert(c.lo >= 1 && c.lo <= c.hi, "bad phase clock range");
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         const auto &b = blocks[i];
         pcbp_assert(b.takenTarget < blocks.size(),
                     "block ", i, " taken target out of range");
         pcbp_assert(b.fallthroughTarget < blocks.size(),
                     "block ", i, " fallthrough target out of range");
-        pcbp_assert(b.behavior != nullptr, "block ", i, " has no behavior");
         pcbp_assert(b.numUops >= 1, "block ", i, " has no uops");
+        pcbp_assert(behaviors[i].kind != BehaviorKind::PhaseReveal ||
+                        behaviors[i].n0 < clocks.size(),
+                    "block ", i, " reveals a phase clock out of range");
         // Equal taken/fallthrough targets are allowed: they model a
         // conditional branch around nothing (straight-line relays in
         // echo chains). Wrong-path divergence comes from the blocks
@@ -40,62 +59,6 @@ Program::blockMut(BlockId id)
 {
     pcbp_assert(id < blocks.size());
     return blocks[id];
-}
-
-bool
-Program::evalOutcome(BlockId id)
-{
-    pcbp_dassert(id < blocks.size());
-    const ArchContext ctx{committed, commits};
-    const bool taken = blocks[id].behavior->nextOutcome(ctx);
-    committed.shiftIn(taken);
-    ++commits;
-    return taken;
-}
-
-void
-Program::resetWalk()
-{
-    committed.reset();
-    commits = 0;
-    for (auto &b : blocks)
-        b.behavior->reset();
-}
-
-Program
-Program::clone() const
-{
-    Program out(progName);
-    out.blocks.reserve(blocks.size());
-    for (const auto &b : blocks) {
-        BasicBlock copy;
-        copy.branchPc = b.branchPc;
-        copy.numUops = b.numUops;
-        copy.takenTarget = b.takenTarget;
-        copy.fallthroughTarget = b.fallthroughTarget;
-        copy.behavior = b.behavior ? b.behavior->clone() : nullptr;
-        out.blocks.push_back(std::move(copy));
-    }
-    out.committed = committed;
-    out.commits = commits;
-    return out;
-}
-
-std::vector<CommittedBranch>
-walkProgram(Program &program, std::uint64_t num_branches)
-{
-    program.validate();
-    program.resetWalk();
-    std::vector<CommittedBranch> out;
-    out.reserve(num_branches);
-    BlockId cur = program.entry();
-    for (std::uint64_t i = 0; i < num_branches; ++i) {
-        const BasicBlock &b = program.block(cur);
-        const bool taken = program.evalOutcome(cur);
-        out.push_back({cur, b.branchPc, taken, b.numUops});
-        cur = program.successor(cur, taken);
-    }
-    return out;
 }
 
 } // namespace pcbp

@@ -2,10 +2,15 @@
  * @file
  * The program model: a control flow graph of basic blocks, each
  * ending in one conditional branch whose architectural outcome is
- * produced by a BranchBehavior. The CFG is what lets the simulator
+ * described by a BranchBehavior. The CFG is what lets the simulator
  * actually walk wrong paths (§6 of the paper: future bits must come
  * from really going down the wrong path, which a linear trace cannot
  * provide).
+ *
+ * A built Program is immutable data: it holds no walk state, so every
+ * cell, fork and worker thread of a sweep reads one program through a
+ * const reference while each walk (ProgramWalkStream) keeps its own
+ * state.
  */
 
 #ifndef PCBP_WORKLOAD_CFG_HH
@@ -15,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/history_register.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "workload/behavior.hh"
@@ -34,13 +38,13 @@ struct BasicBlock
     BlockId takenTarget = invalidBlock;
     /** Successor when the branch falls through. */
     BlockId fallthroughTarget = invalidBlock;
-    /** Architectural outcome generator. */
-    BranchBehaviorPtr behavior;
 };
 
 /**
- * A synthetic program. Owns its blocks and the architectural walker
- * state (committed global history) used by behavior evaluation.
+ * A synthetic program: its blocks, each block's branch behavior (kept
+ * apart from the blocks, so the speculative front end's CFG walk
+ * reads only the small block records), and the phase clocks its
+ * phase revealers share.
  */
 class Program
 {
@@ -49,11 +53,22 @@ class Program
 
     Program(Program &&) = default;
     Program &operator=(Program &&) = default;
+    Program(const Program &) = delete;
+    Program &operator=(const Program &) = delete;
 
-    /** Append a block; returns its id. */
-    BlockId addBlock(BasicBlock block);
+    /** Room for @p blocks blocks, so a builder that knows its size
+     *  allocates once. */
+    void reserve(std::size_t blocks);
 
-    /** Check every target is valid and every behavior present. */
+    /** Append a block ending in a branch of @p behavior; returns its id. */
+    BlockId addBlock(const BasicBlock &block,
+                     const BranchBehavior &behavior);
+
+    /** Add a phase clock; phase revealers name the returned index. */
+    unsigned addPhaseClock(const PhaseClockSpec &spec);
+
+    /** Check every target and phase-clock index is valid. Builders
+     *  call it once, when the program is complete. */
     void validate() const;
 
     const std::string &name() const { return progName; }
@@ -63,6 +78,19 @@ class Program
     {
         pcbp_dassert(id < blocks.size());
         return blocks[id];
+    }
+
+    /** The behavior of the branch ending block @p id. */
+    const BranchBehavior &
+    behavior(BlockId id) const
+    {
+        pcbp_dassert(id < behaviors.size());
+        return behaviors[id];
+    }
+
+    const std::vector<PhaseClockSpec> &phaseClocks() const
+    {
+        return clocks;
     }
 
     /** Mutable access, for builders fixing up targets. */
@@ -77,32 +105,11 @@ class Program
         return taken ? b.takenTarget : b.fallthroughTarget;
     }
 
-    /**
-     * Architectural step: evaluate the outcome of the branch ending
-     * @p id, advance committed history, and return the outcome.
-     * Must be called in commit order only.
-     */
-    bool evalOutcome(BlockId id);
-
-    /** Number of architectural evaluations so far. */
-    std::uint64_t commitCount() const { return commits; }
-
-    /** Reset the walker and all behavior state. */
-    void resetWalk();
-
-    /**
-     * Deep copy, mid-walk state included: blocks (behaviors cloned),
-     * committed history, and the commit counter. The clone's
-     * architectural walk continues exactly where this program's
-     * would — the fork seam of the sweep runner (DESIGN.md §11).
-     */
-    Program clone() const;
-
   private:
     std::string progName;
     std::vector<BasicBlock> blocks;
-    HistoryRegister committed;
-    std::uint64_t commits = 0;
+    std::vector<BranchBehavior> behaviors; //!< parallel to blocks
+    std::vector<PhaseClockSpec> clocks;
 };
 
 /** One committed branch of a program walk. */
@@ -113,15 +120,6 @@ struct CommittedBranch
     bool taken;
     std::uint32_t numUops;
 };
-
-/**
- * Walk the program architecturally for @p num_branches branches from
- * the entry block, resetting behavior state first. The committed
- * path is independent of any predictor (behaviors read only
- * committed state), so the walk can be precomputed exactly.
- */
-std::vector<CommittedBranch> walkProgram(Program &program,
-                                         std::uint64_t num_branches);
 
 } // namespace pcbp
 

@@ -21,7 +21,7 @@ pcOf(std::size_t block_id)
 }
 
 /** Draw a filler behavior from the recipe mixture. */
-BranchBehaviorPtr
+BranchBehavior
 drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
            double bias_hi)
 {
@@ -36,12 +36,12 @@ drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
         double p = bias_lo + rng.nextDouble() * (bias_hi - bias_lo);
         if (rng.nextBool(0.5))
             p = 1.0 - p;
-        return std::make_unique<BiasedBehavior>(p, rng.next());
+        return BranchBehavior::biased(p, rng.next());
     }
     if ((x -= r.wLoop) < 0) {
         const unsigned period = static_cast<unsigned>(
             rng.nextRange(r.loopLo, r.loopHi));
-        return std::make_unique<LoopBehavior>(std::max(2u, period));
+        return BranchBehavior::loop(std::max(2u, period));
     }
     if ((x -= r.wPattern) < 0) {
         const unsigned len = static_cast<unsigned>(
@@ -49,28 +49,30 @@ drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
         std::vector<bool> pat(std::max(2u, len));
         for (std::size_t i = 0; i < pat.size(); ++i)
             pat[i] = rng.nextBool(0.5);
-        return std::make_unique<PatternBehavior>(std::move(pat),
-                                                 r.patNoise, rng.next());
+        return BranchBehavior::pattern(pat, r.patNoise, rng.next());
     }
     if ((x -= r.wLocalParity) < 0) {
         const unsigned w = static_cast<unsigned>(
             rng.nextRange(r.lparWidthLo, r.lparWidthHi));
-        return std::make_unique<LocalParityBehavior>(w, r.lparNoise,
-                                                     rng.next());
+        return BranchBehavior::localParity(w, r.lparNoise, rng.next());
     }
     if ((x -= r.wPhased) < 0) {
-        return std::make_unique<PhasedBehavior>(
-            r.phasedLo, r.phasedHi, r.phasedBiasA, r.phasedBiasB,
-            rng.next());
+        return BranchBehavior::phased(r.phasedLo, r.phasedHi,
+                                      r.phasedBiasA, r.phasedBiasB,
+                                      rng.next());
     }
     if ((x -= r.wNoise) < 0)
-        return std::make_unique<BiasedBehavior>(r.noiseBias, rng.next());
+        return BranchBehavior::biased(r.noiseBias, rng.next());
     const unsigned lag = static_cast<unsigned>(
         rng.nextRange(r.gparLagLo, r.gparLagHi));
     const unsigned w = static_cast<unsigned>(
         rng.nextRange(r.gparWidthLo, r.gparWidthHi));
-    return std::make_unique<GlobalParityBehavior>(
-        lag, w, rng.nextBool(0.5), r.gparNoise, rng.next());
+    // A behavior that takes both a coin flip and a seed draws the
+    // seed first, here and in generateProgram: the order every
+    // registry program, and so every golden, was generated in.
+    const std::uint64_t seed = rng.next();
+    return BranchBehavior::globalParity(lag, w, rng.nextBool(0.5),
+                                        r.gparNoise, seed);
 }
 
 } // namespace
@@ -83,12 +85,14 @@ generateProgram(const WorkloadRecipe &recipe)
                 recipe.minUops <= recipe.maxUops);
     Rng rng(recipe.seed ^ 0x5eedf00dULL);
     Program prog(recipe.name);
+    prog.reserve(recipe.targetBlocks); // motifs never overshoot it
 
     // One phase clock per program, shared by all phase chains.
-    PhaseClockSpec phase_clock;
-    phase_clock.seed = recipe.seed ^ 0x9ca5ec10cULL;
-    phase_clock.lo = recipe.phaseClockLo;
-    phase_clock.hi = recipe.phaseClockHi;
+    PhaseClockSpec phase_spec;
+    phase_spec.seed = recipe.seed ^ 0x9ca5ec10cULL;
+    phase_spec.lo = recipe.phaseClockLo;
+    phase_spec.hi = recipe.phaseClockHi;
+    const unsigned phase_clock = prog.addPhaseClock(phase_spec);
 
     // Motif sizing for even placement. An echo chain is two source
     // blocks, a straight spacer, consumer + arms, gap fillers, and
@@ -139,25 +143,23 @@ generateProgram(const WorkloadRecipe &recipe)
                      recipe.numChains * motifs_placed);
 
             std::size_t at = i;
-            auto straight = [&](BranchBehaviorPtr beh) {
+            auto straight = [&](const BranchBehavior &beh) {
                 BasicBlock b;
                 b.branchPc = pcOf(at);
                 b.numUops = draw_uops();
                 b.takenTarget = static_cast<BlockId>(at + 1);
                 b.fallthroughTarget = static_cast<BlockId>(at + 1);
-                b.behavior = std::move(beh);
-                prog.addBlock(std::move(b));
+                prog.addBlock(b, beh);
                 ++at;
             };
-            auto diamond = [&](BranchBehaviorPtr beh) {
+            auto diamond = [&](const BranchBehavior &beh) {
                 // consumer with opposite-bias arms; merge after.
                 BasicBlock s;
                 s.branchPc = pcOf(at);
                 s.numUops = draw_uops();
                 s.takenTarget = static_cast<BlockId>(at + 1);
                 s.fallthroughTarget = static_cast<BlockId>(at + 2);
-                s.behavior = std::move(beh);
-                prog.addBlock(std::move(s));
+                prog.addBlock(s, beh);
                 ++at;
                 for (int arm = 0; arm < 2; ++arm) {
                     BasicBlock a;
@@ -166,10 +168,11 @@ generateProgram(const WorkloadRecipe &recipe)
                     a.takenTarget =
                         static_cast<BlockId>(at + (arm ? 1 : 2));
                     a.fallthroughTarget = a.takenTarget;
-                    a.behavior = std::make_unique<BiasedBehavior>(
-                        arm == 0 ? recipe.armBiasHi : recipe.armBiasLo,
-                        rng.next());
-                    prog.addBlock(std::move(a));
+                    prog.addBlock(
+                        a, BranchBehavior::biased(arm == 0
+                                                      ? recipe.armBiasHi
+                                                      : recipe.armBiasLo,
+                                                  rng.next()));
                     ++at;
                 }
             };
@@ -179,7 +182,7 @@ generateProgram(const WorkloadRecipe &recipe)
                 // then an inner loop holding a phase revealer whose
                 // outcomes keep the phase visible in the deep BOR
                 // history of the next consumers.
-                diamond(std::make_unique<PhaseRevealBehavior>(
+                diamond(BranchBehavior::phaseReveal(
                     phase_clock,
                     std::max(0.5, 1.0 - recipe.phaseNoise), rng.next()));
 
@@ -188,9 +191,8 @@ generateProgram(const WorkloadRecipe &recipe)
                 rv.numUops = draw_uops();
                 rv.takenTarget = static_cast<BlockId>(at + 1);
                 rv.fallthroughTarget = static_cast<BlockId>(at + 1);
-                rv.behavior = std::make_unique<PhaseRevealBehavior>(
-                    phase_clock, 0.98, rng.next());
-                prog.addBlock(std::move(rv));
+                prog.addBlock(rv, BranchBehavior::phaseReveal(
+                                      phase_clock, 0.98, rng.next()));
                 ++at;
 
                 BasicBlock lt;
@@ -198,9 +200,8 @@ generateProgram(const WorkloadRecipe &recipe)
                 lt.numUops = draw_uops();
                 lt.takenTarget = static_cast<BlockId>(at - 1);
                 lt.fallthroughTarget = static_cast<BlockId>(at + 1);
-                lt.behavior = std::make_unique<LoopBehavior>(
-                    std::max(2u, recipe.phaseInnerTrips));
-                prog.addBlock(std::move(lt));
+                prog.addBlock(lt, BranchBehavior::loop(std::max(
+                                      2u, recipe.phaseInnerTrips)));
                 ++at;
 
                 // Outer latch: repeat the whole chain so the
@@ -210,9 +211,8 @@ generateProgram(const WorkloadRecipe &recipe)
                 ol.numUops = draw_uops();
                 ol.takenTarget = static_cast<BlockId>(i);
                 ol.fallthroughTarget = static_cast<BlockId>(at + 1);
-                ol.behavior = std::make_unique<LoopBehavior>(
-                    std::max(2u, recipe.phaseChainTrips));
-                prog.addBlock(std::move(ol));
+                prog.addBlock(ol, BranchBehavior::loop(std::max(
+                                      2u, recipe.phaseChainTrips)));
                 continue;
             }
 
@@ -234,41 +234,40 @@ generateProgram(const WorkloadRecipe &recipe)
                 gap = 27 - m - 4;
 
             // Sources (committed order: src1 then src0).
-            straight(std::make_unique<BiasedBehavior>(
-                recipe.chainSrcBias, rng.next()));
-            straight(std::make_unique<BiasedBehavior>(
-                recipe.chainSrcBias, rng.next()));
+            straight(BranchBehavior::biased(recipe.chainSrcBias,
+                                            rng.next()));
+            straight(BranchBehavior::biased(recipe.chainSrcBias,
+                                            rng.next()));
             // Quiet spacer.
             for (unsigned k = 0; k + 1 < m; ++k) {
                 double bias = 0.92 + 0.07 * rng.nextDouble();
                 if (rng.nextBool(0.5))
                     bias = 1.0 - bias;
-                straight(std::make_unique<BiasedBehavior>(bias,
-                                                          rng.next()));
+                straight(BranchBehavior::biased(bias, rng.next()));
             }
             // Consumer: src0 sits at lag m-1... the spacer has m-1
             // blocks, so src0 = lag m-1+0? Lags: src0 committed
             // m-1 blocks before the consumer => lag m-1; src1 => m.
-            diamond(std::make_unique<GlobalXorBehavior>(
-                m - 1, m, rng.nextBool(0.5), recipe.chainNoise,
-                rng.next()));
+            std::uint64_t seed = rng.next();
+            diamond(BranchBehavior::globalXor(
+                m - 1, m, rng.nextBool(0.5), recipe.chainNoise, seed));
             // Gap fillers delay the relays' entry into the critique
             // window (need gap+4 future bits).
             for (unsigned k = 0; k < gap; ++k) {
                 double bias = 0.92 + 0.07 * rng.nextDouble();
                 if (rng.nextBool(0.5))
                     bias = 1.0 - bias;
-                straight(std::make_unique<BiasedBehavior>(bias,
-                                                          rng.next()));
+                straight(BranchBehavior::biased(bias, rng.next()));
             }
             // Relays: r1 commits gap+2 after the consumer, r2 one
             // later.
-            straight(std::make_unique<GlobalEchoBehavior>(
+            seed = rng.next();
+            straight(BranchBehavior::globalEcho(
                 (m - 1) + gap + 2, rng.nextBool(0.5), recipe.chainNoise,
-                rng.next()));
-            straight(std::make_unique<GlobalEchoBehavior>(
-                m + gap + 3, rng.nextBool(0.5), recipe.chainNoise,
-                rng.next()));
+                seed));
+            seed = rng.next();
+            straight(BranchBehavior::globalEcho(
+                m + gap + 3, rng.nextBool(0.5), recipe.chainNoise, seed));
 
             // Outer latch: repeat the whole chain so the consumer is
             // hot enough for the critic's contexts to recur.
@@ -277,9 +276,8 @@ generateProgram(const WorkloadRecipe &recipe)
             ol.numUops = draw_uops();
             ol.takenTarget = static_cast<BlockId>(i);
             ol.fallthroughTarget = static_cast<BlockId>(at + 1);
-            ol.behavior = std::make_unique<LoopBehavior>(
-                std::max(2u, recipe.chainTrips));
-            prog.addBlock(std::move(ol));
+            prog.addBlock(ol, BranchBehavior::loop(
+                                  std::max(2u, recipe.chainTrips)));
             continue;
         }
 
@@ -296,8 +294,7 @@ generateProgram(const WorkloadRecipe &recipe)
                            (recipe.oneShotBiasHi - recipe.oneShotBiasLo);
             if (rng.nextBool(0.5))
                 p = 1.0 - p;
-            os.behavior = std::make_unique<BiasedBehavior>(p, rng.next());
-            prog.addBlock(std::move(os));
+            prog.addBlock(os, BranchBehavior::biased(p, rng.next()));
             continue;
         }
 
@@ -329,8 +326,7 @@ generateProgram(const WorkloadRecipe &recipe)
             lt.numUops = draw_uops();
             lt.takenTarget = static_cast<BlockId>(seg_start);
             lt.fallthroughTarget = static_cast<BlockId>(i + 1);
-            lt.behavior = std::make_unique<LoopBehavior>(trips);
-            prog.addBlock(std::move(lt));
+            prog.addBlock(lt, BranchBehavior::loop(trips));
             seg_fill = 0;
             continue;
         }
@@ -339,6 +335,7 @@ generateProgram(const WorkloadRecipe &recipe)
         b.branchPc = pcOf(i);
         b.numUops = draw_uops();
         b.fallthroughTarget = static_cast<BlockId>(i + 1);
+        BranchBehavior beh;
         if (seg_fill == seg_entropy_slot) {
             // One mid-bias entropy member per segment: its outcomes
             // decorrelate the (pc, BOR) contexts of its neighbors,
@@ -346,15 +343,14 @@ generateProgram(const WorkloadRecipe &recipe)
             // mispredicts rarely fire again.
             const double p_ent =
                 0.88 + 0.05 * rng.nextDouble();
-            b.behavior = std::make_unique<BiasedBehavior>(
-                rng.nextBool(0.5) ? p_ent : 1.0 - p_ent, rng.next());
+            const std::uint64_t seed = rng.next();
+            beh = BranchBehavior::biased(
+                rng.nextBool(0.5) ? p_ent : 1.0 - p_ent, seed);
         } else {
-            b.behavior = drawFiller(recipe, rng, recipe.segBiasLo,
-                                    recipe.segBiasHi);
+            beh = drawFiller(recipe, rng, recipe.segBiasLo,
+                             recipe.segBiasHi);
         }
-        const bool is_loop =
-            b.behavior->describe().rfind("loop", 0) == 0;
-        if (is_loop) {
+        if (beh.kind == BehaviorKind::Loop) {
             b.takenTarget = static_cast<BlockId>(i); // self loop
         } else if (rng.nextBool(0.3)) {
             // Short forward skip inside the segment.
@@ -363,7 +359,7 @@ generateProgram(const WorkloadRecipe &recipe)
         } else {
             b.takenTarget = static_cast<BlockId>(i + 1);
         }
-        prog.addBlock(std::move(b));
+        prog.addBlock(b, beh);
         ++seg_fill;
     }
 

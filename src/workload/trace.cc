@@ -131,6 +131,7 @@ reconstructProgramFromTrace(const std::string &path,
         pcbp_fatal("trace '", path, "' is empty; nothing to reconstruct");
 
     Program prog(name);
+    prog.reserve(info.size());
     for (std::size_t id = 0; id < info.size(); ++id) {
         BlockInfo &b = info[id];
         BasicBlock blk;
@@ -141,9 +142,8 @@ reconstructProgramFromTrace(const std::string &path,
             blk.numUops = 1;
             blk.takenTarget = static_cast<BlockId>(id);
             blk.fallthroughTarget = static_cast<BlockId>(id);
-            blk.behavior = std::make_unique<BiasedBehavior>(
-                0.5, std::uint64_t(id) + 1);
-            prog.addBlock(std::move(blk));
+            prog.addBlock(blk, BranchBehavior::biased(
+                                   0.5, std::uint64_t(id) + 1));
             continue;
         }
         // An unexercised direction falls back to the exercised one
@@ -158,10 +158,10 @@ reconstructProgramFromTrace(const std::string &path,
         blk.numUops = b.numUops;
         blk.takenTarget = b.takenTarget;
         blk.fallthroughTarget = b.fallthroughTarget;
-        blk.behavior = std::make_unique<BiasedBehavior>(
-            b.execs ? double(b.takens) / double(b.execs) : 0.5,
-            std::uint64_t(id) + 1);
-        prog.addBlock(std::move(blk));
+        prog.addBlock(
+            blk, BranchBehavior::biased(
+                     b.execs ? double(b.takens) / double(b.execs) : 0.5,
+                     std::uint64_t(id) + 1));
     }
     prog.validate();
     return prog;

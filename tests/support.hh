@@ -1,9 +1,10 @@
 /**
  * @file
  * Helpers shared by the test programs: a commit-event recording tap,
- * field-by-field comparisons of commit events and of each simulator's
- * stats, and scratch files under the test temp directory (plain paths
- * and recorded PCBPTRC2 traces).
+ * an eager program walk, field-by-field comparisons of commit events
+ * and of each simulator's stats, a host-stat reader, and files (a
+ * whole-file read; scratch files under the test temp directory:
+ * plain paths and recorded PCBPTRC2 traces).
  */
 
 #ifndef PCBP_TESTS_SUPPORT_HH
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,47 @@ struct RecordingSink : CommitSink
 
     void onCommit(const CommitEvent &e) override { events.push_back(e); }
 };
+
+/**
+ * The first @p num_branches committed branches of a fresh walk of
+ * @p program from its entry block, as one vector: a drained
+ * ProgramWalkStream.
+ */
+inline std::vector<CommittedBranch>
+walkProgram(const Program &program, std::uint64_t num_branches)
+{
+    ProgramWalkStream stream(program, num_branches);
+    std::vector<CommittedBranch> out;
+    out.reserve(num_branches);
+    for (std::uint64_t i = 0; i < num_branches; ++i) {
+        out.push_back(*stream.at(i));
+        stream.release(i + 1);
+    }
+    return out;
+}
+
+/** A host scalar's value in a StatRegistry::toJson() dump (0, and a
+ *  failure, when the key is absent). */
+inline std::uint64_t
+hostValue(const std::string &js, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = js.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(js.substr(at + needle.size()));
+}
+
+/** The bytes of the file at @p path ("" if it cannot be read). */
+inline std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
 
 /** @p stem under the test temp directory. */
 inline std::string

@@ -422,15 +422,6 @@ TEST(Histogram, OverflowBucket)
     EXPECT_EQ(h.buckets().back(), 1u);
 }
 
-TEST(Histogram, Reset)
-{
-    Histogram h(10, 4);
-    h.sample(3);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.buckets()[0], 0u);
-}
-
 TEST(TablePrinter, FormatsAligned)
 {
     TablePrinter t({"name", "value"});

@@ -369,8 +369,7 @@ TEST(Mechanism, OracleFutureBitsComeFromTheTrace)
     a.numUops = 10;
     a.takenTarget = 0;
     a.fallthroughTarget = 0;
-    a.behavior = std::make_unique<BiasedBehavior>(1.0, 1);
-    p.addBlock(std::move(a));
+    p.addBlock(a, BranchBehavior::biased(1.0, 1));
     p.validate();
 
     HybridConfig hc;

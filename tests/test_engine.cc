@@ -28,17 +28,13 @@ tinyProgram()
     a.numUops = 10;
     a.takenTarget = 1;
     a.fallthroughTarget = 1;
-    a.behavior =
-        std::make_unique<PatternBehavior>(std::vector<bool>{true, false},
-                                          0.0, 1);
-    p.addBlock(std::move(a));
+    p.addBlock(a, BranchBehavior::pattern({true, false}, 0.0, 1));
     BasicBlock b;
     b.branchPc = 0x1010;
     b.numUops = 10;
     b.takenTarget = 0;
     b.fallthroughTarget = 0;
-    b.behavior = std::make_unique<BiasedBehavior>(1.0, 2);
-    p.addBlock(std::move(b));
+    p.addBlock(b, BranchBehavior::biased(1.0, 2));
     p.validate();
     return p;
 }

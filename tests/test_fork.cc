@@ -3,9 +3,9 @@
  * Fork/clone equivalence tests (DESIGN.md §11).
  *
  * The fork-based sweep executor rests on one claim: cloning a
- * mid-warmup simulation — program behaviors, predictor, spec core,
- * committed stream — and resuming the clone produces *bit-identical*
- * results to an uninterrupted run. These tests pin that claim
+ * mid-warmup simulation — predictor, spec core, committed stream with
+ * its walk state, all over one shared program — and resuming the
+ * clone produces *bit-identical* results to an uninterrupted run. These tests pin that claim
  * registry-wide and at full event granularity:
  *
  * - for every factory prophet and every critic kind, on both
@@ -24,6 +24,9 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <thread>
 
 #include "obs/stat_registry.hh"
 #include "sim/driver.hh"
@@ -64,8 +67,8 @@ engineStraight(const WorkloadRecipe &recipe, const HybridSpec &spec,
 
 /**
  * The same run, but paused at commit @p fork_at (inside warmup),
- * forked — program, predictor, stream, engine all cloned — and
- * finished on the clone. Returns the canonical prefix concatenated
+ * forked — predictor, stream and engine cloned over the one shared
+ * program — and finished on the clone. Returns the canonical prefix concatenated
  * with the fork's suffix, plus the fork's stats.
  */
 std::pair<std::vector<CommitEvent>, EngineStats>
@@ -86,13 +89,12 @@ engineForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
     canon.stepUntil(fork_at, stream);
     EXPECT_EQ(canon.committedSoFar(), fork_at);
 
-    Program fork_prog = p.clone();
     auto fork_hybrid = h->clone();
     RecordingSink fork_sink;
     EngineConfig fork_cfg = cfg;
     fork_cfg.commitSink = &fork_sink;
-    ProgramWalkStream fork_stream(stream, fork_prog, total);
-    Engine fork(canon, fork_prog, *fork_hybrid, fork_cfg, fork_stream);
+    ProgramWalkStream fork_stream(stream, total);
+    Engine fork(canon, *fork_hybrid, fork_cfg, fork_stream);
     const EngineStats st = fork.finishRun(fork_stream);
 
     std::vector<CommitEvent> events = std::move(canon_sink.events);
@@ -139,13 +141,12 @@ timingForked(const WorkloadRecipe &recipe, const HybridSpec &spec,
     EXPECT_GE(canon.committedSoFar(), fork_target);
     EXPECT_LT(canon.committedSoFar(), cfg.warmupBranches);
 
-    Program fork_prog = p.clone();
     auto fork_hybrid = h->clone();
     RecordingSink fork_sink;
     TimingConfig fork_cfg = cfg;
     fork_cfg.commitSink = &fork_sink;
-    ProgramWalkStream fork_stream(stream, fork_prog, total);
-    TimingSim fork(canon, fork_prog, *fork_hybrid, fork_cfg, fork_stream);
+    ProgramWalkStream fork_stream(stream, total);
+    TimingSim fork(canon, *fork_hybrid, fork_cfg, fork_stream);
     const TimingStats st = fork.finishRun(fork_stream);
 
     std::vector<CommitEvent> events = std::move(canon_sink.events);
@@ -368,7 +369,7 @@ TEST(Fork, AccuracyChainMatchesIndividualRuns)
 
     ChainObs obs;
     const std::vector<EngineStats> chained =
-        runAccuracyChain(w, spec, configs, &obs);
+        runAccuracyChain(w, buildProgram(w), spec, configs, &obs);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
@@ -397,7 +398,7 @@ TEST(Fork, TimingChainMatchesIndividualRuns)
 
     ChainObs obs;
     const std::vector<TimingStats> chained =
-        runTimingChain(w, spec, configs, &obs);
+        runTimingChain(w, buildProgram(w), spec, configs, &obs);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
@@ -467,7 +468,7 @@ TEST(Fork, AccuracyChainMatchesIndividualRunsOnCompressedTrace)
     const Workload &w = workloadByName("trace:" + t.path);
     ChainObs obs;
     const std::vector<EngineStats> chained =
-        runAccuracyChain(w, spec, configs, &obs);
+        runAccuracyChain(w, buildProgram(w), spec, configs, &obs);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
@@ -497,7 +498,7 @@ TEST(Fork, TimingChainMatchesIndividualRunsOnCompressedTrace)
 
     ChainObs obs;
     const std::vector<TimingStats> chained =
-        runTimingChain(w, spec, configs, &obs);
+        runTimingChain(w, buildProgram(w), spec, configs, &obs);
     EXPECT_GT(obs.warmupBranchesSaved, 0u);
 
     ASSERT_EQ(chained.size(), configs.size());
@@ -535,6 +536,158 @@ TEST(Fork, SweepStoreBytesIdenticalForkVsReplayOnCompressedTrace)
     const std::string replay = runWith(false, 1);
     EXPECT_EQ(runWith(true, 1), replay);
     EXPECT_EQ(runWith(true, 4), replay);
+}
+
+// ---------------------------------------------------- shared programs
+
+/** Two walks of one program, record by record. */
+void
+expectSameWalk(const std::vector<CommittedBranch> &a,
+               const std::vector<CommittedBranch> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].block, b[i].block) << "at record " << i;
+        ASSERT_EQ(a[i].pc, b[i].pc) << "at record " << i;
+        ASSERT_EQ(a[i].taken, b[i].taken) << "at record " << i;
+        ASSERT_EQ(a[i].numUops, b[i].numUops) << "at record " << i;
+    }
+}
+
+/**
+ * A built program holds no walk state: two streams over one const
+ * program, read alternately record by record, each equal a lone walk.
+ */
+TEST(SharedProgram, InterleavedWalksEqualALoneWalk)
+{
+    const Program p = generateProgram(forkRecipe(81));
+    const std::vector<CommittedBranch> lone = walkProgram(p, 6000);
+
+    ProgramWalkStream a(p, 6000), b(p, 6000);
+    std::vector<CommittedBranch> from_a, from_b;
+    for (std::uint64_t i = 0; i < 6000; ++i) {
+        from_a.push_back(*a.at(i));
+        from_b.push_back(*b.at(i));
+        a.release(i + 1);
+        b.release(i + 1);
+    }
+    expectSameWalk(from_a, lone);
+    expectSameWalk(from_b, lone);
+}
+
+/** A stream forked mid-walk continues exactly where its original
+ *  does, and the original is undisturbed by it. */
+TEST(SharedProgram, ForkedWalkEqualsTheOriginalsContinuation)
+{
+    const Program p = generateProgram(forkRecipe(82));
+    const std::vector<CommittedBranch> lone = walkProgram(p, 6000);
+
+    ProgramWalkStream original(p, 6000);
+    ASSERT_NE(original.at(2500), nullptr); // walk ahead of the reader
+    original.release(2000);
+    ProgramWalkStream fork(original, 6000);
+
+    std::vector<CommittedBranch> rest_original, rest_fork;
+    for (std::uint64_t i = 2000; i < 6000; ++i) {
+        rest_fork.push_back(*fork.at(i));
+        rest_original.push_back(*original.at(i));
+        fork.release(i + 1);
+        original.release(i + 1);
+    }
+    const std::vector<CommittedBranch> rest(lone.begin() + 2000,
+                                            lone.end());
+    expectSameWalk(rest_fork, rest);
+    expectSameWalk(rest_original, rest);
+}
+
+/** Walks on several threads at once share one program (what a
+ *  sweep's workers do); each equals a lone walk. */
+TEST(SharedProgram, ConcurrentWalksEqualALoneWalk)
+{
+    const Program p = generateProgram(forkRecipe(83));
+    const std::vector<CommittedBranch> lone = walkProgram(p, 20000);
+
+    std::vector<std::vector<CommittedBranch>> walks(4);
+    std::vector<std::thread> threads;
+    for (auto &w : walks)
+        threads.emplace_back([&p, &w] { w = walkProgram(p, 20000); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const auto &w : walks)
+        expectSameWalk(w, lone);
+}
+
+/**
+ * Run @p spec into a fresh store file; returns the file's bytes and
+ * sets @p built to the run's `sweep.programs_built`.
+ */
+std::string
+storeBytes(const SweepSpec &spec, bool fork, unsigned jobs,
+           std::uint64_t &built)
+{
+    const std::string path = tmpPath(spec.name + ".jsonl");
+    std::remove(path.c_str());
+    StatRegistry reg;
+    {
+        ResultStore store(path);
+        SweepRunOptions opt;
+        opt.fork = fork;
+        opt.jobs = jobs;
+        opt.stats = &reg;
+        runSweep(spec, store, opt);
+    }
+    built = hostValue(reg.toJson(), "sweep.programs_built");
+    const std::string bytes = slurp(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+/**
+ * A sweep builds each distinct workload's program once, however many
+ * units (chains or lone cells) and workers walk it, and its store
+ * equals the `--jobs 1 --no-fork` store byte for byte.
+ */
+TEST(SharedProgram, SweepBuildsEachWorkloadOnce)
+{
+    for (const bool timing : {false, true}) {
+        SCOPED_TRACE(timing ? "timing" : "accuracy");
+        SweepSpec spec;
+        spec.name = timing ? "shared-program-t" : "shared-program-a";
+        spec.timing = timing;
+        spec.axes.prophets = {ProphetKind::Gshare, ProphetKind::Bimodal};
+        spec.axes.critics = {std::nullopt, CriticKind::TaggedGshare};
+        spec.workloads = {"mm.mpeg", "web.jbb", "fp.swim"};
+        spec.branches = timing ? 4000 : 3000;
+        spec.warmups = {400, 900};
+
+        std::uint64_t built_replay = 0, built_fork = 0;
+        const std::string replay =
+            storeBytes(spec, false, 1, built_replay);
+        EXPECT_EQ(built_replay, 3u) << "one build per workload, not "
+                                       "one per cell";
+        EXPECT_EQ(storeBytes(spec, true, 4, built_fork), replay);
+        EXPECT_EQ(built_fork, 3u);
+    }
+}
+
+/** The same for a PCBPTRC2 workload: its CFG is reconstructed from
+ *  the file once per sweep, not once per unit. */
+TEST(SharedProgram, SweepReconstructsATraceOnce)
+{
+    const RecordedTrace t(forkRecipe(84), 5000, 256);
+    SweepSpec spec;
+    spec.name = "shared-program-trc2";
+    spec.axes.prophets = {ProphetKind::Gshare, ProphetKind::Bimodal};
+    spec.axes.critics = {std::nullopt, CriticKind::TaggedGshare};
+    spec.workloads = {"trace:" + t.path};
+    spec.branches = 2500;
+    spec.warmups = {400, 900};
+
+    std::uint64_t built_replay = 0, built_fork = 0;
+    const std::string replay = storeBytes(spec, false, 1, built_replay);
+    EXPECT_EQ(built_replay, 1u);
+    EXPECT_EQ(storeBytes(spec, true, 4, built_fork), replay);
+    EXPECT_EQ(built_fork, 1u);
 }
 
 } // namespace

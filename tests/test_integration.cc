@@ -58,8 +58,7 @@ chainProgram(unsigned L, unsigned W, double chain_noise = 0.0)
         b.numUops = 10;
         b.takenTarget = static_cast<BlockId>(id + 1);
         b.fallthroughTarget = static_cast<BlockId>(id + 1);
-        b.behavior = std::make_unique<BiasedBehavior>(bias, seed);
-        p.addBlock(std::move(b));
+        p.addBlock(b, BranchBehavior::biased(bias, seed));
         return id + 1;
     };
 
@@ -75,10 +74,8 @@ chainProgram(unsigned L, unsigned W, double chain_noise = 0.0)
     s.numUops = 10;
     s.takenTarget = static_cast<BlockId>(id + 1);
     s.fallthroughTarget = static_cast<BlockId>(id + 2);
-    s.behavior =
-        std::make_unique<GlobalParityBehavior>(L, W, false, chain_noise,
-                                               105);
-    p.addBlock(std::move(s));
+    p.addBlock(s, BranchBehavior::globalParity(L, W, false, chain_noise,
+                                               105));
     ++id;
 
     // Arms.
@@ -88,9 +85,8 @@ chainProgram(unsigned L, unsigned W, double chain_noise = 0.0)
         a.numUops = 10;
         a.takenTarget = static_cast<BlockId>(id + (arm == 0 ? 2 : 1));
         a.fallthroughTarget = a.takenTarget;
-        a.behavior = std::make_unique<BiasedBehavior>(
-            arm == 0 ? 0.95 : 0.05, 106 + arm);
-        p.addBlock(std::move(a));
+        p.addBlock(a, BranchBehavior::biased(arm == 0 ? 0.95 : 0.05,
+                                             106 + arm));
         ++id;
     }
 
@@ -103,9 +99,9 @@ chainProgram(unsigned L, unsigned W, double chain_noise = 0.0)
         r.takenTarget = static_cast<BlockId>(id + 1);
         r.fallthroughTarget = static_cast<BlockId>(id + 1);
         const unsigned reveal = std::min(W - 1, j - 1);
-        r.behavior = std::make_unique<GlobalEchoBehavior>(
-            L + reveal + (j + 1), false, chain_noise, 108 + j);
-        p.addBlock(std::move(r));
+        p.addBlock(r, BranchBehavior::globalEcho(L + reveal + (j + 1),
+                                                 false, chain_noise,
+                                                 108 + j));
         ++id;
     }
 
@@ -216,21 +212,21 @@ Program
 phaseProgram()
 {
     Program p("phase-test");
-    PhaseClockSpec clock;
-    clock.seed = 77;
-    clock.lo = 200;
-    clock.hi = 600;
+    PhaseClockSpec spec;
+    spec.seed = 77;
+    spec.lo = 200;
+    spec.hi = 600;
+    const unsigned clock = p.addPhaseClock(spec);
 
     Rng rng(4242);
-    auto add = [&](BranchBehaviorPtr beh) {
+    auto add = [&](const BranchBehavior &beh) {
         const BlockId id = static_cast<BlockId>(p.numBlocks());
         BasicBlock b;
         b.branchPc = 0x2000 + id * 16;
         b.numUops = 10;
         b.takenTarget = static_cast<BlockId>(id + 1);
         b.fallthroughTarget = static_cast<BlockId>(id + 1);
-        b.behavior = std::move(beh);
-        p.addBlock(std::move(b));
+        p.addBlock(b, beh);
         return id;
     };
 
@@ -238,21 +234,17 @@ phaseProgram()
     // consumer's own history is invisible to a 13-bit prophet, while
     // contributing almost no mispredicts of their own.
     for (int i = 0; i < 12; ++i) {
-        add(std::make_unique<BiasedBehavior>(
-            rng.nextBool(0.5) ? 0.99 : 0.01, rng.next()));
+        const std::uint64_t seed = rng.next();
+        add(BranchBehavior::biased(rng.nextBool(0.5) ? 0.99 : 0.01, seed));
     }
 
     // Consumer with diamond arms.
-    const BlockId s =
-        add(std::make_unique<PhaseRevealBehavior>(clock, 0.99, 901));
-    const BlockId arm_t =
-        add(std::make_unique<BiasedBehavior>(0.95, 902));
-    const BlockId arm_f =
-        add(std::make_unique<BiasedBehavior>(0.05, 903));
+    const BlockId s = add(BranchBehavior::phaseReveal(clock, 0.99, 901));
+    const BlockId arm_t = add(BranchBehavior::biased(0.95, 902));
+    const BlockId arm_f = add(BranchBehavior::biased(0.05, 903));
     // Inner loop: revealer + latch looping 5 times.
-    const BlockId rev =
-        add(std::make_unique<PhaseRevealBehavior>(clock, 0.98, 904));
-    const BlockId latch = add(std::make_unique<LoopBehavior>(5));
+    const BlockId rev = add(BranchBehavior::phaseReveal(clock, 0.98, 904));
+    const BlockId latch = add(BranchBehavior::loop(5));
 
     p.blockMut(s).takenTarget = arm_t;
     p.blockMut(s).fallthroughTarget = arm_f;

@@ -170,9 +170,9 @@ recipe()
 /**
  * Run @p spec on the keyed or the decorated path. With @p forks
  * non-empty, the run is a fork chain: the canonical pauses at each
- * commit target (inside warmup, increasing), forks program, predictor,
- * stream and simulator, and runs the fork to the end; then the
- * canonical finishes. Every simulator reports to its own sink and
+ * commit target (inside warmup, increasing), forks predictor, stream
+ * and simulator over the one program, and runs the fork to the end;
+ * then the canonical finishes. Every simulator reports to its own sink and
  * registry.
  */
 template <typename Sim, typename Config>
@@ -197,13 +197,12 @@ runLog(const HybridSpec &spec, bool keyed, const Config &cfg,
     for (std::size_t k = 0; k < forks.size(); ++k) {
         canon.stepUntil(forks[k], stream);
         EXPECT_LT(canon.committedSoFar(), cfg.warmupBranches);
-        Program fork_prog = p.clone();
         auto fork_hybrid = h->clone();
         Config fork_cfg = cfg;
         fork_cfg.commitSink = &sinks[k + 1];
         fork_cfg.statsOut = &regs[k + 1];
-        ProgramWalkStream fork_stream(stream, fork_prog, total);
-        Sim fork(canon, fork_prog, *fork_hybrid, fork_cfg, fork_stream);
+        ProgramWalkStream fork_stream(stream, total);
+        Sim fork(canon, *fork_hybrid, fork_cfg, fork_stream);
         fork.finishRun(fork_stream);
     }
     canon.finishRun(stream);

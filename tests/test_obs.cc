@@ -33,6 +33,7 @@
 #include "obs/stat_registry.hh"
 #include "sim/driver.hh"
 #include "sim/metrics.hh"
+#include "support.hh"
 #include "sweep/runner.hh"
 
 namespace pcbp
@@ -228,19 +229,6 @@ tinySpec()
     spec.workloads = {"mm.mpeg", "int.crafty"};
     spec.branches = 4000;
     return spec;
-}
-
-/** A host scalar's value in a toJson() dump (0, and a failure, when
- *  the key is absent). */
-std::uint64_t
-hostValue(const std::string &js, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = js.find(needle);
-    EXPECT_NE(at, std::string::npos) << key;
-    return at == std::string::npos
-               ? 0
-               : std::stoull(js.substr(at + needle.size()));
 }
 
 TEST(ObsSweep, SimDumpIsJobsIndependent)

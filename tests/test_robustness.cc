@@ -15,6 +15,7 @@
 #include "predictors/factory.hh"
 #include "predictors/gshare.hh"
 #include "sim/driver.hh"
+#include "support.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
 
@@ -163,8 +164,7 @@ TEST(Boundaries, MinimalEngineRun)
     a.numUops = 1;
     a.takenTarget = 0;
     a.fallthroughTarget = 0;
-    a.behavior = std::make_unique<BiasedBehavior>(1.0, 1);
-    p.addBlock(std::move(a));
+    p.addBlock(a, BranchBehavior::biased(1.0, 1));
     p.validate();
 
     auto h = prophetAlone(ProphetKind::Bimodal, Budget::B2KB).build();
@@ -205,8 +205,7 @@ TEST(Boundaries, HugeBlocksDontBreakTiming)
         b.numUops = 100;
         b.takenTarget = static_cast<BlockId>(1 - i);
         b.fallthroughTarget = static_cast<BlockId>(1 - i);
-        b.behavior = std::make_unique<BiasedBehavior>(1.0, 1 + i);
-        p.addBlock(std::move(b));
+        p.addBlock(b, BranchBehavior::biased(1.0, 1 + i));
     }
     p.validate();
     auto h = prophetAlone(ProphetKind::Bimodal, Budget::B2KB).build();

@@ -17,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "obs/stat_registry.hh"
+#include "support.hh"
 #include "sweep/runner.hh"
 
 namespace pcbp
@@ -412,15 +414,6 @@ sampleResult(const char *key)
     return r;
 }
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 /**
  * Compare @p rendered against the committed golden @p stem in
  * tests/golden/ (regenerate with PCBP_UPDATE_GOLDEN=1, then review
@@ -497,7 +490,14 @@ TEST(ResultStore, TornFinalLineIsDroppedAndTruncated)
         ResultStore store(path);
         EXPECT_EQ(store.size(), 1u); // torn line dropped
         EXPECT_TRUE(store.has("k1"));
+        // The put() that cuts the torn tail back, where its cell
+        // reruns, is what warns.
+        ScopedLogCapture capture;
         store.put(sampleResult("k2")); // append lands on clean bytes
+        const std::vector<std::string> lines = capture.lines();
+        ASSERT_EQ(lines.size(), 1u);
+        EXPECT_NE(lines[0].find("torn final line"), std::string::npos)
+            << lines[0];
     }
     ResultStore reload(path);
     EXPECT_EQ(reload.size(), 2u);
@@ -573,7 +573,10 @@ TEST(ResultStore, OpeningATornStoreLeavesItsBytes)
         out << content;
     }
     {
+        ScopedLogCapture capture;
         const ResultStore store(path);
+        EXPECT_TRUE(capture.lines().empty())
+            << "a read-only open reruns nothing, so it must not say so";
         EXPECT_EQ(store.size(), 1u);
         EXPECT_TRUE(store.has("k1"));
         StatRegistry reg;

@@ -29,8 +29,7 @@ loopProgram()
         b.numUops = 8;
         b.takenTarget = static_cast<BlockId>(1 - i);
         b.fallthroughTarget = static_cast<BlockId>(1 - i);
-        b.behavior = std::make_unique<BiasedBehavior>(1.0, i + 1);
-        p.addBlock(std::move(b));
+        p.addBlock(b, BranchBehavior::biased(1.0, i + 1));
     }
     p.validate();
     return p;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <set>
 
+#include "support.hh"
 #include "workload/behavior.hh"
 #include "workload/cfg.hh"
 #include "workload/generator.hh"
@@ -22,118 +23,136 @@ namespace pcbp
 namespace
 {
 
-ArchContext
-ctxOf(const HistoryRegister &h, std::uint64_t t = 0)
+/**
+ * One behavior walked on its own, the way a ProgramWalkStream walks
+ * each block: its record, its own state, and a caller-held committed
+ * history and commit index.
+ */
+struct Walked
 {
-    return ArchContext{h, t};
-}
+    BranchBehavior b;
+    BehaviorState s;
+
+    explicit Walked(const BranchBehavior &beh)
+        : b(beh), s(initialState(beh))
+    {
+    }
+
+    bool
+    next(const HistoryRegister &h, std::uint64_t t = 0,
+         PhaseClock *clocks = nullptr)
+    {
+        return nextOutcome(b, s, ArchContext{h, t, clocks});
+    }
+};
 
 // -------------------------------------------------------------- behaviors
 
 TEST(Behavior, BiasedRate)
 {
-    BiasedBehavior b(0.8, 42);
+    Walked b(BranchBehavior::biased(0.8, 42));
     HistoryRegister h;
     int taken = 0;
     for (int i = 0; i < 10000; ++i)
-        taken += b.nextOutcome(ctxOf(h)) ? 1 : 0;
+        taken += b.next(h) ? 1 : 0;
     EXPECT_NEAR(taken / 10000.0, 0.8, 0.03);
 }
 
-TEST(Behavior, BiasedResetReplays)
+TEST(Behavior, FreshStateReplays)
 {
-    BiasedBehavior b(0.5, 7);
+    const BranchBehavior beh = BranchBehavior::biased(0.5, 7);
+    Walked a(beh);
     HistoryRegister h;
     std::vector<bool> first;
     for (int i = 0; i < 100; ++i)
-        first.push_back(b.nextOutcome(ctxOf(h)));
-    b.reset();
+        first.push_back(a.next(h));
+    Walked b(beh);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(b.nextOutcome(ctxOf(h)), first[i]);
+        EXPECT_EQ(b.next(h), first[i]);
 }
 
 TEST(Behavior, LoopPeriod)
 {
-    LoopBehavior l(4);
+    Walked l(BranchBehavior::loop(4));
     HistoryRegister h;
     // T T T N repeating.
     for (int rep = 0; rep < 3; ++rep) {
-        EXPECT_TRUE(l.nextOutcome(ctxOf(h)));
-        EXPECT_TRUE(l.nextOutcome(ctxOf(h)));
-        EXPECT_TRUE(l.nextOutcome(ctxOf(h)));
-        EXPECT_FALSE(l.nextOutcome(ctxOf(h)));
+        EXPECT_TRUE(l.next(h));
+        EXPECT_TRUE(l.next(h));
+        EXPECT_TRUE(l.next(h));
+        EXPECT_FALSE(l.next(h));
     }
 }
 
 TEST(Behavior, PatternCycles)
 {
-    PatternBehavior p({true, false, false}, 0.0, 1);
+    Walked p(BranchBehavior::pattern({true, false, false}, 0.0, 1));
     HistoryRegister h;
     for (int rep = 0; rep < 4; ++rep) {
-        EXPECT_TRUE(p.nextOutcome(ctxOf(h)));
-        EXPECT_FALSE(p.nextOutcome(ctxOf(h)));
-        EXPECT_FALSE(p.nextOutcome(ctxOf(h)));
+        EXPECT_TRUE(p.next(h));
+        EXPECT_FALSE(p.next(h));
+        EXPECT_FALSE(p.next(h));
     }
 }
 
 TEST(Behavior, GlobalEchoCopiesLaggedBit)
 {
-    GlobalEchoBehavior e(3, false, 0.0, 1);
+    Walked e(BranchBehavior::globalEcho(3, false, 0.0, 1));
     HistoryRegister h;
     h.shiftIn(true);  // lag 3 after three more shifts
     h.shiftIn(false);
     h.shiftIn(false);
     h.shiftIn(false);
-    EXPECT_TRUE(e.nextOutcome(ctxOf(h)));
+    EXPECT_TRUE(e.next(h));
 }
 
 TEST(Behavior, GlobalEchoInvert)
 {
-    GlobalEchoBehavior e(0, true, 0.0, 1);
+    Walked e(BranchBehavior::globalEcho(0, true, 0.0, 1));
     HistoryRegister h;
     h.shiftIn(true);
-    EXPECT_FALSE(e.nextOutcome(ctxOf(h)));
+    EXPECT_FALSE(e.next(h));
 }
 
 TEST(Behavior, GlobalXorOfLags)
 {
-    GlobalXorBehavior x(0, 2, false, 0.0, 1);
+    Walked x(BranchBehavior::globalXor(0, 2, false, 0.0, 1));
     HistoryRegister h;
     h.shiftIn(true);  // bit 2 after two more shifts
     h.shiftIn(false); // bit 1
     h.shiftIn(true);  // bit 0
     // bits: [0]=T [1]=N [2]=T
-    EXPECT_FALSE(x.nextOutcome(ctxOf(h))) << "T xor T = N";
+    EXPECT_FALSE(x.next(h)) << "T xor T = N";
     h.shiftIn(true);
     // bits: [0]=T [1]=T [2]=N
-    EXPECT_TRUE(x.nextOutcome(ctxOf(h))) << "T xor N = T";
+    EXPECT_TRUE(x.next(h)) << "T xor N = T";
     h.shiftIn(false);
     // bits: [0]=N [1]=T [2]=T
-    EXPECT_TRUE(x.nextOutcome(ctxOf(h))) << "N xor T = T";
+    EXPECT_TRUE(x.next(h)) << "N xor T = T";
 }
 
 TEST(Behavior, GlobalParityWidth)
 {
-    GlobalParityBehavior p(0, 3, false, 0.0, 1);
+    Walked p(BranchBehavior::globalParity(0, 3, false, 0.0, 1));
     HistoryRegister h;
     h.shiftIn(true);
     h.shiftIn(true);
     h.shiftIn(false);
     // bits 0..2 = {0,1,1}: parity odd? two ones -> even -> false.
-    EXPECT_FALSE(p.nextOutcome(ctxOf(h)));
+    EXPECT_FALSE(p.next(h));
     h.shiftIn(true); // bits {1,0,1}: two ones -> even -> false
-    EXPECT_FALSE(p.nextOutcome(ctxOf(h)));
+    EXPECT_FALSE(p.next(h));
     h.shiftIn(false); // bits {0,1,0}: one -> odd -> true
-    EXPECT_TRUE(p.nextOutcome(ctxOf(h)));
+    EXPECT_TRUE(p.next(h));
 }
 
 TEST(Behavior, LocalParityDeterministicAndBalanced)
 {
-    LocalParityBehavior l(5, 0.0, 3);
+    Walked l(BranchBehavior::localParity(5, 0.0, 3));
     HistoryRegister h;
     int taken = 0;
     for (int i = 0; i < 2000; ++i)
-        taken += l.nextOutcome(ctxOf(h)) ? 1 : 0;
+        taken += l.next(h) ? 1 : 0;
     // Self-referential parity oscillates; roughly balanced.
     EXPECT_GT(taken, 100) << "both outcomes must occur";
     EXPECT_LT(taken, 1900);
@@ -174,21 +193,41 @@ TEST(Behavior, PhaseRevealTracksClock)
     spec.seed = 11;
     spec.lo = 300;
     spec.hi = 400;
-    PhaseRevealBehavior r(spec, 1.0, 1);
-    PhaseClock c(spec);
+    const BranchBehavior beh = BranchBehavior::phaseReveal(0, 1.0, 1);
+    PhaseClock walk_clock(spec), c(spec);
+    Walked r(beh);
     HistoryRegister h;
     std::vector<bool> first;
     for (std::uint64_t t = 0; t < 2000; t += 3) {
-        first.push_back(r.nextOutcome(ctxOf(h, t)));
+        first.push_back(r.next(h, t, &walk_clock));
         EXPECT_EQ(first.back(), c.phaseAt(t));
     }
-    // reset() restarts the clock: the same phases replay from t = 0.
-    r.reset();
-    c.reset();
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(r.nextOutcome(ctxOf(h, 3 * i)), first[i]) << i;
-        EXPECT_EQ(c.phaseAt(3 * i), first[i]) << i;
-    }
+    // A fresh state and clock restart the walk: the same phases
+    // replay from t = 0.
+    PhaseClock fresh_clock(spec);
+    Walked again(beh);
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_EQ(again.next(h, 3 * i, &fresh_clock), first[i]) << i;
+}
+
+TEST(Behavior, DescribeNamesEachKind)
+{
+    EXPECT_EQ(describe(BranchBehavior::biased(0.25, 1)), "biased(0.250000)");
+    EXPECT_EQ(describe(BranchBehavior::loop(7)), "loop(7)");
+    EXPECT_EQ(describe(BranchBehavior::pattern({true, false, true}, 0.0, 1)),
+              "pattern(TNT)");
+    EXPECT_EQ(describe(BranchBehavior::localParity(3, 0.0, 1)),
+              "local-parity(3)");
+    EXPECT_EQ(describe(BranchBehavior::globalParity(4, 2, false, 0.0, 1)),
+              "global-parity(lag=4,w=2)");
+    EXPECT_EQ(describe(BranchBehavior::globalXor(17, 18, false, 0.0, 1)),
+              "global-xor(17,18)");
+    EXPECT_EQ(describe(BranchBehavior::globalEcho(20, true, 0.0, 1)),
+              "global-echo(lag=20,inv)");
+    EXPECT_EQ(describe(BranchBehavior::phaseReveal(0, 0.98, 1)),
+              "phase-reveal(0.980000)");
+    EXPECT_EQ(describe(BranchBehavior::phased(200, 2500, 0.9, 0.1, 1)),
+              "phased(200..2500)");
 }
 
 // -------------------------------------------------------------------- CFG
@@ -201,9 +240,14 @@ TEST(Program, ValidateCatchesBadTargets)
     b.numUops = 4;
     b.takenTarget = 7; // out of range
     b.fallthroughTarget = 0;
-    b.behavior = std::make_unique<BiasedBehavior>(0.5, 1);
-    p.addBlock(std::move(b));
+    p.addBlock(b, BranchBehavior::biased(0.5, 1));
     EXPECT_DEATH(p.validate(), "target out of range");
+
+    // A phase-reveal block naming a clock the program never added.
+    Program q("noclock");
+    b.takenTarget = 0;
+    q.addBlock(b, BranchBehavior::phaseReveal(0, 0.9, 1));
+    EXPECT_DEATH(q.validate(), "phase clock out of range");
 }
 
 TEST(Program, WalkFollowsOutcomes)
@@ -215,9 +259,9 @@ TEST(Program, WalkFollowsOutcomes)
         b.numUops = 5;
         b.takenTarget = static_cast<BlockId>(1 - i);
         b.fallthroughTarget = static_cast<BlockId>(1 - i);
-        b.behavior = std::make_unique<BiasedBehavior>(1.0, 1);
-        p.addBlock(std::move(b));
+        p.addBlock(b, BranchBehavior::biased(1.0, 1));
     }
+    p.validate();
     auto trace = walkProgram(p, 6);
     ASSERT_EQ(trace.size(), 6u);
     // Alternates 0 -> 1 -> 0 ...
@@ -235,7 +279,7 @@ TEST(Program, WalkIsRepeatable)
     const Workload &w = workloadByName("mm.mpeg");
     Program p = buildProgram(w);
     auto t1 = walkProgram(p, 5000);
-    auto t2 = walkProgram(p, 5000); // resetWalk inside
+    auto t2 = walkProgram(p, 5000); // a fresh walk of the same program
     ASSERT_EQ(t1.size(), t2.size());
     for (std::size_t i = 0; i < t1.size(); ++i) {
         EXPECT_EQ(t1[i].block, t2[i].block);
@@ -256,8 +300,7 @@ TEST(Generator, DeterministicForSeed)
     for (BlockId i = 0; i < a.numBlocks(); ++i) {
         EXPECT_EQ(a.block(i).branchPc, b.block(i).branchPc);
         EXPECT_EQ(a.block(i).takenTarget, b.block(i).takenTarget);
-        EXPECT_EQ(a.block(i).behavior->describe(),
-                  b.block(i).behavior->describe());
+        EXPECT_EQ(describe(a.behavior(i)), describe(b.behavior(i)));
     }
 }
 
@@ -271,8 +314,7 @@ TEST(Generator, DifferentSeedsDiffer)
     Program b = generateProgram(r);
     bool differs = a.numBlocks() != b.numBlocks();
     for (BlockId i = 0; !differs && i < a.numBlocks(); ++i)
-        differs = a.block(i).behavior->describe() !=
-                  b.block(i).behavior->describe();
+        differs = describe(a.behavior(i)) != describe(b.behavior(i));
     EXPECT_TRUE(differs);
 }
 
@@ -285,7 +327,7 @@ TEST(Generator, ContainsRequestedMotifs)
     Program p = generateProgram(r);
     int xors = 0, echoes = 0, reveals = 0;
     for (BlockId i = 0; i < p.numBlocks(); ++i) {
-        const std::string d = p.block(i).behavior->describe();
+        const std::string d = describe(p.behavior(i));
         xors += d.rfind("global-xor", 0) == 0;
         echoes += d.rfind("global-echo", 0) == 0;
         reveals += d.rfind("phase-reveal", 0) == 0;
