@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <set>
 
 #include "common/logging.hh"
 #include "workload/behavior.hh"
@@ -22,12 +21,14 @@ hexPc(Addr pc)
     return buf;
 }
 
-} // namespace
-
+/**
+ * Hand every decoded block of @p path, in order, to @p fn: the one
+ * loop under every scan of this file. Passing whole blocks keeps the
+ * per-record work inline in the caller's loop.
+ */
+template <typename Fn>
 bool
-tryScanTraceFile(const std::string &path,
-                 const std::function<void(const CommittedBranch &)> &fn,
-                 std::string &error)
+tryForEachBlock(const std::string &path, std::string &error, Fn &&fn)
 {
     const auto reader = Trace2Reader::tryOpen(path, error);
     if (!reader)
@@ -36,10 +37,33 @@ tryScanTraceFile(const std::string &path,
     for (std::uint64_t b = 0; b < reader->numBlocks(); ++b) {
         if (!reader->tryDecodeBlock(b, block, error))
             return false;
-        for (const CommittedBranch &r : block)
-            fn(r);
+        fn(block);
     }
     return true;
+}
+
+/** Fatal wrapper over tryForEachBlock. */
+template <typename Fn>
+void
+forEachBlock(const std::string &path, Fn &&fn)
+{
+    std::string error;
+    if (!tryForEachBlock(path, error, fn))
+        pcbp_fatal(error);
+}
+
+} // namespace
+
+bool
+tryScanTraceFile(const std::string &path,
+                 const std::function<void(const CommittedBranch &)> &fn,
+                 std::string &error)
+{
+    return tryForEachBlock(
+        path, error, [&](const std::vector<CommittedBranch> &block) {
+            for (const CommittedBranch &r : block)
+                fn(r);
+        });
 }
 
 void
@@ -55,13 +79,14 @@ TraceSummary
 summarizeTraceFile(const std::string &path)
 {
     TraceSummary s;
-    std::set<Addr> pcs;
-    scanTraceFile(path, [&](const CommittedBranch &r) {
-        ++s.branches;
-        s.uops += r.numUops;
-        if (r.taken)
-            ++s.takenBranches;
-        pcs.insert(r.pc);
+    FlatIdTable<bool> pcs;
+    forEachBlock(path, [&](const std::vector<CommittedBranch> &block) {
+        for (const CommittedBranch &r : block) {
+            ++s.branches;
+            s.uops += r.numUops;
+            s.takenBranches += r.taken;
+            pcs.emplace(r.pc, true);
+        }
     });
     s.staticBranches = pcs.size();
     return s;
@@ -73,12 +98,11 @@ reconstructProgramFromTrace(const std::string &path,
 {
     struct BlockInfo
     {
-        bool seen = false;
         Addr pc = 0;
         std::uint32_t numUops = 1;
         BlockId takenTarget = invalidBlock;
         BlockId fallthroughTarget = invalidBlock;
-        std::uint64_t execs = 0;
+        std::uint64_t execs = 0; //!< 0: an id hole
         std::uint64_t takens = 0;
     };
     std::vector<BlockInfo> info;
@@ -96,36 +120,38 @@ reconstructProgramFromTrace(const std::string &path,
 
     std::uint64_t records = 0;
     CommittedBranch prev{};
-    scanTraceFile(path, [&](const CommittedBranch &r) {
-        BlockInfo &b = infoFor(r.block);
-        b.seen = true;
-        b.pc = r.pc;
-        b.numUops = std::max<std::uint32_t>(r.numUops, 1);
-        ++b.execs;
-        if (r.taken)
-            ++b.takens;
-        if (records > 0) {
-            BlockInfo &p = info[prev.block];
-            BlockId &edge =
-                prev.taken ? p.takenTarget : p.fallthroughTarget;
-            if (edge == invalidBlock) {
-                edge = r.block;
-            } else if (edge != r.block) {
-                // Replay walks one CFG, so a branch direction leads to
-                // one block only: a trace that no such walk produced
-                // is refused as a whole, before any replay starts.
-                pcbp_fatal("trace '", path, "' record ", records - 1,
-                           ": the ", prev.taken ? "taken" : "not-taken",
-                           " branch at ", hexPc(prev.pc),
-                           " continues to ", hexPc(r.pc),
-                           " where it continued to ",
-                           hexPc(info[edge].pc),
-                           " before; replay needs one successor per "
-                           "branch direction");
+    forEachBlock(path, [&](const std::vector<CommittedBranch> &block) {
+        for (const CommittedBranch &r : block) {
+            BlockInfo &b = infoFor(r.block);
+            b.pc = r.pc;
+            b.numUops = r.numUops;
+            ++b.execs;
+            b.takens += r.taken;
+            if (records > 0) {
+                BlockInfo &p = info[prev.block];
+                BlockId &edge =
+                    prev.taken ? p.takenTarget : p.fallthroughTarget;
+                if (edge == invalidBlock) {
+                    edge = r.block;
+                } else if (edge != r.block) {
+                    // Replay walks one CFG, so a branch direction
+                    // leads to one block only: a trace that no such
+                    // walk produced is refused as a whole, before any
+                    // replay starts.
+                    pcbp_fatal("trace '", path, "' record ", records - 1,
+                               ": the ",
+                               prev.taken ? "taken" : "not-taken",
+                               " branch at ", hexPc(prev.pc),
+                               " continues to ", hexPc(r.pc),
+                               " where it continued to ",
+                               hexPc(info[edge].pc),
+                               " before; replay needs one successor "
+                               "per branch direction");
+                }
             }
+            ++records;
+            prev = r;
         }
-        ++records;
-        prev = r;
     });
     if (records == 0)
         pcbp_fatal("trace '", path, "' is empty; nothing to reconstruct");
@@ -135,7 +161,7 @@ reconstructProgramFromTrace(const std::string &path,
     for (std::size_t id = 0; id < info.size(); ++id) {
         BlockInfo &b = info[id];
         BasicBlock blk;
-        if (!b.seen) {
+        if (b.execs == 0) {
             // Filler for an id hole: harmless self-loop, never on
             // the committed path.
             blk.branchPc = 0xf1110000 + Addr(id) * 16;
@@ -155,13 +181,12 @@ reconstructProgramFromTrace(const std::string &path,
         if (b.fallthroughTarget == invalidBlock)
             b.fallthroughTarget = b.takenTarget;
         blk.branchPc = b.pc;
-        blk.numUops = b.numUops;
+        blk.numUops = std::max<std::uint32_t>(b.numUops, 1);
         blk.takenTarget = b.takenTarget;
         blk.fallthroughTarget = b.fallthroughTarget;
-        prog.addBlock(
-            blk, BranchBehavior::biased(
-                     b.execs ? double(b.takens) / double(b.execs) : 0.5,
-                     std::uint64_t(id) + 1));
+        prog.addBlock(blk, BranchBehavior::biased(
+                               double(b.takens) / double(b.execs),
+                               std::uint64_t(id) + 1));
     }
     prog.validate();
     return prog;

@@ -44,8 +44,9 @@ bool tryScanTraceFile(
     const std::function<void(const CommittedBranch &)> &fn,
     std::string &error);
 
-/** Fatal wrapper over tryScanTraceFile: the shared reader under
- *  summaries and CFG reconstruction. */
+/** Fatal wrapper over tryScanTraceFile. Summaries and CFG
+ *  reconstruction run the same block loop without the per-record
+ *  call through @p fn. */
 void scanTraceFile(const std::string &path,
                    const std::function<void(const CommittedBranch &)> &fn);
 

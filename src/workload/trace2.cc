@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -51,6 +52,8 @@ putVarint(std::vector<unsigned char> &out, std::uint64_t v)
  * Bounds-checked LEB128 read from @p base[pos..end): false on
  * overrun or on a varint longer than the 10 bytes a u64 can need
  * (the cap keeps corrupt high-bit runs from walking the mapping).
+ * The 10th byte holds bit 63 alone, so one above 1 is refused too:
+ * its other bits would fall off the top of the value.
  */
 bool
 readVarint(const unsigned char *base, std::uint64_t end,
@@ -61,6 +64,8 @@ readVarint(const unsigned char *base, std::uint64_t end,
         if (pos >= end)
             return false;
         const unsigned char b = base[pos++];
+        if (i == 9 && b > 1)
+            return false;
         out |= std::uint64_t(b & 0x7f) << (7 * i);
         if (!(b & 0x80))
             return true;
@@ -146,10 +151,9 @@ Trace2Writer::flushBlock()
     std::int64_t prev_id = 0;
     for (std::size_t j = 0; j < n; ++j) {
         const CommittedBranch &r = pending[j];
-        const auto fit =
-            dict.emplace(r.block, std::make_pair(r.pc, r.numUops));
-        const bool exception = fit.first->second.first != r.pc ||
-                               fit.first->second.second != r.numUops;
+        const BranchMeta &seen = dict.emplace(r.block, {r.pc, r.numUops});
+        const bool exception =
+            seen.pc != r.pc || seen.uops != r.numUops;
         const std::int64_t id = std::int64_t(r.block);
         putVarint(encoded, (zigzag(id - prev_id) << 1) |
                                std::uint64_t(exception));
@@ -192,15 +196,19 @@ Trace2Writer::finish()
     encoded.insert(encoded.end(), scratch, scratch + 4);
     // Dictionary entries by ascending id: first id absolute, the
     // rest as (always >= 1) deltas.
+    std::vector<std::pair<std::uint64_t, BranchMeta>> entries;
+    entries.reserve(dict.size());
+    dict.forEach([&](std::uint64_t id, const BranchMeta &meta) {
+        entries.emplace_back(id, meta);
+    });
+    std::sort(entries.begin(), entries.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     std::uint64_t prev_id = 0;
-    bool first = true;
-    for (const auto &[id, meta] : dict) {
-        putVarint(encoded, first ? std::uint64_t(id)
-                                 : std::uint64_t(id) - prev_id);
-        putVarint(encoded, meta.first);
-        putVarint(encoded, meta.second);
+    for (const auto &[id, meta] : entries) {
+        putVarint(encoded, id - prev_id);
+        putVarint(encoded, meta.pc);
+        putVarint(encoded, meta.uops);
         prev_id = id;
-        first = false;
     }
     putLe(scratch, blockOffsets.size(), 4);
     encoded.insert(encoded.end(), scratch, scratch + 4);
@@ -314,8 +322,7 @@ Trace2Reader::tryOpen(const std::string &path, std::string &error)
         if ((i > 0 && id_field == 0) || id > 0xffffffffull ||
             uops > 0xffffffffull)
             return fail("has a corrupt static-branch dictionary");
-        r->dict.emplace(BlockId(id),
-                        std::make_pair(Addr(pc), std::uint32_t(uops)));
+        r->dict.emplace(id, {Addr(pc), std::uint32_t(uops)});
         prev_id = id;
     }
     if (pos + 4 > size)
@@ -370,7 +377,6 @@ Trace2Reader::tryDecodeBlock(std::uint64_t b,
                              std::vector<CommittedBranch> &out,
                              std::string &error) const
 {
-    out.clear();
     const auto fail = [&](const std::string &what) {
         out.clear();
         error = "'" + path + "' block " + std::to_string(b) + " " +
@@ -391,20 +397,26 @@ Trace2Reader::tryDecodeBlock(std::uint64_t b,
     if (outcome_bytes > payload)
         return fail("is too short for its outcome bitstream");
 
-    out.reserve(n);
+    out.resize(n);
     std::uint64_t pos = outcome_base + outcome_bytes;
-    std::int64_t prev_id = 0;
+    std::uint64_t prev_id = 0;
     for (std::uint32_t j = 0; j < n; ++j) {
+        // The block-id delta of a CFG walk nearly always fits one
+        // byte; anything longer takes the bounds-checked loop.
         std::uint64_t v = 0;
-        if (!readVarint(map, end, pos, v))
+        if (pos < end && map[pos] < 0x80)
+            v = map[pos++];
+        else if (!readVarint(map, end, pos, v))
             return fail("is truncated mid-record (torn write)");
-        const std::int64_t id = prev_id + unzigzag(v >> 1);
-        if (id < 0 || id > 0xffffffffll)
+        // Unsigned, so a corrupt delta wraps past the range check
+        // instead of overflowing.
+        const std::uint64_t id =
+            prev_id + std::uint64_t(unzigzag(v >> 1));
+        if (id > 0xffffffffull)
             return fail("decodes an out-of-range block id");
-        CommittedBranch r;
+        CommittedBranch &r = out[j];
         r.block = BlockId(id);
-        r.taken =
-            (map[outcome_base + j / 8] >> (j % 8)) & 1;
+        r.taken = (map[outcome_base + j / 8] >> (j % 8)) & 1;
         if (v & 1) {
             std::uint64_t pc = 0, uops = 0;
             if (!readVarint(map, end, pos, pc) ||
@@ -414,14 +426,13 @@ Trace2Reader::tryDecodeBlock(std::uint64_t b,
             r.pc = pc;
             r.numUops = std::uint32_t(uops);
         } else {
-            const auto it = dict.find(r.block);
-            if (it == dict.end())
+            const BranchMeta *meta = dict.find(id);
+            if (!meta)
                 return fail("references a block id missing from the "
                             "static dictionary");
-            r.pc = it->second.first;
-            r.numUops = it->second.second;
+            r.pc = meta->pc;
+            r.numUops = meta->uops;
         }
-        out.push_back(r);
         prev_id = id;
     }
     if (pos != end)
@@ -537,7 +548,7 @@ scanAsciiTrace(const std::string &in, const RecordSink &fn,
     // Block ids by distinct PC, first-seen order, so the importer's
     // output replays through reconstructProgramFromTrace like any
     // recorded trace.
-    std::unordered_map<Addr, BlockId> block_of;
+    FlatIdTable<BlockId> block_of;
     std::string line;
     std::uint64_t line_no = 0;
     while (std::getline(file, line)) {
@@ -561,8 +572,8 @@ scanAsciiTrace(const std::string &in, const RecordSink &fn,
             (!parseU64(p, 10, end, uops) || uops < 1 ||
              uops > 0xffffffffull))
             return fail(line_no, "bad uop count");
-        const auto fit = block_of.emplace(pc, BlockId(block_of.size()));
-        fn({fit.first->second, pc, taken, std::uint32_t(uops)});
+        const BlockId id = block_of.emplace(pc, BlockId(block_of.size()));
+        fn({id, pc, taken, std::uint32_t(uops)});
     }
     return true;
 }

@@ -24,16 +24,130 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "workload/cfg.hh"
 
 namespace pcbp
 {
+
+/**
+ * Insert-only open-addressing map from a 64-bit key to a small value:
+ * the one lookup structure of the trace paths (the writer's and the
+ * reader's static dictionaries, the importer's PC -> block id map,
+ * the summary's distinct-PC count). Power-of-two capacity, at most
+ * three quarters full, multiplicative hash, linear probing. Occupancy
+ * is a byte array of its own, so every 64-bit key is storable (block
+ * id 0xFFFFFFFF, PC 0 and 2^64 - 1 included) and a slot is no wider
+ * than its key and value. Iteration order is slot order, so a caller
+ * that needs a stable order sorts what forEach() hands it.
+ */
+template <typename V>
+class FlatIdTable
+{
+  public:
+    /** Fibonacci hashing: the slot is the top bits of key x this. */
+    static constexpr std::uint64_t hashMultiplier = 0x9e3779b97f4a7c15ull;
+
+    std::size_t size() const { return count; }
+
+    /** @p key's value, or nullptr when absent. */
+    const V *
+    find(std::uint64_t key) const
+    {
+        if (used.empty())
+            return nullptr;
+        for (std::size_t i = home(key); used[i]; i = (i + 1) & mask()) {
+            if (slots[i].key == key)
+                return &slots[i].value;
+        }
+        return nullptr;
+    }
+
+    /** Store (@p key, @p value) unless @p key is present, and return
+     *  the stored value: the first one inserted for @p key. The
+     *  reference lasts until the next emplace, which may move every
+     *  entry. */
+    const V &
+    emplace(std::uint64_t key, const V &value)
+    {
+        if (4 * (count + 1) > 3 * used.size())
+            grow();
+        std::size_t i = home(key);
+        for (; used[i]; i = (i + 1) & mask()) {
+            if (slots[i].key == key)
+                return slots[i].value;
+        }
+        used[i] = 1;
+        slots[i] = {key, value};
+        ++count;
+        return slots[i].value;
+    }
+
+    /** @p fn(key, value) for every entry, in slot order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < used.size(); ++i) {
+            if (used[i])
+                fn(slots[i].key, slots[i].value);
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        V value{};
+    };
+
+    std::size_t mask() const { return used.size() - 1; }
+
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return std::size_t((key * hashMultiplier) >> shift);
+    }
+
+    void
+    grow()
+    {
+        const std::vector<Slot> old_slots = std::move(slots);
+        const std::vector<std::uint8_t> old_used = std::move(used);
+        const std::size_t capacity =
+            old_used.empty() ? 16 : 2 * old_used.size();
+        slots.assign(capacity, Slot{});
+        used.assign(capacity, 0);
+        shift = 64;
+        for (std::size_t n = capacity; n > 1; n >>= 1)
+            --shift;
+        for (std::size_t j = 0; j < old_used.size(); ++j) {
+            if (!old_used[j])
+                continue;
+            std::size_t i = home(old_slots[j].key);
+            while (used[i])
+                i = (i + 1) & mask();
+            used[i] = 1;
+            slots[i] = old_slots[j];
+        }
+    }
+
+    std::vector<Slot> slots;
+    std::vector<std::uint8_t> used; //!< one occupancy mark per slot
+    std::size_t count = 0;
+    unsigned shift = 64; //!< 64 - log2(capacity)
+};
+
+/** A static branch's metadata, as the PCBPTRC2 dictionary holds it. */
+struct BranchMeta
+{
+    Addr pc = 0;
+    std::uint32_t uops = 0;
+};
 
 /** @name PCBPTRC2 wire format, shared by writer, reader, streams. */
 /// @{
@@ -118,7 +232,7 @@ class Trace2Reader
     std::uint32_t blockLength(std::uint64_t b) const;
 
     /**
-     * Decode block @p b into @p out (cleared first). False, with
+     * Decode block @p b into @p out, replacing what it held. False, with
      * @p error filled and @p out cleared, on a corrupt payload —
      * bounds overrun, record-count mismatch, dictionary miss, or a
      * payload that does not consume exactly its declared bytes (the
@@ -145,8 +259,7 @@ class Trace2Reader
     std::uint64_t indexOffset = 0;
 
     std::vector<std::uint64_t> blockOffsets;
-    /** Static dictionary: blockId -> (pc, uops). */
-    std::unordered_map<BlockId, std::pair<Addr, std::uint32_t>> dict;
+    FlatIdTable<BranchMeta> dict; //!< static dictionary by block id
 };
 
 /**
@@ -186,9 +299,10 @@ class Trace2Writer
     std::vector<unsigned char> encoded; //!< reused encode scratch
     std::vector<std::uint64_t> blockOffsets;
     std::uint64_t nextOffset = trace2fmt::headerBytes;
-    /** First-seen (pc, uops) per block id; ordered so the footer
-     *  dictionary is written (and delta-coded) by ascending id. */
-    std::map<BlockId, std::pair<Addr, std::uint32_t>> dict;
+    /** First-seen (pc, uops) per block id; finish() sorts the entries
+     *  so the footer dictionary is written (and delta-coded) by
+     *  ascending id. */
+    FlatIdTable<BranchMeta> dict;
 };
 
 /**

@@ -3,8 +3,9 @@
  * Helpers shared by the test programs: a commit-event recording tap,
  * an eager program walk, field-by-field comparisons of commit events
  * and of each simulator's stats, a host-stat reader, and files (a
- * whole-file read; scratch files under the test temp directory:
- * plain paths and recorded PCBPTRC2 traces).
+ * whole-file read; the check against a committed golden; scratch
+ * files under the test temp directory: plain paths and recorded
+ * PCBPTRC2 traces).
  */
 
 #ifndef PCBP_TESTS_SUPPORT_HH
@@ -13,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -67,14 +70,40 @@ hostValue(const std::string &js, const std::string &key)
                : std::stoull(js.substr(at + needle.size()));
 }
 
-/** The bytes of the file at @p path ("" if it cannot be read). */
+/** The bytes of the file at @p path ("", and a failure, if it
+ *  cannot be read). */
 inline std::string
 slurp(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << "missing " << path;
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/**
+ * Compare @p rendered against the committed golden tests/golden/@p
+ * stem. Regenerate with PCBP_UPDATE_GOLDEN=1 (the test then reports
+ * itself skipped), then review the diff and commit it.
+ */
+inline void
+expectMatchesGolden(const std::string &rendered, const std::string &stem)
+{
+    const std::string path =
+        std::string(PCBP_TEST_GOLDEN_DIR) + "/" + stem;
+    if (std::getenv("PCBP_UPDATE_GOLDEN")) {
+        std::filesystem::create_directories(
+            std::filesystem::path(path).parent_path());
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << rendered;
+        GTEST_SKIP() << "golden updated: " << path;
+    }
+    ASSERT_TRUE(std::ifstream(path))
+        << "missing golden " << path
+        << " (run with PCBP_UPDATE_GOLDEN=1 to create)";
+    EXPECT_EQ(rendered, slurp(path)) << "golden drift in " << stem;
 }
 
 /** @p stem under the test temp directory. */

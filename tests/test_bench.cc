@@ -18,8 +18,6 @@
  *    (forcing ring growth + wraparound) stays deterministic.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -27,30 +25,12 @@
 
 #include "perf/bench_report.hh"
 #include "sim/driver.hh"
+#include "support.hh"
 
 namespace pcbp
 {
 namespace
 {
-
-void
-expectMatchesGolden(const std::string &rendered, const char *stem)
-{
-    const std::string path =
-        std::string(PCBP_TEST_GOLDEN_DIR) + "/" + stem;
-    if (std::getenv("PCBP_UPDATE_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "golden updated: " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (run with PCBP_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream os;
-    os << in.rdbuf();
-    EXPECT_EQ(rendered, os.str()) << "golden drift in " << stem;
-}
 
 /** A BenchResult with fixed fake numbers (schema tests only). */
 BenchResult

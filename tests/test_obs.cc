@@ -636,25 +636,6 @@ TEST(ObsProbes, NullCountersAreIgnored)
 
 // ------------------------------------------------- golden + schema
 
-void
-expectMatchesGolden(const std::string &rendered, const char *stem)
-{
-    const std::string path =
-        std::string(PCBP_TEST_GOLDEN_DIR) + "/" + stem;
-    if (std::getenv("PCBP_UPDATE_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "golden updated: " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (run with PCBP_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream os;
-    os << in.rdbuf();
-    EXPECT_EQ(rendered, os.str()) << "golden drift in " << stem;
-}
-
 TEST(ObsGolden, SweepStatsSimDump)
 {
     // Pins the full deterministic dump of a small two-workload grid:

@@ -9,55 +9,18 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "report/repro.hh"
+#include "support.hh"
 #include "workload/trace2.hh"
 
 namespace pcbp
 {
 namespace
 {
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << "missing " << path;
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-/**
- * Compare @p rendered against tests/golden/@p stem. Regenerate with
- * PCBP_UPDATE_GOLDEN=1 (then review the diff and commit it).
- */
-void
-expectMatchesGolden(const std::string &rendered, const std::string &stem)
-{
-    const std::string path =
-        std::string(PCBP_TEST_GOLDEN_DIR) + "/" + stem;
-    if (std::getenv("PCBP_UPDATE_GOLDEN")) {
-        std::filesystem::create_directories(
-            std::filesystem::path(path).parent_path());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        SUCCEED() << "golden updated: " << path;
-        return;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (run with PCBP_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream os;
-    os << in.rdbuf();
-    EXPECT_EQ(rendered, os.str()) << "golden drift in " << stem;
-}
 
 std::string
 tempOut(const char *name)

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -412,30 +411,6 @@ sampleResult(const char *key)
     r.prophetMispredicts = 222;
     r.critiques.counts[1] = 7;
     return r;
-}
-
-/**
- * Compare @p rendered against the committed golden @p stem in
- * tests/golden/ (regenerate with PCBP_UPDATE_GOLDEN=1, then review
- * and commit the diff) — same protocol as test_golden.cc.
- */
-void
-expectMatchesGolden(const std::string &rendered, const char *stem)
-{
-    const std::string path =
-        std::string(PCBP_TEST_GOLDEN_DIR) + "/" + stem;
-    if (std::getenv("PCBP_UPDATE_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << rendered;
-        GTEST_SKIP() << "golden updated: " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (run with PCBP_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream os;
-    os << in.rdbuf();
-    EXPECT_EQ(rendered, os.str()) << "golden drift in " << stem;
 }
 
 TEST(ResultStore, JsonRoundTrips)

@@ -18,11 +18,19 @@
  * - compact: file bytes <= 4 + 4.25 x records on a recorded CFG-walk
  *   trace (the full 10M-branch criterion runs in test_longrun.cc);
  * - identified: `pcbp_trace info` output is deterministic and its
- *   key list is pinned by a golden.
+ *   key list is pinned by a golden;
+ * - stable on the wire: the size and digest of fixed recordings and
+ *   of an import are pinned by a golden, so a faster writer must
+ *   write the same bytes, and a faster reconstruction must build the
+ *   same replay CFG from an adversarial trace;
+ * - looked up right: the flat id table under the dictionaries agrees
+ *   with std::map on dense, sparse and colliding keys.
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -34,6 +42,7 @@
 #include "sim/driver.hh"
 #include "support.hh"
 #include "workload/generator.hh"
+#include "workload/suites.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
 
@@ -367,6 +376,204 @@ TEST(Trace2, BranchWithTwoSuccessorsFailsReplayNamingTheRecord)
                 "record 2");
     std::remove(in.c_str());
     std::remove(path.c_str());
+}
+
+// ----------------------------------------------------- wire bytes
+
+/** "NAME SIZE FNV1A64" for the file at @p path. */
+std::string
+digestLine(const std::string &name, const std::string &path)
+{
+    const std::string bytes = slurp(path);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    char line[160];
+    std::snprintf(line, sizeof(line), "%s %zu %016" PRIx64 "\n",
+                  name.c_str(), bytes.size(), h);
+    return line;
+}
+
+TEST(Trace2, WrittenBytesMatchGolden)
+{
+    // The writer may get faster, but the format is a contract: these
+    // files must keep the exact bytes they had when the golden was
+    // taken. A registry walk at the default and at a small block
+    // size, and an import whose corpus brings one PC back with a new
+    // uop count (a record exception).
+    const std::string path = tmpPath("t2_golden.pcbptrc2");
+    std::string rendered;
+    const auto walk =
+        walkProgram(buildProgram(workloadByName("mm.mpeg")), 20000);
+    for (const std::uint32_t rpb : {trace2fmt::defaultBlockRecords, 64u}) {
+        saveTrace2(path, walk, rpb);
+        rendered += digestLine(
+            "record-mm.mpeg-20000-rpb" + std::to_string(rpb), path);
+    }
+
+    const std::string in = tmpPath("t2_golden.txt");
+    {
+        std::ofstream f(in, std::ios::binary);
+        f << "# pc outcome uops\n";
+        for (int i = 0; i < 3000; ++i) {
+            const int site = (i * 7) % 11;
+            f << "0x" << std::hex << 0x401000 + 0x24 * site << std::dec
+              << (i % 3 ? " T" : " N");
+            if (site % 4)
+                f << ' ' << (i == 1500 ? 9 : site % 4);
+            f << '\n';
+        }
+    }
+    ASSERT_EQ(importAsciiTrace(in, path, 512), 3000u);
+    rendered += digestLine("import-3000-rpb512", path);
+    expectMatchesGolden(rendered, "trace2_bytes.txt");
+    std::remove(in.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(Trace2, ReconstructionMatchesGolden)
+{
+    // Replay's CFG, block for block, from a trace that takes every
+    // branch of the reconstruction: id holes, a block whose PC and
+    // uop count change between visits (record exceptions; the last
+    // visit wins), a zero uop count, a direction that never runs
+    // (block 3 is never taken), one that runs once (block 9 falls
+    // through only into block 12), and a block seen only as the last
+    // record.
+    const auto next = [](BlockId b, bool taken) -> BlockId {
+        switch (b) {
+          case 0:
+            return taken ? 3 : 7;
+          case 3:
+            return taken ? 7 : 0;
+          case 7:
+            return taken ? 9 : 3;
+          default:
+            return taken ? 0 : 12;
+        }
+    };
+    Rng rng(1212);
+    std::vector<CommittedBranch> records;
+    BlockId b = 0;
+    for (int i = 0; i < 400 || b != 9; ++i) {
+        CommittedBranch r;
+        r.block = b;
+        r.pc = 0x400000 + 16 * Addr(b) + (b == 7 ? 4 * (i % 3) : 0);
+        r.numUops = b == 9 ? 0 : b == 7 ? 2 + i % 5 : 3;
+        r.taken = b == 9 || (b != 3 && rng.nextBool(0.5));
+        records.push_back(r);
+        b = next(b, r.taken);
+    }
+    records.push_back({9, 0x400090, false, 0});
+    records.push_back({12, 0x4000c0, true, 5});
+
+    const std::string path = tmpPath("t2_reconstruct.pcbptrc2");
+    saveTrace2(path, records, 64);
+    const Program p = reconstructProgramFromTrace(path, "golden");
+    std::string rendered;
+    for (BlockId id = 0; id < p.numBlocks(); ++id) {
+        const BasicBlock &blk = p.block(id);
+        const BranchBehavior &bh = p.behavior(id);
+        char line[200];
+        std::snprintf(line, sizeof(line),
+                      "%u pc=%#" PRIx64 " uops=%u taken=%u fall=%u "
+                      "kind=%d p=%.17g seed=%" PRIu64 "\n",
+                      id, std::uint64_t(blk.branchPc), blk.numUops,
+                      blk.takenTarget, blk.fallthroughTarget,
+                      int(bh.kind), bh.p0, bh.seed);
+        rendered += line;
+    }
+    expectMatchesGolden(rendered, "trace2_reconstruct.txt");
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------- flat id table
+
+/** Insert @p keys in order (value: the insertion index), checking
+ *  every step and the final lookups against a std::map. */
+void
+expectTableMatchesMap(const char *what,
+                      const std::vector<std::uint64_t> &keys)
+{
+    SCOPED_TRACE(what);
+    FlatIdTable<std::uint64_t> table;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::uint64_t got = table.emplace(keys[i], i);
+        ASSERT_EQ(got, ref.emplace(keys[i], i).first->second)
+            << "key " << keys[i];
+        ASSERT_EQ(table.size(), ref.size()) << "key " << keys[i];
+    }
+    for (const auto &[key, value] : ref) {
+        const std::uint64_t *v = table.find(key);
+        ASSERT_NE(v, nullptr) << "key " << key;
+        EXPECT_EQ(*v, value) << "key " << key;
+        for (const std::uint64_t near : {key - 1, key + 1}) {
+            if (!ref.count(near)) {
+                EXPECT_EQ(table.find(near), nullptr) << "key " << near;
+            }
+        }
+    }
+    std::map<std::uint64_t, std::uint64_t> visited;
+    table.forEach([&](std::uint64_t key, std::uint64_t value) {
+        EXPECT_TRUE(visited.emplace(key, value).second) << "key " << key;
+    });
+    EXPECT_EQ(visited, ref);
+}
+
+TEST(FlatIdTable, MatchesStdMapOnDenseSparseAndCollidingKeys)
+{
+    const FlatIdTable<std::uint64_t> empty;
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(empty.find(0), nullptr);
+
+    Rng rng(808);
+    const auto shuffled = [&](std::vector<std::uint64_t> keys) {
+        for (std::size_t i = keys.size(); i > 1; --i)
+            std::swap(keys[i - 1], keys[std::size_t(rng.nextBelow(i))]);
+        return keys;
+    };
+    const std::uint64_t all_ones = ~std::uint64_t(0);
+
+    // No key is reserved: 0, the largest block id and 2^64 - 1 are
+    // ordinary keys, repeats included.
+    expectTableMatchesMap(
+        "extremes",
+        {0, 0xffffffffull, all_ones, 0, 1, all_ones - 1, 0xffffffffull,
+         all_ones});
+
+    // Dense ids, as a CFG walk numbers its blocks, each seen twice,
+    // grow the table from 16 slots past 8192.
+    std::vector<std::uint64_t> dense;
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        dense.push_back(i);
+        dense.push_back(i);
+    }
+    expectTableMatchesMap("dense", shuffled(dense));
+
+    // Sparse 64-bit keys, as real-program PCs are, with repeats.
+    std::vector<std::uint64_t> sparse;
+    for (int i = 0; i < 4000; ++i)
+        sparse.push_back(i % 5 == 4 ? sparse[std::size_t(
+                                          rng.nextBelow(sparse.size()))]
+                                    : rng.next());
+    expectTableMatchesMap("sparse", sparse);
+
+    // Colliding keys: key x hashMultiplier is small for every key
+    // below, so all of them hash to slot 0 at any capacity and each
+    // insert probes past every earlier one.
+    std::uint64_t inverse = FlatIdTable<int>::hashMultiplier;
+    for (int i = 0; i < 5; ++i)
+        inverse *= 2 - FlatIdTable<int>::hashMultiplier * inverse;
+    ASSERT_EQ(inverse * FlatIdTable<int>::hashMultiplier, 1u);
+    std::vector<std::uint64_t> colliding;
+    for (std::uint64_t i = 0; i < 1500; ++i)
+        colliding.push_back(i * inverse);
+    colliding.push_back(0);
+    colliding.push_back(7 * inverse);
+    expectTableMatchesMap("colliding", shuffled(colliding));
 }
 
 // ----------------------------------------------------- info schema

@@ -5,8 +5,9 @@
  *
  * Properties:
  * - malformed input — truncation at any boundary, corrupted magic or
- *   version, a corrupt footer index, mid-block torn writes, bit
- *   flips anywhere in the file, random garbage — is a graceful error
+ *   version, a corrupt footer index, mid-block torn writes, a varint
+ *   whose 10th byte carries more than bit 63, bit flips anywhere in
+ *   the file, random garbage — is a graceful error
  *   through the try layer (tryScanTraceFile over Trace2Reader) and a
  *   clean exit(1) through the fatal wrappers, never a crash or
  *   out-of-bounds read. The reader mmaps the file, so every decode
@@ -417,6 +418,146 @@ TEST(Trace2Fuzz, PayloadFlipsStillReconstructOrErrorCleanly)
                 testing::ExitedWithCode(1), "reconstruction limit");
     std::remove(good.c_str());
     std::remove(bad.c_str());
+}
+
+// ------------------------------------------------- over-long varints
+
+void
+putLe(std::vector<unsigned char> &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+}
+
+/**
+ * A one-record PCBPTRC2 file assembled byte by byte, so a test can
+ * plant encodings the writer never emits: @p record is the record's
+ * varints (after the outcome byte, a not-taken bit), @p entry the
+ * varints of the one dictionary entry.
+ */
+std::vector<unsigned char>
+oneRecordTrace(const std::vector<unsigned char> &record,
+               const std::vector<unsigned char> &entry)
+{
+    std::vector<unsigned char> f(trace2fmt::magic, trace2fmt::magic + 8);
+    putLe(f, trace2fmt::version, 4);
+    putLe(f, 1, 4); // records per block
+    putLe(f, 1, 8); // record count
+    putLe(f, trace2fmt::headerBytes + 8 + 1 + record.size(), 8);
+    putLe(f, 0, 8); // reserved
+    putLe(f, 1 + record.size(), 4); // payload bytes
+    putLe(f, 1, 4);                 // records in the block
+    f.push_back(0);                 // outcome bitstream
+    f.insert(f.end(), record.begin(), record.end());
+    f.insert(f.end(), trace2fmt::indexMagic, trace2fmt::indexMagic + 8);
+    putLe(f, 1, 4); // dictionary entries
+    f.insert(f.end(), entry.begin(), entry.end());
+    putLe(f, 1, 4); // blocks
+    putLe(f, trace2fmt::headerBytes, 8);
+    putLe(f, 1, 8); // record-count echo
+    f.insert(f.end(), trace2fmt::endMagic, trace2fmt::endMagic + 8);
+    return f;
+}
+
+/** A 10-byte varint: nine continuation bytes of zero bits, then
+ *  @p last, which a u64 leaves room for only bit 63 in. */
+std::vector<unsigned char>
+tenByteVarint(unsigned char last)
+{
+    std::vector<unsigned char> v(9, 0x80);
+    v.push_back(last);
+    return v;
+}
+
+std::vector<unsigned char>
+concat(std::initializer_list<std::vector<unsigned char>> parts)
+{
+    std::vector<unsigned char> out;
+    for (const auto &p : parts)
+        out.insert(out.end(), p.begin(), p.end());
+    return out;
+}
+
+/** The records of @p path, or nothing with @p error set. */
+std::vector<CommittedBranch>
+scanAll(const std::string &path, std::string &error)
+{
+    std::vector<CommittedBranch> records;
+    if (!tryScanTraceFile(
+            path, [&](const CommittedBranch &r) { records.push_back(r); },
+            error))
+        records.clear();
+    return records;
+}
+
+TEST(Trace2Fuzz, OverlongDictionaryPcIsRefused)
+{
+    const std::string path = tmpPath("fuzz2_long_dict.pcbptrc2");
+    // Entry: id 0, PC as a 10-byte varint, 1 uop; the record uses it.
+    const auto file = [](unsigned char last) {
+        return oneRecordTrace({0x00},
+                              concat({{0x00}, tenByteVarint(last), {0x01}}));
+    };
+    writeBytes(path, file(0x01));
+    std::string error;
+    const auto records = scanAll(path, error);
+    ASSERT_EQ(records.size(), 1u) << error;
+    EXPECT_EQ(records[0].pc, Addr(1) << 63);
+
+    // 0x7f would decode to the same PC: its high bits have nowhere to
+    // go, and a reader that kept only bit 63 would accept the file.
+    writeBytes(path, file(0x7f));
+    EXPECT_TRUE(scanAll(path, error).empty());
+    EXPECT_NE(error.find("static-branch dictionary"), std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(Trace2Fuzz, OverlongExceptionPcIsRefused)
+{
+    const std::string path = tmpPath("fuzz2_long_exc.pcbptrc2");
+    // Record: delta 0 with the exception flag, PC as a 10-byte
+    // varint, 1 uop.
+    const auto file = [](unsigned char last) {
+        return oneRecordTrace(concat({{0x01}, tenByteVarint(last), {0x01}}),
+                              {0x00, 0x10, 0x01});
+    };
+    writeBytes(path, file(0x01));
+    std::string error;
+    const auto records = scanAll(path, error);
+    ASSERT_EQ(records.size(), 1u) << error;
+    EXPECT_EQ(records[0].pc, Addr(1) << 63);
+
+    writeBytes(path, file(0x7f));
+    EXPECT_TRUE(scanAll(path, error).empty());
+    EXPECT_NE(error.find("block 0 has a corrupt record exception"),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(Trace2Fuzz, OverlongBlockIdDeltaIsRefused)
+{
+    const std::string path = tmpPath("fuzz2_long_delta.pcbptrc2");
+    // Record: a zero delta, no exception, padded to 10 bytes.
+    const auto file = [](unsigned char last) {
+        return oneRecordTrace(tenByteVarint(last), {0x00, 0x10, 0x01});
+    };
+    writeBytes(path, file(0x00));
+    std::string error;
+    const auto records = scanAll(path, error);
+    ASSERT_EQ(records.size(), 1u) << error;
+    EXPECT_EQ(records[0].block, 0u);
+    EXPECT_EQ(records[0].pc, 0x10u);
+
+    // 0x7e keeps no bit at all past the shift: a reader that dropped
+    // the rest would decode block 0 again.
+    writeBytes(path, file(0x7e));
+    EXPECT_TRUE(scanAll(path, error).empty());
+    EXPECT_NE(error.find("block 0 is truncated mid-record"),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
 }
 
 TEST(Trace2Fuzz, RandomGarbageFilesAreGracefulErrors)
