@@ -1,10 +1,10 @@
 /**
  * @file
  * Strict parsing of numeric command-line values. Every CLI flag that
- * takes a count or a threshold goes through here, so a typo such as
- * `--jobs -1` or `--max-cells x1` stops with a message naming the
- * flag instead of wrapping to a huge value, reading as 0, or being
- * silently truncated.
+ * takes a count, and the PCBP_BENCH_SCALE factor, goes through here,
+ * so a typo such as `--jobs -1` or `--max-cells x1` stops with a
+ * message naming the flag instead of wrapping to a huge value,
+ * reading as 0, or being silently truncated.
  */
 
 #ifndef PCBP_COMMON_CLI_PARSE_HH
@@ -40,9 +40,9 @@ parseCountArg(const std::string &flag, const std::string &value)
 }
 
 /**
- * Parse @p value as a finite, non-negative decimal number (a fraction
- * such as `--threshold 0.25`); anything else exits through pcbp_fatal
- * naming the flag and the value.
+ * Parse @p value as a finite, non-negative decimal number (a scale
+ * such as `PCBP_BENCH_SCALE=0.25`); anything else exits through
+ * pcbp_fatal naming the flag and the value.
  */
 double parseNonNegativeArg(const std::string &flag,
                            const std::string &value);

@@ -140,9 +140,6 @@ class HistoryRegister
         return f & maskBits(bits);
     }
 
-    /** Clear all bits. */
-    void reset() { words = {0, 0}; }
-
     bool operator==(const HistoryRegister &o) const
     {
         return words == o.words;

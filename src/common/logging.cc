@@ -11,11 +11,10 @@ namespace
 {
 
 /**
- * The one stderr gate. pcbp_warn/pcbp_inform used to write std::cerr
- * directly, and parallelFor workers warning concurrently (e.g. two
- * sweep cells hitting torn-store recovery) interleaved fragments of
- * each other's lines; every diagnostic line now goes out under this
- * mutex, whole or not at all.
+ * The one stderr gate: every diagnostic line goes out under this
+ * mutex, whole or not at all, so parallelFor workers warning
+ * concurrently (e.g. two sweep cells hitting torn-store recovery)
+ * never interleave fragments of each other's lines.
  */
 std::mutex &
 sinkMutex()
@@ -112,14 +111,6 @@ warnImpl(const std::string &msg)
     if (logLevel() < LogLevel::Warn)
         return;
     emitLine("warn: " + msg);
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logLevel() < LogLevel::Info)
-        return;
-    emitLine("info: " + msg);
 }
 
 } // namespace pcbp

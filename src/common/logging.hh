@@ -1,7 +1,7 @@
 /**
  * @file
  * gem5-style status/error reporting: panic for internal invariant
- * violations, fatal for user/configuration errors, warn/inform for
+ * violations, fatal for user/configuration errors, warn for
  * non-fatal conditions.
  */
 
@@ -27,16 +27,13 @@ namespace pcbp
 /** Print "warn: <msg>" to stderr and continue. */
 void warnImpl(const std::string &msg);
 
-/** Print "info: <msg>" to stderr and continue. */
-void informImpl(const std::string &msg);
-
 /** Log verbosity, selected by the PCBP_LOG_LEVEL environment variable
  *  ("quiet"/"error", "warn", "info"; default info = everything). */
 enum class LogLevel
 {
     Error = 0, //!< only panic/fatal reach stderr
     Warn = 1,  //!< + pcbp_warn
-    Info = 2   //!< + pcbp_inform and progress lines (default)
+    Info = 2   //!< + progress lines (default)
 };
 
 /** The effective level (PCBP_LOG_LEVEL, read once). */
@@ -44,7 +41,7 @@ LogLevel logLevel();
 
 /**
  * Emit one complete line through the process-wide mutex-guarded log
- * sink. Every diagnostic writer — warn/inform, panic/fatal preambles,
+ * sink. Every diagnostic writer — warn, panic/fatal preambles,
  * the progress heartbeat — funnels through here, so lines from
  * concurrent parallelFor workers never interleave mid-message.
  * Bypasses the level filter: callers filter before formatting.
@@ -105,9 +102,6 @@ concat(const Args &...args)
 
 #define pcbp_warn(...) \
     ::pcbp::warnImpl(::pcbp::detail::concat(__VA_ARGS__))
-
-#define pcbp_inform(...) \
-    ::pcbp::informImpl(::pcbp::detail::concat(__VA_ARGS__))
 
 /** Panic when an internal invariant does not hold. */
 #define pcbp_assert(cond, ...)                                              \

@@ -47,16 +47,6 @@ ProphetCriticHybrid::recoverMispredict(const BranchContext &ctx,
     liveBor.shiftIn(outcome);
 }
 
-void
-ProphetCriticHybrid::reset()
-{
-    prophet->reset();
-    if (critic)
-        critic->reset();
-    liveBhr.reset();
-    liveBor.reset();
-}
-
 std::unique_ptr<ProphetCriticHybrid>
 ProphetCriticHybrid::clone() const
 {

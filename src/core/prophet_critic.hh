@@ -159,9 +159,6 @@ class ProphetCriticHybrid
                       const std::optional<CritiqueDecision> &decision,
                       bool outcome);
 
-    /** Reset all predictor and register state. */
-    void reset();
-
     /**
      * Deep copy: prophet and critic cloned (trained state included),
      * live BHR/BOR values copied. The clone's future event sequence

@@ -17,14 +17,6 @@ StatRegistry::add(const std::string &path, std::uint64_t delta)
 }
 
 void
-StatRegistry::set(const std::string &path, std::uint64_t value)
-{
-    Entry &e = sim[path];
-    e.kind = StatKind::Sum;
-    e.value = value;
-}
-
-void
 StatRegistry::setMax(const std::string &path, std::uint64_t value)
 {
     Entry &e = sim[path];

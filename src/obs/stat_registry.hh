@@ -58,9 +58,6 @@ class StatRegistry
     /** Add @p delta to a Sum-kind sim scalar (created at zero). */
     void add(const std::string &path, std::uint64_t delta);
 
-    /** Set a Sum-kind sim scalar (overwrites). */
-    void set(const std::string &path, std::uint64_t value);
-
     /** Raise a Max-kind sim scalar to at least @p value. */
     void setMax(const std::string &path, std::uint64_t value);
 

@@ -119,10 +119,24 @@ benchWorkload(const BenchContext &ctx)
 }
 
 /**
- * One accuracy-engine repetition: fresh program + predictor + engine,
- * run to the branch budget. Returns total committed branches (warmup
- * included — the engine loop runs them all), capped by the stream
- * for trace workloads.
+ * Committed branches one repetition of an engine.* / timing.* bench
+ * simulates: its budget, or a trace: workload's whole file when that
+ * is shorter (such a workload's default run length is its record
+ * count).
+ */
+std::uint64_t
+benchBranches(const Workload &w, std::uint64_t budget)
+{
+    return w.suite == "TRACE"
+               ? std::min(budget, w.warmupBranches + w.simBranches)
+               : budget;
+}
+
+/**
+ * One accuracy-engine repetition through the driver: fresh program,
+ * predictor and engine, run to the branch budget. Returns total
+ * committed branches (warmup included — the engine loop runs them
+ * all).
  */
 std::uint64_t
 engineBody(const HybridSpec &spec, const BenchContext &ctx)
@@ -136,20 +150,8 @@ engineBody(const HybridSpec &spec, const BenchContext &ctx)
     cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
     cfg.measureBranches =
         std::max<std::uint64_t>(cfg.measureBranches, 1000);
-
-    Program program = buildProgram(w);
-    auto hybrid = spec.build();
-    Engine engine(program, *hybrid, cfg);
-
-    std::uint64_t total = cfg.warmupBranches + cfg.measureBranches;
-    if (!w.tracePath.empty()) {
-        auto stream = openTraceStream(w.tracePath);
-        total = std::min(total, stream->length());
-        engine.run(*stream);
-    } else {
-        engine.run();
-    }
-    return total;
+    runAccuracy(w, spec, cfg);
+    return benchBranches(w, cfg.warmupBranches + cfg.measureBranches);
 }
 
 /** One timing-model repetition; returns total committed branches. */
@@ -165,20 +167,8 @@ timingBody(const HybridSpec &spec, const BenchContext &ctx)
     cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
     cfg.measureBranches =
         std::max<std::uint64_t>(cfg.measureBranches, 1000);
-
-    Program program = buildProgram(w);
-    auto hybrid = spec.build();
-    TimingSim sim(program, *hybrid, cfg);
-
-    std::uint64_t total = cfg.warmupBranches + cfg.measureBranches;
-    if (!w.tracePath.empty()) {
-        auto stream = openTraceStream(w.tracePath);
-        total = std::min(total, stream->length());
-        sim.run(*stream);
-    } else {
-        sim.run();
-    }
-    return total;
+    runTiming(w, spec, cfg);
+    return benchBranches(w, cfg.warmupBranches + cfg.measureBranches);
 }
 
 /** One sweep-grid repetition through the real runner (in-memory). */

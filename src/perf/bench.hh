@@ -6,14 +6,15 @@
  * The registry is the perf analogue of the figure registry
  * (report/figure.hh): instead of N bespoke main()-with-chrono bench
  * binaries, each hot path is declared once — a name, a group, what
- * one repetition does, and what a work item is — and every consumer
- * (the `pcbp_bench` CLI and the CI smoke jobs) runs the same
- * definitions through the same measurement core (perf/measure.hh),
- * emitting the same `BENCH_<name>.json` schema
- * (perf/bench_report.hh). That is what
- * makes throughput numbers comparable across revisions: the
- * benchmark identity is the registry name, not which binary happened
- * to print it.
+ * one repetition does, and what a work item is — and `pcbp_bench`
+ * runs the definitions through one measurement core
+ * (perf/measure.hh), emitting one `BENCH_<name>.json` schema
+ * (perf/bench_report.hh). The benchmark identity is the registry
+ * name, so a row prices the same work in every revision. A speed
+ * claim between revisions rests on alternating runs of the repo
+ * benchmark (tools/bench_pair.py), not on two of these runs: on a
+ * shared host one run's rows move by tens of percent
+ * (docs/PERFORMANCE.md).
  *
  * Groups:
  *  - predictor.* / critic.*: lookup+update microbenches over the
@@ -22,7 +23,8 @@
  *    (predict / critique / commit-train), no simulator around it;
  *  - engine.* / timing.*: end-to-end committed-branch throughput of
  *    the accuracy Engine and the cycle-level TimingSim on a named
- *    workload (overridable, including trace:<path>);
+ *    workload (overridable, including trace:<path>), run through the
+ *    driver's runAccuracy / runTiming;
  *  - sweep.* / repro.*: wall-clock of sweep grids (including the
  *    fork_grid/replay_grid shared-warmup ladder pair, which prices
  *    fork-based execution — DESIGN.md §11) and one quick-scale repro

@@ -18,9 +18,12 @@ constexpr std::size_t kInitialSlabSize = 64;
 } // namespace
 
 void
-SpecCoreObs::exportTo(StatRegistry &reg,
-                      const std::string &prefix) const
+SpecCoreObs::exportTo([[maybe_unused]] StatRegistry &reg,
+                      [[maybe_unused]] const std::string &prefix) const
 {
+    // No key rather than zeros, which would read as "nothing was
+    // committed".
+#if PCBP_OBS
     reg.add(prefix + ".fetches", fetches);
     reg.add(prefix + ".btb_hits", btbHits);
     reg.add(prefix + ".btb_allocs", btbAllocs);
@@ -33,6 +36,7 @@ SpecCoreObs::exportTo(StatRegistry &reg,
     reg.add(prefix + ".partial_gathers", partialGathers);
     reg.add(prefix + ".slab_growths", slabGrowths);
     reg.setMax(prefix + ".queue_peak", queuePeak);
+#endif
 }
 
 template <typename Payload>

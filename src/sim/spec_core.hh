@@ -106,7 +106,10 @@ struct SpecCoreObs
     std::uint64_t slabGrowths = 0;    //!< checkpoint-arena doublings
     std::uint64_t queuePeak = 0;      //!< max queue depth observed
 
-    /** Accumulate into @p reg's sim section under `prefix.*`. */
+    /**
+     * Accumulate into @p reg's sim section under `prefix.*`; a no-op
+     * under `-DPCBP_OBS=0`, where no probe feeds these counters.
+     */
     void exportTo(StatRegistry &reg, const std::string &prefix) const;
 };
 

@@ -23,57 +23,23 @@ hexPc(Addr pc)
 
 /**
  * Hand every decoded block of @p path, in order, to @p fn: the one
- * loop under every scan of this file. Passing whole blocks keeps the
- * per-record work inline in the caller's loop.
+ * loop under every scan of this file, fatal on a malformed file or
+ * block. Passing whole blocks keeps the per-record work inline in
+ * the caller's loop.
  */
-template <typename Fn>
-bool
-tryForEachBlock(const std::string &path, std::string &error, Fn &&fn)
-{
-    const auto reader = Trace2Reader::tryOpen(path, error);
-    if (!reader)
-        return false;
-    std::vector<CommittedBranch> block;
-    for (std::uint64_t b = 0; b < reader->numBlocks(); ++b) {
-        if (!reader->tryDecodeBlock(b, block, error))
-            return false;
-        fn(block);
-    }
-    return true;
-}
-
-/** Fatal wrapper over tryForEachBlock. */
 template <typename Fn>
 void
 forEachBlock(const std::string &path, Fn &&fn)
 {
-    std::string error;
-    if (!tryForEachBlock(path, error, fn))
-        pcbp_fatal(error);
+    const auto reader = Trace2Reader::open(path);
+    std::vector<CommittedBranch> block;
+    for (std::uint64_t b = 0; b < reader->numBlocks(); ++b) {
+        reader->decodeBlock(b, block);
+        fn(block);
+    }
 }
 
 } // namespace
-
-bool
-tryScanTraceFile(const std::string &path,
-                 const std::function<void(const CommittedBranch &)> &fn,
-                 std::string &error)
-{
-    return tryForEachBlock(
-        path, error, [&](const std::vector<CommittedBranch> &block) {
-            for (const CommittedBranch &r : block)
-                fn(r);
-        });
-}
-
-void
-scanTraceFile(const std::string &path,
-              const std::function<void(const CommittedBranch &)> &fn)
-{
-    std::string error;
-    if (!tryScanTraceFile(path, fn, error))
-        pcbp_fatal(error);
-}
 
 TraceSummary
 summarizeTraceFile(const std::string &path)

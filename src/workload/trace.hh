@@ -1,7 +1,7 @@
 /**
  * @file
- * Committed-branch traces: the scan, summary and CFG-reconstruction
- * entry points over PCBPTRC2 files (workload/trace2.hh).
+ * Committed-branch traces: the summary and CFG-reconstruction entry
+ * points over PCBPTRC2 files (workload/trace2.hh).
  *
  * A trace is the committed (correct-path) branch stream of a program
  * walk. Traces are useful for conventional predictor evaluation, for
@@ -23,32 +23,12 @@
 #ifndef PCBP_WORKLOAD_TRACE_HH
 #define PCBP_WORKLOAD_TRACE_HH
 
-#include <functional>
 #include <string>
 
 #include "workload/cfg.hh"
 
 namespace pcbp
 {
-
-/**
- * Non-fatal scan: one indexed pass over every record of a PCBPTRC2
- * file, in order, decoding one block at a time (O(block) memory).
- * False, with @p error filled, on an unreadable or malformed file or
- * a corrupt block, without invoking @p fn past the corruption. The
- * fuzz/property tests drive random garbage through this entry point;
- * CLI paths keep the fatal wrapper.
- */
-bool tryScanTraceFile(
-    const std::string &path,
-    const std::function<void(const CommittedBranch &)> &fn,
-    std::string &error);
-
-/** Fatal wrapper over tryScanTraceFile. Summaries and CFG
- *  reconstruction run the same block loop without the per-record
- *  call through @p fn. */
-void scanTraceFile(const std::string &path,
-                   const std::function<void(const CommittedBranch &)> &fn);
 
 /**
  * Statistics of a committed trace: branch/uop counts, taken rate,

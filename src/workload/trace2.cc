@@ -317,10 +317,12 @@ Trace2Reader::tryOpen(const std::string &path, std::string &error)
             !readVarint(m, size, pos, pc) ||
             !readVarint(m, size, pos, uops))
             return fail("has a truncated static-branch dictionary");
+        // Ids ascend strictly. A delta above 32 bits cannot reach a
+        // valid id except by wrapping the sum below prev_id.
         const std::uint64_t id =
             i == 0 ? id_field : prev_id + id_field;
-        if ((i > 0 && id_field == 0) || id > 0xffffffffull ||
-            uops > 0xffffffffull)
+        if ((i > 0 && (id_field == 0 || id_field > 0xffffffffull)) ||
+            id > 0xffffffffull || uops > 0xffffffffull)
             return fail("has a corrupt static-branch dictionary");
         r->dict.emplace(id, {Addr(pc), std::uint32_t(uops)});
         prev_id = id;

@@ -5,7 +5,7 @@
  * and of each simulator's stats, a host-stat reader, and files (a
  * whole-file read; the check against a committed golden; scratch
  * files under the test temp directory: plain paths and recorded
- * PCBPTRC2 traces).
+ * PCBPTRC2 traces; the records of a PCBPTRC2 file).
  */
 
 #ifndef PCBP_TESTS_SUPPORT_HH
@@ -111,6 +111,39 @@ inline std::string
 tmpPath(const std::string &stem)
 {
     return testing::TempDir() + stem;
+}
+
+/**
+ * Every record of the PCBPTRC2 file @p path, in order, decoded block
+ * by block through Trace2Reader::tryOpen / tryDecodeBlock. False,
+ * with @p error set, on a file or block the reader refuses; @p out
+ * then holds the records of the blocks before it.
+ */
+inline bool
+tryReadTrace(const std::string &path, std::vector<CommittedBranch> &out,
+             std::string &error)
+{
+    out.clear();
+    const auto reader = Trace2Reader::tryOpen(path, error);
+    if (!reader)
+        return false;
+    std::vector<CommittedBranch> block;
+    for (std::uint64_t b = 0; b < reader->numBlocks(); ++b) {
+        if (!reader->tryDecodeBlock(b, block, error))
+            return false;
+        out.insert(out.end(), block.begin(), block.end());
+    }
+    return true;
+}
+
+/** tryReadTrace for a file the test expects to read cleanly. */
+inline std::vector<CommittedBranch>
+readTrace(const std::string &path)
+{
+    std::vector<CommittedBranch> out;
+    std::string error;
+    EXPECT_TRUE(tryReadTrace(path, out, error)) << error;
+    return out;
 }
 
 /** Two commit-event streams, equal event by event and field by field. */

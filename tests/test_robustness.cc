@@ -84,15 +84,9 @@ writeBytes(const std::string &path, const std::string &bytes)
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-void
-scanAll(const std::string &path)
-{
-    scanTraceFile(path, [](const CommittedBranch &) {});
-}
-
 TEST(TraceRobustness, MissingFileIsFatal)
 {
-    EXPECT_EXIT(scanAll("/nonexistent/dir/foo.trace"),
+    EXPECT_EXIT(summarizeTraceFile("/nonexistent/dir/foo.trace"),
                 testing::ExitedWithCode(1), "cannot open");
 }
 
@@ -102,7 +96,8 @@ TEST(TraceRobustness, BadMagicIsFatal)
     std::string bytes = recordTrace(path, 100);
     bytes[0] = 'N';
     writeBytes(path, bytes);
-    EXPECT_EXIT(scanAll(path), testing::ExitedWithCode(1), "bad magic");
+    EXPECT_EXIT(summarizeTraceFile(path), testing::ExitedWithCode(1),
+                "bad magic");
     std::remove(path.c_str());
 }
 
@@ -112,7 +107,7 @@ TEST(TraceRobustness, TruncatedFileIsFatal)
     const std::string bytes = recordTrace(path, 100);
     // Chop the file in half: the footer the header points at is gone.
     writeBytes(path, bytes.substr(0, bytes.size() / 2));
-    EXPECT_EXIT(scanAll(path), testing::ExitedWithCode(1),
+    EXPECT_EXIT(summarizeTraceFile(path), testing::ExitedWithCode(1),
                 "index offset outside the file");
     std::remove(path.c_str());
 }
@@ -123,18 +118,17 @@ TEST(TraceRobustness, BlockTornMidScanIsFatal)
     std::string bytes = recordTrace(path, 100, 16);
     // Set the continuation bit of the last block's final payload
     // byte: the header, footer and blocks 0-5 still validate, so the
-    // scan has delivered 96 records when block 6 fails to decode.
+    // read has decoded 96 records when block 6 fails to decode.
     const std::uint64_t payload_end =
         bytes.size() - Trace2Reader::open(path)->info().indexBytes;
     bytes[std::size_t(payload_end - 1)] ^= char(0x80);
     writeBytes(path, bytes);
 
-    std::uint64_t delivered = 0;
+    std::vector<CommittedBranch> decoded;
     std::string error;
-    EXPECT_FALSE(tryScanTraceFile(
-        path, [&](const CommittedBranch &) { ++delivered; }, error));
-    EXPECT_EQ(delivered, 96u);
-    EXPECT_EXIT(scanAll(path), testing::ExitedWithCode(1),
+    EXPECT_FALSE(tryReadTrace(path, decoded, error));
+    EXPECT_EQ(decoded.size(), 96u);
+    EXPECT_EXIT(summarizeTraceFile(path), testing::ExitedWithCode(1),
                 "block 6 .*torn write");
     std::remove(path.c_str());
 }
@@ -143,9 +137,7 @@ TEST(TraceRobustness, EmptyTraceRoundTrips)
 {
     const std::string path = testing::TempDir() + "pcbp_empty.trace";
     recordTrace(path, 0);
-    std::uint64_t delivered = 0;
-    scanTraceFile(path, [&](const CommittedBranch &) { ++delivered; });
-    EXPECT_EQ(delivered, 0u);
+    EXPECT_TRUE(readTrace(path).empty());
     EXPECT_EQ(summarizeTraceFile(path).branches, 0u);
     // Readable, but nothing to replay.
     EXPECT_EXIT(reconstructProgramFromTrace(path, "empty"),

@@ -90,16 +90,14 @@ TEST(CommittedStream, Trace2WriterStreamsWithoutVector)
     }
     Program p2 = buildProgram(w);
     const auto mem = walkProgram(p2, 2000);
-    std::size_t i = 0;
-    scanTraceFile(path, [&](const CommittedBranch &r) {
-        ASSERT_LT(i, mem.size());
-        EXPECT_EQ(r.block, mem[i].block) << i;
-        EXPECT_EQ(r.pc, mem[i].pc) << i;
-        EXPECT_EQ(r.taken, mem[i].taken) << i;
-        EXPECT_EQ(r.numUops, mem[i].numUops) << i;
-        ++i;
-    });
-    EXPECT_EQ(i, mem.size());
+    const std::vector<CommittedBranch> written = readTrace(path);
+    ASSERT_EQ(written.size(), mem.size());
+    for (std::size_t i = 0; i < mem.size(); ++i) {
+        EXPECT_EQ(written[i].block, mem[i].block) << i;
+        EXPECT_EQ(written[i].pc, mem[i].pc) << i;
+        EXPECT_EQ(written[i].taken, mem[i].taken) << i;
+        EXPECT_EQ(written[i].numUops, mem[i].numUops) << i;
+    }
     std::remove(path.c_str());
 }
 

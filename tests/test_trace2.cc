@@ -62,15 +62,6 @@ saveTrace2(const std::string &path,
     w.finish();
 }
 
-std::vector<CommittedBranch>
-readTrace(const std::string &path)
-{
-    std::vector<CommittedBranch> records;
-    scanTraceFile(path,
-                  [&](const CommittedBranch &r) { records.push_back(r); });
-    return records;
-}
-
 WorkloadRecipe
 traceRecipe(std::uint64_t seed)
 {
@@ -183,12 +174,7 @@ TEST(Trace2, EmptyTraceRoundTrips)
 {
     const std::string v2 = tmpPath("t2_empty.pcbptrc2");
     saveTrace2(v2, {}, trace2fmt::defaultBlockRecords);
-    std::uint64_t records = 0;
-    std::string error;
-    EXPECT_TRUE(tryScanTraceFile(
-        v2, [&](const CommittedBranch &) { ++records; }, error))
-        << error;
-    EXPECT_EQ(records, 0u);
+    EXPECT_TRUE(readTrace(v2).empty());
     const auto reader = Trace2Reader::open(v2);
     EXPECT_EQ(reader->recordCount(), 0u);
     EXPECT_EQ(reader->numBlocks(), 0u);

@@ -5,15 +5,16 @@
  *
  * Properties:
  * - malformed input — truncation at any boundary, corrupted magic or
- *   version, a corrupt footer index, mid-block torn writes, a varint
- *   whose 10th byte carries more than bit 63, bit flips anywhere in
- *   the file, random garbage — is a graceful error
- *   through the try layer (tryScanTraceFile over Trace2Reader) and a
- *   clean exit(1) through the fatal wrappers, never a crash or
- *   out-of-bounds read. The reader mmaps the file, so every decode
- *   bound is exercised directly against the raw mapping. The
- *   ASan+UBSan CI job runs this file in the fast set, so any parser
- *   overread trips the sanitizers here;
+ *   version, a corrupt footer index, a dictionary id delta that
+ *   wraps, mid-block torn writes, a varint whose 10th byte carries
+ *   more than bit 63, bit flips anywhere in the file, random garbage
+ *   — is a graceful error through the try layer
+ *   (Trace2Reader::tryOpen / tryDecodeBlock) and a clean exit(1)
+ *   through the fatal wrappers, never a crash or out-of-bounds read.
+ *   The reader mmaps the file, so every decode bound is exercised
+ *   directly against the raw mapping. The ASan+UBSan CI job runs
+ *   this file in the fast set, so any parser overread trips the
+ *   sanitizers here;
  * - records that decode, however arbitrary, either reconstruct a
  *   replay CFG or exit(1) cleanly;
  * - the CBP-style ASCII importer reads a line of any length as one
@@ -89,16 +90,15 @@ writeBytes(const std::string &path,
               std::streamsize(bytes.size()));
 }
 
-/** Scan via the non-fatal entry point, counting records. */
+/** Read via the non-fatal entry points, counting records. */
 bool
 tryScan(const std::string &path, std::string &error,
         std::uint64_t *records = nullptr)
 {
-    std::uint64_t n = 0;
-    const bool ok = tryScanTraceFile(
-        path, [&](const CommittedBranch &) { ++n; }, error);
+    std::vector<CommittedBranch> out;
+    const bool ok = tryReadTrace(path, out, error);
     if (records)
-        *records = n;
+        *records = out.size();
     return ok;
 }
 
@@ -433,11 +433,12 @@ putLe(std::vector<unsigned char> &out, std::uint64_t v, int bytes)
  * A one-record PCBPTRC2 file assembled byte by byte, so a test can
  * plant encodings the writer never emits: @p record is the record's
  * varints (after the outcome byte, a not-taken bit), @p entry the
- * varints of the one dictionary entry.
+ * varints of the @p entries dictionary entries.
  */
 std::vector<unsigned char>
 oneRecordTrace(const std::vector<unsigned char> &record,
-               const std::vector<unsigned char> &entry)
+               const std::vector<unsigned char> &entry,
+               std::uint32_t entries = 1)
 {
     std::vector<unsigned char> f(trace2fmt::magic, trace2fmt::magic + 8);
     putLe(f, trace2fmt::version, 4);
@@ -450,7 +451,7 @@ oneRecordTrace(const std::vector<unsigned char> &record,
     f.push_back(0);                 // outcome bitstream
     f.insert(f.end(), record.begin(), record.end());
     f.insert(f.end(), trace2fmt::indexMagic, trace2fmt::indexMagic + 8);
-    putLe(f, 1, 4); // dictionary entries
+    putLe(f, entries, 4);
     f.insert(f.end(), entry.begin(), entry.end());
     putLe(f, 1, 4); // blocks
     putLe(f, trace2fmt::headerBytes, 8);
@@ -483,9 +484,7 @@ std::vector<CommittedBranch>
 scanAll(const std::string &path, std::string &error)
 {
     std::vector<CommittedBranch> records;
-    if (!tryScanTraceFile(
-            path, [&](const CommittedBranch &r) { records.push_back(r); },
-            error))
+    if (!tryReadTrace(path, records, error))
         records.clear();
     return records;
 }
@@ -509,6 +508,31 @@ TEST(Trace2Fuzz, OverlongDictionaryPcIsRefused)
     writeBytes(path, file(0x7f));
     EXPECT_TRUE(scanAll(path, error).empty());
     EXPECT_NE(error.find("static-branch dictionary"), std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(Trace2Fuzz, WrappingDictionaryIdIsRefused)
+{
+    const std::string path = tmpPath("fuzz2_wrap_dict.pcbptrc2");
+    // Entries: id 5, then id 5 + delta; the record (block-id delta
+    // +5, no exception) names id 5.
+    const auto file = [](const std::vector<unsigned char> &delta) {
+        return oneRecordTrace(
+            {0x14}, concat({{0x05, 0x10, 0x01}, delta, {0x20, 0x01}}), 2);
+    };
+    writeBytes(path, file({0x03}));
+    std::string error;
+    const auto records = scanAll(path, error);
+    ASSERT_EQ(records.size(), 1u) << error;
+    EXPECT_EQ(records[0].pc, 0x10u);
+
+    // 2^64 - 3 wraps a 64-bit sum to id 2: a descending dictionary.
+    writeBytes(path, file({0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                           0xff, 0xff, 0x01}));
+    EXPECT_TRUE(scanAll(path, error).empty());
+    EXPECT_NE(error.find("corrupt static-branch dictionary"),
+              std::string::npos)
         << error;
     std::remove(path.c_str());
 }
@@ -616,10 +640,7 @@ TEST(AsciiImportFuzz, LongCommentLinesAreOneLine)
                      " bytes");
         writeLines(in, {"0x400000 T 3", comment, "0x400040 N 2"});
         ASSERT_EQ(importAsciiTrace(in, out), 2u);
-        std::vector<CommittedBranch> records;
-        scanTraceFile(out, [&](const CommittedBranch &r) {
-            records.push_back(r);
-        });
+        const std::vector<CommittedBranch> records = readTrace(out);
         ASSERT_EQ(records.size(), 2u);
         EXPECT_EQ(records[0].block, 0u);
         EXPECT_EQ(records[0].pc, 0x400000u);

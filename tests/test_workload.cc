@@ -428,9 +428,7 @@ TEST(Trace, SaveLoadRoundTrip)
 
     const std::string path = testing::TempDir() + "pcbp_trace_test.trc";
     writeTrace(path, trace);
-    std::vector<CommittedBranch> loaded;
-    scanTraceFile(path,
-                  [&](const CommittedBranch &r) { loaded.push_back(r); });
+    const std::vector<CommittedBranch> loaded = readTrace(path);
     std::remove(path.c_str());
 
     ASSERT_EQ(loaded.size(), trace.size());

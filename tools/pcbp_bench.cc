@@ -21,22 +21,8 @@
  *       metadata as a pcbp-stats-1 registry. Neither touches the
  *       BENCH_*.json bytes or the timed windows.
  *
- *   pcbp_bench compare --baseline FILE CURRENT_FILE
- *                      [--threshold FRACTION] [--warn-only] [--strict]
- *                      [--json-out FILE]
- *       Join two artifacts by benchmark name, print the comparison
- *       table, and exit 1 when any benchmark's throughput dropped
- *       more than the threshold (default 0.10 = 10%) below the
- *       baseline — unless --warn-only (shared-runner CI), which
- *       always exits 0. Benchmarks present on only one side are
- *       reported (table verdicts plus an stderr summary) but don't
- *       gate by default; --strict also fails on such mismatched
- *       benchmark sets, for CI jobs that pin the registry.
- *       --json-out writes the comparison as a pcbp-bench-compare-1
- *       document — every delta including the one-sided benchmarks
- *       (flagged `missing_baseline` / `missing_current`), so the CI
- *       artifact is self-describing without scraping stderr. See
- *       docs/PERFORMANCE.md for methodology.
+ * A speed claim rests on a tools/bench_pair.py pair file, not on one
+ * run of this tool against another (docs/PERFORMANCE.md).
  */
 
 #include <cstdio>
@@ -67,10 +53,7 @@ usage(const char *argv0)
            " [--out DIR]\n"
         << "          [--repeats N] [--workload NAME]"
            " [--stats-out FILE]\n"
-        << "          [--trace-out FILE]\n"
-        << "  compare --baseline FILE CURRENT_FILE"
-           " [--threshold FRACTION] [--warn-only]\n"
-           "          [--strict] [--json-out FILE]\n";
+        << "          [--trace-out FILE]\n";
     std::exit(2);
 }
 
@@ -80,16 +63,10 @@ struct Args
     std::string name = "run";
     std::string out = ".";
     std::string workload;
-    std::string baseline;
-    std::string current;
     std::string statsOut;
     std::string traceOut;
-    std::string jsonOut;
-    double threshold = 0.10;
     unsigned repeats = 0;
     bool quick = false;
-    bool warnOnly = false;
-    bool strict = false;
 };
 
 Args
@@ -111,26 +88,14 @@ parseArgs(int argc, char **argv)
             a.out = next();
         else if (arg == "--workload")
             a.workload = next();
-        else if (arg == "--baseline")
-            a.baseline = next();
         else if (arg == "--stats-out")
             a.statsOut = next();
         else if (arg == "--trace-out")
             a.traceOut = next();
-        else if (arg == "--json-out")
-            a.jsonOut = next();
-        else if (arg == "--threshold")
-            a.threshold = parseNonNegativeArg(arg, next());
         else if (arg == "--repeats")
             a.repeats = parseCountArg<unsigned>(arg, next());
         else if (arg == "--quick")
             a.quick = true;
-        else if (arg == "--warn-only")
-            a.warnOnly = true;
-        else if (arg == "--strict")
-            a.strict = true;
-        else if (!arg.empty() && arg[0] != '-' && a.current.empty())
-            a.current = arg;
         else
             usage(argv[0]);
     }
@@ -206,56 +171,6 @@ cmdRun(const Args &a)
     return 0;
 }
 
-int
-cmdCompare(const Args &a)
-{
-    if (a.baseline.empty() || a.current.empty())
-        pcbp_fatal("compare needs --baseline FILE and a current file");
-
-    const BenchRun base = loadBenchRun(a.baseline);
-    const BenchRun cur = loadBenchRun(a.current);
-    const BenchComparison cmp =
-        compareBenchRuns(base, cur, a.threshold);
-    std::cout << benchComparisonTable(cmp, a.threshold).toMarkdown();
-
-    // The JSON summary carries every delta — the one-sided
-    // benchmarks included, with their missing_* flags — so a CI
-    // artifact of the comparison needs no stderr scraping.
-    if (!a.jsonOut.empty()) {
-        writeFileOrDie(a.jsonOut,
-                       benchComparisonToJson(cmp, a.threshold));
-    }
-
-    // Benchmarks on only one side never compare silently: name them
-    // on stderr, and under --strict treat the mismatch as a failure
-    // (a renamed or dropped benchmark would otherwise stop gating).
-    std::size_t mismatched = 0;
-    for (const BenchDelta &d : cmp.deltas) {
-        if (!d.missingBaseline && !d.missingCurrent)
-            continue;
-        ++mismatched;
-        std::fprintf(stderr, "benchmark sets differ: '%s' %s\n",
-                     d.name.c_str(),
-                     d.missingBaseline ? "has no baseline"
-                                       : "is missing from current");
-    }
-
-    int rc = 0;
-    if (cmp.regressed) {
-        std::fprintf(stderr, "regression beyond threshold%s\n",
-                     a.warnOnly ? " (warn-only)" : "");
-        rc = 1;
-    }
-    if (a.strict && mismatched) {
-        std::fprintf(stderr,
-                     "strict: %zu benchmark(s) present on only one "
-                     "side%s\n",
-                     mismatched, a.warnOnly ? " (warn-only)" : "");
-        rc = 1;
-    }
-    return a.warnOnly ? 0 : rc;
-}
-
 } // namespace
 
 int
@@ -265,17 +180,9 @@ main(int argc, char **argv)
         usage(argv[0]);
     const std::string cmd = argv[1];
     const Args a = parseArgs(argc, argv);
-    // Only compare takes a positional (the current artifact); a bare
-    // argument elsewhere is a mistake (`run engine.gshare` instead of
-    // `run --filter engine.gshare`) and must not silently run
-    // everything.
-    if (cmd != "compare" && !a.current.empty())
-        usage(argv[0]);
     if (cmd == "list")
         return cmdList();
     if (cmd == "run")
         return cmdRun(a);
-    if (cmd == "compare")
-        return cmdCompare(a);
     usage(argv[0]);
 }
