@@ -25,11 +25,18 @@ main(int argc, char **argv)
                  : 8;
     const Workload &w = workloadByName(workload_name);
 
+    // The Table 2 machine runTiming simulates; fetch and retire
+    // share one width there, so the banner prints it once.
+    const TimingConfig tc = timingConfigFor(w);
+    static_assert(TimingConfig{}.retireWidth == TimingConfig::fetchWidth);
     std::cout << "=== decoupled front-end on " << w.name
               << " (Fig. 4 architecture) ===\n"
-              << "FTQ 32 entries; prophet 2 pred/cycle; critic 1 "
-                 "critique/cycle; fetch/retire 6 uops/cycle;\n"
-              << "branches resolve 30 cycles after fetch\n\n";
+              << "FTQ " << tc.ftqSize << " entries; prophet "
+              << tc.prophetBw << " pred/cycle; critic " << tc.criticBw
+              << " critique/cycle; fetch/retire " << tc.fetchWidth
+              << " uops/cycle;\n"
+              << "branches resolve " << tc.resolveDepth
+              << " cycles after fetch\n\n";
 
     const auto baseline = prophetAlone(ProphetKind::GSkew, Budget::B16KB);
     const auto hybrid = hybridSpec(ProphetKind::GSkew, Budget::B8KB,

@@ -2,7 +2,7 @@
  * @file
  * The taxicab demo: a step-by-step walkthrough of the paper's
  * Figure 2 example on a hand-built control flow graph, printing the
- * BHR/BOR states and the critic's learning process.
+ * speculative history and the critic's learning process.
  *
  * The front-seat driver (prophet) keeps taking the wrong turn at
  * intersection A; the back-seat driver (critic) watches the next few
@@ -126,10 +126,9 @@ main()
               << " misp/Kuops; one flush every "
               << fmtDouble(st.uopsPerFlush(), 0) << " uops\n";
 
-    // Show the live registers for flavor.
-    std::cout << "\nfinal BHR (youngest last): "
-              << hybrid->bhr().toString(24) << "\n"
-              << "final BOR (youngest last): "
-              << hybrid->bor().toString(24) << "\n";
+    // Show the live history for flavor: the prophet's BHR and the
+    // critic's BOR are one register.
+    std::cout << "\nfinal BHR/BOR (youngest last): "
+              << hybrid->history().toString(24) << "\n";
     return 0;
 }

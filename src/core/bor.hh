@@ -9,10 +9,12 @@
  * branches that followed it; the older bits are (speculative)
  * history (§3.1, Fig. 1).
  *
- * Storage-wise the BOR is just a HistoryRegister; this header adds
- * the per-branch checkpoint record and the helper that reconstructs
- * the BOR view a critique sees (defined here: it runs once per
- * critique).
+ * Every prophet prediction enters both the BHR and the BOR, and one
+ * checkpoint repairs both (§3.2-3.3), so the two never differ: the
+ * hybrid keeps one speculative history register for both. This
+ * header adds the per-branch checkpoint record and the helper that
+ * appends the future bits to make the BOR view a critique sees
+ * (defined here: it runs once per critique).
  */
 
 #ifndef PCBP_CORE_BOR_HH
@@ -28,37 +30,36 @@ namespace pcbp
 {
 
 /**
- * Checkpoint taken when the prophet predicts a branch: the BHR and
- * BOR contents from just before the branch's own prediction was
- * shifted in. Restoring these and inserting the resolved outcome is
+ * Checkpoint taken when the front end fetches a branch: the
+ * speculative history from just before the branch's own prediction
+ * was shifted in. Restoring it and inserting the resolved outcome is
  * the repair mechanism of §3.3.
  *
  * The key holds the table coordinates the prophet hashed from
- * (pc, bhrBefore) at predict, so the commit-time update of the same
+ * (pc, histBefore) at predict, so the commit-time update of the same
  * branch need not hash again. A checkpoint taken without a predict
- * (a BTB miss) must carry an invalid key.
+ * (a BTB miss) carries an invalid key.
  */
 struct BranchContext
 {
-    HistoryRegister bhrBefore;
-    HistoryRegister borBefore;
+    HistoryRegister histBefore;
     PredictKey key;
 };
 
 /**
  * Reconstruct the BOR as seen by the critique of a branch.
  *
- * @param bor_before BOR checkpoint from the branch's prediction.
+ * @param hist_before History checkpoint from the branch's prediction.
  * @param future_bits The prophet's predictions for the branch and
  *        the ones after it, oldest first (so future_bits[0] is the
  *        prediction for the branch being critiqued).
  * @return BOR with future_bits shifted in youngest-last.
  */
 inline HistoryRegister
-buildCritiqueBor(const HistoryRegister &bor_before,
+buildCritiqueBor(const HistoryRegister &hist_before,
                  const FutureBits &future_bits)
 {
-    HistoryRegister bor = bor_before;
+    HistoryRegister bor = hist_before;
     const unsigned n = future_bits.size();
     if (n == 0)
         return bor;

@@ -22,11 +22,9 @@ ProphetCriticHybrid::overrideRedirect(const BranchContext &ctx,
                                       bool final_prediction)
 {
     if (!cfg.speculativeHistoryUpdate)
-        return; // registers were never advanced speculatively
-    liveBhr = ctx.bhrBefore;
-    liveBor = ctx.borBefore;
-    liveBhr.shiftIn(final_prediction);
-    liveBor.shiftIn(final_prediction);
+        return; // the history was never advanced speculatively
+    liveHist = ctx.histBefore;
+    liveHist.shiftIn(final_prediction);
 }
 
 void
@@ -41,10 +39,8 @@ ProphetCriticHybrid::recoverMispredict(const BranchContext &ctx,
     }
     // §3.3: restore from the checkpoint and insert the mispredicted
     // branch's correct outcome.
-    liveBhr = ctx.bhrBefore;
-    liveBor = ctx.borBefore;
-    liveBhr.shiftIn(outcome);
-    liveBor.shiftIn(outcome);
+    liveHist = ctx.histBefore;
+    liveHist.shiftIn(outcome);
 }
 
 std::unique_ptr<ProphetCriticHybrid>
@@ -52,8 +48,7 @@ ProphetCriticHybrid::clone() const
 {
     auto out = std::make_unique<ProphetCriticHybrid>(
         prophet->clone(), critic ? critic->clone() : nullptr, cfg);
-    out->liveBhr = liveBhr;
-    out->liveBor = liveBor;
+    out->liveHist = liveHist;
     return out;
 }
 

@@ -3,18 +3,21 @@
  * The prophet/critic hybrid conditional branch predictor — the
  * paper's primary contribution.
  *
- * The hybrid owns the live (speculative) BHR and BOR and exposes the
- * hardware events of §3 and §5:
+ * The hybrid owns the live speculative history, one register that
+ * is both the prophet's BHR and the critic's BOR (core/bor.hh), and
+ * exposes the hardware events of §3 and §5:
  *
  * - predictBranch(): the prophet predicts a branch; its prediction
- *   is speculatively shifted into the BHR and into the critic's BOR
- *   (§3.2), and the caller receives a checkpoint (§3.3).
+ *   is speculatively shifted into the history (§3.2), and the caller
+ *   receives a checkpoint (§3.3).
+ * - checkpoint(): the same checkpoint without a predict, for a
+ *   branch the BTB misses.
  * - critiqueBranch(): once the caller has gathered the required
  *   future bits (the prophet's predictions for the branch and those
  *   after it), the critic produces its critique from the
- *   reconstructed BOR view.
+ *   checkpointed history with those bits appended (the BOR view).
  * - overrideRedirect(): on a disagree critique, the speculative
- *   registers are repaired to the checkpoint and the critic's final
+ *   history is repaired to the checkpoint and the critic's final
  *   prediction is inserted; the caller redirects the prophet down
  *   the other path.
  * - recoverMispredict(): on a resolved mispredict, same repair but
@@ -59,15 +62,15 @@ struct HybridConfig
     unsigned numFutureBits = 8;
 
     /**
-     * §3.2: update the BHR/BOR speculatively at prediction time
+     * §3.2: update the history speculatively at prediction time
      * (the paper's design, and what prior work shows is needed).
-     * When false — an ablation — the registers advance only at
+     * When false — an ablation — the history advances only at
      * commit, so predictions see stale history.
      */
     bool speculativeHistoryUpdate = true;
 
     /**
-     * §3.3: repair the BHR/BOR from the checkpoint on a mispredict.
+     * §3.3: repair the history from the checkpoint on a mispredict.
      * When false — an ablation — recovery only redirects fetch and
      * the polluted history bits stay.
      */
@@ -103,12 +106,24 @@ class ProphetCriticHybrid
 
     /**
      * The prophet predicts the branch at @p pc. Checkpoints the
-     * speculative registers into @p ctx, then shifts the prediction
-     * into both BHR and BOR.
+     * speculative history into @p ctx, then shifts the prediction
+     * into it.
      *
      * @return The prophet's prediction.
      */
     bool predictBranch(Addr pc, BranchContext &ctx);
+
+    /**
+     * Checkpoint the speculative history into @p ctx without a
+     * predict (a BTB miss): the key is invalid, so commit hashes
+     * afresh, and the history is unchanged.
+     */
+    void
+    checkpoint(BranchContext &ctx) const
+    {
+        ctx.histBefore = liveHist;
+        ctx.key.valid = false;
+    }
 
     /**
      * Produce the critique for a branch previously predicted with
@@ -133,15 +148,15 @@ class ProphetCriticHybrid
                                     const FutureBits &future_bits);
 
     /**
-     * Critic override (§5): repair BHR/BOR to the checkpoint and
+     * Critic override (§5): repair the history to the checkpoint and
      * insert the critic's final prediction. The caller must squash
      * every younger prediction.
      */
     void overrideRedirect(const BranchContext &ctx, bool final_prediction);
 
     /**
-     * Mispredict recovery (§3.3): repair BHR/BOR to the checkpoint
-     * and insert the resolved outcome.
+     * Mispredict recovery (§3.3): repair the history to the
+     * checkpoint and insert the resolved outcome.
      */
     void recoverMispredict(const BranchContext &ctx, bool outcome);
 
@@ -161,7 +176,7 @@ class ProphetCriticHybrid
 
     /**
      * Deep copy: prophet and critic cloned (trained state included),
-     * live BHR/BOR values copied. The clone's future event sequence
+     * live history copied. The clone's future event sequence
      * behaves exactly as this hybrid's would — the snapshot seam of
      * fork-based sweep execution (DESIGN.md §11).
      */
@@ -183,31 +198,25 @@ class ProphetCriticHybrid
      */
     void exportStats(StatRegistry &reg, const std::string &prefix) const;
 
-    /** Live speculative registers (exposed for tests/examples). */
-    const HistoryRegister &bhr() const { return liveBhr; }
-    const HistoryRegister &bor() const { return liveBor; }
+    /** Live speculative history (exposed for tests/examples). */
+    const HistoryRegister &history() const { return liveHist; }
 
   private:
     DirectionPredictorPtr prophet;
     FilteredPredictorPtr critic;
     HybridConfig cfg;
-    HistoryRegister liveBhr;
-    HistoryRegister liveBor;
+    HistoryRegister liveHist;
 };
 
 inline bool
 ProphetCriticHybrid::predictBranch(Addr pc, BranchContext &ctx)
 {
-    ctx.bhrBefore = liveBhr;
-    ctx.borBefore = liveBor;
-    ctx.key.valid = false;
-    const bool pred = prophet->predictKeyed(pc, liveBhr, ctx.key);
+    checkpoint(ctx);
+    const bool pred = prophet->predictKeyed(pc, liveHist, ctx.key);
     // Speculative history update (§3.2): the prophet's prediction
-    // enters its own BHR and the critic's BOR immediately.
-    if (cfg.speculativeHistoryUpdate) {
-        liveBhr.shiftIn(pred);
-        liveBor.shiftIn(pred);
-    }
+    // enters the history, its own BHR and the critic's BOR, at once.
+    if (cfg.speculativeHistoryUpdate)
+        liveHist.shiftIn(pred);
     return pred;
 }
 
@@ -226,7 +235,7 @@ ProphetCriticHybrid::critiqueBranch(Addr pc, const BranchContext &ctx,
     if (!critic) {
         d.provided = false;
         d.finalPrediction = prophet_pred;
-        d.borAtCritique = ctx.borBefore;
+        d.borAtCritique = ctx.histBefore;
         return d;
     }
 
@@ -234,9 +243,9 @@ ProphetCriticHybrid::critiqueBranch(Addr pc, const BranchContext &ctx,
     // conventional overriding component: same history as the
     // prophet, no future information.
     if (cfg.numFutureBits == 0) {
-        d.borAtCritique = ctx.borBefore;
+        d.borAtCritique = ctx.histBefore;
     } else {
-        d.borAtCritique = buildCritiqueBor(ctx.borBefore, future_bits);
+        d.borAtCritique = buildCritiqueBor(ctx.histBefore, future_bits);
     }
 
     const CritiqueResult r = critic->critique(pc, d.borAtCritique);
@@ -254,13 +263,12 @@ ProphetCriticHybrid::commitBranch(
 {
     // Pattern tables update non-speculatively at commit (§3.2), with
     // the same history context used at prediction time.
-    prophet->updateKeyed(pc, ctx.bhrBefore, outcome, ctx.key);
+    prophet->updateKeyed(pc, ctx.histBefore, outcome, ctx.key);
 
     if (!cfg.speculativeHistoryUpdate) {
-        // Retired-history ablation: outcomes enter the registers
-        // only now.
-        liveBhr.shiftIn(outcome);
-        liveBor.shiftIn(outcome);
+        // Retired-history ablation: outcomes enter the history only
+        // now.
+        liveHist.shiftIn(outcome);
     }
 
     if (critic && decision) {

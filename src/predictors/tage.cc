@@ -130,7 +130,6 @@ Tage::Tage(const TageConfig &config)
     pcbp_assert(isPowerOfTwo(cfg.baseEntries),
                 "tage base size must be 2^n");
     pcbp_assert(!cfg.tables.empty(), "tage needs tagged tables");
-    pcbp_assert(cfg.counterBits >= 2 && cfg.usefulBits >= 1);
 
     base = SatCounterTable(cfg.baseEntries, 2, 1);
 

@@ -49,10 +49,10 @@ struct TageConfig
     std::vector<TageTableConfig> tables;
 
     /** Width of the tagged-entry prediction counters. */
-    unsigned counterBits = 3;
+    static constexpr unsigned counterBits = 3;
 
     /** Width of the per-entry usefulness counters. */
-    unsigned usefulBits = 2;
+    static constexpr unsigned usefulBits = 2;
 
     /**
      * Updates between usefulness-aging events; every period the

@@ -15,6 +15,7 @@
 #include "report/figure.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -76,6 +77,54 @@ pct(double base, double now)
     return fmtDouble(pctReduction(base, now), 1) + "%";
 }
 
+/** Append one "N fb" column header per future-bit count. */
+void
+addFbHeaders(std::vector<std::string> &headers,
+             const std::vector<unsigned> &future_bits)
+{
+    for (unsigned fb : future_bits)
+        headers.push_back(std::to_string(fb) + " fb");
+}
+
+/**
+ * Headers of a uPC table over a prophet-alone sweep and its hybrid
+ * sweep: the baseline, one column per future-bit count, and the
+ * speedup at the largest count.
+ */
+std::vector<std::string>
+upcHeaders(const std::string &first, const SweepSpec &base,
+           const SweepSpec &hyb)
+{
+    std::vector<std::string> headers = {
+        first, budgetName(base.axes.prophetBudgets.at(0)) + " alone"};
+    addFbHeaders(headers, hyb.axes.futureBits);
+    headers.push_back("speedup @" +
+                      std::to_string(hyb.axes.futureBits.back()) + "fb");
+    return headers;
+}
+
+/** One upcHeaders() row: the uPCs of the cells @p in_row selects. */
+std::vector<std::string>
+upcRow(const std::string &label, const ResultStore &store,
+       const std::vector<SweepCell> &cells, const SweepSpec &hyb,
+       const std::function<bool(const SweepCell &)> &in_row)
+{
+    const double alone =
+        meanUpcCells(store, cells, [&](const SweepCell &c) {
+            return in_row(c) && !c.spec.critic;
+        });
+    std::vector<std::string> row = {label, fmtDouble(alone, 3)};
+    double upc = 0;
+    for (unsigned fb : hyb.axes.futureBits) {
+        upc = meanUpcCells(store, cells, [&](const SweepCell &c) {
+            return in_row(c) && c.spec.critic && c.spec.futureBits == fb;
+        });
+        row.push_back(fmtDouble(upc, 3));
+    }
+    row.push_back(fmtDouble(100.0 * (upc / alone - 1.0), 1) + "%");
+    return row;
+}
+
 // ------------------------------------------------------------- fig5
 
 std::vector<SweepSpec>
@@ -96,7 +145,7 @@ fig5Render(const FigureOptions &opts, const ResultStore &store)
     const SweepSpec s = fig5Sweeps(opts)[0];
     const auto cells = s.cells();
     const auto set = s.resolveWorkloads();
-    const std::vector<unsigned> future_bits = {0, 1, 4, 8, 12};
+    const std::vector<unsigned> &future_bits = s.axes.futureBits;
 
     auto misp = [&](const Workload *w, unsigned fb) {
         for (const auto &cell : cells)
@@ -115,8 +164,7 @@ fig5Render(const FigureOptions &opts, const ResultStore &store)
         opts.defaultWorkloads() && set.size() == shapes.size();
 
     std::vector<std::string> headers = {"benchmark"};
-    for (unsigned fb : future_bits)
-        headers.push_back(std::to_string(fb) + " fb");
+    addFbHeaders(headers, future_bits);
     if (annotate)
         headers.push_back("paper shape");
     ReportTable t("fig5", "mispredict rate vs. number of future bits",
@@ -193,21 +241,17 @@ std::vector<ReportTable>
 fig6Render(const FigureOptions &opts, const ResultStore &store)
 {
     const auto sweeps = fig6Sweeps(opts);
-    const std::vector<Budget> prophet_sizes = {Budget::B4KB,
-                                               Budget::B16KB};
-    const std::vector<Budget> critic_sizes = {Budget::B2KB,
-                                              Budget::B8KB,
-                                              Budget::B32KB};
-    const std::vector<unsigned> future_bits = {1, 4, 8, 12};
 
     std::vector<ReportTable> out;
     for (std::size_t pi = 0; pi < sweeps.size(); ++pi) {
+        const SweepAxes &axes = sweeps[pi].axes;
         const auto cells = sweeps[pi].cells();
-        ReportTable t(fig6Panels[pi].id, fig6Panels[pi].title,
-                      {"configuration", "no critic", "1 fb", "4 fb",
-                       "8 fb", "12 fb"});
+        std::vector<std::string> headers = {"configuration",
+                                            "no critic"};
+        addFbHeaders(headers, axes.futureBits);
+        ReportTable t(fig6Panels[pi].id, fig6Panels[pi].title, headers);
         t.addNote("metric: misp/Kuops averaged over the workload set");
-        for (Budget pb : prophet_sizes) {
+        for (Budget pb : axes.prophetBudgets) {
             const double alone =
                 aggregateCells(store, cells,
                                [&](const SweepCell &c) {
@@ -215,12 +259,12 @@ fig6Render(const FigureOptions &opts, const ResultStore &store)
                                           !c.spec.critic;
                                })
                     .mispPerKuops;
-            for (Budget cb : critic_sizes) {
+            for (Budget cb : axes.criticBudgets) {
                 std::vector<std::string> row = {
                     budgetName(pb) + " prophet + " + budgetName(cb) +
                         " critic",
                     fmtDouble(alone, 3)};
-                for (unsigned fb : future_bits) {
+                for (unsigned fb : axes.futureBits) {
                     const double m =
                         aggregateCells(
                             store, cells,
@@ -279,14 +323,16 @@ std::vector<ReportTable>
 fig7Render(const FigureOptions &opts, const ResultStore &store)
 {
     const auto sweeps = fig7Sweeps(opts);
-    const std::pair<Budget, Budget> budgets[] = {
-        {Budget::B16KB, Budget::B8KB}, {Budget::B32KB, Budget::B16KB}};
 
+    // The sweeps come in (baseline, hybrid) pairs, one per budget.
     std::vector<ReportTable> out;
-    for (std::size_t bi = 0; bi < 2; ++bi) {
-        const auto [total, half] = budgets[bi];
-        auto cells = sweeps[2 * bi].cells();
-        const auto hyb_cells = sweeps[2 * bi + 1].cells();
+    for (std::size_t bi = 0; bi < sweeps.size(); bi += 2) {
+        const SweepAxes &base = sweeps[bi].axes;
+        const SweepAxes &hybrid = sweeps[bi + 1].axes;
+        const Budget total = base.prophetBudgets.at(0);
+        const Budget half = hybrid.prophetBudgets.at(0);
+        auto cells = sweeps[bi].cells();
+        const auto hyb_cells = sweeps[bi + 1].cells();
         cells.insert(cells.end(), hyb_cells.begin(), hyb_cells.end());
 
         ReportTable t("fig7-" + budgetName(total),
@@ -294,11 +340,10 @@ fig7Render(const FigureOptions &opts, const ResultStore &store)
                       {"predictor", "misp/Kuops", "reduction"});
         t.addNote("metric: misp/Kuops averaged over the workload "
                   "set; paper reductions: 15-31%");
-        for (ProphetKind p : {ProphetKind::Gshare, ProphetKind::GSkew,
-                              ProphetKind::Perceptron}) {
+        for (ProphetKind p : base.prophets) {
             const double conv =
                 aggregateCells(store, cells,
-                               [&, total = total](const SweepCell &c) {
+                               [&](const SweepCell &c) {
                                    return c.spec.prophet == p &&
                                           c.spec.prophetBudget ==
                                               total &&
@@ -308,12 +353,13 @@ fig7Render(const FigureOptions &opts, const ResultStore &store)
             t.addRow({budgetName(total) + " " + prophetKindName(p),
                       fmtDouble(conv, 3), "(baseline)"});
 
-            for (CriticKind c : {CriticKind::FilteredPerceptron,
-                                 CriticKind::TaggedGshare}) {
+            for (const std::optional<CriticKind> &critic :
+                 hybrid.critics) {
+                const CriticKind c = critic.value();
                 const double hyb =
                     aggregateCells(
                         store, cells,
-                        [&, half = half](const SweepCell &k) {
+                        [&](const SweepCell &k) {
                             return k.spec.prophet == p &&
                                    k.spec.prophetBudget == half &&
                                    k.spec.critic &&
@@ -351,11 +397,10 @@ fig8Render(const FigureOptions &opts, const ResultStore &store)
 {
     const SweepSpec s = fig8Sweeps(opts)[0];
     const auto cells = s.cells();
-    const std::vector<unsigned> future_bits = {1, 4, 8, 12};
 
     std::vector<CritiqueCounts> dist;
     std::vector<std::uint64_t> totals;
-    for (unsigned fb : future_bits) {
+    for (unsigned fb : s.axes.futureBits) {
         const auto agg =
             aggregateCells(store, cells, [&](const SweepCell &c) {
                 return c.spec.futureBits == fb;
@@ -364,9 +409,10 @@ fig8Render(const FigureOptions &opts, const ResultStore &store)
         totals.push_back(agg.critiques.explicitTotal());
     }
 
-    ReportTable t("fig8", "distribution of critiques",
-                  {"critique class", "1 fb", "4 fb", "8 fb", "12 fb",
-                   "paper trend 1->12"});
+    std::vector<std::string> headers = {"critique class"};
+    addFbHeaders(headers, s.axes.futureBits);
+    headers.push_back("paper trend 1->12");
+    ReportTable t("fig8", "distribution of critiques", headers);
     t.addNote("prophet: 4KB perceptron; critic: 8KB tagged gshare");
     t.addNote("counts summed over the workload set; filter misses "
               "(implicit agrees) excluded, as in the paper");
@@ -416,10 +462,8 @@ table4Render(const FigureOptions &opts, const ResultStore &store)
 {
     const SweepSpec s = table4Sweeps(opts)[0];
     const auto cells = s.cells();
-    const std::vector<Budget> critic_sizes = {Budget::B2KB,
-                                              Budget::B8KB,
-                                              Budget::B32KB};
-    const std::vector<unsigned> future_bits = {1, 4, 12};
+    const std::vector<Budget> &critic_sizes = s.axes.criticBudgets;
+    const std::vector<unsigned> &future_bits = s.axes.futureBits;
 
     std::vector<std::string> headers = {"row"};
     for (Budget cb : critic_sizes)
@@ -504,34 +548,17 @@ fig9Render(const FigureOptions &opts, const ResultStore &store)
     ReportTable t("fig9",
                   "uPC of conventional predictors vs 8KB+8KB "
                   "prophet/critic hybrids",
-                  {"prophet", "16KB alone", "4 fb", "8 fb", "12 fb",
-                   "speedup @12fb"});
+                  upcHeaders("prophet", sweeps[0], sweeps[1]));
     t.addNote("critic: tagged gshare; timing model: decoupled "
               "front-end, 6-uop machine, 30-cycle resolve");
     t.addNote("paper speedups @12fb: gshare 8%, 2Bc-gskew 7%, "
               "perceptron 5.2%");
 
-    for (ProphetKind p : {ProphetKind::Gshare, ProphetKind::GSkew,
-                          ProphetKind::Perceptron}) {
-        const double alone =
-            meanUpcCells(store, cells, [&](const SweepCell &c) {
-                return c.spec.prophet == p && !c.spec.critic;
-            });
-        std::vector<std::string> row = {prophetKindName(p),
-                                        fmtDouble(alone, 3)};
-        double at12 = 0;
-        for (unsigned fb : {4u, 8u, 12u}) {
-            const double upc =
-                meanUpcCells(store, cells, [&](const SweepCell &c) {
-                    return c.spec.prophet == p && c.spec.critic &&
-                           c.spec.futureBits == fb;
-                });
-            row.push_back(fmtDouble(upc, 3));
-            at12 = upc;
-        }
-        row.push_back(fmtDouble(100.0 * (at12 / alone - 1.0), 1) +
-                      "%");
-        t.addRow(row);
+    for (ProphetKind p : sweeps[0].axes.prophets) {
+        t.addRow(upcRow(prophetKindName(p), store, cells, sweeps[1],
+                        [&](const SweepCell &c) {
+                            return c.spec.prophet == p;
+                        }));
     }
     return {t};
 }
@@ -572,33 +599,16 @@ fig10Render(const FigureOptions &opts, const ResultStore &store)
     ReportTable t("fig10",
                   "per-suite uPC (prophet: 8KB 2Bc-gskew; critic: "
                   "8KB tagged gshare)",
-                  {"suite", "16KB alone", "4 fb", "8 fb", "12 fb",
-                   "speedup @12fb"});
+                  upcHeaders("suite", sweeps[0], sweeps[1]));
     t.addNote("paper: FP00 smallest gain (~1.7% @12fb), INT00 "
               "largest (~10.7% @12fb)");
 
     for (const auto &selector : selectors) {
         const auto group = resolveSelector(selector);
-        const double alone =
-            meanUpcCells(store, cells, [&](const SweepCell &c) {
-                return !c.spec.critic && inSet(group, c.workload);
-            });
-        std::vector<std::string> row = {selector,
-                                        fmtDouble(alone, 3)};
-        double at12 = 0;
-        for (unsigned fb : {4u, 8u, 12u}) {
-            const double upc =
-                meanUpcCells(store, cells, [&](const SweepCell &c) {
-                    return c.spec.critic &&
-                           c.spec.futureBits == fb &&
-                           inSet(group, c.workload);
-                });
-            row.push_back(fmtDouble(upc, 3));
-            at12 = upc;
-        }
-        row.push_back(fmtDouble(100.0 * (at12 / alone - 1.0), 1) +
-                      "%");
-        t.addRow(row);
+        t.addRow(upcRow(selector, store, cells, sweeps[1],
+                        [&](const SweepCell &c) {
+                            return inSet(group, c.workload);
+                        }));
     }
     return {t};
 }

@@ -1,32 +1,29 @@
 #include "sim/btb.hh"
 
-#include <algorithm>
-
 #include "common/bit_utils.hh"
 #include "common/logging.hh"
 
 namespace pcbp
 {
 
-Btb::Btb(std::size_t num_entries, unsigned num_ways)
+Btb::Btb(std::size_t num_entries)
     : tags(num_entries, 0),
       lastUse(num_entries, 0),
-      numSets(num_entries / num_ways),
-      numWays(num_ways),
-      indexBits(log2Floor(num_entries / num_ways))
+      numSets(num_entries / ways),
+      indexBits(log2Floor(num_entries / ways))
 {
-    pcbp_assert(num_ways >= 1 && num_entries % num_ways == 0);
+    pcbp_assert(num_entries % ways == 0);
     pcbp_assert(isPowerOfTwo(numSets), "BTB sets must be 2^n");
 }
 
 void
 Btb::allocate(Addr pc)
 {
-    const std::size_t base = setOf(pc) * numWays;
+    const std::size_t base = setOf(pc) * ways;
     const std::uint64_t want = validTagOf(pc);
 
     std::size_t victim = base;
-    for (unsigned w = 0; w < numWays; ++w) {
+    for (unsigned w = 0; w < ways; ++w) {
         const std::size_t idx = base + w;
         if (tags[idx] == want) {
             lastUse[idx] = ++tick;
@@ -40,14 +37,6 @@ Btb::allocate(Addr pc)
     }
     tags[victim] = want;
     lastUse[victim] = ++tick;
-}
-
-void
-Btb::reset()
-{
-    std::fill(tags.begin(), tags.end(), 0);
-    std::fill(lastUse.begin(), lastUse.end(), 0);
-    tick = 0;
 }
 
 } // namespace pcbp

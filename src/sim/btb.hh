@@ -31,20 +31,22 @@ namespace pcbp
 class Btb
 {
   public:
+    /** Associativity (Table 2). */
+    static constexpr unsigned ways = 4;
+
     /**
      * @param num_entries Total entries (power of two; Table 2 uses
      *        4096).
-     * @param num_ways Associativity (4 in Table 2).
      */
-    Btb(std::size_t num_entries, unsigned num_ways);
+    explicit Btb(std::size_t num_entries);
 
     /** True when the branch at @p pc is present. */
     bool
     lookup(Addr pc) const
     {
-        const std::uint64_t *set = &tags[setOf(pc) * numWays];
+        const std::uint64_t *set = &tags[setOf(pc) * ways];
         const std::uint64_t want = validTagOf(pc);
-        for (unsigned w = 0; w < numWays; ++w) {
+        for (unsigned w = 0; w < ways; ++w) {
             if (set[w] == want)
                 return true;
         }
@@ -53,8 +55,6 @@ class Btb
 
     /** Allocate (or refresh) the entry for @p pc; commit-time. */
     void allocate(Addr pc);
-
-    void reset();
 
     std::size_t entries() const { return tags.size(); }
 
@@ -80,7 +80,6 @@ class Btb
     /** Per entry: allocation stamp (not hits). */
     std::vector<std::uint64_t> lastUse;
     std::size_t numSets;
-    unsigned numWays;
     unsigned indexBits;
     std::uint64_t tick = 0;
 };

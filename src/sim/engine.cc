@@ -17,7 +17,6 @@ coreConfig(const EngineConfig &cfg)
     SpecCoreConfig c;
     c.useBtb = cfg.useBtb;
     c.btbEntries = cfg.btbEntries;
-    c.btbWays = cfg.btbWays;
     c.oracleFutureBits = cfg.oracleFutureBits;
     c.commitSink = cfg.commitSink;
     return c;
@@ -49,7 +48,6 @@ Engine::Engine(const Engine &other, ProphetCriticHybrid &hybrid_,
     pcbp_assert(cfg.pipelineDepth == other.cfg.pipelineDepth &&
                     cfg.useBtb == other.cfg.useBtb &&
                     cfg.btbEntries == other.cfg.btbEntries &&
-                    cfg.btbWays == other.cfg.btbWays &&
                     !cfg.oracleFutureBits,
                 "fork configuration changes simulated behavior");
     totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
@@ -250,15 +248,7 @@ Engine::exportStats(CommittedStream &committed)
     }
     reg.hist("engine.flush_distance_uops", stats.flushDistance);
 
-    coreObs.exportTo(reg, "core");
-
-    reg.add(std::string("stream.backend.") + committed.backendName(), 1);
-    reg.add("stream.refills", committed.refills());
-    reg.add("stream.produced", committed.produced());
-    reg.setMax("stream.window_peak", committed.windowPeak());
-    committed.exportHostStats(reg);
-
-    hybrid.exportStats(reg, "predictor");
+    exportFrontEndStats(reg, coreObs, committed, hybrid);
 }
 
 } // namespace pcbp

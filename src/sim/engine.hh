@@ -8,7 +8,7 @@
  * *CFG* — so, when the final prediction of a branch turns out wrong,
  * the future bits the critic consumed were genuinely produced on the
  * wrong path, exactly as §6 of the paper requires. Recovery restores
- * the checkpointed BHR/BOR and redirects fetch; the mispredicted
+ * the checkpointed history and redirects fetch; the mispredicted
  * branch itself commits and trains the critic with its critique-time
  * BOR (§3.3).
  *
@@ -46,7 +46,6 @@ struct EngineConfig
     /** Model the BTB of §5 (miss = fall-through, allocate at commit). */
     bool useBtb = true;
     std::size_t btbEntries = 4096;
-    unsigned btbWays = 4;
 
     /**
      * Ablation: feed the critic correct-path outcomes as future bits
@@ -173,7 +172,7 @@ class Engine
      * @p config supplies this fork's own warmup/measure budget, stats
      * registry, and commit sink; it must agree with @p other's
      * configuration on everything that shapes simulated behavior
-     * (pipeline depth, BTB geometry; oracle mode cannot fork). The
+     * (pipeline depth, BTB; oracle mode cannot fork). The
      * fork point must still be inside this fork's warmup, so every
      * measured stat is identical to what an uninterrupted run would
      * have produced. Continue with finishRun(@p committed).

@@ -39,12 +39,28 @@ SpecCoreObs::exportTo([[maybe_unused]] StatRegistry &reg,
 #endif
 }
 
+void
+exportFrontEndStats(StatRegistry &reg, const SpecCoreObs &obs,
+                    const CommittedStream &committed,
+                    const ProphetCriticHybrid &hybrid)
+{
+    obs.exportTo(reg, "core");
+
+    reg.add(std::string("stream.backend.") + committed.backendName(), 1);
+    reg.add("stream.refills", committed.refills());
+    reg.add("stream.produced", committed.produced());
+    reg.setMax("stream.window_peak", committed.windowPeak());
+    committed.exportHostStats(reg);
+
+    hybrid.exportStats(reg, "predictor");
+}
+
 template <typename Payload>
 SpecCore<Payload>::SpecCore(const Program &program_,
                             ProphetCriticHybrid &hybrid_,
                             const SpecCoreConfig &config)
     : program(program_), hybrid(hybrid_), cfg(config),
-      btb(config.btbEntries, config.btbWays),
+      btb(config.btbEntries),
       slab(kInitialSlabSize), hitBits(kInitialSlabSize / 64, 0)
 {
 }

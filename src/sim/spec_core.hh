@@ -16,7 +16,7 @@
  *                            younger queued prediction and redirects
  *                            the prophet down the other path;
  *   resolve / recover     -> a resolved mispredict repairs the
- *                            checkpointed BHR/BOR and redirects;
+ *                            checkpointed history and redirects;
  *   commit-train          -> the committed branch trains prophet and
  *                            critic (critique-time BOR, §3.3) and
  *                            allocates its BTB entry.
@@ -26,8 +26,8 @@
  * TimingSim's FTQ), the BTB, the speculative fetch pointer, and a
  * reusable future-bit scratch buffer so the hot critique path does
  * no heap allocation. The queue is a power-of-two ring-buffer arena:
- * records — each carrying its checkpoint, the two registers plus the
- * table coordinates the prophet's predict hashed for the commit-time
+ * records — each carrying its checkpoint, the history plus the table
+ * coordinates the prophet's predict hashed for the commit-time
  * update to reuse — live in a slab that is allocated once and reused
  * in place, so pushing, popping, and override-flushing a branch are
  * index arithmetic under a mask, never allocation (the slab only
@@ -112,6 +112,15 @@ struct SpecCoreObs
      */
     void exportTo(StatRegistry &reg, const std::string &prefix) const;
 };
+
+/**
+ * The end of both simulators' stats export: @p obs under `core.*`,
+ * @p committed's counters under `stream.*` and @p hybrid's
+ * components under `predictor.*`.
+ */
+void exportFrontEndStats(StatRegistry &reg, const SpecCoreObs &obs,
+                         const CommittedStream &committed,
+                         const ProphetCriticHybrid &hybrid);
 
 /**
  * One in-flight speculated branch, shared by both simulators; the
@@ -201,7 +210,6 @@ struct SpecCoreConfig
     /** Model the BTB of §5 (miss = fall-through, allocate at commit). */
     bool useBtb = true;
     std::size_t btbEntries = 4096;
-    unsigned btbWays = 4;
 
     /**
      * Ablation (§6): feed critiques correct-path outcomes from the
@@ -528,15 +536,11 @@ SpecCore<Payload>::fetchNext()
     } else {
         // The front end does not see the branch: implicit
         // fall-through, no history insertion, no critique. Keep a
-        // checkpoint of the (unmodified) registers for repair.
+        // keyless checkpoint of the (unmodified) history for repair.
         r.prophetPred = false;
         r.finalPred = false;
         r.critiqued = true;
-        r.ctx.bhrBefore = hybrid.bhr();
-        r.ctx.borBefore = hybrid.bor();
-        // No predict hashed this checkpoint: the slot's key is a
-        // previous record's, so commit must hash afresh.
-        r.ctx.key.valid = false;
+        hybrid.checkpoint(r.ctx);
     }
 
     if (r.btbHit)

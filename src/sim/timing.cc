@@ -17,7 +17,6 @@ coreConfig(const TimingConfig &cfg)
     SpecCoreConfig c;
     c.useBtb = cfg.useBtb;
     c.btbEntries = cfg.btbEntries;
-    c.btbWays = cfg.btbWays;
     c.commitSink = cfg.commitSink;
     return c;
 }
@@ -30,8 +29,7 @@ TimingSim::TimingSim(const Program &program_,
     : program(program_), hybrid(hybrid_), cfg(config),
       core(program_, hybrid_, coreConfig(config))
 {
-    pcbp_assert(cfg.fetchWidth >= 1 && cfg.retireWidth >= 1);
-    pcbp_assert(cfg.prophetBw >= 1 && cfg.criticBw >= 1);
+    pcbp_assert(cfg.retireWidth >= 1);
     pcbp_assert(cfg.ftqSize > hybrid.numFutureBits(),
                 "FTQ must be deeper than the future-bit count");
 }
@@ -53,17 +51,9 @@ TimingSim::TimingSim(const TimingSim &other, ProphetCriticHybrid &hybrid_,
     // simulated trajectory must match, or the fork would not be
     // equivalent to an uninterrupted run.
     pcbp_assert(cfg.ftqSize == other.cfg.ftqSize &&
-                    cfg.fetchWidth == other.cfg.fetchWidth &&
                     cfg.retireWidth == other.cfg.retireWidth &&
-                    cfg.prophetBw == other.cfg.prophetBw &&
-                    cfg.criticBw == other.cfg.criticBw &&
-                    cfg.resolveDepth == other.cfg.resolveDepth &&
-                    cfg.windowSize == other.cfg.windowSize &&
-                    cfg.redirectPenalty == other.cfg.redirectPenalty &&
-                    cfg.frontEndRefill == other.cfg.frontEndRefill &&
                     cfg.useBtb == other.cfg.useBtb &&
-                    cfg.btbEntries == other.cfg.btbEntries &&
-                    cfg.btbWays == other.cfg.btbWays,
+                    cfg.btbEntries == other.cfg.btbEntries,
                 "fork configuration changes simulated behavior");
     totalBranches = std::min(cfg.warmupBranches + cfg.measureBranches,
                              committed.length());
@@ -333,15 +323,7 @@ TimingSim::exportStats(CommittedStream &committed)
     reg.add("timing.partial_critiques", stats.partialCritiques);
     reg.add("timing.ftq_empty_cycles", stats.ftqEmptyCycles);
 
-    coreObs.exportTo(reg, "core");
-
-    reg.add(std::string("stream.backend.") + committed.backendName(), 1);
-    reg.add("stream.refills", committed.refills());
-    reg.add("stream.produced", committed.produced());
-    reg.setMax("stream.window_peak", committed.windowPeak());
-    committed.exportHostStats(reg);
-
-    hybrid.exportStats(reg, "predictor");
+    exportFrontEndStats(reg, coreObs, committed, hybrid);
 }
 
 } // namespace pcbp

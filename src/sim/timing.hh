@@ -46,27 +46,29 @@
 namespace pcbp
 {
 
-/** Timing-model configuration (defaults from Table 2, doubled P4). */
+/**
+ * Timing-model configuration (defaults from Table 2, doubled P4).
+ * The Table 2 parameters no experiment varies are constants.
+ */
 struct TimingConfig
 {
     std::size_t ftqSize = 32;
-    unsigned fetchWidth = 6;   //!< uops consumed from the FTQ per cycle
-    unsigned retireWidth = 6;  //!< uops retired per cycle
-    unsigned prophetBw = 2;    //!< prophet predictions per cycle
-    unsigned criticBw = 1;     //!< critiques per cycle
-    unsigned resolveDepth = 30; //!< fetch-to-resolve latency (cycles)
-    std::size_t windowSize = 2048; //!< instruction window (uops)
-    unsigned redirectPenalty = 1;  //!< prophet restart delay (cycles)
+    static constexpr unsigned fetchWidth = 6; //!< FTQ uops read/cycle
+    unsigned retireWidth = 6;                 //!< uops retired/cycle
+    static constexpr unsigned prophetBw = 2;  //!< predictions/cycle
+    static constexpr unsigned criticBw = 1;   //!< critiques/cycle
+    static constexpr unsigned resolveDepth = 30; //!< fetch to resolve
+    static constexpr std::size_t windowSize = 2048; //!< window (uops)
+    static constexpr unsigned redirectPenalty = 1;  //!< restart cycles
     /**
      * Cycles after a pipeline flush before the cache consumes again,
      * modeling front-end refill depth. Gives the critic time to
      * critique the FTQ head after a restart, as in a real pipeline.
      */
-    unsigned frontEndRefill = 12;
+    static constexpr unsigned frontEndRefill = 12;
 
     bool useBtb = true;
     std::size_t btbEntries = 4096;
-    unsigned btbWays = 4;
 
     /**
      * Optional commit-path tap (H2P analytics, differential tests):
@@ -140,9 +142,9 @@ class TimingSim
      * @p other's stream at that point. The fork walks @p other's
      * program.
      * @p config supplies this fork's own warmup/measure budget, stats
-     * registry, and commit sink; everything that shapes simulated
-     * behavior (widths, latencies, FTQ/window/BTB geometry) must
-     * match @p other's. The fork point must still be inside this
+     * registry, and commit sink; everything it sets that shapes
+     * simulated behavior (FTQ size, retire width, BTB) must match
+     * @p other's. The fork point must still be inside this
      * fork's warmup, and its budget must satisfy timingForkable().
      * Continue with finishRun(@p committed).
      */

@@ -268,12 +268,28 @@ TEST(Hybrid, SpeculativeInsertionAndCheckpoint)
                                      Budget::B2KB),
                           cfg);
     BranchContext ctx;
-    const HistoryRegister before = h.bhr();
+    const HistoryRegister before = h.history();
     const bool pred = h.predictBranch(0x1000, ctx);
     EXPECT_TRUE(pred);
-    EXPECT_EQ(ctx.bhrBefore, before);
-    EXPECT_TRUE(h.bhr().bit(0)) << "prediction speculatively inserted";
-    EXPECT_TRUE(h.bor().bit(0));
+    EXPECT_EQ(ctx.histBefore, before);
+    EXPECT_TRUE(h.history().bit(0)) << "prediction speculatively inserted";
+}
+
+TEST(Hybrid, CheckpointWithoutPredictInvalidatesKey)
+{
+    // The BTB-miss path reuses a queue slot whose key a previous
+    // predict filled; the checkpoint must not hand that key to the
+    // commit of a branch no predict hashed.
+    ProphetCriticHybrid h(makeProphet(ProphetKind::Gshare, Budget::B2KB),
+                          nullptr, HybridConfig{});
+    BranchContext ctx;
+    h.predictBranch(0x1000, ctx);
+    ASSERT_TRUE(ctx.key.valid);
+    const HistoryRegister live = h.history();
+    h.checkpoint(ctx);
+    EXPECT_EQ(ctx.histBefore, live);
+    EXPECT_FALSE(ctx.key.valid);
+    EXPECT_EQ(h.history(), live) << "a checkpoint inserts no history";
 }
 
 TEST(Hybrid, RecoverRestoresAndInsertsOutcome)
@@ -287,8 +303,8 @@ TEST(Hybrid, RecoverRestoresAndInsertsOutcome)
     BranchContext ctx2;
     h.predictBranch(0x1010, ctx2); // inserts T
     h.recoverMispredict(ctx, false);
-    EXPECT_FALSE(h.bhr().bit(0)) << "outcome N inserted after restore";
-    EXPECT_EQ(h.bhr().window(1, 10), ctx.bhrBefore.low(10))
+    EXPECT_FALSE(h.history().bit(0)) << "outcome N inserted after restore";
+    EXPECT_EQ(h.history().window(1, 10), ctx.histBefore.low(10))
         << "older history restored";
 }
 
@@ -303,8 +319,7 @@ TEST(Hybrid, OverrideInsertsFinalPrediction)
     BranchContext ctx;
     h.predictBranch(0x1000, ctx);
     h.overrideRedirect(ctx, false);
-    EXPECT_FALSE(h.bhr().bit(0));
-    EXPECT_FALSE(h.bor().bit(0));
+    EXPECT_FALSE(h.history().bit(0));
 }
 
 TEST(Hybrid, NoCriticMeansProphetPrediction)
@@ -332,7 +347,7 @@ TEST(Hybrid, ZeroFutureBitsUsesHistoryOnlyBor)
     BranchContext ctx;
     const bool pred = h.predictBranch(0x1000, ctx);
     const auto d = h.critiqueBranch(0x1000, ctx, pred, {});
-    EXPECT_EQ(d.borAtCritique, ctx.borBefore)
+    EXPECT_EQ(d.borAtCritique, ctx.histBefore)
         << "conventional-hybrid mode: no future bits in the view";
 }
 

@@ -65,7 +65,7 @@ TEST(HybridSpec, AblationKnobsReachTheHybrid)
     // registers.
     BranchContext ctx;
     h->predictBranch(0x1000, ctx);
-    EXPECT_EQ(h->bhr(), ctx.bhrBefore);
+    EXPECT_EQ(h->history(), ctx.histBefore);
 }
 
 // ---------------------------------------------------------------- metrics

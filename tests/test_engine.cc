@@ -43,7 +43,7 @@ tinyProgram()
 
 TEST(Btb, MissThenAllocateThenHit)
 {
-    Btb btb(64, 4);
+    Btb btb(64);
     EXPECT_FALSE(btb.lookup(0x4000));
     btb.allocate(0x4000);
     EXPECT_TRUE(btb.lookup(0x4000));
@@ -51,7 +51,7 @@ TEST(Btb, MissThenAllocateThenHit)
 
 TEST(Btb, LruReplacementWithinSet)
 {
-    Btb btb(8, 4); // 2 sets x 4 ways
+    Btb btb(8); // 2 sets x 4 ways
     // Five pcs mapping to set 0 (pc>>2 & 1 == 0).
     const Addr pcs[] = {0x000, 0x010, 0x020, 0x030, 0x040};
     for (Addr pc : pcs)
@@ -63,7 +63,7 @@ TEST(Btb, LruReplacementWithinSet)
 
 TEST(Btb, ReallocateRefreshes)
 {
-    Btb btb(8, 4);
+    Btb btb(8);
     const Addr pcs[] = {0x000, 0x010, 0x020, 0x030};
     for (Addr pc : pcs)
         btb.allocate(pc);
@@ -71,14 +71,6 @@ TEST(Btb, ReallocateRefreshes)
     btb.allocate(0x040);  // evicts pcs[1] now
     EXPECT_TRUE(btb.lookup(pcs[0]));
     EXPECT_FALSE(btb.lookup(pcs[1]));
-}
-
-TEST(Btb, Reset)
-{
-    Btb btb(64, 4);
-    btb.allocate(0x4000);
-    btb.reset();
-    EXPECT_FALSE(btb.lookup(0x4000));
 }
 
 // ----------------------------------------------------------------- Engine
