@@ -71,6 +71,17 @@ bitReverse64(std::uint64_t v)
 }
 
 /**
+ * foldBitsFixed's first shift, W / 2 (0 < bits < 64); each later step
+ * halves it while it is at least bits.
+ */
+constexpr unsigned
+foldFixedFirstShift(unsigned bits)
+{
+    // bits << (6 - floor(log2 bits)) is W.
+    return bits << (__builtin_clz(bits) - 26);
+}
+
+/**
  * foldBits for values known to populate most of the 64-bit range
  * (e.g.\ mix64 output): identical result, in a number of steps set
  * by the width alone. Pad the width to W = bits * 2^k >= 64, so that
@@ -87,9 +98,7 @@ foldBitsFixed(std::uint64_t v, unsigned bits)
         return 0;
     if (bits >= 64)
         return v;
-    // bits << (6 - floor(log2 bits)) is W; start at W / 2.
-    for (unsigned s = bits << (__builtin_clz(bits) - 26); s >= bits;
-         s >>= 1)
+    for (unsigned s = foldFixedFirstShift(bits); s >= bits; s >>= 1)
         v ^= v >> s;
     return v & maskBits(bits);
 }

@@ -70,32 +70,12 @@ class HistoryRegister
     std::uint64_t word0() const { return words[0]; }
     std::uint64_t word1() const { return words[1]; }
 
-    /** Remove the youngest bit (used by repair paths in tests). */
-    void
-    shiftOut()
-    {
-        words[0] = (words[0] >> 1) | (words[1] << 63);
-        words[1] >>= 1;
-    }
-
     /** Outcome of the i-th most recent branch (0 = youngest). */
     bool
     bit(unsigned i) const
     {
         pcbp_dassert(i < capacity);
         return (words[i / 64] >> (i % 64)) & 1;
-    }
-
-    /** Set the i-th most recent bit (0 = youngest). */
-    void
-    setBit(unsigned i, bool v)
-    {
-        pcbp_dassert(i < capacity);
-        const std::uint64_t m = std::uint64_t(1) << (i % 64);
-        if (v)
-            words[i / 64] |= m;
-        else
-            words[i / 64] &= ~m;
     }
 
     /**

@@ -14,7 +14,7 @@ UnfilteredCritic::UnfilteredCritic(DirectionPredictorPtr predictor)
 CritiqueResult
 UnfilteredCritic::critique(Addr pc, const HistoryRegister &bor)
 {
-    return {true, inner->predict(pc, bor), {}};
+    return {0, 0, true, inner->predict(pc, bor)};
 }
 
 void

@@ -21,8 +21,8 @@ FilteredPerceptron::critique(Addr pc, const HistoryRegister &bor)
 {
     const FilterKey key = filter.keyOf(pc, bor);
     if (!filter.probe(key).hit)
-        return {false, false, key};
-    return {true, perceptron.predict(pc, bor), key};
+        return {key.set, key.tag, false, false};
+    return {key.set, key.tag, true, perceptron.predict(pc, bor)};
 }
 
 void

@@ -127,7 +127,9 @@ class ProphetCriticHybrid
 
     /**
      * Produce the critique for a branch previously predicted with
-     * context @p ctx.
+     * context @p ctx, into @p d: a default CritiqueDecision, where
+     * the caller keeps it (the simulators' in-flight record), so the
+     * decision is built in place rather than copied there.
      *
      * @param pc Branch address.
      * @param ctx Checkpoint returned by predictBranch.
@@ -140,12 +142,12 @@ class ProphetCriticHybrid
      *        streams. The caller supplies however many it has
      *        gathered (§5 allows critiquing with fewer bits when the
      *        cache is waiting); empty when numFutureBits == 0.
-     * @return The critique decision; when no critic is configured,
-     *         the final prediction is the prophet's.
+     * @param d Receives the critique decision; when no critic is
+     *        configured, the final prediction is the prophet's.
      */
-    CritiqueDecision critiqueBranch(Addr pc, const BranchContext &ctx,
-                                    bool prophet_pred,
-                                    const FutureBits &future_bits);
+    void critiqueBranch(Addr pc, const BranchContext &ctx,
+                        bool prophet_pred, const FutureBits &future_bits,
+                        CritiqueDecision &d);
 
     /**
      * Critic override (§5): repair the history to the checkpoint and
@@ -220,23 +222,22 @@ ProphetCriticHybrid::predictBranch(Addr pc, BranchContext &ctx)
     return pred;
 }
 
-inline CritiqueDecision
+inline void
 ProphetCriticHybrid::critiqueBranch(Addr pc, const BranchContext &ctx,
                                     bool prophet_pred,
-                                    const FutureBits &future_bits)
+                                    const FutureBits &future_bits,
+                                    CritiqueDecision &d)
 {
     pcbp_assert(future_bits.size() <= std::max(cfg.numFutureBits, 1u),
                 "more future bits than configured");
     pcbp_assert(cfg.numFutureBits == 0 || !future_bits.empty(),
                 "the first future bit is the branch's own prediction");
 
-    CritiqueDecision d;
-
     if (!critic) {
         d.provided = false;
         d.finalPrediction = prophet_pred;
         d.borAtCritique = ctx.histBefore;
-        return d;
+        return;
     }
 
     // With numFutureBits == 0 the critic operates like a
@@ -252,8 +253,7 @@ ProphetCriticHybrid::critiqueBranch(Addr pc, const BranchContext &ctx,
     d.provided = r.provided;
     d.finalPrediction = r.provided ? r.taken : prophet_pred;
     d.overrode = r.provided && (d.finalPrediction != prophet_pred);
-    d.filterKey = r.key;
-    return d;
+    d.filterKey = r.key();
 }
 
 inline void

@@ -16,8 +16,8 @@ TaggedGshare::critique(Addr pc, const HistoryRegister &bor)
     const FilterKey key = filter.keyOf(pc, bor);
     const auto r = filter.probe(key);
     if (!r.hit)
-        return {false, false, key};
-    return {true, counters.taken(r.entry), key};
+        return {key.set, key.tag, false, false};
+    return {key.set, key.tag, true, counters.taken(r.entry)};
 }
 
 void

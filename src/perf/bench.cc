@@ -104,8 +104,8 @@ hybridEventBody(const BenchContext &ctx)
         fb.clear();
         for (unsigned b = 0; b < 8; ++b)
             fb.push(b == 0 ? pred : s.rng.nextBool(0.5));
-        const CritiqueDecision d =
-            hybrid->critiqueBranch(s.pc, bctx, pred, fb);
+        CritiqueDecision d;
+        hybrid->critiqueBranch(s.pc, bctx, pred, fb, d);
         hybrid->commitBranch(s.pc, bctx, d, s.outcome);
     }
     return iters;

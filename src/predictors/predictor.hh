@@ -183,15 +183,24 @@ class DirectionPredictor
     std::size_t sizeBytes() const { return (sizeBits() + 7) / 8; }
 };
 
-/** Result of asking a filtered critic for a critique. */
+/**
+ * Result of asking a filtered critic for a critique: eight bytes, the
+ * filter coordinates laid out flat, so a critic builds it in the one
+ * register it is returned in. A nested FilterKey would make it twelve
+ * bytes, which GCC builds with narrow stores and reloads as a wide
+ * word, a load that cannot be store-forwarded.
+ */
 struct CritiqueResult
 {
+    /** The filter coordinates the critique hashed (trainKeyed). */
+    std::uint32_t set = 0;
+    std::uint16_t tag = 0;
     /** False on a filter (tag) miss: implicit agreement. */
     bool provided = false;
     /** Direction prediction; meaningful only when provided. */
     bool taken = false;
-    /** The filter coordinates the critique hashed (trainKeyed). */
-    FilterKey key;
+
+    FilterKey key() const { return {set, tag}; }
 };
 
 /**

@@ -2,13 +2,24 @@
 
 #include <immintrin.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+
+#include "predictors/predictor.hh"
 
 namespace pcbp
 {
 namespace simd
 {
+
+// The vector TAGE hash kernels store each (index, tag) pair as two
+// 32-bit lanes of one 8-byte TableCoord.
+static_assert(sizeof(TableCoord) == 8 && offsetof(TableCoord, idx) == 0 &&
+                  offsetof(TableCoord, tag) == 4 &&
+                  std::is_trivially_copyable<TableCoord>::value,
+              "TableCoord must be two packed 32-bit words");
 
 namespace
 {
@@ -53,6 +64,53 @@ trainBipolarScalar(std::int8_t *w, unsigned n, std::uint64_t bits_lo,
         }
     }
 }
+
+namespace
+{
+
+void
+tageStepScalar(TageLanes &l, std::uint64_t last0, std::uint64_t last1,
+               std::uint64_t in)
+{
+    // Bank by bank (a bank's three lanes drop the same history bit);
+    // the banks fill the lanes from 0, and a lane without a fold holds
+    // 0 and keeps it.
+    const unsigned cross = last0 >> 63 ? 0xffff : 0;
+    for (unsigned b = 0; b < TageLanes::maxBanks && l.mask[b] != 0; ++b) {
+        const std::uint64_t word = l.outByte[b] < 8 ? last0 : last1;
+        const bool out = (word >> (8 * (l.outByte[b] % 8))) & l.outTest[b];
+        for (const unsigned i : {b, 8 + b, 24 + b}) {
+            const unsigned v = l.fold[i];
+            const unsigned r = (v << 1) | ((v * l.wrapMul[i]) >> 16);
+            l.fold[i] = static_cast<std::uint16_t>(
+                (r ^ in ^ (out ? l.outBit[i] : 0) ^ (cross & l.crossBits[i])) &
+                l.mask[i]);
+        }
+    }
+}
+
+void
+tageHashScalar(const TageLanes &l, std::uint64_t pc_mix, TableCoord *out)
+{
+    std::uint64_t pc[2];
+    for (unsigned j = 0; j < 2; ++j) {
+        std::uint64_t v = pc_mix;
+        for (unsigned k = 0; k < TageLanes::pcSteps; ++k) {
+            const std::uint64_t s = l.pcShift[2 * k + j];
+            v ^= s < 64 ? v >> s : 0;
+        }
+        pc[j] = v & l.pcMask[j];
+    }
+    for (unsigned b = 0; b < TageLanes::maxBanks; ++b) {
+        out[b].idx = static_cast<std::uint16_t>(l.fold[b] ^ l.salt[b] ^ pc[0]);
+        // Two different-width folds of the same history decorrelate
+        // the tag from the index (Seznec's CSR1/CSR2 pair).
+        out[b].tag = static_cast<std::uint16_t>(
+            l.fold[8 + b] ^ (l.fold[24 + b] << 1) ^ pc[1]);
+    }
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // AVX2 path. 32 int8 lanes per step; the history bits are expanded to
@@ -212,6 +270,95 @@ trainBipolarAvx512(std::int8_t *w, unsigned n, std::uint64_t bits_lo,
     }
 }
 
+// ---------------------------------------------------------------------
+// TAGE lanes. The step rotates every fold left by one within its width
+// (a shift plus the wrapped bit from an unsigned high multiply), XORs
+// in the new bit, the leaving bit (a byte shuffle fetches each lane's
+// history byte) and the bit-63 crossing, then masks to the width. The
+// hash folds the mixed PC to both widths in two 64-bit lanes, XORs it
+// and the salts in and interleaves (index, tag) pairs into
+// TableCoords. AVX2 takes the 32 lanes in two halves; an AVX-512 host
+// runs these kernels too, since a one-register AVX-512BW step and hash
+// measured no faster end to end
+// (bench/results/PAIR_tagekernels_engine_long_seed1.md).
+// ---------------------------------------------------------------------
+
+template <typename T>
+inline const __m128i *
+xmm(const T *p)
+{
+    return reinterpret_cast<const __m128i *>(p);
+}
+
+template <typename T>
+inline const __m256i *
+ymm(const T *p)
+{
+    return reinterpret_cast<const __m256i *>(p);
+}
+
+__attribute__((target("avx2"))) void
+tageStepAvx2(TageLanes &l, std::uint64_t last0, std::uint64_t last1,
+             std::uint64_t in)
+{
+    const __m256i hist = _mm256_broadcastsi128_si256(
+        _mm_set_epi64x(static_cast<long long>(last1),
+                       static_cast<long long>(last0)));
+    const __m256i bit_in = _mm256_set1_epi16(static_cast<short>(in));
+    const __m256i cross = _mm256_set1_epi16(last0 >> 63 ? -1 : 0);
+    for (unsigned o = 0; o < TageLanes::count; o += 16) {
+        const __m256i v = _mm256_load_si256(ymm(l.fold + o));
+        __m256i r = _mm256_or_si256(
+            _mm256_slli_epi16(v, 1),
+            _mm256_mulhi_epu16(v, _mm256_load_si256(ymm(l.wrapMul + o))));
+        const __m256i test = _mm256_load_si256(ymm(l.outTest + o));
+        const __m256i out = _mm256_cmpeq_epi16(
+            _mm256_and_si256(
+                _mm256_shuffle_epi8(
+                    hist, _mm256_load_si256(ymm(l.outByte + o))),
+                test),
+            test);
+        r = _mm256_xor_si256(
+            r, _mm256_and_si256(out, _mm256_load_si256(ymm(l.outBit + o))));
+        r = _mm256_xor_si256(r, bit_in);
+        r = _mm256_xor_si256(
+            r, _mm256_and_si256(cross,
+                                _mm256_load_si256(ymm(l.crossBits + o))));
+        _mm256_store_si256(
+            reinterpret_cast<__m256i *>(l.fold + o),
+            _mm256_and_si256(r, _mm256_load_si256(ymm(l.mask + o))));
+    }
+}
+
+__attribute__((target("avx2"))) void
+tageHashAvx2(const TageLanes &l, std::uint64_t pc_mix, TableCoord *out)
+{
+    // The PC folded to the index width (qword 0) and the tag width
+    // (qword 1), then spread over the index and the tag lanes.
+    __m128i v = _mm_set1_epi64x(static_cast<long long>(pc_mix));
+    for (unsigned k = 0; k < TageLanes::pcSteps; ++k) {
+        v = _mm_xor_si128(
+            v, _mm_srlv_epi64(v, _mm_load_si128(xmm(l.pcShift + 2 * k))));
+    }
+    v = _mm_and_si128(v, _mm_load_si128(xmm(l.pcMask)));
+    const __m256i pc = _mm256_shuffle_epi8(
+        _mm256_broadcastsi128_si256(v),
+        _mm256_setr_epi8(0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 8,
+                         9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9));
+    // Lanes 0-15: the index of every bank, then its tag.
+    const __m256i h = _mm256_xor_si256(
+        _mm256_xor_si256(_mm256_load_si256(ymm(l.fold)),
+                         _mm256_slli_epi16(
+                             _mm256_load_si256(ymm(l.fold + 16)), 1)),
+        _mm256_xor_si256(pc, _mm256_load_si256(ymm(l.salt))));
+    const __m128i idx = _mm256_castsi256_si128(h);
+    const __m128i tag = _mm256_extracti128_si256(h, 1);
+    __m256i *o = reinterpret_cast<__m256i *>(out);
+    _mm256_storeu_si256(o, _mm256_cvtepu16_epi32(_mm_unpacklo_epi16(idx, tag)));
+    _mm256_storeu_si256(o + 1,
+                        _mm256_cvtepu16_epi32(_mm_unpackhi_epi16(idx, tag)));
+}
+
 enum class Level
 {
     Scalar = 0,
@@ -281,6 +428,36 @@ trainKernel()
             return &trainBipolarAvx2;
           default:
             return &trainBipolarScalar;
+        }
+    }();
+    return fn;
+}
+
+TageStepFn
+tageStepKernel()
+{
+    static const TageStepFn fn = [] {
+        switch (activeLevel()) {
+          case Level::Avx512:
+          case Level::Avx2:
+            return &tageStepAvx2;
+          default:
+            return &tageStepScalar;
+        }
+    }();
+    return fn;
+}
+
+TageHashFn
+tageHashKernel()
+{
+    static const TageHashFn fn = [] {
+        switch (activeLevel()) {
+          case Level::Avx512:
+          case Level::Avx2:
+            return &tageHashAvx2;
+          default:
+            return &tageHashScalar;
         }
     }();
     return fn;

@@ -10,82 +10,80 @@ namespace pcbp
 {
 
 TageFolds::TageFolds(const std::vector<TageTableConfig> &tables)
+    : stepLanes(simd::tageStepKernel()), hashLanes(simd::tageHashKernel())
 {
+    // The lanes hold up to maxBanks banks of one index width and one
+    // tag width, every fold 2..16 bits wide: every factory geometry.
+    pcbp_assert(!tables.empty() &&
+                    tables.size() <= simd::TageLanes::maxBanks,
+                "tage lanes hold 1..8 tagged tables");
+    indexBits = log2Floor(tables[0].entries);
+    tagBits = tables[0].tagBits;
+    pcbp_assert(indexBits >= 2 && indexBits <= 16 && tagBits >= 3 &&
+                    tagBits <= 16,
+                "tage lane folds must be 2..16 bits wide");
     unsigned max_history = 0;
-    auto slotOf = [this](unsigned w) {
-        for (unsigned s = 0; s < widths.size(); ++s)
-            if (widths[s] == w)
-                return s;
-        widths.push_back(w);
-        return unsigned(widths.size() - 1);
-    };
     for (const TageTableConfig &tc : tables) {
-        const unsigned len = tc.historyLength;
-        const unsigned index_bits = log2Floor(tc.entries);
-        Bank b;
-        b.historyLength = len;
-        b.outWord = (len - 1) / 64;
-        b.outShift = (len - 1) % 64;
-        b.wide = len > 64 ? 1 : 0;
-        b.idxSlot = slotOf(index_bits);
-        b.tagSlot = slotOf(tc.tagBits);
-        // Decorrelate banks by mixing the history length into the
-        // index hash; the folded history does the rest.
-        b.idxSalt = foldBits(len * 0x9e3779b9ull, index_bits);
-        b.tagMask = maskBits(tc.tagBits);
-        const unsigned fold_widths[3] = {index_bits, tc.tagBits,
-                                         tc.tagBits - 1};
-        for (unsigned j = 0; j < 3; ++j) {
-            Fold &f = b.folds[j];
-            const unsigned w = fold_widths[j];
-            f.width = w;
-            f.mask = maskBits(w);
-            if (w == 0)
-                continue;
-            f.top = w - 1;
-            // Bits 64 and up fold as their own sequence (foldedLow),
-            // so the last bit of a wide bank sits at (len - 64) % w.
-            f.outPos = (len > 64 ? len - 64 : len) % w;
-            f.pos64 = 64 % w;
-        }
-        banks.push_back(b);
-        max_history = std::max(max_history, len);
+        pcbp_assert(tc.entries == tables[0].entries &&
+                        tc.tagBits == tagBits,
+                    "tage lanes need one table size and one tag width");
+        pcbp_assert(tc.historyLength >= 1 &&
+                    tc.historyLength <= HistoryRegister::capacity);
+        lengths.push_back(tc.historyLength);
+        max_history = std::max(max_history, tc.historyLength);
     }
     mask0 = maskBits(std::min(max_history, 64u));
     mask1 = max_history > 64 ? maskBits(max_history - 64) : 0;
-    pcFolds.assign(widths.size(), 0);
-    hashes.assign(banks.size(), TableCoord{});
+
+    const unsigned pc_width[2] = {indexBits, tagBits};
+    for (unsigned j = 0; j < 2; ++j) {
+        const unsigned w = pc_width[j];
+        lanes.pcMask[j] = maskBits(w);
+        unsigned s = foldFixedFirstShift(w);
+        for (unsigned k = 0; k < simd::TageLanes::pcSteps; ++k, s >>= 1)
+            lanes.pcShift[2 * k + j] = s >= w ? s : 64;
+    }
+    for (unsigned i = 0; i < lengths.size(); ++i) {
+        const unsigned len = lengths[i];
+        // Decorrelate banks by mixing the history length into the
+        // index hash; the folded history does the rest.
+        lanes.salt[i] = static_cast<std::uint16_t>(
+            foldBits(len * 0x9e3779b9ull, indexBits));
+        const unsigned lane[3] = {i, 8 + i, 24 + i};
+        const unsigned width[3] = {indexBits, tagBits, tagBits - 1};
+        for (unsigned j = 0; j < 3; ++j) {
+            const unsigned l = lane[j], w = width[j];
+            lanes.mask[l] = static_cast<std::uint16_t>(maskBits(w));
+            lanes.wrapMul[l] = static_cast<std::uint16_t>(1u << (17 - w));
+            lanes.outByte[l] = static_cast<std::uint16_t>((len - 1) / 8);
+            lanes.outTest[l] = static_cast<std::uint16_t>(1u << (len - 1) % 8);
+            // Bits 64 and up fold as their own sequence (foldedLow),
+            // so the last bit of a wide bank sits at (len - 64) % w.
+            lanes.outBit[l] = static_cast<std::uint16_t>(
+                1u << (len > 64 ? len - 64 : len) % w);
+            if (len > 64) {
+                lanes.crossBits[l] =
+                    static_cast<std::uint16_t>((1u << 64 % w) ^ 1u);
+            }
+        }
+    }
 }
 
 void
 TageFolds::refold(const HistoryRegister &hist)
 {
-    for (Bank &b : banks)
-        for (Fold &f : b.folds)
-            f.value = hist.foldedLow(b.historyLength, f.width);
-}
-
-void
-TageFolds::shiftFolds(std::uint64_t in)
-{
-    // New history = (last << 1) | in. Under a one-bit left rotate
-    // every kept bit lands where its fold puts it, except two: the
-    // bit that leaves the window, and (for wide banks) old bit 63,
-    // which becomes bit 64 and restarts at position 0.
-    const std::uint64_t bit63 = last0 >> 63;
-    for (Bank &b : banks) {
-        const std::uint64_t out =
-            ((b.outWord ? last1 : last0) >> b.outShift) & 1;
-        const std::uint64_t cross = bit63 & b.wide;
-        for (Fold &f : b.folds) {
-            std::uint64_t v = (f.value << 1) | (f.value >> f.top);
-            v ^= in ^ (out << f.outPos) ^ (cross << f.pos64) ^ cross;
-            f.value = v & f.mask;
-        }
+    for (unsigned i = 0; i < lengths.size(); ++i) {
+        const unsigned len = lengths[i];
+        lanes.fold[i] =
+            static_cast<std::uint16_t>(hist.foldedLow(len, indexBits));
+        lanes.fold[8 + i] =
+            static_cast<std::uint16_t>(hist.foldedLow(len, tagBits));
+        lanes.fold[24 + i] =
+            static_cast<std::uint16_t>(hist.foldedLow(len, tagBits - 1));
     }
 }
 
-const std::vector<TableCoord> &
+const TableCoord *
 TageFolds::hash(Addr pc, const HistoryRegister &hist)
 {
     const std::uint64_t h0 = hist.word0() & mask0;
@@ -98,7 +96,7 @@ TageFolds::hash(Addr pc, const HistoryRegister &hist)
             h0 == (((last0 << 1) | in) & mask0) &&
             h1 == (((last1 << 1) | (last0 >> 63)) & mask1);
         if (shifted)
-            shiftFolds(in);
+            stepLanes(lanes, last0, last1, in);
         else
             refold(hist);
     }
@@ -106,21 +104,8 @@ TageFolds::hash(Addr pc, const HistoryRegister &hist)
     last1 = h1;
     valid = true;
 
-    const std::uint64_t m = mix64(pc >> 2);
-    for (std::size_t s = 0; s < widths.size(); ++s)
-        pcFolds[s] = foldBitsFixed(m, widths[s]);
-    for (std::size_t i = 0; i < banks.size(); ++i) {
-        const Bank &b = banks[i];
-        hashes[i].idx = static_cast<std::uint32_t>(
-            pcFolds[b.idxSlot] ^ b.idxSalt ^ b.folds[0].value);
-        // Two different-width folds of the same history decorrelate
-        // the tag from the index (Seznec's CSR1/CSR2 pair).
-        hashes[i].tag = static_cast<std::uint32_t>(
-            (pcFolds[b.tagSlot] ^ b.folds[1].value ^
-             (b.folds[2].value << 1)) &
-            b.tagMask);
-    }
-    return hashes;
+    hashLanes(lanes, mix64(pc >> 2), coords);
+    return coords;
 }
 
 Tage::Tage(const TageConfig &config)
@@ -163,10 +148,9 @@ Tage::baseIndex(Addr pc) const
     return foldBits(pc >> 2, baseIndexBits) & maskBits(baseIndexBits);
 }
 
-Tage::Match
-Tage::lookup(Addr pc, const TableCoord *h) const
+void
+Tage::lookup(Addr pc, const TableCoord *h, Match &m) const
 {
-    Match m;
     m.alternatePred = base.taken(baseIndex(pc));
     m.providerPred = m.alternatePred;
     for (int i = int(tables.size()) - 1; i >= 0; --i) {
@@ -193,30 +177,33 @@ Tage::lookup(Addr pc, const TableCoord *h) const
                     useAltOnWeak.taken())
                        ? m.alternatePred
                        : m.providerPred;
-    return m;
 }
 
 bool
 Tage::predict(Addr pc, const HistoryRegister &hist)
 {
-    return lookup(pc, predictFolds.hash(pc, hist).data()).prediction;
+    Match m;
+    lookup(pc, predictFolds.hash(pc, hist), m);
+    return m.prediction;
 }
 
 void
 Tage::update(Addr pc, const HistoryRegister &hist, bool taken)
 {
-    updateAt(pc, updateFolds.hash(pc, hist).data(), taken);
+    updateAt(pc, updateFolds.hash(pc, hist), taken);
 }
 
 bool
 Tage::predictKeyed(Addr pc, const HistoryRegister &hist, PredictKey &key)
 {
-    const std::vector<TableCoord> &h = predictFolds.hash(pc, hist);
+    const TableCoord *h = predictFolds.hash(pc, hist);
     if (carriesKey) {
-        std::copy(h.begin(), h.end(), key.coord);
+        std::copy(h, h + tables.size(), key.coord);
         key.valid = true;
     }
-    return lookup(pc, h.data()).prediction;
+    Match m;
+    lookup(pc, h, m);
+    return m.prediction;
 }
 
 void
@@ -234,7 +221,8 @@ Tage::updateAt(Addr pc, const TableCoord *h, bool taken)
 {
     // One hash set serves the lookup, the provider update, allocation
     // and decay.
-    const Match m = lookup(pc, h);
+    Match m;
+    lookup(pc, h, m);
 
     if (m.provider >= 0)
         ++providerCommits[std::size_t(m.provider)];

@@ -27,6 +27,7 @@
 
 #include "common/sat_counter.hh"
 #include "predictors/predictor.hh"
+#include "predictors/simd.hh"
 
 namespace pcbp
 {
@@ -70,15 +71,19 @@ struct TageConfig
  *
  * A bank hashes the PC with three folds of its history: to the index
  * width, to the tag width, and to the tag width - 1. The PC half
- * folds mix64(pc >> 2) once per distinct width; folding is linear
- * over XOR, so the bank salt in the index hash is folded once, here.
- * The history half keeps the folds as folded registers (Seznec &
- * Michaud): a call whose history is the last call's shifted by one
- * bit steps every fold in O(1), an equal history reuses them, and any
- * other history (a flush or a repair jumped) refolds them with
+ * folds mix64(pc >> 2) once per width; folding is linear over XOR,
+ * so the bank salt in the index hash is folded once, here. The
+ * history half keeps the folds as folded registers (Seznec &
+ * Michaud), every bank's three as lanes of one simd::TageLanes: a
+ * call whose history is the last call's shifted by one bit steps
+ * them all at once, an equal history reuses them, and any other
+ * history (a flush or a repair jumped) refolds them with
  * HistoryRegister::foldedLow. The check compares every history bit a
  * bank reads, so each result is the same pure function of the call's
  * own (pc, history) as the naive fold; the cache only saves work.
+ * The lanes hold up to eight banks that share one table size and one
+ * tag width, every fold 2..16 bits wide (every factory geometry); the
+ * constructor asserts it.
  */
 class TageFolds
 {
@@ -87,52 +92,25 @@ class TageFolds
 
     /**
      * Hashes of (@p pc, @p hist) for every bank, shortest history
-     * first; the reference stays valid until the next call.
+     * first; the array stays valid until the next call.
      */
-    const std::vector<TableCoord> &hash(Addr pc,
-                                        const HistoryRegister &hist);
+    const TableCoord *hash(Addr pc, const HistoryRegister &hist);
 
     /** Forget the last history: the next call refolds. */
     void invalidate() { valid = false; }
 
   private:
-    /** One folded register: geometry plus its current value. */
-    struct Fold
-    {
-        unsigned width = 0;
-        unsigned top = 0;    //!< width - 1: the bit a rotate wraps
-        unsigned outPos = 0; //!< the leaving bit, after the rotate
-        unsigned pos64 = 0;  //!< where the rotate puts old bit 63
-        std::uint64_t mask = 0;
-        std::uint64_t value = 0;
-    };
-
-    struct Bank
-    {
-        unsigned historyLength = 0;
-        /** Bit historyLength - 1 (the one that leaves on a shift). */
-        unsigned outWord = 0;
-        unsigned outShift = 0;
-        /**
-         * 1 when historyLength > 64. foldedLow folds bits 64 and up
-         * as a second chunk sequence that restarts at position 0,
-         * so a shift moves old bit 63 from 64 % width to 0.
-         */
-        std::uint64_t wide = 0;
-        unsigned idxSlot = 0; //!< pcFolds entry of the index width
-        unsigned tagSlot = 0; //!< pcFolds entry of the tag width
-        std::uint64_t idxSalt = 0; //!< folded bank salt
-        std::uint64_t tagMask = 0;
-        Fold folds[3]; //!< index, tag and tag - 1 widths
-    };
-
     void refold(const HistoryRegister &hist);
-    void shiftFolds(std::uint64_t in);
 
-    std::vector<Bank> banks;
-    std::vector<unsigned> widths;       //!< distinct PC fold widths
-    std::vector<std::uint64_t> pcFolds; //!< per call, one per width
-    std::vector<TableCoord> hashes;
+    simd::TageLanes lanes;
+    /** What the hash kernel writes: one slot per lane bank. */
+    alignas(64) TableCoord coords[simd::TageLanes::maxBanks];
+    simd::TageStepFn stepLanes = nullptr;
+    simd::TageHashFn hashLanes = nullptr;
+
+    std::vector<unsigned> lengths; //!< each bank's history length
+    unsigned indexBits = 0;
+    unsigned tagBits = 0;
 
     /** Low maxHistory bits of the last history, split by word. */
     std::uint64_t mask0 = 0;
@@ -199,8 +177,14 @@ class Tage final : public DirectionPredictor
     };
 
     std::size_t baseIndex(Addr pc) const;
-    /** @p h: one coordinate per tagged bank, shortest history first. */
-    Match lookup(Addr pc, const TableCoord *h) const;
+    /**
+     * Fill @p m, a default Match, from @p h: one coordinate per tagged
+     * bank, shortest history first. Filled in place, every field is
+     * read back at the width it was written; a returned Match goes
+     * through the stack as narrow stores reloaded as one wide word,
+     * which cannot be store-forwarded.
+     */
+    void lookup(Addr pc, const TableCoord *h, Match &m) const;
     void updateAt(Addr pc, const TableCoord *h, bool taken);
     void agePeriodically();
 

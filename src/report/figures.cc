@@ -19,6 +19,7 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "sim/timing.hh"
 
 namespace pcbp
 {
@@ -550,7 +551,10 @@ fig9Render(const FigureOptions &opts, const ResultStore &store)
                   "prophet/critic hybrids",
                   upcHeaders("prophet", sweeps[0], sweeps[1]));
     t.addNote("critic: tagged gshare; timing model: decoupled "
-              "front-end, 6-uop machine, 30-cycle resolve");
+              "front-end, " +
+              std::to_string(TimingConfig::fetchWidth) + "-uop machine, " +
+              std::to_string(TimingConfig::resolveDepth) +
+              "-cycle resolve");
     t.addNote("paper speedups @12fb: gshare 8%, 2Bc-gskew 7%, "
               "perceptron 5.2%");
 

@@ -610,15 +610,14 @@ SpecCore<Payload>::critique(std::size_t idx)
         }
     }
 
-    CritiqueDecision d =
-        hybrid.critiqueBranch(r.pc, r.ctx, r.prophetPred, fbScratch);
+    CritiqueDecision &d = r.decision.emplace();
+    hybrid.critiqueBranch(r.pc, r.ctx, r.prophetPred, fbScratch, d);
     r.critiqued = true;
     r.finalPred = d.finalPrediction;
 
     CritiqueOutcome out;
     out.overrode = d.overrode;
     out.bitsGathered = fbScratch.size();
-    r.decision = std::move(d);
 
     pcbp_obs_inc(obs, critiques);
     pcbp_obs_add(obs, fbGathered, out.bitsGathered);

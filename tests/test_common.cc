@@ -242,17 +242,6 @@ TEST(HistoryRegister, ShiftAcrossWordBoundary)
         EXPECT_EQ(h.bit(i), i % 3 == 0) << i;
 }
 
-TEST(HistoryRegister, ShiftOutUndoesShiftIn)
-{
-    HistoryRegister h;
-    for (int i = 0; i < 100; ++i)
-        h.shiftIn(i % 7 < 3);
-    HistoryRegister snapshot = h;
-    h.shiftIn(true);
-    h.shiftOut();
-    EXPECT_EQ(h, snapshot);
-}
-
 TEST(HistoryRegister, WindowReadsMiddleBits)
 {
     HistoryRegister h;
@@ -296,18 +285,6 @@ TEST(HistoryRegister, EqualityAndCopy)
     EXPECT_NE(a, b);
     HistoryRegister c = a;
     EXPECT_EQ(c, a);
-}
-
-TEST(HistoryRegister, SetBit)
-{
-    HistoryRegister h;
-    h.setBit(5, true);
-    h.setBit(100, true);
-    EXPECT_TRUE(h.bit(5));
-    EXPECT_TRUE(h.bit(100));
-    h.setBit(5, false);
-    EXPECT_FALSE(h.bit(5));
-    EXPECT_TRUE(h.bit(100));
 }
 
 TEST(HistoryRegister, ToStringYoungestLast)

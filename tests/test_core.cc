@@ -330,7 +330,8 @@ TEST(Hybrid, NoCriticMeansProphetPrediction)
                           nullptr, cfg);
     BranchContext ctx;
     const bool pred = h.predictBranch(0x1000, ctx);
-    const auto d = h.critiqueBranch(0x1000, ctx, pred, {});
+    CritiqueDecision d;
+    h.critiqueBranch(0x1000, ctx, pred, {}, d);
     EXPECT_FALSE(d.provided);
     EXPECT_FALSE(d.overrode);
     EXPECT_EQ(d.finalPrediction, pred);
@@ -346,7 +347,8 @@ TEST(Hybrid, ZeroFutureBitsUsesHistoryOnlyBor)
                           cfg);
     BranchContext ctx;
     const bool pred = h.predictBranch(0x1000, ctx);
-    const auto d = h.critiqueBranch(0x1000, ctx, pred, {});
+    CritiqueDecision d;
+    h.critiqueBranch(0x1000, ctx, pred, {}, d);
     EXPECT_EQ(d.borAtCritique, ctx.histBefore)
         << "conventional-hybrid mode: no future bits in the view";
 }
@@ -361,8 +363,8 @@ TEST(Hybrid, CritiqueUsesSuppliedFutureBits)
                           cfg);
     BranchContext ctx;
     const bool pred = h.predictBranch(0x1000, ctx);
-    const auto d = h.critiqueBranch(0x1000, ctx, pred,
-                                    {pred, false, true});
+    CritiqueDecision d;
+    h.critiqueBranch(0x1000, ctx, pred, {pred, false, true}, d);
     EXPECT_TRUE(d.borAtCritique.bit(0));  // youngest = last future bit
     EXPECT_FALSE(d.borAtCritique.bit(1));
     EXPECT_EQ(d.borAtCritique.bit(2), pred);
@@ -383,7 +385,8 @@ TEST(Hybrid, CriticLearnsToOverrideAtCommit)
     for (int i = 0; i < 10; ++i) {
         BranchContext ctx;
         const bool pred = h.predictBranch(0x1000, ctx);
-        const auto d = h.critiqueBranch(0x1000, ctx, pred, {pred});
+        CritiqueDecision d;
+        h.critiqueBranch(0x1000, ctx, pred, {pred}, d);
         if (d.overrode) {
             overrode = true;
             h.overrideRedirect(ctx, d.finalPrediction);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "obs/stat_registry.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/factory.hh"
 #include "predictors/gshare.hh"
@@ -445,6 +446,9 @@ TEST(TageFolds, IncrementalMatchesFoldedLow)
         TageFolds streams[2] = {TageFolds(cfg.tables),
                                 TageFolds(cfg.tables)};
         HistoryRegister hist[2];
+        // Each stream's register before its youngest shift: a repair
+        // restores it and shifts in the resolved outcome.
+        HistoryRegister beforeShift[2];
         Rng rng(0x7a9e + static_cast<std::uint64_t>(b));
         std::size_t mismatches = 0;
         for (int call = 0; call < 20000 && mismatches == 0; ++call) {
@@ -452,11 +456,12 @@ TEST(TageFolds, IncrementalMatchesFoldedLow)
             HistoryRegister &h = hist[s];
             const std::uint64_t kind = rng.nextBelow(20);
             if (kind < 15) {
+                beforeShift[s] = h;
                 h.shiftIn(rng.nextBool(0.5));
             } else if (kind == 15) {
                 // repeat: same history as the last call
             } else if (kind == 16) {
-                h.shiftOut(); // a repair rewrites the youngest bit
+                h = beforeShift[s]; // a repair rewrites the youngest bit
                 h.shiftIn(rng.nextBool(0.5));
             } else if (kind == 17) {
                 h.shiftInMany(rng.next(),
@@ -466,8 +471,7 @@ TEST(TageFolds, IncrementalMatchesFoldedLow)
                 h.shiftInMany(rng.next(), 64);
             }
             const Addr pc = 0x400000 + 4 * rng.nextBelow(1 << 14);
-            const std::vector<TableCoord> &got = streams[s].hash(pc, h);
-            ASSERT_EQ(got.size(), cfg.tables.size());
+            const TableCoord *got = streams[s].hash(pc, h);
             for (std::size_t i = 0; i < cfg.tables.size(); ++i) {
                 const TableCoord want = naiveTageHash(cfg.tables[i], pc, h);
                 if (got[i].idx != want.idx || got[i].tag != want.tag) {
@@ -480,6 +484,217 @@ TEST(TageFolds, IncrementalMatchesFoldedLow)
                 }
             }
         }
+    }
+}
+
+/**
+ * TAGE written plainly, as the per-bank reference: every call hashes
+ * each bank with naiveTageHash, and the provider/alternate search
+ * walks the banks from the longest history down, one tag compare at
+ * a time. Counter semantics are spelled out as small integers.
+ */
+class ReferenceTage
+{
+  public:
+    explicit ReferenceTage(const TageConfig &config)
+        : providerCommits(config.tables.size(), 0), cfg(config),
+          base(config.baseEntries, 1)
+    {
+        for (const TageTableConfig &tc : cfg.tables)
+            banks.push_back({std::vector<unsigned>(tc.entries, 3),
+                             std::vector<unsigned>(tc.entries, 0),
+                             std::vector<unsigned>(tc.entries, 0)});
+    }
+
+    struct Match
+    {
+        int provider = -1;
+        int alternate = -1;
+        bool providerPred = false;
+        bool alternatePred = false;
+        bool providerWeak = false;
+        bool prediction = false;
+    };
+
+    Match
+    lookup(Addr pc, const HistoryRegister &hist) const
+    {
+        Match m;
+        m.alternatePred = base[baseIndex(pc)] > 1;
+        m.providerPred = m.alternatePred;
+        for (int i = int(banks.size()) - 1; i >= 0; --i) {
+            const TableCoord h = naiveTageHash(cfg.tables[i], pc, hist);
+            const Bank &b = banks[i];
+            if (b.tag[h.idx] != h.tag)
+                continue;
+            if (m.provider < 0) {
+                m.provider = i;
+                m.providerPred = b.ctr[h.idx] > 3;
+                m.providerWeak = b.useful[h.idx] == 0 &&
+                                 (b.ctr[h.idx] == 3 || b.ctr[h.idx] == 4);
+            } else {
+                m.alternate = i;
+                m.alternatePred = b.ctr[h.idx] > 3;
+                break;
+            }
+        }
+        m.prediction = m.provider >= 0 && m.providerWeak && useAlt > 7
+                           ? m.alternatePred
+                           : m.providerPred;
+        return m;
+    }
+
+    void
+    update(Addr pc, const HistoryRegister &hist, bool taken)
+    {
+        const Match m = lookup(pc, hist);
+        ++(m.provider >= 0 ? providerCommits[m.provider] : baseCommits);
+        ++alternates[m.alternate >= 0];
+        if (m.provider >= 0 && m.providerWeak && useAlt > 7)
+            ++altOnWeakUses;
+        if (m.provider >= 0) {
+            Bank &b = banks[m.provider];
+            const std::uint32_t idx =
+                naiveTageHash(cfg.tables[m.provider], pc, hist).idx;
+            if (m.providerWeak && m.providerPred != m.alternatePred)
+                step(useAlt, m.alternatePred == taken, 15);
+            if (m.providerPred != m.alternatePred)
+                step(b.useful[idx], m.providerPred == taken, 3);
+            step(b.ctr[idx], taken, 7);
+            if (m.alternate < 0)
+                step(base[baseIndex(pc)], taken, 3);
+        } else {
+            step(base[baseIndex(pc)], taken, 3);
+        }
+        if (m.prediction != taken && m.provider + 1 < int(banks.size())) {
+            bool allocated = false;
+            for (std::size_t i = m.provider + 1; i < banks.size(); ++i) {
+                const TableCoord h = naiveTageHash(cfg.tables[i], pc, hist);
+                Bank &b = banks[i];
+                if (b.useful[h.idx] != 0)
+                    continue;
+                b.tag[h.idx] = h.tag;
+                b.ctr[h.idx] = taken ? 4 : 3;
+                allocated = true;
+                break;
+            }
+            ++(allocated ? allocations : allocFailures);
+            for (std::size_t i = m.provider + 1; !allocated && i < banks.size();
+                 ++i) {
+                const TableCoord h = naiveTageHash(cfg.tables[i], pc, hist);
+                step(banks[i].useful[h.idx], false, 3);
+            }
+        }
+        if (++updates % cfg.usefulResetPeriod == 0)
+            for (Bank &b : banks)
+                for (unsigned &u : b.useful)
+                    u >>= 1;
+    }
+
+    std::vector<std::uint64_t> providerCommits;
+    std::uint64_t baseCommits = 0;
+    std::uint64_t altOnWeakUses = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t allocFailures = 0;
+    /** Commits without and with an alternate bank. */
+    std::uint64_t alternates[2] = {0, 0};
+
+  private:
+    struct Bank
+    {
+        std::vector<unsigned> ctr, useful, tag;
+    };
+
+    static void
+    step(unsigned &v, bool up, unsigned max)
+    {
+        if (up && v < max)
+            ++v;
+        else if (!up && v > 0)
+            --v;
+    }
+
+    std::size_t
+    baseIndex(Addr pc) const
+    {
+        const unsigned bits = log2Floor(cfg.baseEntries);
+        return foldBits(pc >> 2, bits) & maskBits(bits);
+    }
+
+    TageConfig cfg;
+    std::vector<unsigned> base;
+    std::vector<Bank> banks;
+    unsigned useAlt = 8;
+    std::uint64_t updates = 0;
+};
+
+TEST(TageSearch, ProviderAndAlternateMatchPerBankLoop)
+{
+    // Both models see one random call stream: a few PCs, and
+    // histories that jump among a few saved 128-bit values (so long
+    // banks see their (pc, history) pairs again and hit) or shift by
+    // one bit or repeat, as the simulators' streams do; the outcomes
+    // are random, so the tables fill with random tags and counters.
+    // Predictions go through predict() and predictKeyed(), commits
+    // through update() and updateKeyed(); every prediction and, at
+    // the end, every provider count must match the reference.
+    for (Budget b : {Budget::B2KB, Budget::B4KB, Budget::B8KB,
+                     Budget::B16KB, Budget::B32KB}) {
+        TageConfig cfg = tageConfigFor(b);
+        cfg.usefulResetPeriod = 4096; // age often, so tables churn
+        Tage tage(cfg);
+        ReferenceTage ref(cfg);
+        Rng rng(0x5ea7c4 + static_cast<std::uint64_t>(b));
+        std::vector<HistoryRegister> saved(24);
+        for (HistoryRegister &h : saved) {
+            h.shiftInMany(rng.next(), 64);
+            h.shiftInMany(rng.next(), 64);
+        }
+        HistoryRegister hist = saved[0];
+        std::size_t mismatches = 0;
+        for (int call = 0; call < 60000 && mismatches == 0; ++call) {
+            const std::uint64_t kind = rng.nextBelow(8);
+            if (kind < 4)
+                hist = saved[rng.nextBelow(saved.size())];
+            else if (kind < 7)
+                hist.shiftIn(rng.nextBool(0.5));
+            const Addr pc = 0x400000 + 4 * rng.nextBelow(12);
+            const bool want = ref.lookup(pc, hist).prediction;
+            PredictKey key;
+            const bool keyed = rng.nextBool(0.5);
+            const bool got = keyed ? tage.predictKeyed(pc, hist, key)
+                                   : tage.predict(pc, hist);
+            if (got != want) {
+                ++mismatches;
+                ADD_FAILURE() << budgetName(b) << " call " << call
+                              << ": predicted " << got << ", reference "
+                              << want;
+            }
+            const bool taken = rng.nextBool(0.5);
+            if (keyed)
+                tage.updateKeyed(pc, hist, taken, key);
+            else
+                tage.update(pc, hist, taken);
+            ref.update(pc, hist, taken);
+        }
+
+        StatRegistry reg;
+        tage.exportStats(reg, "t");
+        for (std::size_t i = 0; i < cfg.tables.size(); ++i) {
+            const std::uint64_t n = ref.providerCommits[i];
+            EXPECT_EQ(reg.simValue("t.bank" + std::to_string(i) +
+                                   ".provider_commits"),
+                      n)
+                << budgetName(b) << " bank " << i;
+            EXPECT_GT(n, 500u) << budgetName(b) << " bank " << i
+                               << " was rarely the provider";
+        }
+        EXPECT_EQ(reg.simValue("t.base_commits"), ref.baseCommits);
+        EXPECT_EQ(reg.simValue("t.alt_on_weak_uses"), ref.altOnWeakUses);
+        EXPECT_EQ(reg.simValue("t.allocations"), ref.allocations);
+        EXPECT_EQ(reg.simValue("t.alloc_failures"), ref.allocFailures);
+        EXPECT_GT(ref.alternates[1], 5000u)
+            << budgetName(b) << ": the search rarely found an alternate";
     }
 }
 

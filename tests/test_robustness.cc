@@ -14,6 +14,7 @@
 #include "core/tag_filter.hh"
 #include "predictors/factory.hh"
 #include "predictors/gshare.hh"
+#include "predictors/tage.hh"
 #include "sim/driver.hh"
 #include "support.hh"
 #include "workload/trace.hh"
@@ -35,6 +36,24 @@ TEST(RobustnessDeath, TagFilterBounds)
 {
     EXPECT_DEATH(TagFilter(63, 4, 10, 18), "filter sets must be 2\\^n");
     EXPECT_DEATH(TagFilter(64, 4, 2, 18), "tag_bits");
+}
+
+TEST(RobustnessDeath, TageGeometryMustFitTheLanes)
+{
+    // The folded-history lanes hold at most eight tagged tables of
+    // one size and one tag width.
+    TageConfig nine;
+    for (unsigned i = 0; i < 9; ++i) {
+        TageTableConfig tc;
+        tc.historyLength = 4 + 4 * i;
+        nine.tables.push_back(tc);
+    }
+    EXPECT_DEATH(Tage{nine}, "1\\.\\.8 tagged tables");
+    TageConfig mixed;
+    mixed.tables.resize(2);
+    mixed.tables[1].entries = 2048;
+    mixed.tables[1].historyLength = 16;
+    EXPECT_DEATH(Tage{mixed}, "one table size and one tag width");
 }
 
 TEST(RobustnessDeath, UnknownSpecStringsAreFatal)

@@ -17,9 +17,12 @@ JSON holds every run's metrics, environment line, `correct`,
 `attempted` and `failed`; and for each end-to-end metric of
 BENCHMARK.json both medians, their change/parent ratio, the parent's
 quartiles, the change's wins out of N (strictly better, in the
-metric's direction) and whether the gap between the medians exceeds
-the parent's interquartile range. A Markdown summary is written
-beside it (same path, `.md`).
+metric's direction), whether the gap between the medians exceeds
+the parent's interquartile range, and the median and quartiles of the
+per-pair change/parent ratios. Each ratio compares two runs made back
+to back, so a slow host phase that falls on one side of one pair moves
+one ratio, where it can move a whole side's median. A Markdown summary
+is written beside it (same path, `.md`).
 """
 
 import argparse
@@ -60,7 +63,8 @@ def quartiles(values):
 
 
 def summarize(runs, metric_defs, pairs):
-    """Per metric: medians, ratio, parent quartiles, change wins."""
+    """Per metric: medians, ratio, parent quartiles, change wins, and
+    the median and quartiles of the per-pair ratios."""
     out = {}
     for m in metric_defs:
         name, lower = m["name"], m["better"] == "lower"
@@ -71,6 +75,8 @@ def summarize(runs, metric_defs, pairs):
                    if (c < p if lower else c > p))
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
+        pair_ratios = [c / p for p, c in zip(parent, change) if p]
+        r_q1, r_q3 = quartiles(pair_ratios) if pair_ratios else (None, None)
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -82,6 +88,10 @@ def summarize(runs, metric_defs, pairs):
             "wins": wins,
             "of": pairs,
             "gap_exceeds_parent_iqr": abs(c_med - p_med) > q3 - q1,
+            "pair_ratio_median": (statistics.median(pair_ratios)
+                                  if pair_ratios else None),
+            "pair_ratio_q1": r_q1,
+            "pair_ratio_q3": r_q3,
         }
     return out
 
@@ -94,17 +104,22 @@ def markdown(report):
             f"change = {report['change']}; every run correct: "
             f"{'yes' if report['all_correct'] else 'NO'}\n\n")
     rows = ["| metric | parent median | parent IQR | change median | "
-            "change/parent | change better | gap > IQR |",
-            "| :--- | ---: | ---: | ---: | ---: | ---: | :---: |"]
+            "change/parent | change better | gap > IQR | "
+            "pair ratio median (IQR) |",
+            "| :--- | ---: | ---: | ---: | ---: | ---: | :---: | ---: |"]
     for name, m in report["metrics"].items():
         ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}"
+        pair = ("n/a" if m["pair_ratio_median"] is None else
+                f"{m['pair_ratio_median']:.3f} "
+                f"({m['pair_ratio_q1']:.3f}–{m['pair_ratio_q3']:.3f})")
         rows.append(
             f"| {name} ({m['unit']}, {m['better']} is better) "
             f"| {m['parent_median']:.6g} "
             f"| {m['parent_q1']:.6g}–{m['parent_q3']:.6g} "
             f"| {m['change_median']:.6g} | {ratio} "
             f"| {m['wins']}/{m['of']} "
-            f"| {'yes' if m['gap_exceeds_parent_iqr'] else 'no'} |")
+            f"| {'yes' if m['gap_exceeds_parent_iqr'] else 'no'} "
+            f"| {pair} |")
     return head + "\n".join(rows) + "\n"
 
 
