@@ -142,14 +142,11 @@ std::uint64_t
 engineBody(const HybridSpec &spec, const BenchContext &ctx)
 {
     const Workload &w = benchWorkload(ctx);
+    const RunLength len = runLength(w, false, ctx.quick ? 60000 : 1500000,
+                                    ctx.quick ? 5000 : 50000);
     EngineConfig cfg;
-    cfg.warmupBranches = scaleCount(ctx.quick ? 5000.0 : 50000.0,
-                                    benchScale(), "engine bench budget");
-    cfg.measureBranches = scaleCount(ctx.quick ? 60000.0 : 1500000.0,
-                                     benchScale(), "engine bench budget");
-    cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
-    cfg.measureBranches =
-        std::max<std::uint64_t>(cfg.measureBranches, 1000);
+    cfg.measureBranches = len.measureBranches;
+    cfg.warmupBranches = len.warmupBranches;
     runAccuracy(w, spec, cfg);
     return benchBranches(w, cfg.warmupBranches + cfg.measureBranches);
 }
@@ -159,14 +156,11 @@ std::uint64_t
 timingBody(const HybridSpec &spec, const BenchContext &ctx)
 {
     const Workload &w = benchWorkload(ctx);
-    TimingConfig cfg = timingConfigFor(w);
-    cfg.warmupBranches = scaleCount(ctx.quick ? 3000.0 : 20000.0,
-                                    benchScale(), "timing bench budget");
-    cfg.measureBranches = scaleCount(ctx.quick ? 30000.0 : 400000.0,
-                                     benchScale(), "timing bench budget");
-    cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
-    cfg.measureBranches =
-        std::max<std::uint64_t>(cfg.measureBranches, 1000);
+    const RunLength len = runLength(w, true, ctx.quick ? 30000 : 400000,
+                                    ctx.quick ? 3000 : 20000);
+    TimingConfig cfg;
+    cfg.measureBranches = len.measureBranches;
+    cfg.warmupBranches = len.warmupBranches;
     runTiming(w, spec, cfg);
     return benchBranches(w, cfg.warmupBranches + cfg.measureBranches);
 }

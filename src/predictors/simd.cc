@@ -230,15 +230,30 @@ dotBipolarAvx512(const std::int8_t *w, unsigned n, std::uint64_t bits_lo,
         const __m512i wv = _mm512_loadu_si512(w + b * 64);
         const __m512i sel =
             _mm512_mask_blend_epi8(m, _mm512_sub_epi8(zero, wv), wv);
+        // Sign-extend the bytes to 16 bits: unpacking sel with itself
+        // doubles each byte in a 16-bit lane, and the arithmetic shift
+        // keeps one copy. (Unlike the cast/extract/reduce helpers,
+        // these GCC 12 bodies read no undefined vector, so no
+        // -Wuninitialized.) A sum does not see the lane order.
         const __m512i lo16 =
-            _mm512_cvtepi8_epi16(_mm512_castsi512_si256(sel));
+            _mm512_srai_epi16(_mm512_unpacklo_epi8(sel, sel), 8);
         const __m512i hi16 =
-            _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(sel, 1));
+            _mm512_srai_epi16(_mm512_unpackhi_epi8(sel, sel), 8);
         const __m512i s16 = _mm512_add_epi16(lo16, hi16);
         acc = _mm512_add_epi32(
             acc, _mm512_madd_epi16(s16, _mm512_set1_epi16(1)));
     }
-    return _mm512_reduce_add_epi32(acc);
+    // Horizontal sum: fold the 256-bit halves, then the 128-bit
+    // quarters, then the 64- and 32-bit halves of each quarter.
+    acc = _mm512_add_epi32(
+        acc, _mm512_maskz_shuffle_i64x2(0xff, acc, acc, 0x4e));
+    acc = _mm512_add_epi32(
+        acc, _mm512_maskz_shuffle_i64x2(0xff, acc, acc, 0xb1));
+    acc = _mm512_add_epi32(
+        acc, _mm512_maskz_shuffle_epi32(0xffff, acc, _MM_PERM_BADC));
+    acc = _mm512_add_epi32(
+        acc, _mm512_maskz_shuffle_epi32(0xffff, acc, _MM_PERM_CDAB));
+    return _mm512_cvtsi512_si32(acc);
 }
 
 __attribute__((target("avx512f,avx512bw"))) void

@@ -110,7 +110,8 @@ TageFolds::hash(Addr pc, const HistoryRegister &hist)
 
 Tage::Tage(const TageConfig &config)
     : cfg(config), baseIndexBits(log2Floor(config.baseEntries)),
-      predictFolds(config.tables), updateFolds(config.tables)
+      predictFolds(config.tables), updateFolds(config.tables),
+      updatesToAging(config.usefulResetPeriod)
 {
     pcbp_assert(isPowerOfTwo(cfg.baseEntries),
                 "tage base size must be 2^n");
@@ -291,10 +292,10 @@ Tage::updateAt(Addr pc, const TableCoord *h, bool taken)
 void
 Tage::agePeriodically()
 {
-    if (cfg.usefulResetPeriod == 0 ||
-        updates % cfg.usefulResetPeriod != 0) {
+    // Counting down spares every update a 64-bit division.
+    if (updatesToAging == 0 || --updatesToAging != 0)
         return;
-    }
+    updatesToAging = cfg.usefulResetPeriod;
     ++agings;
     for (Table &t : tables)
         for (std::size_t i = 0; i < t.useful.size(); ++i)
@@ -314,6 +315,7 @@ Tage::reset()
     predictFolds.invalidate();
     updateFolds.invalidate();
     updates = 0;
+    updatesToAging = cfg.usefulResetPeriod;
     providerCommits.assign(tables.size(), 0);
     baseCommits = 0;
     altOnWeakUses = 0;

@@ -216,6 +216,8 @@ class Tage final : public DirectionPredictor
     SatCounter useAltOnWeak{4, 8};
 
     std::uint64_t updates = 0;
+    /** Updates left until the next aging; 0 when aging is off. */
+    std::uint64_t updatesToAging = 0;
 
     /**
      * Update-path bookkeeping (once per commit — cold next to the

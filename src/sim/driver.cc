@@ -91,17 +91,38 @@ scaleCount(double count, double scale, const char *what)
     return static_cast<std::uint64_t>(v);
 }
 
+RunLength
+runLength(const Workload &w, bool timing, std::uint64_t branches,
+          std::optional<std::uint64_t> warmup)
+{
+    const char *const budget = branches ? "'branches'" : "the workload budget";
+    const double measure = branches ? double(branches)
+                           : timing ? double(w.simBranches) / 3.0
+                                    : double(w.simBranches);
+    RunLength len;
+    len.measureBranches = std::max<std::uint64_t>(
+        scaleCount(measure, benchScale(), budget), 1000);
+    if (warmup) {
+        len.warmupBranches = std::max<std::uint64_t>(
+            scaleCount(double(*warmup), benchScale(), "'warmup'"), 100);
+    } else if (!branches && !timing) {
+        len.warmupBranches = std::max<std::uint64_t>(
+            scaleCount(double(w.warmupBranches), benchScale(), budget),
+            100);
+    } else {
+        len.warmupBranches =
+            std::max<std::uint64_t>(len.measureBranches / 10, 100);
+    }
+    return len;
+}
+
 EngineConfig
 engineConfigFor(const Workload &w)
 {
+    const RunLength len = runLength(w, false);
     EngineConfig cfg;
-    cfg.measureBranches = scaleCount(double(w.simBranches), benchScale(),
-                                     "the workload budget");
-    cfg.warmupBranches = scaleCount(double(w.warmupBranches),
-                                    benchScale(), "the workload budget");
-    cfg.measureBranches = std::max<std::uint64_t>(cfg.measureBranches,
-                                                  1000);
-    cfg.warmupBranches = std::max<std::uint64_t>(cfg.warmupBranches, 100);
+    cfg.measureBranches = len.measureBranches;
+    cfg.warmupBranches = len.warmupBranches;
     return cfg;
 }
 
@@ -284,15 +305,10 @@ runTimingChain(const Workload &w, const Program &program,
 TimingConfig
 timingConfigFor(const Workload &w)
 {
+    const RunLength len = runLength(w, true);
     TimingConfig cfg;
-    // Timing runs are ~10x slower per branch than accuracy runs, so
-    // use a third of the workload's accuracy budget.
-    cfg.measureBranches = std::max<std::uint64_t>(
-        scaleCount(double(w.simBranches) / 3.0, benchScale(),
-                   "the workload budget"),
-        1000);
-    cfg.warmupBranches =
-        std::max<std::uint64_t>(cfg.measureBranches / 10, 100);
+    cfg.measureBranches = len.measureBranches;
+    cfg.warmupBranches = len.warmupBranches;
     return cfg;
 }
 

@@ -86,7 +86,28 @@ double parseBenchScale(const char *value);
  */
 std::uint64_t scaleCount(double count, double scale, const char *what);
 
-/** Engine configuration for a workload, with benchScale applied. */
+/** A run's length: branches measured after a warmup. */
+struct RunLength
+{
+    std::uint64_t measureBranches = 0;
+    std::uint64_t warmupBranches = 0;
+};
+
+/**
+ * The one rule that sizes a run of @p w (sweep cells, pcbp_run, the
+ * engine and timing benches). @p branches measured, or 0 for the
+ * workload's budget (a third of it for @p timing runs, which cost
+ * ~10x more per branch); @p warmup, or by default the workload's own
+ * for an accuracy run on its budget and else a tenth of the measured
+ * count. benchScale() scales both (scaleCount, naming 'branches',
+ * 'warmup' or the workload budget); the measured count is floored at
+ * 1000 and the warmup at 100.
+ */
+RunLength runLength(const Workload &w, bool timing,
+                    std::uint64_t branches = 0,
+                    std::optional<std::uint64_t> warmup = std::nullopt);
+
+/** Engine configuration for a workload: runLength(w, false). */
 EngineConfig engineConfigFor(const Workload &w);
 
 /**
@@ -176,7 +197,7 @@ std::vector<TimingStats> runTimingChain(
     const Workload &w, const Program &program, const HybridSpec &spec,
     const std::vector<TimingConfig> &configs, ChainObs *obs = nullptr);
 
-/** Timing configuration for a workload, with benchScale applied. */
+/** Timing configuration for a workload: runLength(w, true). */
 TimingConfig timingConfigFor(const Workload &w);
 
 /** Run one workload through the cycle-level timing model. */

@@ -110,10 +110,10 @@ struct BranchProfile
 struct H2PConfig
 {
     /** Minimum dynamic executions for a branch to be classified. */
-    std::uint64_t minExecs = 64;
+    static constexpr std::uint64_t minExecs = 64;
 
     /** Final accuracy below this marks a branch H2P. */
-    double accuracyBelow = 0.99;
+    static constexpr double accuracyBelow = 0.99;
 
     /** Rows in the ranked top-miss table. */
     std::size_t topN = 10;

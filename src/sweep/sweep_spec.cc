@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -361,6 +362,12 @@ SweepSpec::cells() const
         num_configs *= d;
     }
 
+    // No warmup axis: one cell per workload at runLength's default.
+    std::vector<std::optional<std::uint64_t>> wbs(warmups.begin(),
+                                                  warmups.end());
+    if (wbs.empty())
+        wbs.emplace_back();
+
     std::vector<SweepCell> out;
     std::set<std::string> dedup;
     for (std::size_t ci = 0; ci < num_configs; ++ci) {
@@ -392,41 +399,18 @@ SweepSpec::cells() const
             pcbp_fatal("sweep '", name, "': the oracle axis requires "
                        "the accuracy engine (mode = accuracy)");
 
+        // The warmup axis expands innermost: cells differing only in
+        // warmup sit adjacently and share a fork group.
         for (const Workload *w : set) {
-            SweepCell base;
-            base.spec = spec;
-            base.workload = w;
-            base.timing = timing;
-            base.oracleFutureBits = oracle;
-            if (branches) {
-                base.measureBranches = std::max<std::uint64_t>(
-                    scaleCount(double(branches), benchScale(), "'branches'"),
-                    1000);
-                base.warmupBranches = std::max<std::uint64_t>(
-                    base.measureBranches / 10, 100);
-            } else if (timing) {
-                const TimingConfig cfg = timingConfigFor(*w);
-                base.measureBranches = cfg.measureBranches;
-                base.warmupBranches = cfg.warmupBranches;
-            } else {
-                const EngineConfig cfg = engineConfigFor(*w);
-                base.measureBranches = cfg.measureBranches;
-                base.warmupBranches = cfg.warmupBranches;
-            }
-            // The warmup axis expands innermost: cells differing only
-            // in warmup sit adjacently and share a fork group.
-            std::vector<std::uint64_t> wbs;
-            if (warmups.empty()) {
-                wbs.push_back(base.warmupBranches);
-            } else {
-                for (const std::uint64_t wb : warmups)
-                    wbs.push_back(std::max<std::uint64_t>(
-                        scaleCount(double(wb), benchScale(), "'warmup'"),
-                        100));
-            }
-            for (const std::uint64_t wb : wbs) {
-                SweepCell cell = base;
-                cell.warmupBranches = wb;
+            for (const std::optional<std::uint64_t> &wb : wbs) {
+                const RunLength len = runLength(*w, timing, branches, wb);
+                SweepCell cell;
+                cell.spec = spec;
+                cell.workload = w;
+                cell.timing = timing;
+                cell.oracleFutureBits = oracle;
+                cell.measureBranches = len.measureBranches;
+                cell.warmupBranches = len.warmupBranches;
                 // Collapsed axes (baseline rows, unfiltered critics,
                 // scale-flattened warmups) produce equal keys; dedup
                 // keeps the first cell.

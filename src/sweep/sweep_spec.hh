@@ -151,7 +151,8 @@ class SweepSpec
     /**
      * Override measured branches per cell (warmup = a tenth);
      * 0 keeps each workload's own default (for timing grids, the
-     * workload's timing budget). PCBP_BENCH_SCALE applies either way.
+     * workload's timing budget). runLength (sim/driver.hh) sizes
+     * every cell, so PCBP_BENCH_SCALE applies either way.
      */
     std::uint64_t branches = 0;
 

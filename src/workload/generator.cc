@@ -14,16 +14,71 @@ namespace
 constexpr Addr baseAddr = 0x400000;
 constexpr Addr blockStride = 16;
 
+// The program shape no workload varies (DESIGN.md §3); a recipe sets
+// only what differs between workloads.
+
+/** Pattern filler: length range and per-outcome noise. */
+constexpr unsigned patLenLo = 2, patLenHi = 4;
+constexpr double patNoise = 0.01;
+/** Local-parity filler: width range and noise. */
+constexpr unsigned lparWidthLo = 2, lparWidthHi = 3;
+constexpr double lparNoise = 0.02;
+/** Pure-noise filler bias. */
+constexpr double noiseBias = 0.5;
+/** Global-parity filler: a width range of one value, whose draw
+ *  still advances the stream, and noise. */
+constexpr unsigned gparWidthLo = 2, gparWidthHi = 2;
+constexpr double gparNoise = 0.02;
+
+/** Bias range of every segment filler, taken or not-taken. */
+constexpr double segBiasLo = 0.95, segBiasHi = 0.995;
+/** Bias range of a one-shot filler, taken or not-taken. */
+constexpr double oneShotBiasLo = 0.80, oneShotBiasHi = 0.90;
+
+/** Shallowest echo-chain source lag m (sources at m-1 and m). */
+constexpr unsigned chainLagLo = 18;
+/**
+ * Bias of an echo chain's two source blocks. Mid biases leave the
+ * XOR consumer around 60/40 — enough fixable mass for the critic —
+ * while keeping the sources' own mispredict floor moderate.
+ */
+constexpr double chainSrcBias = 0.68;
+/** Noise on echo-chain consumers and relays. */
+constexpr double chainNoise = 0.01;
+/** Echo-chain passes per outer pass of the program (consumer heat). */
+constexpr unsigned chainTrips = 4;
+/** Motif arm biases: the taken-side arm, then the fall-through arm. */
+constexpr double armBiasHi = 0.97, armBiasLo = 0.03;
+
+/** A phase consumer follows the phase clock with this noise. */
+constexpr double phaseNoise = 0.02;
+/** Phase revealer instances per phase-chain pass. */
+constexpr unsigned phaseInnerTrips = 5;
+/** Passes of a phase chain per outer pass (consumer heat). */
+constexpr unsigned phaseChainTrips = 3;
+
 Addr
 pcOf(std::size_t block_id)
 {
     return baseAddr + block_id * blockStride;
 }
 
-/** Draw a filler behavior from the recipe mixture. */
+/**
+ * A branch strongly taken or strongly not-taken, at random: bias
+ * base + span * u for u uniform in [0, 1), flipped half the time.
+ */
 BranchBehavior
-drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
-           double bias_hi)
+biasedEitherWay(Rng &rng, double base, double span)
+{
+    double p = base + span * rng.nextDouble();
+    if (rng.nextBool(0.5))
+        p = 1.0 - p;
+    return BranchBehavior::biased(p, rng.next());
+}
+
+/** Draw a segment filler behavior from the recipe mixture. */
+BranchBehavior
+drawFiller(const WorkloadRecipe &r, Rng &rng)
 {
     const double total = r.wBiased + r.wLoop + r.wPattern +
                          r.wLocalParity + r.wPhased + r.wNoise +
@@ -31,13 +86,8 @@ drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
     pcbp_assert(total > 0.0, "empty filler mixture");
     double x = rng.nextDouble() * total;
 
-    if ((x -= r.wBiased) < 0) {
-        // Either strongly taken or strongly not-taken.
-        double p = bias_lo + rng.nextDouble() * (bias_hi - bias_lo);
-        if (rng.nextBool(0.5))
-            p = 1.0 - p;
-        return BranchBehavior::biased(p, rng.next());
-    }
+    if ((x -= r.wBiased) < 0)
+        return biasedEitherWay(rng, segBiasLo, segBiasHi - segBiasLo);
     if ((x -= r.wLoop) < 0) {
         const unsigned period = static_cast<unsigned>(
             rng.nextRange(r.loopLo, r.loopHi));
@@ -45,16 +95,16 @@ drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
     }
     if ((x -= r.wPattern) < 0) {
         const unsigned len = static_cast<unsigned>(
-            rng.nextRange(r.patLenLo, r.patLenHi));
-        std::vector<bool> pat(std::max(2u, len));
+            rng.nextRange(patLenLo, patLenHi));
+        std::vector<bool> pat(len);
         for (std::size_t i = 0; i < pat.size(); ++i)
             pat[i] = rng.nextBool(0.5);
-        return BranchBehavior::pattern(pat, r.patNoise, rng.next());
+        return BranchBehavior::pattern(pat, patNoise, rng.next());
     }
     if ((x -= r.wLocalParity) < 0) {
         const unsigned w = static_cast<unsigned>(
-            rng.nextRange(r.lparWidthLo, r.lparWidthHi));
-        return BranchBehavior::localParity(w, r.lparNoise, rng.next());
+            rng.nextRange(lparWidthLo, lparWidthHi));
+        return BranchBehavior::localParity(w, lparNoise, rng.next());
     }
     if ((x -= r.wPhased) < 0) {
         return BranchBehavior::phased(r.phasedLo, r.phasedHi,
@@ -62,17 +112,17 @@ drawFiller(const WorkloadRecipe &r, Rng &rng, double bias_lo,
                                       rng.next());
     }
     if ((x -= r.wNoise) < 0)
-        return BranchBehavior::biased(r.noiseBias, rng.next());
+        return BranchBehavior::biased(noiseBias, rng.next());
     const unsigned lag = static_cast<unsigned>(
         rng.nextRange(r.gparLagLo, r.gparLagHi));
     const unsigned w = static_cast<unsigned>(
-        rng.nextRange(r.gparWidthLo, r.gparWidthHi));
+        rng.nextRange(gparWidthLo, gparWidthHi));
     // A behavior that takes both a coin flip and a seed draws the
     // seed first, here and in generateProgram: the order every
     // registry program, and so every golden, was generated in.
     const std::uint64_t seed = rng.next();
     return BranchBehavior::globalParity(lag, w, rng.nextBool(0.5),
-                                        r.gparNoise, seed);
+                                        gparNoise, seed);
 }
 
 } // namespace
@@ -119,9 +169,18 @@ generateProgram(const WorkloadRecipe &recipe)
     unsigned seg_fill = 0;
     unsigned seg_entropy_slot = 0;
 
-    auto draw_uops = [&]() {
-        return static_cast<std::uint32_t>(
+    // Block @p id, branching to @p taken or @p fall. Its uop count
+    // is drawn here, so whether a site calls this before or after
+    // drawing the block's behavior fixes the order of the stream.
+    auto block_at = [&](std::size_t id, std::size_t taken,
+                        std::size_t fall) {
+        BasicBlock b;
+        b.branchPc = pcOf(id);
+        b.numUops = static_cast<std::uint32_t>(
             rng.nextRange(recipe.minUops, recipe.maxUops));
+        b.takenTarget = static_cast<BlockId>(taken);
+        b.fallthroughTarget = static_cast<BlockId>(fall);
+        return b;
     };
 
     while (prog.numBlocks() < recipe.targetBlocks) {
@@ -144,37 +203,32 @@ generateProgram(const WorkloadRecipe &recipe)
 
             std::size_t at = i;
             auto straight = [&](const BranchBehavior &beh) {
-                BasicBlock b;
-                b.branchPc = pcOf(at);
-                b.numUops = draw_uops();
-                b.takenTarget = static_cast<BlockId>(at + 1);
-                b.fallthroughTarget = static_cast<BlockId>(at + 1);
-                prog.addBlock(b, beh);
+                prog.addBlock(block_at(at, at + 1, at + 1), beh);
                 ++at;
+            };
+            // A quiet straight filler, 92-99% biased either way.
+            auto quiet = [&]() {
+                straight(biasedEitherWay(rng, 0.92, 0.07));
             };
             auto diamond = [&](const BranchBehavior &beh) {
                 // consumer with opposite-bias arms; merge after.
-                BasicBlock s;
-                s.branchPc = pcOf(at);
-                s.numUops = draw_uops();
-                s.takenTarget = static_cast<BlockId>(at + 1);
-                s.fallthroughTarget = static_cast<BlockId>(at + 2);
-                prog.addBlock(s, beh);
+                prog.addBlock(block_at(at, at + 1, at + 2), beh);
                 ++at;
                 for (int arm = 0; arm < 2; ++arm) {
-                    BasicBlock a;
-                    a.branchPc = pcOf(at);
-                    a.numUops = draw_uops();
-                    a.takenTarget =
-                        static_cast<BlockId>(at + (arm ? 1 : 2));
-                    a.fallthroughTarget = a.takenTarget;
-                    prog.addBlock(
-                        a, BranchBehavior::biased(arm == 0
-                                                      ? recipe.armBiasHi
-                                                      : recipe.armBiasLo,
-                                                  rng.next()));
+                    const std::size_t merge = at + (arm ? 1 : 2);
+                    const BasicBlock a = block_at(at, merge, merge);
+                    prog.addBlock(a, BranchBehavior::biased(
+                                         arm == 0 ? armBiasHi : armBiasLo,
+                                         rng.next()));
                     ++at;
                 }
+            };
+            // Outer latch: repeat the whole motif @p trips times so
+            // its consumer is hot enough for the critic's contexts
+            // to recur and train.
+            auto outer_latch = [&](unsigned trips) {
+                prog.addBlock(block_at(at, i, at + 1),
+                              BranchBehavior::loop(trips));
             };
 
             if (!echo_turn) {
@@ -183,118 +237,71 @@ generateProgram(const WorkloadRecipe &recipe)
                 // outcomes keep the phase visible in the deep BOR
                 // history of the next consumers.
                 diamond(BranchBehavior::phaseReveal(
-                    phase_clock,
-                    std::max(0.5, 1.0 - recipe.phaseNoise), rng.next()));
+                    phase_clock, 1.0 - phaseNoise, rng.next()));
 
-                BasicBlock rv;
-                rv.branchPc = pcOf(at);
-                rv.numUops = draw_uops();
-                rv.takenTarget = static_cast<BlockId>(at + 1);
-                rv.fallthroughTarget = static_cast<BlockId>(at + 1);
+                const BasicBlock rv = block_at(at, at + 1, at + 1);
                 prog.addBlock(rv, BranchBehavior::phaseReveal(
                                       phase_clock, 0.98, rng.next()));
                 ++at;
-
-                BasicBlock lt;
-                lt.branchPc = pcOf(at);
-                lt.numUops = draw_uops();
-                lt.takenTarget = static_cast<BlockId>(at - 1);
-                lt.fallthroughTarget = static_cast<BlockId>(at + 1);
-                prog.addBlock(lt, BranchBehavior::loop(std::max(
-                                      2u, recipe.phaseInnerTrips)));
+                prog.addBlock(block_at(at, at - 1, at + 1),
+                              BranchBehavior::loop(phaseInnerTrips));
                 ++at;
-
-                // Outer latch: repeat the whole chain so the
-                // consumer is hot enough to train the critic.
-                BasicBlock ol;
-                ol.branchPc = pcOf(at);
-                ol.numUops = draw_uops();
-                ol.takenTarget = static_cast<BlockId>(i);
-                ol.fallthroughTarget = static_cast<BlockId>(at + 1);
-                prog.addBlock(ol, BranchBehavior::loop(std::max(
-                                      2u, recipe.phaseChainTrips)));
+                outer_latch(phaseChainTrips);
                 continue;
             }
 
             ++echo_placed;
             // Echo chain: two mid-bias sources, a straight quiet
-            // spacer of m blocks (so the source bits sit at lags
-            // [m, m+1] of the consumer — beyond an 18-bit BOR
-            // critic's history window at any future-bit count, but
-            // inside a 28-bit perceptron prophet's window, where
-            // only their XOR is unlearnable), the consumer, arms, an
-            // optional gap, and two echo relays that re-expose the
-            // source bits to the prophet — and therefore, via its
-            // predictions, to the critic's future bits.
+            // spacer of m-1 blocks (so the consumer reads the source
+            // bits at lags m-1 and m — beyond the history an 18-bit
+            // BOR critic keeps once it holds future bits, but inside
+            // a 28-bit perceptron prophet's window, where only their
+            // XOR is unlearnable), the consumer, arms, an optional
+            // gap, and two echo relays that re-expose the source
+            // bits to the prophet — and therefore, via its
+            // predictions, to the critic's future bits. The gap
+            // shrinks where needed to keep both relays' lags <= 26.
             const unsigned m = static_cast<unsigned>(
-                rng.nextRange(recipe.chainLagLo, recipe.chainLagHi));
+                rng.nextRange(chainLagLo, recipe.chainLagHi));
             unsigned gap = static_cast<unsigned>(rng.nextRange(
                 recipe.chainGapLo, recipe.chainGapHi));
             if (m + 1 + gap + 3 > 27)
                 gap = 27 - m - 4;
 
             // Sources (committed order: src1 then src0).
-            straight(BranchBehavior::biased(recipe.chainSrcBias,
-                                            rng.next()));
-            straight(BranchBehavior::biased(recipe.chainSrcBias,
-                                            rng.next()));
+            straight(BranchBehavior::biased(chainSrcBias, rng.next()));
+            straight(BranchBehavior::biased(chainSrcBias, rng.next()));
             // Quiet spacer.
-            for (unsigned k = 0; k + 1 < m; ++k) {
-                double bias = 0.92 + 0.07 * rng.nextDouble();
-                if (rng.nextBool(0.5))
-                    bias = 1.0 - bias;
-                straight(BranchBehavior::biased(bias, rng.next()));
-            }
-            // Consumer: src0 sits at lag m-1... the spacer has m-1
-            // blocks, so src0 = lag m-1+0? Lags: src0 committed
-            // m-1 blocks before the consumer => lag m-1; src1 => m.
+            for (unsigned k = 0; k + 1 < m; ++k)
+                quiet();
+            // Consumer: src0 committed m-1 blocks before it (lag
+            // m-1), src1 one block earlier (lag m).
             std::uint64_t seed = rng.next();
             diamond(BranchBehavior::globalXor(
-                m - 1, m, rng.nextBool(0.5), recipe.chainNoise, seed));
+                m - 1, m, rng.nextBool(0.5), chainNoise, seed));
             // Gap fillers delay the relays' entry into the critique
             // window (need gap+4 future bits).
-            for (unsigned k = 0; k < gap; ++k) {
-                double bias = 0.92 + 0.07 * rng.nextDouble();
-                if (rng.nextBool(0.5))
-                    bias = 1.0 - bias;
-                straight(BranchBehavior::biased(bias, rng.next()));
-            }
+            for (unsigned k = 0; k < gap; ++k)
+                quiet();
             // Relays: r1 commits gap+2 after the consumer, r2 one
             // later.
             seed = rng.next();
             straight(BranchBehavior::globalEcho(
-                (m - 1) + gap + 2, rng.nextBool(0.5), recipe.chainNoise,
-                seed));
+                (m - 1) + gap + 2, rng.nextBool(0.5), chainNoise, seed));
             seed = rng.next();
             straight(BranchBehavior::globalEcho(
-                m + gap + 3, rng.nextBool(0.5), recipe.chainNoise, seed));
-
-            // Outer latch: repeat the whole chain so the consumer is
-            // hot enough for the critic's contexts to recur.
-            BasicBlock ol;
-            ol.branchPc = pcOf(at);
-            ol.numUops = draw_uops();
-            ol.takenTarget = static_cast<BlockId>(i);
-            ol.fallthroughTarget = static_cast<BlockId>(at + 1);
-            prog.addBlock(ol, BranchBehavior::loop(
-                                  std::max(2u, recipe.chainTrips)));
+                m + gap + 3, rng.nextBool(0.5), chainNoise, seed));
+            outer_latch(chainTrips);
             continue;
         }
 
         // Occasional one-shot straight filler with a mid bias:
         // cold, context-diverse history entropy.
         if (seg_fill == 0 && rng.nextBool(recipe.oneShotFrac)) {
-            BasicBlock os;
-            os.branchPc = pcOf(i);
-            os.numUops = draw_uops();
-            os.takenTarget = static_cast<BlockId>(i + 1);
-            os.fallthroughTarget = static_cast<BlockId>(i + 1);
-            double p = recipe.oneShotBiasLo +
-                       rng.nextDouble() *
-                           (recipe.oneShotBiasHi - recipe.oneShotBiasLo);
-            if (rng.nextBool(0.5))
-                p = 1.0 - p;
-            prog.addBlock(os, BranchBehavior::biased(p, rng.next()));
+            const BasicBlock os = block_at(i, i + 1, i + 1);
+            prog.addBlock(os, biasedEitherWay(rng, oneShotBiasLo,
+                                              oneShotBiasHi -
+                                                  oneShotBiasLo));
             continue;
         }
 
@@ -321,20 +328,13 @@ generateProgram(const WorkloadRecipe &recipe)
                 trips = static_cast<unsigned>(rng.nextRange(6, 12));
             else
                 trips = static_cast<unsigned>(rng.nextRange(16, 48));
-            BasicBlock lt;
-            lt.branchPc = pcOf(i);
-            lt.numUops = draw_uops();
-            lt.takenTarget = static_cast<BlockId>(seg_start);
-            lt.fallthroughTarget = static_cast<BlockId>(i + 1);
-            prog.addBlock(lt, BranchBehavior::loop(trips));
+            prog.addBlock(block_at(i, seg_start, i + 1),
+                          BranchBehavior::loop(trips));
             seg_fill = 0;
             continue;
         }
 
-        BasicBlock b;
-        b.branchPc = pcOf(i);
-        b.numUops = draw_uops();
-        b.fallthroughTarget = static_cast<BlockId>(i + 1);
+        BasicBlock b = block_at(i, i + 1, i + 1);
         BranchBehavior beh;
         if (seg_fill == seg_entropy_slot) {
             // One mid-bias entropy member per segment: its outcomes
@@ -347,8 +347,7 @@ generateProgram(const WorkloadRecipe &recipe)
             beh = BranchBehavior::biased(
                 rng.nextBool(0.5) ? p_ent : 1.0 - p_ent, seed);
         } else {
-            beh = drawFiller(recipe, rng, recipe.segBiasLo,
-                             recipe.segBiasHi);
+            beh = drawFiller(recipe, rng);
         }
         if (beh.kind == BehaviorKind::Loop) {
             b.takenTarget = static_cast<BlockId>(i); // self loop
@@ -356,8 +355,6 @@ generateProgram(const WorkloadRecipe &recipe)
             // Short forward skip inside the segment.
             b.takenTarget = static_cast<BlockId>(
                 std::min<std::size_t>(i + 2, seg_start + seg_len));
-        } else {
-            b.takenTarget = static_cast<BlockId>(i + 1);
         }
         prog.addBlock(b, beh);
         ++seg_fill;

@@ -34,7 +34,13 @@
 namespace pcbp
 {
 
-/** Parameters describing one synthetic program. */
+/**
+ * The knobs a workload sets to describe one synthetic program. What
+ * no workload varies — filler noise and widths, the segment and
+ * one-shot bias ranges, the echo-chain source bias and trip counts,
+ * the phase-chain shape — is a constant beside its one reader in
+ * generator.cc (DESIGN.md §3).
+ */
 struct WorkloadRecipe
 {
     std::string name = "anon";
@@ -68,34 +74,23 @@ struct WorkloadRecipe
 
     /** @name Filler parameters. */
     /// @{
-    double biasLo = 0.75, biasHi = 0.99;
     unsigned loopLo = 3, loopHi = 20;
-    unsigned patLenLo = 2, patLenHi = 4;
-    double patNoise = 0.01;
-    unsigned lparWidthLo = 2, lparWidthHi = 3;
-    double lparNoise = 0.02;
     unsigned phasedLo = 200, phasedHi = 2500;
     double phasedBiasA = 0.92, phasedBiasB = 0.10;
-    double noiseBias = 0.5;
     unsigned gparLagLo = 4, gparLagHi = 9;
-    unsigned gparWidthLo = 2, gparWidthHi = 2;
-    double gparNoise = 0.02;
     /// @}
 
     /** @name Echo-chain motifs (critic fodder). */
     /// @{
     unsigned numChains = 10;
     /**
-     * The consumer XORs two *natural* committed-history bits at lags
-     * [lagA, lagA+spread]. Lags must be >= 18 so the sources are
-     * invisible to an 18-bit BOR critic's history at every
-     * future-bit count; the relays that re-expose them must stay at
-     * lag <= 27 to be learnable by a 28-bit-history perceptron
-     * prophet, which bounds lagA + spread + gap + 3 <= 27.
+     * The consumer XORs the chain's two source bits, at lags m-1 and
+     * m with m drawn from [18, chainLagHi]: deep enough that an
+     * 18-bit BOR critic holding future bits cannot see them, while
+     * the relays that re-expose them stay at lag <= 26, learnable by
+     * a 28-bit-history perceptron prophet.
      */
-    unsigned chainLagLo = 18, chainLagHi = 20;
-    /** Lag distance between the two source bits (1 or 2). */
-    unsigned chainSpreadLo = 1, chainSpreadHi = 2;
+    unsigned chainLagHi = 20;
     /**
      * Quiet filler blocks between the arms and the relays. The
      * relays enter the consumer's critique window only from
@@ -103,23 +98,6 @@ struct WorkloadRecipe
      * gains across future-bit counts (the Fig. 5 ramp).
      */
     unsigned chainGapLo = 0, chainGapHi = 4;
-    /**
-     * Bias of the chain's two source blocks. Mid biases (~0.65-0.75)
-     * leave the XOR consumer around 60/40 — enough fixable mass for
-     * the critic — while keeping the sources' own mispredict floor
-     * moderate.
-     */
-    double chainSrcBias = 0.68;
-    /** Noise on consumers and relays. */
-    double chainNoise = 0.01;
-    /**
-     * The whole chain is an inner loop executing this many times per
-     * outer pass, so consumers are hot enough for the critic's
-     * contexts to recur and train quickly.
-     */
-    unsigned chainTrips = 4;
-    /** Strong arm biases (taken-arm uses hi, fallthrough-arm lo). */
-    double armBiasHi = 0.97, armBiasLo = 0.03;
     /// @}
 
     /** @name Phase-chain motifs (adaptation/self-echo channel). */
@@ -138,35 +116,16 @@ struct WorkloadRecipe
      */
     unsigned numPhaseChains = 6;
     unsigned phaseClockLo = 400, phaseClockHi = 2500;
-    double phaseNoise = 0.02;
-    /** Inner-loop trip count (revealer instances per pass). */
-    unsigned phaseInnerTrips = 5;
-    /** Outer trips of the whole phase chain (consumer heat). */
-    unsigned phaseChainTrips = 3;
     /// @}
 
-    /** @name Filler structure. */
-    /// @{
     /**
      * Fillers live in small inner-loop segments (hot, so patterns
-     * and local content are within history reach); in-segment
-     * branches draw from [segBiasLo, segBiasHi] to keep the
-     * repeated-context mispredict floor low. A fraction of fillers
-     * are one-shot straight blocks with mid biases, providing
-     * history entropy at diverse contexts.
+     * and local content are within history reach) with strongly
+     * biased members; this fraction of fillers are instead one-shot
+     * straight blocks with mid biases, providing history entropy at
+     * diverse contexts.
      */
-    double segBiasLo = 0.95, segBiasHi = 0.995;
     double oneShotFrac = 0.15;
-    double oneShotBiasLo = 0.80, oneShotBiasHi = 0.90;
-    /// @}
-
-    /** @name CFG shape. */
-    /// @{
-    /** Probability a filler block's taken edge is a back edge. */
-    double backEdgeProb = 0.30;
-    unsigned maxForwardSkip = 8;
-    unsigned maxBackSkip = 12;
-    /// @}
 };
 
 /** Build the program described by @p recipe. */

@@ -29,8 +29,6 @@ base(const std::string &name, std::uint64_t seed)
     r.wLocalParity = 0.25;
     r.wPhased = 0.3;
     r.wNoise = 0.08;
-    r.biasLo = 0.85;
-    r.biasHi = 0.99;
     return r;
 }
 
@@ -65,10 +63,7 @@ buildRegistry()
         auto r = base("unzip", 11);
         r.targetBlocks = 420;
         r.numChains = 24;
-        r.chainLagLo = 18;
         r.chainLagHi = 19;
-        r.chainSpreadLo = 1;
-        r.chainSpreadHi = 1;
         r.chainGapLo = 0;
         r.chainGapHi = 5;
         r.numPhaseChains = 0;
@@ -85,7 +80,6 @@ buildRegistry()
         r.numPhaseChains = 12;
         r.phaseClockLo = 250;
         r.phaseClockHi = 900;
-        r.phaseInnerTrips = 5;
         r.wPhased = 0.4;
         r.wNoise = 0.15;
         ws.push_back(make("premiere", "FIG5", r, 300000));
@@ -135,8 +129,6 @@ buildRegistry()
         r.numPhaseChains = 0;
         r.wBiased = 3.0;
         r.wLoop = 3.0;
-        r.biasLo = 0.93;
-        r.biasHi = 0.997;
         r.loopLo = 8;
         r.loopHi = 40;
         r.wNoise = 0.1;
@@ -210,8 +202,6 @@ buildRegistry()
         r.wLoop = 4.0;
         r.loopLo = 10;
         r.loopHi = 50;
-        r.biasLo = 0.94;
-        r.biasHi = 0.998;
         r.wNoise = 0.05;
         r.wLocalParity = 0.05;
         r.wPhased = 0.1;
@@ -227,8 +217,6 @@ buildRegistry()
         r2.wLoop = 5.0;
         r2.loopLo = 16;
         r2.loopHi = 64;
-        r2.biasLo = 0.95;
-        r2.biasHi = 0.999;
         r2.wNoise = 0.03;
         r2.wPattern = 1.5;
         r2.wLocalParity = 0.0;

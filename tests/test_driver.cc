@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "obs/stat_registry.hh"
 #include "predictors/gskew.hh"
 #include "sim/driver.hh"
 #include "support.hh"
+#include "sweep/sweep_spec.hh"
 #include "workload/trace.hh"
 #include "workload/trace2.hh"
 
@@ -119,6 +121,40 @@ TEST(RunSet, EngineConfigForScalesWithWorkload)
     const EngineConfig cfg = engineConfigFor(w);
     EXPECT_EQ(cfg.measureBranches, w.simBranches);
     EXPECT_EQ(cfg.warmupBranches, w.warmupBranches);
+}
+
+TEST(RunSet, RunLengthIsTheOneCellSweepsLength)
+{
+    // pcbp_run sizes its run with runLength, so `--branches N
+    // [--warmup W]` runs the cell a one-cell sweep with `branches =
+    // N [warmup = W]` stores: below the floor (500 measures 1000
+    // after 100) and above it, with and without an explicit warmup,
+    // in both simulators.
+    const Workload &w = workloadByName("mm.mpeg");
+    for (const bool timing : {false, true}) {
+        for (const std::uint64_t n : {500u, 9000u}) {
+            for (const std::optional<std::uint64_t> wb :
+                 {std::optional<std::uint64_t>(),
+                  std::optional<std::uint64_t>(50)}) {
+                std::string text = "workloads = mm.mpeg\nbranches = " +
+                                   std::to_string(n) + "\n";
+                if (timing)
+                    text += "mode = timing\n";
+                if (wb)
+                    text += "warmup = " + std::to_string(*wb) + "\n";
+                SCOPED_TRACE(text);
+                const auto cells = SweepSpec::parse(text).cells();
+                ASSERT_EQ(cells.size(), 1u);
+                const RunLength len = runLength(w, timing, n, wb);
+                EXPECT_EQ(len.measureBranches, cells[0].measureBranches);
+                EXPECT_EQ(len.warmupBranches, cells[0].warmupBranches);
+                const std::uint64_t measured =
+                    std::max<std::uint64_t>(n, 1000);
+                EXPECT_EQ(len.measureBranches, measured);
+                EXPECT_EQ(len.warmupBranches, wb ? 100 : measured / 10);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------- bench scale

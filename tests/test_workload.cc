@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "support.hh"
@@ -387,6 +389,78 @@ TEST(Suites, ProgramsBuildAndValidate)
         Program p = buildProgram(w);
         EXPECT_GT(p.numBlocks(), 50u) << w.name;
     }
+}
+
+/** 64-bit FNV-1a over a sequence of little-endian words. */
+struct Fnv1a
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    mixDouble(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        mix(bits);
+    }
+};
+
+TEST(Suites, ProgramsMatchGolden)
+{
+    // Every registry program, pinned: its block count, a digest of
+    // every block (PC, uops, targets, behavior kind and parameters)
+    // and of its phase clocks, and a digest of the first 100,000
+    // committed branches of a walk. A generator or recipe change
+    // that moves any of them shows up as one reviewed golden diff.
+    std::string rendered;
+    for (const Workload &w : allWorkloads()) {
+        const Program p = buildProgram(w);
+        Fnv1a blocks;
+        for (BlockId i = 0; i < p.numBlocks(); ++i) {
+            const BasicBlock &b = p.block(i);
+            const BranchBehavior &beh = p.behavior(i);
+            blocks.mix(b.branchPc);
+            blocks.mix(b.numUops);
+            blocks.mix(b.takenTarget);
+            blocks.mix(b.fallthroughTarget);
+            blocks.mix(static_cast<std::uint64_t>(beh.kind));
+            blocks.mix(beh.invert);
+            blocks.mix(beh.n0);
+            blocks.mix(beh.n1);
+            blocks.mixDouble(beh.p0);
+            blocks.mixDouble(beh.p1);
+            blocks.mix(beh.seed);
+        }
+        for (const PhaseClockSpec &c : p.phaseClocks()) {
+            blocks.mix(c.seed);
+            blocks.mix(c.lo);
+            blocks.mix(c.hi);
+        }
+        Fnv1a walk;
+        for (const CommittedBranch &c : walkProgram(p, 100000)) {
+            walk.mix(c.block);
+            walk.mix(c.pc);
+            walk.mix(c.taken);
+            walk.mix(c.numUops);
+        }
+        char line[160];
+        std::snprintf(line, sizeof(line),
+                      "%s blocks=%zu program=%016" PRIx64
+                      " walk=%016" PRIx64 "\n",
+                      w.name.c_str(), p.numBlocks(), blocks.hash,
+                      walk.hash);
+        rendered += line;
+    }
+    expectMatchesGolden(rendered, "programs.txt");
 }
 
 TEST(Suites, UopsPerBranchNearThirteen)

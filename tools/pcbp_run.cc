@@ -6,8 +6,9 @@
  * or on a recorded trace as `trace:FILE`, through the accuracy engine
  * or the cycle-level timing model, and prints the full statistics.
  * Every run is one driver call (runAccuracy, runTiming, or runH2P
- * under --top) with a sweep cell's default budgets, so at those
- * budgets it prints what the one-cell sweep of the workload stores.
+ * under --top) sized by the sweep's rule (runLength), so it prints
+ * what the one-cell sweep of the workload at the same `branches` and
+ * `warmup` stores.
  * This is the tool a downstream user reaches for before writing code
  * against the library.
  *
@@ -20,7 +21,8 @@
  *     --branches N           measured branches (default: the
  *                            workload's, a third of it with --timing)
  *     --warmup N             warmup branches (default: the
- *                            workload's; N/10 with --branches N)
+ *                            workload's; a tenth of the measured
+ *                            count with --branches or --timing)
  *     --timing               run the timing model instead
  *     --oracle               oracle future bits (Sec. 6 ablation)
  *     --no-btb               disable the BTB
@@ -29,6 +31,8 @@
  *     --stats-out FILE       dump the stats registry (pcbp-stats-1),
  *                            with the `h2p.*` section under --top
  *
+ * As in a sweep, PCBP_BENCH_SCALE scales both counts, then the
+ * measured count is floored at 1000 branches and the warmup at 100.
  * --oracle and --top need the accuracy engine; given with --timing
  * (in either order) they exit 1 naming the flag. --fb and --oracle
  * need a critic, and exit 1 the same way with --critic none.
@@ -77,20 +81,6 @@ splitSpec(const std::string &s)
     if (colon == std::string::npos)
         return {s, Budget::B8KB};
     return {s.substr(0, colon), parseBudget(s.substr(colon + 1))};
-}
-
-/** --branches N measures N after N/10 of warmup; --warmup overrides. */
-template <typename Config>
-void
-applyBudget(Config &cfg, std::uint64_t branches,
-            const std::optional<std::uint64_t> &warmup)
-{
-    if (branches) {
-        cfg.measureBranches = branches;
-        cfg.warmupBranches = branches / 10;
-    }
-    if (warmup)
-        cfg.warmupBranches = *warmup;
 }
 
 } // namespace
@@ -189,9 +179,11 @@ main(int argc, char **argv)
     StatRegistry reg;
     StatRegistry *const stats = stats_out.empty() ? nullptr : &reg;
 
+    const RunLength len = runLength(w, timing, branches, warmup);
     if (timing) {
-        TimingConfig cfg = timingConfigFor(w);
-        applyBudget(cfg, branches, warmup);
+        TimingConfig cfg;
+        cfg.measureBranches = len.measureBranches;
+        cfg.warmupBranches = len.warmupBranches;
         cfg.useBtb = !no_btb;
         cfg.statsOut = stats;
         const TimingStats st = runTiming(w, spec, cfg);
@@ -211,8 +203,9 @@ main(int argc, char **argv)
                   std::to_string(st.partialCritiques)});
         std::cout << t.str();
     } else {
-        EngineConfig cfg = engineConfigFor(w);
-        applyBudget(cfg, branches, warmup);
+        EngineConfig cfg;
+        cfg.measureBranches = len.measureBranches;
+        cfg.warmupBranches = len.warmupBranches;
         cfg.oracleFutureBits = oracle;
         cfg.useBtb = !no_btb;
         cfg.statsOut = stats;
